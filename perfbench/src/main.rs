@@ -13,6 +13,7 @@
 //! output is one JSON object; everything before it is for people. See
 //! `perfbench/README.md`.
 
+mod calib;
 mod oracle;
 mod trace;
 mod workload;
@@ -20,7 +21,7 @@ mod workload;
 use slpwlo_fixedpoint::range::{RangeAnalysis, RangeOptions};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use trace::Layers;
 use workload::{Kind, Setup};
 
@@ -115,15 +116,24 @@ fn run(args: &Args) -> Result<(), String> {
          up to {nproc} threads (library default); Optimizer::sweep not used"
     );
 
-    // Set-up, repeated; the last one is kept.
-    let mut setup_s = Vec::new();
+    // Set-up, repeated and calibrated like the runs; the last one is
+    // kept.
+    let mut setup_clock = calib::Clock::default();
+    let mut setup_wall = Vec::new();
     let mut setup = None;
+    setup_clock.sample();
     for _ in 0..SETUP_REPEATS {
         drop(setup.take());
         let t = Instant::now();
         setup = Some(Setup::new(args.kind, args.seed)?);
-        setup_s.push(t.elapsed().as_secs_f64());
+        setup_wall.push(t.elapsed());
+        setup_clock.sample();
     }
+    let mut setup_s: Vec<f64> = setup_wall
+        .iter()
+        .enumerate()
+        .map(|(j, &wall)| setup_clock.calibrated_ms(j, wall) / 1e3)
+        .collect();
     let mut setup = setup.expect("set-up ran at least once");
     let n = setup.points.len();
     println!(
@@ -171,8 +181,12 @@ fn run(args: &Args) -> Result<(), String> {
         refs.push(reference);
     }
 
-    // Measured passes: untraced, through the public API only.
+    // Measured passes: untraced, through the public API only, each run
+    // followed by a calibration sample.
     let mut point_ms = vec![Vec::new(); n];
+    let mut order: Vec<(usize, Duration)> = Vec::new();
+    let mut clock = calib::Clock::default();
+    clock.sample();
     let mut attempted = 0u64;
     let mut failed = 0u64;
     let mut passes = 0;
@@ -181,7 +195,9 @@ fn run(args: &Args) -> Result<(), String> {
         let mut figures = PassFigures::default();
         for i in 0..n {
             let out = setup.run(i);
+            clock.sample();
             point_ms[i].push(out.wall.as_secs_f64() * 1e3);
+            order.push((i, out.wall));
             attempted += 1;
             let fp = out.report.as_ref().ok().map(oracle::fingerprint);
             let refused = matches!(out.emitted, Some(Err(_)));
@@ -207,30 +223,39 @@ fn run(args: &Args) -> Result<(), String> {
     }
     let measured_s: f64 = point_ms.iter().flatten().sum::<f64>() / 1e3;
     println!("measured: {passes} passes, {attempted} runs in {measured_s:.3} s of compile time");
-    for v in &mut point_ms {
-        v.sort_by(f64::total_cmp);
-    }
-    let point_median: Vec<f64> = point_ms.iter().map(|v| quantile(v, 0.5)).collect();
+    println!(
+        "calibration: median {:.4} ms against {} ms nominal, so this host ran at {:.3}x \
+         nominal speed; set-up median {:.4} ms",
+        clock.median_ms(),
+        calib::NOMINAL_MS,
+        calib::NOMINAL_MS / clock.median_ms(),
+        setup_clock.median_ms()
+    );
+    let point_median: Vec<f64> = point_ms.iter_mut().map(|v| median(v)).collect();
 
     let mut metrics: Vec<(&str, &str, f64)> = Vec::new();
     if args.trace {
         let layers = traced_passes(&mut setup, args, &refs, &point_median)?;
         metrics.extend(layers.metrics());
     } else {
-        // Host interference only ever slows a run down, so each point's
-        // time is its fastest measured run; the quantiles are over points.
-        let mut best: Vec<f64> = point_ms.iter().map(|v| v[0]).collect();
-        best.sort_by(f64::total_cmp);
+        // Each point's time is the median of its calibrated runs; the
+        // quantiles are over points.
+        let mut calibrated = vec![Vec::new(); n];
+        for (j, &(i, wall)) in order.iter().enumerate() {
+            calibrated[i].push(clock.calibrated_ms(j, wall));
+        }
+        let mut point: Vec<f64> = calibrated.iter_mut().map(|v| median(v)).collect();
+        point.sort_by(f64::total_cmp);
         let ok = deterministic.runs;
         metrics.extend([
             ("setup_s", "s", median(&mut setup_s)),
             (
                 "runs_per_s",
                 "1/s",
-                1e3 * n as f64 / best.iter().sum::<f64>(),
+                1e3 * n as f64 / point.iter().sum::<f64>(),
             ),
-            ("run_ms_p50", "ms", quantile(&best, 0.5)),
-            ("run_ms_p90", "ms", quantile(&best, 0.9)),
+            ("run_ms_p50", "ms", quantile(&point, 0.5)),
+            ("run_ms_p90", "ms", quantile(&point, 0.9)),
             ("peak_rss_mb", "MB", peak_rss_mb()?),
             ("ok_share", "share", 1.0 - failed as f64 / attempted as f64),
             (
@@ -241,7 +266,7 @@ fn run(args: &Args) -> Result<(), String> {
             ("simd_ops_total", "ops", deterministic.ops as f64),
         ]);
         println!(
-            "failed_share {} ({failed} of {attempted} runs); times are the fastest of \
+            "failed_share {} ({failed} of {attempted} runs); times are calibrated medians of \
              {passes} runs of each of {n} points",
             failed as f64 / attempted as f64,
         );
