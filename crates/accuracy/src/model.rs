@@ -162,7 +162,7 @@ impl AnalyticalEvaluator {
     }
 
     /// [`new`](Self::new) against a caller-provided [`ConeIndex`], so a
-    /// pipeline that already built one (e.g. `prepare_with`) does not pay
+    /// pipeline that already built one (e.g. `slpwlo_core::prepare`) does not pay
     /// for it twice.
     pub fn new_with_cone(kernel: &Kernel, opts: &EvalOptions, cone: Option<&ConeIndex>) -> Self {
         let gains = measure_gains_with(kernel, &opts.gains, cone);

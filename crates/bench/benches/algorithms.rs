@@ -6,14 +6,14 @@
 
 use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator};
 use slpwlo_bench::Micro;
-use slpwlo_core::{cycles_per_activation, lower_scalar, prepare, tabu_wlo, TabuOptions};
+use slpwlo_core::{cycles_per_activation_cached, lower_scalar, prepare, tabu_wlo, TabuOptions};
 use slpwlo_driver::Optimizer;
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_kernels::{conv3x3, fir64};
-use slpwlo_slp::{extract_plain, Round};
-use slpwlo_targets::xentium;
+use slpwlo_slp::{extract_plain_with, BenefitKind, Round};
+use slpwlo_targets::{xentium, CycleCache, SchedKind};
 
 fn main() {
     let mut m = Micro::for_bench("algorithms");
@@ -32,7 +32,7 @@ fn main() {
     let dfg = Dfg::from_block(&kernel, &blocks[0]);
     m.bench("slp_round_conv3x3", || Round::new(&dfg, &target, &[]));
     m.bench("slp_extract_plain_conv3x3", || {
-        extract_plain(&dfg, &target, &|_| 16)
+        extract_plain_with(&dfg, &target, &|_| 16, BenefitKind::default())
     });
 
     m.bench("tabu_wlo_fir64", || {
@@ -49,7 +49,7 @@ fn main() {
 
     let prog = lower_scalar(&prep.kernel, &spec, &target);
     m.bench("vliw_schedule_fir64", || {
-        cycles_per_activation(&target, &prog)
+        cycles_per_activation_cached(&CycleCache::new(&target), &prog, SchedKind::List)
     });
 
     // True end-to-end runs: kernel in, optimized report out — range

@@ -36,9 +36,8 @@
 use slpwlo_bench::micro::{Micro, MicroOptions};
 use slpwlo_core::hooks::AccuracyHooks;
 use slpwlo_core::{
-    cycles_per_activation, cycles_per_activation_cached, lower_fixed, lower_scalar,
-    modulo_attempt_cached, modulo_bounds_cached, prepare, scaling_optimize, ModuloAttempt,
-    SchedKind,
+    cycles_per_activation_cached, lower_fixed, lower_scalar, modulo_attempt_cached,
+    modulo_bounds_cached, prepare, scaling_optimize, ModuloAttempt, SchedKind,
 };
 use slpwlo_driver::{
     required_constraint, BenefitKind, CompilationFlow, Error, FlowContext, FlowKind, FlowOutput,
@@ -49,8 +48,8 @@ use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_kernels::{all_benchmarks, paper_benchmarks, Benchmark};
 use slpwlo_slp::{
-    absorb_selected, run_selection, BenefitModel, CandidateView, Round, SelectHooks, SelectStats,
-    SimdGroup,
+    absorb_selected, run_selection_stats, BenefitModel, CandidateView, Round, SelectHooks,
+    SelectStats, SimdGroup,
 };
 use slpwlo_targets::{all_targets, st240, vex, xentium, CycleCache, TargetModel};
 
@@ -101,13 +100,16 @@ impl CompilationFlow for AblatedWloSlp {
                 let round = Round::new(&dfg, target, &groups);
                 let selected = {
                     let inner = AccuracyHooks::new(&dfg, &mut spec, &prep.eval, db);
-                    if self.0 == Ablate::AccConflicts {
-                        let mut hooks = NoConflictHooks(inner);
-                        run_selection(&dfg, target, &round, &groups, &mut hooks)
+                    let (mut no_conflicts, mut plain);
+                    let hooks: &mut dyn SelectHooks = if self.0 == Ablate::AccConflicts {
+                        no_conflicts = NoConflictHooks(inner);
+                        &mut no_conflicts
                     } else {
-                        let mut hooks = inner;
-                        run_selection(&dfg, target, &round, &groups, &mut hooks)
-                    }
+                        plain = inner;
+                        &mut plain
+                    };
+                    let (benefit, stats) = (BenefitKind::default(), &mut SelectStats::default());
+                    run_selection_stats(&dfg, target, &round, &groups, hooks, benefit, stats)
                 };
                 if selected.is_empty() {
                     break;
@@ -167,7 +169,8 @@ fn benefit_model_study() -> Result<(), Error> {
                     || report = Some(opt.run().expect("feasible point")),
                 );
                 let report = report.expect("bench ran at least once");
-                let cpa = cycles_per_activation(&target, &report.simd);
+                let costs = CycleCache::new(&target);
+                let cpa = cycles_per_activation_cached(&costs, &report.simd, SchedKind::List);
                 micro.metric(
                     &format!("cpa/{}/{}/{kind}", bench.name, target.name),
                     cpa as f64,
@@ -202,7 +205,7 @@ fn pricing_overhead(micro: &mut Micro, bench: &Benchmark, target: &TargetModel) 
         .collect();
     let max_wl = target.max_wl();
     // Selection shares one price cache across model rebuilds
-    // (`run_selection_with` hoists it out of the loop); mirror that here
+    // (`run_selection_stats` hoists it out of the loop); mirror that here
     // so the sweep prices through a warmed cache, not cold target folds.
     let prices = CycleCache::new(target);
     let mut medians = [0.0f64; 2];
@@ -215,14 +218,8 @@ fn pricing_overhead(micro: &mut Micro, bench: &Benchmark, target: &TargetModel) 
             || {
                 let mut acc = 0.0;
                 for (dfg, round) in &rounds {
-                    let model = BenefitModel::with_context_shared(
-                        dfg,
-                        round,
-                        &prices,
-                        kind,
-                        move |_| max_wl,
-                        |_| None,
-                    );
+                    let model =
+                        BenefitModel::new(dfg, round, &prices, kind, move |_| max_wl, |_| None);
                     let alive = vec![true; round.candidates.len()];
                     let pass = model.pass(&alive, &[]);
                     for i in 0..round.candidates.len() {
@@ -432,7 +429,8 @@ fn optimal_study() -> Result<(), Error> {
                     || report = Some(opt.run().expect("feasible point")),
                 );
                 let report = report.expect("bench ran at least once");
-                cpa[k] = cycles_per_activation(&target, &report.simd);
+                let costs = CycleCache::new(&target);
+                cpa[k] = cycles_per_activation_cached(&costs, &report.simd, SchedKind::List);
                 micro.metric(
                     &format!("optimal_cpa/{}/{}/{label}", bench.name, target.name),
                     cpa[k] as f64,

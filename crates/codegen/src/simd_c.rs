@@ -51,7 +51,7 @@ mod tests {
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::dfg::Dfg;
     use slpwlo_ir::parser::parse_kernel;
-    use slpwlo_slp::extract_plain;
+    use slpwlo_slp::{extract_plain_with, BenefitKind};
     use slpwlo_targets::xentium;
 
     fn program() -> MachineProgram {
@@ -84,7 +84,12 @@ kernel f {
                 let groups = {
                     let spec_ref = &spec;
                     let dfg_ref = &dfg;
-                    extract_plain(&dfg, &target, &move |n| value_wl(spec_ref, dfg_ref, n))
+                    extract_plain_with(
+                        &dfg,
+                        &target,
+                        &move |n| value_wl(spec_ref, dfg_ref, n),
+                        BenefitKind::default(),
+                    )
                 };
                 (b, dfg, groups)
             })

@@ -47,19 +47,13 @@ pub struct Prepared {
     pub range_analysis: RangeAnalysis,
 }
 
-/// Runs the shared front end: range analysis plus accuracy-model
-/// construction.
+/// Runs the shared front end: the influence-cone index, range analysis
+/// and accuracy-model construction under default [`EvalOptions`].
 pub fn prepare(kernel: Kernel) -> Prepared {
-    prepare_with(kernel, &EvalOptions::default())
-}
-
-/// [`prepare`] with explicit accuracy-model options (quantization mode,
-/// gain-measurement batching/threading).
-pub fn prepare_with(kernel: Kernel, opts: &EvalOptions) -> Prepared {
     let cone = ConeIndex::build(&kernel);
     let range_analysis = RangeAnalysis::new(&kernel, &RangeOptions::default());
     let ranges = range_analysis.ranges().clone();
-    let eval = AnalyticalEvaluator::new_with_cone(&kernel, opts, Some(&cone));
+    let eval = AnalyticalEvaluator::new_with_cone(&kernel, &EvalOptions::default(), Some(&cone));
     Prepared {
         kernel,
         ranges,
@@ -74,32 +68,10 @@ pub fn prepare_with(kernel: Kernel, opts: &EvalOptions) -> Prepared {
 /// supplies word lengths for candidate validation *and* the full format
 /// context (`current_wl`/`current_fwl`) the cycle-priced benefit model
 /// reads; no scaling equalization follows, so mismatched scalings keep
-/// their fig. 2 price.
-pub fn extract_on_spec(
-    kernel: &Kernel,
-    spec: &FixedPointSpec,
-    target: &TargetModel,
-    benefit: BenefitKind,
-) -> Vec<(slpwlo_ir::blocks::Block, Dfg, Vec<slpwlo_slp::SimdGroup>)> {
-    extract_on_spec_sched(kernel, spec, target, benefit, SchedKind::List)
-}
-
-/// [`extract_on_spec`] pricing candidates under an explicit scheduler
-/// kind (the benefit model relaxes its latency hedge when iterations
-/// will overlap).
-pub fn extract_on_spec_sched(
-    kernel: &Kernel,
-    spec: &FixedPointSpec,
-    target: &TargetModel,
-    benefit: BenefitKind,
-    sched: SchedKind,
-) -> Vec<(slpwlo_ir::blocks::Block, Dfg, Vec<slpwlo_slp::SimdGroup>)> {
-    let mut stats = SelectStats::default();
-    extract_on_spec_stats(kernel, spec, target, benefit, sched, &mut stats)
-}
-
-/// [`extract_on_spec_sched`] accumulating the exact selector's search
-/// statistics into `stats` (untouched under the greedy kinds).
+/// their fig. 2 price. `sched` is the scheduler the candidates are priced
+/// under (the benefit model relaxes its latency hedge when iterations
+/// will overlap); the exact selector's search statistics accumulate into
+/// `stats` (untouched under the greedy kinds).
 pub fn extract_on_spec_stats(
     kernel: &Kernel,
     spec: &FixedPointSpec,
@@ -214,19 +186,6 @@ pub enum PassArtifact<'a> {
         /// under — the verifier audits the matching schedule kind.
         sched: SchedKind,
     },
-}
-
-/// The always-passing boundary callback of the unchecked flow entry
-/// points.
-fn unchecked(_: PassArtifact<'_>) -> Result<(), std::convert::Infallible> {
-    Ok(())
-}
-
-fn into_ok<T>(r: Result<T, std::convert::Infallible>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => match e {},
-    }
 }
 
 /// The scheduler guard: the benefit model is a per-candidate estimate;
@@ -366,35 +325,16 @@ fn arbitrate_portfolio<E>(
 /// The search runs over an [`IncrementalEvaluator`] layered on the
 /// prepared analytical model, so each accuracy trial re-walks only the
 /// touched noise sources; final reporting still uses the full evaluator.
-pub fn wlo_slp_flow(prep: &Prepared, target: &TargetModel, constraint_db: f64) -> FlowResult {
-    wlo_slp_flow_with(prep, target, constraint_db, BenefitKind::default())
-}
-
-/// [`wlo_slp_flow`] with an explicit SLP benefit strategy.
-pub fn wlo_slp_flow_with(
-    prep: &Prepared,
-    target: &TargetModel,
-    constraint_db: f64,
-    benefit: BenefitKind,
-) -> FlowResult {
-    into_ok(wlo_slp_flow_checked(
-        prep,
-        target,
-        constraint_db,
-        benefit,
-        SchedKind::List,
-        &mut unchecked,
-    ))
-}
-
-/// [`wlo_slp_flow_with`] with an explicit scheduler kind and a
-/// pass-boundary callback: every artifact the flow produces — the
-/// kernel, the optimized spec, each block's grouping before and after
-/// the scheduler guard, candidate lowerings and the final SIMD/scalar
-/// programs — is handed to `check` before the flow proceeds. An `Err`
-/// aborts the flow and surfaces unchanged; instantiate `E` as
-/// [`std::convert::Infallible`] for a free no-op. `sched` governs both
-/// the benefit model's admission hedge and the scheduler-guard pricing.
+///
+/// `benefit` is the SLP candidate-pricing strategy and `sched` the
+/// scheduler kind, which governs both the benefit model's admission
+/// hedge and the scheduler-guard pricing. Every artifact the flow
+/// produces — the kernel, the optimized spec, each block's grouping
+/// before and after the scheduler guard, candidate lowerings and the
+/// final SIMD/scalar programs — is handed to the pass-boundary callback
+/// `check` before the flow proceeds. An `Err` aborts the flow and
+/// surfaces unchanged; instantiate `E` as [`std::convert::Infallible`]
+/// for a free no-op.
 ///
 /// Under [`BenefitKind::Optimal`] the flow runs twice — the exact leg
 /// and the greedy cycle-priced leg — and the faster-scheduling program
@@ -493,40 +433,10 @@ fn wlo_slp_flow_once<E>(
 
 /// The baseline flow (`WLO-First`, fig. 5): Tabu WLO first, SLP second,
 /// no accuracy awareness in the extraction and no scaling optimization.
-pub fn wlo_first_flow(
-    prep: &Prepared,
-    target: &TargetModel,
-    constraint_db: f64,
-    tabu: &TabuOptions,
-) -> FlowResult {
-    wlo_first_flow_with(prep, target, constraint_db, tabu, BenefitKind::default())
-}
-
-/// [`wlo_first_flow`] with an explicit SLP benefit strategy (the frozen
-/// Tabu specification is the word-length context of the cycle-priced
-/// model).
-pub fn wlo_first_flow_with(
-    prep: &Prepared,
-    target: &TargetModel,
-    constraint_db: f64,
-    tabu: &TabuOptions,
-    benefit: BenefitKind,
-) -> FlowResult {
-    into_ok(wlo_first_flow_checked(
-        prep,
-        target,
-        constraint_db,
-        tabu,
-        benefit,
-        SchedKind::List,
-        &mut unchecked,
-    ))
-}
-
-/// [`wlo_first_flow_with`] with an explicit scheduler kind and a
-/// pass-boundary callback; see [`wlo_slp_flow_checked`] for the
-/// contract (including the two-leg portfolio under
-/// [`BenefitKind::Optimal`]). The pre-Tabu seed specification is
+/// The frozen Tabu specification is the word-length context of the
+/// cycle-priced benefit model. See [`wlo_slp_flow_checked`] for the
+/// `benefit`/`sched`/`check` contract (including the two-leg portfolio
+/// under [`BenefitKind::Optimal`]). The pre-Tabu seed specification is
 /// reported with `is_final: false`.
 pub fn wlo_first_flow_checked<E>(
     prep: &Prepared,
@@ -628,7 +538,8 @@ fn wlo_first_flow_once<E>(
 mod tests {
     use super::*;
     use slpwlo_ir::parser::parse_kernel;
-    use slpwlo_targets::xentium;
+    use slpwlo_targets::{xentium, CycleCache};
+    use std::convert::Infallible;
 
     const FIR8: &str = r#"
 kernel fir8 {
@@ -650,9 +561,12 @@ kernel fir8 {
     fn both_flows_meet_the_constraint() {
         let prep = prepare(parse_kernel(FIR8).unwrap());
         let target = xentium();
+        let (benefit, sched) = (BenefitKind::default(), SchedKind::List);
+        let tabu = TabuOptions::default();
         for db in [-20.0, -50.0, -80.0] {
-            let a = wlo_slp_flow(&prep, &target, db);
-            let b = wlo_first_flow(&prep, &target, db, &TabuOptions::default());
+            let ok = &mut |_: PassArtifact<'_>| Ok::<(), Infallible>(());
+            let a = wlo_slp_flow_checked(&prep, &target, db, benefit, sched, ok).unwrap();
+            let b = wlo_first_flow_checked(&prep, &target, db, &tabu, benefit, sched, ok).unwrap();
             assert!(a.noise_db <= db, "WLO-SLP at {db}: {}", a.noise_db);
             assert!(b.noise_db <= db, "WLO-First at {db}: {}", b.noise_db);
         }
@@ -660,24 +574,34 @@ kernel fir8 {
 
     #[test]
     fn wlo_slp_packs_where_it_pays_and_never_where_it_loses() {
-        use crate::sched::cycles_per_activation;
+        use crate::sched::cycles_per_activation_cached;
         let prep = prepare(parse_kernel(FIR8).unwrap());
+        let run = |target: &TargetModel| {
+            let res = wlo_slp_flow_checked(
+                &prep,
+                target,
+                -40.0,
+                BenefitKind::default(),
+                SchedKind::List,
+                &mut |_| Ok::<(), Infallible>(()),
+            )
+            .unwrap();
+            let costs = CycleCache::new(target);
+            let simd = cycles_per_activation_cached(&costs, &res.simd, SchedKind::List);
+            let scalar = cycles_per_activation_cached(&costs, &res.scalar, SchedKind::List);
+            (res.group_count, simd, scalar)
+        };
         // ST240's single memory port makes FIR's vector loads genuinely
         // profitable: the joint flow must find (and keep) groups there.
-        let st = slpwlo_targets::st240();
-        let a = wlo_slp_flow(&prep, &st, -40.0);
-        assert!(
-            a.group_count > 0,
-            "joint flow must find groups on ST240 at -40 dB"
-        );
-        assert!(cycles_per_activation(&st, &a.simd) < cycles_per_activation(&st, &a.scalar));
+        let (groups, simd, scalar) = run(&slpwlo_targets::st240());
+        assert!(groups > 0, "joint flow must find groups on ST240 at -40 dB");
+        assert!(simd < scalar);
         // On 12-issue XENTIUM this tiny kernel is latency-bound: packing
         // cannot pay, and the scheduler guard must leave the program no
         // slower than its own scalar lowering.
-        let x = xentium();
-        let b = wlo_slp_flow(&prep, &x, -40.0);
+        let (_, simd, scalar) = run(&xentium());
         assert!(
-            cycles_per_activation(&x, &b.simd) <= cycles_per_activation(&x, &b.scalar),
+            simd <= scalar,
             "the scheduler guard must never keep a losing pack"
         );
     }
@@ -686,8 +610,19 @@ kernel fir8 {
     fn flows_are_deterministic() {
         let prep = prepare(parse_kernel(FIR8).unwrap());
         let target = xentium();
-        let a1 = wlo_first_flow(&prep, &target, -45.0, &TabuOptions::default());
-        let a2 = wlo_first_flow(&prep, &target, -45.0, &TabuOptions::default());
+        let run = || {
+            wlo_first_flow_checked(
+                &prep,
+                &target,
+                -45.0,
+                &TabuOptions::default(),
+                BenefitKind::default(),
+                SchedKind::List,
+                &mut |_| Ok::<(), Infallible>(()),
+            )
+            .unwrap()
+        };
+        let (a1, a2) = (run(), run());
         assert_eq!(a1.group_count, a2.group_count);
         assert_eq!(a1.simd.ops_per_activation(), a2.simd.ops_per_activation());
     }

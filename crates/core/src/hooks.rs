@@ -192,7 +192,7 @@ mod tests {
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_ir::types::ArrayId;
     use slpwlo_ir::Kernel;
-    use slpwlo_slp::{extract_rounds, mem_status};
+    use slpwlo_slp::{extract_rounds_stats, mem_status, BenefitKind, SelectStats};
     use slpwlo_targets::xentium;
 
     const SRC: &str = r#"
@@ -247,7 +247,13 @@ kernel f {
         let target = xentium();
         // Loose constraint: everything packs.
         let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &eval, -40.0);
-        let groups = extract_rounds(&dfg, &target, &mut hooks);
+        let groups = extract_rounds_stats(
+            &dfg,
+            &target,
+            &mut hooks,
+            BenefitKind::default(),
+            &mut SelectStats::default(),
+        );
         assert!(!groups.is_empty(), "-40 dB must allow 16-bit SIMD groups");
         assert!(
             eval.meets(&spec, -40.0),
@@ -259,7 +265,13 @@ kernel f {
         let (_, dfg2, mut spec2, eval2) = setup();
         let before = eval2.noise_db(&spec2);
         let mut hooks2 = AccuracyHooks::new(&dfg2, &mut spec2, &eval2, -200.0);
-        let groups2 = extract_rounds(&dfg2, &target, &mut hooks2);
+        let groups2 = extract_rounds_stats(
+            &dfg2,
+            &target,
+            &mut hooks2,
+            BenefitKind::default(),
+            &mut SelectStats::default(),
+        );
         assert!(groups2.is_empty(), "-200 dB must block all 16-bit grouping");
         // The spec is untouched (all rollbacks).
         assert_eq!(eval2.noise_db(&spec2), before);
@@ -270,7 +282,13 @@ kernel f {
         let (_, dfg, mut spec, eval) = setup();
         let target = xentium();
         let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &eval, -40.0);
-        let groups = extract_rounds(&dfg, &target, &mut hooks);
+        let groups = extract_rounds_stats(
+            &dfg,
+            &target,
+            &mut hooks,
+            BenefitKind::default(),
+            &mut SelectStats::default(),
+        );
         for g in &groups {
             if matches!(
                 g.kind(&dfg),
@@ -290,7 +308,13 @@ kernel f {
         for db in [-20.0, -45.0, -70.0, -90.0] {
             let (_, dfg, mut spec, eval) = setup();
             let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &eval, db);
-            let _ = extract_rounds(&dfg, &xentium(), &mut hooks);
+            let _ = extract_rounds_stats(
+                &dfg,
+                &xentium(),
+                &mut hooks,
+                BenefitKind::default(),
+                &mut SelectStats::default(),
+            );
             assert!(
                 eval.meets(&spec, db),
                 "constraint {db} dB violated: got {}",

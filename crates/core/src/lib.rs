@@ -3,8 +3,8 @@
 //! Reproduces the algorithms of El Moussawi & Derrien, *"Superword Level
 //! Parallelism aware Word Length Optimization"* (DATE 2017):
 //!
-//! * [`wlo_slp()`](wlo_slp::wlo_slp) — the joint SLP-aware WLO driver (fig. 1a): nodes start
-//!   at the target's maximum word length, basic blocks are visited in
+//! * [`wlo_slp_sched`] — the joint SLP-aware WLO driver (fig. 1a): nodes
+//!   start at the target's maximum word length, basic blocks are visited in
 //!   priority order, and the accuracy-aware SLP extraction shrinks exactly
 //!   the operations it manages to pack;
 //! * [`hooks`] — the accuracy-aware SLP extraction policy (fig. 1c):
@@ -34,9 +34,8 @@ pub mod tabu;
 pub mod wlo_slp;
 
 pub use flow::{
-    extract_on_spec, extract_on_spec_sched, extract_on_spec_stats, prepare, prepare_with,
-    wlo_first_flow, wlo_first_flow_checked, wlo_first_flow_with, wlo_slp_flow,
-    wlo_slp_flow_checked, wlo_slp_flow_with, FlowResult, PassArtifact, Prepared, ProgramRole,
+    extract_on_spec_stats, prepare, wlo_first_flow_checked, wlo_slp_flow_checked, FlowResult,
+    PassArtifact, Prepared, ProgramRole,
 };
 pub use hooks::AccuracyHooks;
 pub use lower::{
@@ -46,12 +45,11 @@ pub use lower::{
 };
 pub use scalopt::scaling_optimize;
 pub use sched::{
-    block_activation_cycles_cached, block_cycles, block_cycles_cached, cycles_per_activation,
-    cycles_per_activation_cached, loop_carried_deps, modulo_attempt_cached, modulo_bounds_cached,
-    schedule_block, schedule_block_cached, schedule_block_with, total_cycles, total_cycles_cached,
+    block_activation_cycles_cached, cycles_per_activation_cached, loop_carried_deps,
+    modulo_attempt_cached, modulo_bounds_cached, schedule_block_cached, total_cycles_cached,
     ModuloAttempt, ModuloSchedule, Schedule,
 };
 pub use slpwlo_slp::{BenefitKind, SelectStats};
 pub use slpwlo_targets::SchedKind;
 pub use tabu::{tabu_wlo, TabuOptions};
-pub use wlo_slp::{wlo_slp, wlo_slp_sched, wlo_slp_with, BlockResult, WloSlpResult};
+pub use wlo_slp::{wlo_slp_sched, BlockResult, WloSlpResult};

@@ -1834,7 +1834,15 @@ kernel fir8 {
         let ranges = determine_ranges(&k, &RangeOptions::default());
         let eval = AnalyticalEvaluator::with_defaults(&k);
         let target = xentium();
-        let res = crate::wlo_slp(&k, &target, &eval, db, &ranges);
+        let res = crate::wlo_slp_sched(
+            &k,
+            &target,
+            &eval,
+            db,
+            &ranges,
+            slpwlo_slp::BenefitKind::default(),
+            crate::SchedKind::List,
+        );
         let blocks: Vec<_> = res
             .blocks
             .into_iter()

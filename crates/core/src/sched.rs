@@ -157,20 +157,6 @@ impl<'t> Resources<'t> {
     }
 }
 
-/// List-schedules one block onto the target.
-pub fn schedule_block(target: &TargetModel, block: &MachineBlock) -> Schedule {
-    schedule_block_cached(&CycleCache::new(target), block, SchedKind::List)
-}
-
-/// Schedules one block under an explicit [`SchedKind`].
-pub fn schedule_block_with(
-    target: &TargetModel,
-    block: &MachineBlock,
-    kind: SchedKind,
-) -> Schedule {
-    schedule_block_cached(&CycleCache::new(target), block, kind)
-}
-
 /// Schedules one block, pricing ops through a shared [`CycleCache`] and
 /// dispatching on `kind`.
 ///
@@ -263,35 +249,6 @@ fn loop_overhead(target: &TargetModel) -> u64 {
     (target.loop_overhead_ops.div_ceil(w) as u64) + 1
 }
 
-/// Cycles for one execution of a block, including loop control overhead
-/// for in-loop blocks.
-pub fn block_cycles(target: &TargetModel, block: &MachineBlock) -> u64 {
-    block_cycles_cached(&CycleCache::new(target), block, SchedKind::List)
-}
-
-/// [`block_cycles`] pricing ops through a shared [`CycleCache`],
-/// dispatching on `kind`.
-///
-/// Under a pipelined modulo schedule this is the **steady-state** cost of
-/// one iteration — the initiation interval — not a trip-multipliable
-/// quantity (fill/drain and the once-per-loop control overhead live
-/// outside it); trip-weighted totals must use
-/// [`block_activation_cycles_cached`].
-pub fn block_cycles_cached(costs: &CycleCache<'_>, block: &MachineBlock, kind: SchedKind) -> u64 {
-    let sched = schedule_block_cached(costs, block, kind);
-    match sched.modulo {
-        Some(m) => m.ii,
-        None => {
-            let overhead = if block.in_loop {
-                loop_overhead(costs.target())
-            } else {
-                0
-            };
-            sched.makespan + overhead
-        }
-    }
-}
-
 /// Trip-weighted cycles one kernel activation spends in `block`.
 ///
 /// List-scheduled blocks pay `(makespan + overhead) · trip`. Pipelined
@@ -320,13 +277,8 @@ pub fn block_activation_cycles_cached(
     }
 }
 
-/// Cycles for one kernel activation (all blocks, trip-weighted).
-pub fn cycles_per_activation(target: &TargetModel, program: &MachineProgram) -> u64 {
-    cycles_per_activation_cached(&CycleCache::new(target), program, SchedKind::List)
-}
-
-/// [`cycles_per_activation`] pricing ops through a shared [`CycleCache`],
-/// dispatching on `kind`.
+/// Cycles for one kernel activation (all blocks, trip-weighted), pricing
+/// ops through a shared [`CycleCache`] and dispatching on `kind`.
 pub fn cycles_per_activation_cached(
     costs: &CycleCache<'_>,
     program: &MachineProgram,
@@ -339,20 +291,11 @@ pub fn cycles_per_activation_cached(
         .sum()
 }
 
-/// Total cycles for a workload of `activations` kernel activations.
-pub fn total_cycles(target: &TargetModel, program: &MachineProgram, activations: u64) -> u64 {
-    total_cycles_cached(
-        &CycleCache::new(target),
-        program,
-        activations,
-        SchedKind::List,
-    )
-}
-
-/// [`total_cycles`] pricing ops through a shared [`CycleCache`],
-/// dispatching on `kind` — callers reporting several workloads (or both
-/// scheduler kinds) over one target should share a cache instead of
-/// re-folding the same op costs per call.
+/// Total cycles for a workload of `activations` kernel activations,
+/// pricing ops through a shared [`CycleCache`] and dispatching on `kind`
+/// — callers reporting several workloads (or both scheduler kinds) over
+/// one target should share a cache instead of re-folding the same op
+/// costs per call.
 pub fn total_cycles_cached(
     costs: &CycleCache<'_>,
     program: &MachineProgram,
@@ -916,7 +859,11 @@ mod tests {
     fn single_issue_serializes() {
         let target = vex(1);
         let ops: Vec<Mop> = (0..6).map(|_| op(OpQuery::Add(32), vec![])).collect();
-        let s = schedule_block(&target, &block(ops, false));
+        let s = schedule_block_cached(
+            &CycleCache::new(&target),
+            &block(ops, false),
+            SchedKind::List,
+        );
         // Six independent adds on a 1-issue machine: one per cycle.
         assert_eq!(s.makespan, 6);
     }
@@ -925,7 +872,11 @@ mod tests {
     fn wide_issue_parallelizes() {
         let target = xentium(); // 4 ALUs
         let ops: Vec<Mop> = (0..8).map(|_| op(OpQuery::Add(32), vec![])).collect();
-        let s = schedule_block(&target, &block(ops, false));
+        let s = schedule_block_cached(
+            &CycleCache::new(&target),
+            &block(ops, false),
+            SchedKind::List,
+        );
         // 8 adds over 4 ALUs: 2 cycles of issue + 1 latency left-over.
         assert!(s.makespan <= 3, "makespan {}", s.makespan);
     }
@@ -934,7 +885,11 @@ mod tests {
     fn memory_ports_limit_loads() {
         let target = xentium(); // 2 mem ports, load latency 2
         let ops: Vec<Mop> = (0..8).map(|_| op(OpQuery::Load(32), vec![])).collect();
-        let s = schedule_block(&target, &block(ops, false));
+        let s = schedule_block_cached(
+            &CycleCache::new(&target),
+            &block(ops, false),
+            SchedKind::List,
+        );
         // 8 loads over 2 ports: last issues at cycle 3, finishes at 5.
         assert_eq!(s.makespan, 4 + target.load_latency as u64 - 1);
     }
@@ -946,7 +901,11 @@ mod tests {
         for i in 1..10 {
             ops.push(op(OpQuery::Add(32), vec![i - 1]));
         }
-        let s = schedule_block(&target, &block(ops, false));
+        let s = schedule_block_cached(
+            &CycleCache::new(&target),
+            &block(ops, false),
+            SchedKind::List,
+        );
         assert_eq!(
             s.makespan, 10,
             "a 10-add chain takes 10 cycles regardless of width"
@@ -958,8 +917,16 @@ mod tests {
         let target = xentium();
         let narrow: Vec<Mop> = (0..4).map(|_| op(OpQuery::Mul(16), vec![])).collect();
         let wide: Vec<Mop> = (0..4).map(|_| op(OpQuery::Mul(32), vec![])).collect();
-        let sn = schedule_block(&target, &block(narrow, false));
-        let sw = schedule_block(&target, &block(wide, false));
+        let sn = schedule_block_cached(
+            &CycleCache::new(&target),
+            &block(narrow, false),
+            SchedKind::List,
+        );
+        let sw = schedule_block_cached(
+            &CycleCache::new(&target),
+            &block(wide, false),
+            SchedKind::List,
+        );
         assert!(
             sw.makespan > sn.makespan,
             "32-bit muls ({}c) must be slower than 16-bit ({}c)",
@@ -975,7 +942,11 @@ mod tests {
             op(OpQuery::FAdd, vec![]),
             op(OpQuery::Add(32), vec![]), // independent, but machine is blocked
         ];
-        let s = schedule_block(&target, &block(ops, false));
+        let s = schedule_block_cached(
+            &CycleCache::new(&target),
+            &block(ops, false),
+            SchedKind::List,
+        );
         assert!(
             s.start[1] >= target.fadd_cycles as u64,
             "nothing issues during a soft-float call (start {})",
@@ -987,33 +958,44 @@ mod tests {
     fn hw_float_pipelines_on_st240() {
         let target = st240();
         let ops = vec![op(OpQuery::FAdd, vec![]), op(OpQuery::Add(32), vec![])];
-        let s = schedule_block(&target, &block(ops, false));
+        let s = schedule_block_cached(
+            &CycleCache::new(&target),
+            &block(ops, false),
+            SchedKind::List,
+        );
         assert_eq!(s.start[1], 0, "hardware float does not serialize");
     }
 
     #[test]
     fn loop_overhead_added_per_iteration() {
         let target = vex(1);
+        let costs = CycleCache::new(&target);
         let ops = vec![op(OpQuery::Add(32), vec![])];
-        let inside = block_cycles(&target, &block_t(ops.clone(), 4, true));
-        let outside = block_cycles(&target, &block_t(ops, 1, false));
+        let list = SchedKind::List;
+        let inside = block_activation_cycles_cached(&costs, &block_t(ops.clone(), 1, true), list);
+        let outside = block_activation_cycles_cached(&costs, &block_t(ops, 1, false), list);
         assert!(inside > outside);
     }
 
     #[test]
     fn trips_multiply_cycles() {
         let target = xentium();
+        let costs = CycleCache::new(&target);
         let b1 = block_t(vec![op(OpQuery::Add(32), vec![])], 16, true);
         let prog = MachineProgram {
             name: "t".into(),
             blocks: vec![b1],
             storage: crate::lower::ProgramStorage::default(),
         };
-        let per_act = cycles_per_activation(&target, &prog);
-        assert_eq!(total_cycles(&target, &prog, 10), per_act * 10);
-        let single = block_cycles(
-            &target,
+        let per_act = cycles_per_activation_cached(&costs, &prog, SchedKind::List);
+        assert_eq!(
+            total_cycles_cached(&costs, &prog, 10, SchedKind::List),
+            per_act * 10
+        );
+        let single = block_activation_cycles_cached(
+            &costs,
             &block_t(vec![op(OpQuery::Add(32), vec![])], 1, true),
+            SchedKind::List,
         );
         assert_eq!(per_act, single * 16);
     }
@@ -1022,7 +1004,11 @@ mod tests {
     fn pack_macro_op_consumes_multiple_slots() {
         let target = vex(1); // 1 ALU per cycle
         let ops = vec![op(OpQuery::Pack(4), vec![])];
-        let s = schedule_block(&target, &block(ops, false));
+        let s = schedule_block_cached(
+            &CycleCache::new(&target),
+            &block(ops, false),
+            SchedKind::List,
+        );
         // 4 insert slots on a single ALU: at least 4 cycles of occupancy.
         assert!(s.makespan >= 4, "makespan {}", s.makespan);
     }

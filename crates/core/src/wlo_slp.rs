@@ -69,54 +69,19 @@ impl WloSlpResult {
 /// [`slpwlo_accuracy::IncrementalEvaluator`] makes each query O(touched
 /// keys) instead of O(kernel); a plain evaluator falls back to full
 /// recomputes with identical results.
-pub fn wlo_slp(
-    kernel: &Kernel,
-    target: &TargetModel,
-    eval: &dyn AccuracyEvaluator,
-    constraint_db: f64,
-    ranges: &Ranges,
-) -> WloSlpResult {
-    wlo_slp_with(
-        kernel,
-        target,
-        eval,
-        constraint_db,
-        ranges,
-        BenefitKind::default(),
-    )
-}
-
-/// [`wlo_slp`] with an explicit candidate-pricing strategy.
 ///
-/// Under [`BenefitKind::Cycles`] the selection loop re-prices live
-/// candidates against the *evolving* spec every iteration (the hooks are
-/// the word-length oracle), so a pack that is only profitable at shrunk
-/// word lengths is admitted in the round where the shrinks happen rather
-/// than never or always.
-pub fn wlo_slp_with(
-    kernel: &Kernel,
-    target: &TargetModel,
-    eval: &dyn AccuracyEvaluator,
-    constraint_db: f64,
-    ranges: &Ranges,
-    benefit: BenefitKind,
-) -> WloSlpResult {
-    wlo_slp_sched(
-        kernel,
-        target,
-        eval,
-        constraint_db,
-        ranges,
-        benefit,
-        SchedKind::List,
-    )
-}
-
-/// [`wlo_slp_with`] pricing candidates under an explicit scheduler kind:
-/// when the flow will modulo-schedule in-loop blocks, the cycle-priced
-/// benefit model drops its latency-boundedness hedge (overlapped
-/// iterations hide pack/extract chain hops), admitting packs sequential
-/// issue would reject.
+/// `benefit` is the candidate-pricing strategy. Under
+/// [`BenefitKind::Cycles`] the selection loop re-prices live candidates
+/// against the *evolving* spec every iteration (the hooks are the
+/// word-length oracle), so a pack that is only profitable at shrunk word
+/// lengths is admitted in the round where the shrinks happen rather than
+/// never or always.
+///
+/// `sched` is the scheduler the candidates are priced under: when the
+/// flow will modulo-schedule in-loop blocks, the cycle-priced benefit
+/// model drops its latency-boundedness hedge (overlapped iterations hide
+/// pack/extract chain hops), admitting packs sequential issue would
+/// reject.
 pub fn wlo_slp_sched(
     kernel: &Kernel,
     target: &TargetModel,
@@ -204,7 +169,15 @@ kernel fir8 {
         let k = parse_kernel(FIR8).unwrap();
         let ranges = determine_ranges(&k, &RangeOptions::default());
         let eval = AnalyticalEvaluator::with_defaults(&k);
-        let res = wlo_slp(&k, target, &eval, db, &ranges);
+        let res = wlo_slp_sched(
+            &k,
+            target,
+            &eval,
+            db,
+            &ranges,
+            BenefitKind::default(),
+            SchedKind::List,
+        );
         (res, eval)
     }
 

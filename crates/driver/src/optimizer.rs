@@ -3,8 +3,8 @@
 use crate::error::Error;
 use crate::flow::{CompilationFlow, FlowContext, FlowKind};
 use crate::report::Report;
-use slpwlo_accuracy::{AccuracyEvaluator, EvalOptions};
-use slpwlo_core::{prepare, prepare_with, total_cycles_cached, BenefitKind, Prepared, TabuOptions};
+use slpwlo_accuracy::AccuracyEvaluator;
+use slpwlo_core::{prepare, total_cycles_cached, BenefitKind, Prepared, TabuOptions};
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::parser::parse_kernel;
 use slpwlo_ir::Kernel;
@@ -194,34 +194,6 @@ impl Optimizer {
     /// sweeps fully serial.
     pub fn sweep_threads(mut self, n: usize) -> Self {
         self.sweep_threads = Some(n.max(1));
-        self
-    }
-
-    /// Caps (or forces) the worker threads of the once-per-kernel
-    /// noise-gain measurement (`0` = one per available core, the
-    /// default). Gains are bitwise identical for any thread count; this
-    /// only trades construction latency against CPU use. Re-runs the
-    /// per-kernel analyses, so call it before anything that reads
-    /// [`Optimizer::prepared`].
-    pub fn gain_threads(mut self, n: usize) -> Self {
-        let mut opts = EvalOptions::default();
-        opts.gains.threads = n;
-        self.prep = prepare_with(self.prep.kernel, &opts);
-        self.floor_db = std::sync::OnceLock::new();
-        self
-    }
-
-    /// Toggles cone-restricted impulse evaluation in the noise-gain
-    /// measurement (on by default). Gains are bitwise identical either
-    /// way; off trades the analysis speedup for the simpler dense
-    /// executor — useful for differential debugging. Re-runs the
-    /// per-kernel analyses, so call it before anything that reads
-    /// [`Optimizer::prepared`].
-    pub fn gain_cone(mut self, on: bool) -> Self {
-        let mut opts = EvalOptions::default();
-        opts.gains.cone = on;
-        self.prep = prepare_with(self.prep.kernel, &opts);
-        self.floor_db = std::sync::OnceLock::new();
         self
     }
 
@@ -685,50 +657,6 @@ kernel tiny {
                 assert!(report.cycles_simd > 0);
             }
         }
-    }
-
-    #[test]
-    fn gain_threads_do_not_change_results() {
-        let base = Optimizer::for_source(TINY)
-            .unwrap()
-            .constraint_db(-40.0)
-            .run()
-            .unwrap();
-        let threaded = Optimizer::for_source(TINY)
-            .unwrap()
-            .gain_threads(2)
-            .constraint_db(-40.0)
-            .run()
-            .unwrap();
-        assert_eq!(base.cycles_simd, threaded.cycles_simd);
-        assert_eq!(base.group_count, threaded.group_count);
-        assert_eq!(
-            base.noise_db.unwrap().to_bits(),
-            threaded.noise_db.unwrap().to_bits(),
-            "gain measurement must be thread-count invariant"
-        );
-    }
-
-    #[test]
-    fn gain_cone_does_not_change_results() {
-        let base = Optimizer::for_source(TINY)
-            .unwrap()
-            .constraint_db(-40.0)
-            .run()
-            .unwrap();
-        let dense = Optimizer::for_source(TINY)
-            .unwrap()
-            .gain_cone(false)
-            .constraint_db(-40.0)
-            .run()
-            .unwrap();
-        assert_eq!(base.cycles_simd, dense.cycles_simd);
-        assert_eq!(base.group_count, dense.group_count);
-        assert_eq!(
-            base.noise_db.unwrap().to_bits(),
-            dense.noise_db.unwrap().to_bits(),
-            "gain measurement must be cone-toggle invariant"
-        );
     }
 
     #[test]

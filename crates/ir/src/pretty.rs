@@ -119,7 +119,15 @@ pub fn expr_to_string(k: &Kernel, e: ExprId) -> String {
             }
             ExprNode::Unary(op, a) => {
                 let _ = write!(out, "{op}");
+                // The lexer rejects `--`, so an operand rendering with a
+                // leading sign (a nested negation, a negative constant)
+                // is parenthesised.
+                let at = out.len();
                 go(k, *a, p, out);
+                if out[at..].starts_with('-') {
+                    out.insert(at, '(');
+                    out.push(')');
+                }
             }
             ExprNode::Bin(op, a, b) => {
                 go(k, *a, p, out);
@@ -191,10 +199,25 @@ mod tests {
     fn negation_renders() {
         let mut b = KernelBuilder::new("n");
         let y = b.output("y");
+        let z = b.output("z");
+        let w = b.output("w");
         let c = b.constf(2.0);
         let n = b.neg(c);
         b.set_output(y, n);
+        // `Neg(Neg(x))` and `Neg(Const(-0.5))` must not render as `--`.
+        let c2 = b.constf(2.0);
+        let n2 = b.neg(c2);
+        let nn = b.neg(n2);
+        b.set_output(z, nn);
+        let h = b.constf(-0.5);
+        let nh = b.neg(h);
+        b.set_output(w, nh);
         let k = b.finish();
-        assert!(kernel_to_string(&k).contains("y = -2.0;"));
+        let text = kernel_to_string(&k);
+        assert!(text.contains("y = -2.0;"), "got: {text}");
+        assert!(text.contains("z = -(-2.0);"), "got: {text}");
+        assert!(text.contains("w = -(-0.5);"), "got: {text}");
+        let back = crate::parser::parse_kernel(&text).expect("rendering must parse");
+        assert_eq!(kernel_to_string(&back), text);
     }
 }

@@ -255,7 +255,7 @@ pub struct BenefitModel<'a> {
     sched: SchedKind,
     /// Memoized op prices: selection asks the same `(op kind, wl)`
     /// throughput questions for every candidate every iteration.
-    prices: Prices<'a>,
+    prices: &'a CycleCache<'a>,
     /// Memoized [`scalar_op_cycles`](Self::scalar_op_cycles) per node.
     /// One model instance prices one word-length snapshot (the selection
     /// loop rebuilds the model after every accepted selection precisely
@@ -269,24 +269,6 @@ pub struct BenefitModel<'a> {
     fwl_memo: RefCell<Vec<Option<Option<i32>>>>,
 }
 
-/// The benefit model's price source: its own cache, or one shared by the
-/// caller across model rebuilds (prices depend only on the target, never
-/// on the word-length oracles, so the selection loop shares one cache
-/// over all its per-iteration models).
-enum Prices<'a> {
-    Owned(CycleCache<'a>),
-    Shared(&'a CycleCache<'a>),
-}
-
-impl<'a> Prices<'a> {
-    fn get(&self) -> &CycleCache<'a> {
-        match self {
-            Prices::Owned(c) => c,
-            Prices::Shared(c) => c,
-        }
-    }
-}
-
 impl std::fmt::Debug for BenefitModel<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BenefitModel")
@@ -297,56 +279,18 @@ impl std::fmt::Debug for BenefitModel<'_> {
 }
 
 impl<'a> BenefitModel<'a> {
-    /// Creates the estimator with the default strategy and every node at
-    /// the target's maximum word length (no word-length context).
-    pub fn new(dfg: &'a Dfg, round: &'a Round, target: &'a TargetModel) -> Self {
-        let max = target.max_wl();
-        Self::with_kind(dfg, round, target, BenefitKind::default(), move |_| max)
-    }
-
-    /// Creates the estimator with an explicit strategy and a word-length
-    /// oracle reporting each node's *current* word length (the evolving
-    /// spec under WLO↔SLP, the frozen spec under WLO-First). Scalings
-    /// are assumed uniform; use [`with_context`](Self::with_context) to
-    /// price them per lane.
-    pub fn with_kind(
-        dfg: &'a Dfg,
-        round: &'a Round,
-        target: &'a TargetModel,
-        kind: BenefitKind,
-        wl: impl Fn(NodeId) -> i32 + 'a,
-    ) -> Self {
-        Self::with_context(dfg, round, target, kind, wl, |_| None)
-    }
-
     /// Creates the estimator with full word-length context: `wl` reports
-    /// current word lengths, `fwl` current fractional word lengths (so
-    /// per-lane scaling amounts — and the fig. 2 penalty mismatched ones
-    /// carry — are priced, not assumed free).
-    pub fn with_context(
-        dfg: &'a Dfg,
-        round: &'a Round,
-        target: &'a TargetModel,
-        kind: BenefitKind,
-        wl: impl Fn(NodeId) -> i32 + 'a,
-        fwl: impl Fn(NodeId) -> Option<i32> + 'a,
-    ) -> Self {
-        Self::build(
-            dfg,
-            round,
-            target,
-            Prices::Owned(CycleCache::new(target)),
-            kind,
-            wl,
-            fwl,
-        )
-    }
-
-    /// [`with_context`](Self::with_context) with a caller-provided price
-    /// cache. Prices depend only on the target, so a loop that rebuilds
-    /// the model per iteration (selection does, to refresh the oracles)
-    /// shares one warmed cache across every rebuild.
-    pub fn with_context_shared(
+    /// each node's *current* word length (the evolving spec under
+    /// WLO↔SLP, the frozen spec under WLO-First), `fwl` its current
+    /// fractional word length (so per-lane scaling amounts — and the
+    /// fig. 2 penalty mismatched ones carry — are priced, not assumed
+    /// free; answer `None` to assume uniform scalings).
+    ///
+    /// Op prices come from the caller's `prices` cache. They depend only
+    /// on the target, so a loop that rebuilds the model per
+    /// iteration (selection does, to refresh the oracles) shares one
+    /// warmed cache across every rebuild.
+    pub fn new(
         dfg: &'a Dfg,
         round: &'a Round,
         prices: &'a CycleCache<'a>,
@@ -354,30 +298,10 @@ impl<'a> BenefitModel<'a> {
         wl: impl Fn(NodeId) -> i32 + 'a,
         fwl: impl Fn(NodeId) -> Option<i32> + 'a,
     ) -> Self {
-        Self::build(
-            dfg,
-            round,
-            prices.target(),
-            Prices::Shared(prices),
-            kind,
-            wl,
-            fwl,
-        )
-    }
-
-    fn build(
-        dfg: &'a Dfg,
-        round: &'a Round,
-        target: &'a TargetModel,
-        prices: Prices<'a>,
-        kind: BenefitKind,
-        wl: impl Fn(NodeId) -> i32 + 'a,
-        fwl: impl Fn(NodeId) -> Option<i32> + 'a,
-    ) -> Self {
         BenefitModel {
             dfg,
             round,
-            target,
+            target: prices.target(),
             kind,
             wl: Box::new(wl),
             fwl: Box::new(fwl),
@@ -474,7 +398,7 @@ impl<'a> BenefitModel<'a> {
         match (self.kind.pricing(), self.sched) {
             (BenefitKind::Slots, _) => 0.0,
             (_, SchedKind::Modulo { .. }) => 0.0,
-            (_, SchedKind::List) => 0.5 * self.prices.get().cost(OpQuery::Extract).latency as f64,
+            (_, SchedKind::List) => 0.5 * self.prices.cost(OpQuery::Extract).latency as f64,
         }
     }
 
@@ -592,7 +516,7 @@ impl<'a> BenefitModel<'a> {
         viab: &RefCell<HashMap<usize, bool>>,
     ) -> CostedBenefit {
         let lanes = g.lanes();
-        let t = self.prices.get();
+        let t = self.prices;
         // Packing traffic sits on the dependency chain between scalar
         // producers/consumers and the vector op, so its price is floored
         // at the op's latency: issue-slot throughput alone would let a
@@ -735,7 +659,7 @@ impl<'a> BenefitModel<'a> {
     }
 
     fn scalar_op_cycles_uncached(&self, e: NodeId) -> f64 {
-        let t = self.prices.get();
+        let t = self.prices;
         let cwl = |n: NodeId| self.container_wl(n);
         // One scalar requantization shift, unless the amount is known to
         // be zero. `assume` is the unknown-format default: multiplies
@@ -827,7 +751,7 @@ impl<'a> BenefitModel<'a> {
     /// every amount is non-negative (the equalizer skips mixed-sign
     /// amounts).
     fn scaling_cost(&self, amounts: Amounts, lanes: u32, assume: bool, equalizable: bool) -> f64 {
-        let p = self.prices.get();
+        let p = self.prices;
         match amounts {
             Amounts::Known { all_zero: true, .. } => 0.0,
             Amounts::Known { uniform: true, .. } => p.cycles(OpQuery::VShift(lanes)),
@@ -1095,13 +1019,36 @@ kernel f {
     fn models<'a>(
         dfg: &'a Dfg,
         round: &'a Round,
-        target: &'a TargetModel,
+        prices: &'a CycleCache<'a>,
     ) -> [BenefitModel<'a>; 2] {
-        let max = target.max_wl();
+        let max = prices.target().max_wl();
         [
-            BenefitModel::with_kind(dfg, round, target, BenefitKind::Slots, move |_| max),
-            BenefitModel::with_kind(dfg, round, target, BenefitKind::Cycles, move |_| 16),
+            BenefitModel::new(
+                dfg,
+                round,
+                prices,
+                BenefitKind::Slots,
+                move |_| max,
+                |_| None,
+            ),
+            BenefitModel::new(dfg, round, prices, BenefitKind::Cycles, |_| 16, |_| None),
         ]
+    }
+
+    fn cycles_model<'a>(
+        dfg: &'a Dfg,
+        round: &'a Round,
+        prices: &'a CycleCache<'a>,
+        wl: i32,
+    ) -> BenefitModel<'a> {
+        BenefitModel::new(
+            dfg,
+            round,
+            prices,
+            BenefitKind::Cycles,
+            move |_| wl,
+            |_| None,
+        )
     }
 
     #[test]
@@ -1109,7 +1056,7 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        for model in models(&dfg, &round, &target) {
+        for model in models(&dfg, &round, &CycleCache::new(&target)) {
             let alive = vec![true; round.candidates.len()];
             let mut best_adjacent = f64::MIN;
             let mut best_gather = f64::MIN;
@@ -1138,7 +1085,7 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        for model in models(&dfg, &round, &target) {
+        for model in models(&dfg, &round, &CycleCache::new(&target)) {
             let alive = vec![true; round.candidates.len()];
             let dead = vec![false; round.candidates.len()];
             for idx in 0..round.candidates.len() {
@@ -1163,7 +1110,7 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        for model in models(&dfg, &round, &target) {
+        for model in models(&dfg, &round, &CycleCache::new(&target)) {
             let alive = vec![true; round.candidates.len()];
             // Take the first mul pair candidate; compare benefit with its
             // operand loads merely candidates vs actually selected.
@@ -1204,7 +1151,16 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        let model = BenefitModel::new(&dfg, &round, &target);
+        let prices = CycleCache::new(&target);
+        let max = target.max_wl();
+        let model = BenefitModel::new(
+            &dfg,
+            &round,
+            &prices,
+            BenefitKind::default(),
+            |_| max,
+            |_| None,
+        );
         let mut verified = false;
         for idx in 0..round.candidates.len() {
             let c = round.candidates[idx];
@@ -1248,7 +1204,8 @@ kernel f {
         let wide = xentium();
         let pack_of = |target: &TargetModel| -> f64 {
             let round = Round::new(&dfg, target, &[]);
-            let model = BenefitModel::with_kind(&dfg, &round, target, BenefitKind::Cycles, |_| 16);
+            let prices = CycleCache::new(target);
+            let model = cycles_model(&dfg, &round, &prices, 16);
             let dead = vec![false; round.candidates.len()];
             for idx in 0..round.candidates.len() {
                 let c = round.candidates[idx];
@@ -1280,8 +1237,9 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        let wide = BenefitModel::with_kind(&dfg, &round, &target, BenefitKind::Cycles, |_| 32);
-        let narrow = BenefitModel::with_kind(&dfg, &round, &target, BenefitKind::Cycles, |_| 16);
+        let prices = CycleCache::new(&target);
+        let wide = cycles_model(&dfg, &round, &prices, 32);
+        let narrow = cycles_model(&dfg, &round, &prices, 16);
         let alive = vec![true; round.candidates.len()];
         for idx in 0..round.candidates.len() {
             let c = round.candidates[idx];
@@ -1319,9 +1277,16 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        let cycles = BenefitModel::with_kind(&dfg, &round, &target, BenefitKind::Cycles, |_| 16);
-        let optimal =
-            BenefitModel::with_kind(&dfg, &round, &target, BenefitKind::optimal(), |_| 16);
+        let prices = CycleCache::new(&target);
+        let cycles = cycles_model(&dfg, &round, &prices, 16);
+        let optimal = BenefitModel::new(
+            &dfg,
+            &round,
+            &prices,
+            BenefitKind::optimal(),
+            |_| 16,
+            |_| None,
+        );
         assert_eq!(BenefitKind::optimal().pricing(), BenefitKind::Cycles);
         assert_eq!(BenefitKind::optimal().name(), "optimal");
         assert_eq!(cycles.admission_margin(), optimal.admission_margin());
@@ -1345,7 +1310,8 @@ kernel f {
         let dfg = fir_unrolled();
         for target in [xentium(), vex(1), vex(4)] {
             let round = Round::new(&dfg, &target, &[]);
-            let model = BenefitModel::with_kind(&dfg, &round, &target, BenefitKind::Cycles, |_| 16);
+            let prices = CycleCache::new(&target);
+            let model = cycles_model(&dfg, &round, &prices, 16);
             let alive = vec![true; round.candidates.len()];
             let dead = vec![false; round.candidates.len()];
             for idx in 0..round.candidates.len() {
@@ -1374,7 +1340,8 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        let model = BenefitModel::with_kind(&dfg, &round, &target, BenefitKind::Cycles, |_| 16);
+        let prices = CycleCache::new(&target);
+        let model = cycles_model(&dfg, &round, &prices, 16);
         let alive = vec![true; round.candidates.len()];
         let mut edges = 0;
         for idx in 0..round.candidates.len() {
@@ -1394,7 +1361,7 @@ kernel f {
         let dfg = fir_unrolled();
         for target in [xentium(), vex(1), vex(4)] {
             let round = Round::new(&dfg, &target, &[]);
-            for model in models(&dfg, &round, &target) {
+            for model in models(&dfg, &round, &CycleCache::new(&target)) {
                 let alive = vec![true; round.candidates.len()];
                 for idx in 0..round.candidates.len() {
                     let b = model.benefit(idx, &alive, &[]);

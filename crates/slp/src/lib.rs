@@ -17,7 +17,7 @@
 //! * an **exact per-round selector** ([`BenefitKind::Optimal`], module
 //!   [`optimal`]): branch-and-bound over the cycle prices with a greedy
 //!   incumbent and deterministic budget fallback;
-//! * a plain accuracy-*unaware* extraction ([`select::extract_plain`]) used
+//! * a plain accuracy-*unaware* extraction ([`select::extract_plain_with`]) used
 //!   by the `WLO-First` baseline flow.
 
 pub mod benefit;
@@ -36,7 +36,6 @@ pub use group::{
 };
 pub use optimal::{exhaustive_best, set_value, SelectStats};
 pub use select::{
-    absorb_selected, extract_plain, extract_plain_with, extract_rounds, extract_rounds_stats,
-    extract_rounds_with, run_selection, run_selection_stats, run_selection_with, NoHooks,
+    absorb_selected, extract_plain_with, extract_rounds_stats, run_selection_stats, NoHooks,
     SelectHooks,
 };

@@ -202,7 +202,7 @@ pub(crate) fn run_selection_optimal(
     let prices = CycleCache::new(target);
     let (best_set, exhausted) = {
         let oracle: &dyn SelectHooks = &*hooks;
-        let model = BenefitModel::with_context_shared(
+        let model = BenefitModel::new(
             dfg,
             round,
             &prices,
@@ -638,10 +638,16 @@ kernel f {
                 if n <= 14 {
                     enumerated += 1;
                     let alive = vec![true; n];
-                    let model =
-                        BenefitModel::with_kind(&dfg, &round, &target, BenefitKind::Cycles, |_| {
-                            target.max_wl()
-                        });
+                    let prices = CycleCache::new(&target);
+                    let max = target.max_wl();
+                    let model = BenefitModel::new(
+                        &dfg,
+                        &round,
+                        &prices,
+                        BenefitKind::Cycles,
+                        |_| max,
+                        |_| None,
+                    );
                     let chosen_idx: Vec<usize> = selected
                         .iter()
                         .map(|g| {
@@ -686,11 +692,12 @@ kernel f {
                 BenefitKind::Optimal { budget: 0 },
                 &mut stats,
             );
-            let greedy = crate::select::extract_rounds_with(
+            let greedy = extract_rounds_stats(
                 &dfg,
                 &target,
                 &mut NoHooks,
                 BenefitKind::Cycles,
+                &mut SelectStats::default(),
             );
             assert_eq!(
                 exact, greedy,
@@ -735,10 +742,16 @@ kernel f {
                     alive,
                     &conf,
                 );
-                let model =
-                    BenefitModel::with_kind(&dfg, &round, &target, BenefitKind::Cycles, |_| {
-                        target.max_wl()
-                    });
+                let prices = CycleCache::new(&target);
+                let max = target.max_wl();
+                let model = BenefitModel::new(
+                    &dfg,
+                    &round,
+                    &prices,
+                    BenefitKind::Cycles,
+                    |_| max,
+                    |_| None,
+                );
                 let greedy_v = set_value(&model, &round, &groups, &probe.chosen);
                 let selected = run_selection_stats(
                     &dfg,

@@ -115,25 +115,6 @@ pub struct NoHooks;
 impl SelectHooks for NoHooks {}
 
 /// Runs one selection pass over a round (one `SLP()` invocation of the
-/// paper) with the default benefit strategy; see [`run_selection_with`].
-pub fn run_selection(
-    dfg: &Dfg,
-    target: &TargetModel,
-    round: &Round,
-    selected_so_far: &[SimdGroup],
-    hooks: &mut dyn SelectHooks,
-) -> Vec<SimdGroup> {
-    run_selection_with(
-        dfg,
-        target,
-        round,
-        selected_so_far,
-        hooks,
-        BenefitKind::default(),
-    )
-}
-
-/// Runs one selection pass over a round (one `SLP()` invocation of the
 /// paper) and returns the newly formed groups.
 ///
 /// `benefit` picks the candidate-pricing strategy; under
@@ -141,30 +122,8 @@ pub fn run_selection(
 /// length through [`SelectHooks::current_wl`] every iteration, so
 /// candidates are re-priced as selections shrink the spec. Under
 /// [`BenefitKind::Optimal`] the round is solved exactly by
-/// branch-and-bound; use [`run_selection_stats`] to observe its search
-/// statistics.
-pub fn run_selection_with(
-    dfg: &Dfg,
-    target: &TargetModel,
-    round: &Round,
-    selected_so_far: &[SimdGroup],
-    hooks: &mut dyn SelectHooks,
-    benefit: BenefitKind,
-) -> Vec<SimdGroup> {
-    let mut stats = SelectStats::default();
-    run_selection_stats(
-        dfg,
-        target,
-        round,
-        selected_so_far,
-        hooks,
-        benefit,
-        &mut stats,
-    )
-}
-
-/// [`run_selection_with`], accumulating the exact selector's search
-/// statistics into `stats` (untouched under the greedy kinds).
+/// branch-and-bound, accumulating its search statistics into `stats`
+/// (untouched under the greedy kinds).
 pub fn run_selection_stats(
     dfg: &Dfg,
     target: &TargetModel,
@@ -265,7 +224,7 @@ pub(crate) fn greedy_loop(
         // cycle-priced strategy must see those shrinks.
         let best = {
             let oracle: &dyn SelectHooks = &*hooks;
-            let model = BenefitModel::with_context_shared(
+            let model = BenefitModel::new(
                 dfg,
                 round,
                 &prices,
@@ -423,32 +382,11 @@ pub(crate) fn pick_best(
     best.map(|(i, _)| i)
 }
 
-/// Runs extraction rounds to fixpoint with the default benefit strategy;
-/// see [`extract_rounds_with`].
-pub fn extract_rounds(
-    dfg: &Dfg,
-    target: &TargetModel,
-    hooks: &mut dyn SelectHooks,
-) -> Vec<SimdGroup> {
-    extract_rounds_with(dfg, target, hooks, BenefitKind::default())
-}
-
 /// Runs extraction rounds to fixpoint (the paper's outer `while not done`
 /// over one basic block): each round re-enumerates candidates over the
 /// updated item set, allowing group sizes to grow as long as the target
-/// supports them.
-pub fn extract_rounds_with(
-    dfg: &Dfg,
-    target: &TargetModel,
-    hooks: &mut dyn SelectHooks,
-    benefit: BenefitKind,
-) -> Vec<SimdGroup> {
-    let mut stats = SelectStats::default();
-    extract_rounds_stats(dfg, target, hooks, benefit, &mut stats)
-}
-
-/// [`extract_rounds_with`], accumulating the exact selector's search
-/// statistics into `stats` (untouched under the greedy kinds).
+/// supports them. The exact selector's search statistics accumulate into
+/// `stats` (untouched under the greedy kinds).
 pub fn extract_rounds_stats(
     dfg: &Dfg,
     target: &TargetModel,
@@ -484,16 +422,6 @@ pub fn absorb_selected(groups: &mut Vec<SimdGroup>, selected: Vec<SimdGroup>) {
     groups.extend(selected);
 }
 
-/// Plain, accuracy-*unaware* SLP extraction with the default benefit
-/// strategy; see [`extract_plain_with`].
-pub fn extract_plain(
-    dfg: &Dfg,
-    target: &TargetModel,
-    wl_of: &dyn Fn(NodeId) -> i32,
-) -> Vec<SimdGroup> {
-    extract_plain_with(dfg, target, wl_of, BenefitKind::default())
-}
-
 /// Plain, accuracy-*unaware* SLP extraction for the `WLO-First` baseline:
 /// word lengths are already fixed, so a candidate is admissible iff every
 /// element's word length fits the sub-word the target grants the group.
@@ -524,7 +452,13 @@ pub fn extract_plain_with(
         }
     }
     let mut hooks = FixedWlHooks { target, wl_of };
-    extract_rounds_with(dfg, target, &mut hooks, benefit)
+    extract_rounds_stats(
+        dfg,
+        target,
+        &mut hooks,
+        benefit,
+        &mut SelectStats::default(),
+    )
 }
 
 #[cfg(test)]
@@ -560,7 +494,7 @@ kernel f {
     #[test]
     fn plain_extraction_finds_groups_at_16_bits() {
         let (_, dfg) = fir4_block();
-        let groups = extract_plain(&dfg, &xentium(), &|_| 16);
+        let groups = extract_plain_with(&dfg, &xentium(), &|_| 16, BenefitKind::default());
         assert!(!groups.is_empty(), "16-bit data must vectorize");
         // The two multiplies with adjacent loads must be grouped.
         let mul_groups: Vec<_> = groups
@@ -581,7 +515,7 @@ kernel f {
     #[test]
     fn plain_extraction_finds_nothing_at_32_bits() {
         let (_, dfg) = fir4_block();
-        let groups = extract_plain(&dfg, &xentium(), &|_| 32);
+        let groups = extract_plain_with(&dfg, &xentium(), &|_| 32, BenefitKind::default());
         assert!(
             groups.is_empty(),
             "32-bit data cannot pack on a 32-bit SIMD datapath"
@@ -591,14 +525,14 @@ kernel f {
     #[test]
     fn extension_to_four_lanes_on_vex() {
         let (_, dfg) = fir4_block();
-        let groups8 = extract_plain(&dfg, &vex(4), &|_| 8);
+        let groups8 = extract_plain_with(&dfg, &vex(4), &|_| 8, BenefitKind::default());
         let max_lanes = groups8.iter().map(|g| g.lanes()).max().unwrap_or(0);
         assert_eq!(
             max_lanes, 4,
             "8-bit data on VEX must form 4-lane groups: {groups8:?}"
         );
         // On ST240 (2x16 only) the same data stays in pairs.
-        let groups_st = extract_plain(&dfg, &st240(), &|_| 8);
+        let groups_st = extract_plain_with(&dfg, &st240(), &|_| 8, BenefitKind::default());
         let max_st = groups_st.iter().map(|g| g.lanes()).max().unwrap_or(0);
         assert_eq!(max_st, 2);
     }
@@ -613,7 +547,12 @@ kernel f {
             .map(|(i, _)| i)
             .collect();
         let wide = muls[0];
-        let groups = extract_plain(&dfg, &xentium(), &move |n| if n == wide { 32 } else { 16 });
+        let groups = extract_plain_with(
+            &dfg,
+            &xentium(),
+            &move |n| if n == wide { 32 } else { 16 },
+            BenefitKind::default(),
+        );
         for g in &groups {
             assert!(!g.contains(wide), "the 32-bit op must stay scalar");
         }
@@ -622,7 +561,7 @@ kernel f {
     #[test]
     fn no_group_member_repeats() {
         let (_, dfg) = fir4_block();
-        let groups = extract_plain(&dfg, &vex(4), &|_| 16);
+        let groups = extract_plain_with(&dfg, &vex(4), &|_| 16, BenefitKind::default());
         let mut seen = std::collections::HashSet::new();
         for g in &groups {
             for &e in &g.elems {
@@ -708,13 +647,14 @@ kernel f {
                         }
                     }
                 }
-                let selected = run_selection_with(
+                let selected = run_selection_stats(
                     &dfg,
                     &target,
                     &round,
                     &groups,
                     &mut NoHooks,
                     BenefitKind::Cycles,
+                    &mut SelectStats::default(),
                 );
                 if selected.is_empty() {
                     break;
@@ -741,7 +681,13 @@ kernel f {
             }
         }
         let (_, dfg) = fir4_block();
-        let groups = extract_rounds(&dfg, &xentium(), &mut VetoAll);
+        let groups = extract_rounds_stats(
+            &dfg,
+            &xentium(),
+            &mut VetoAll,
+            BenefitKind::default(),
+            &mut SelectStats::default(),
+        );
         assert!(groups.is_empty());
     }
 
@@ -764,7 +710,13 @@ kernel f {
             }
         }
         let (_, dfg) = fir4_block();
-        let groups = extract_rounds(&dfg, &xentium(), &mut NoAdds { dfg: &dfg });
+        let groups = extract_rounds_stats(
+            &dfg,
+            &xentium(),
+            &mut NoAdds { dfg: &dfg },
+            BenefitKind::default(),
+            &mut SelectStats::default(),
+        );
         assert!(!groups.is_empty());
         assert!(groups
             .iter()

@@ -44,11 +44,11 @@
 
 use crate::{Invariant, Pass, VerifyError};
 use slpwlo_core::{
-    broadcast_lane, ix_bounds, operand_fmts, result_fmt, schedule_block_with, Loc, MachineBlock,
+    broadcast_lane, ix_bounds, operand_fmts, result_fmt, schedule_block_cached, Loc, MachineBlock,
     MachineProgram, ModuloSchedule, MopKind, Operand, Schedule,
 };
 use slpwlo_fixedpoint::QFormat;
-use slpwlo_targets::{OpClass, OpCost, OpQuery, SchedKind, TargetModel};
+use slpwlo_targets::{CycleCache, OpClass, OpCost, OpQuery, SchedKind, TargetModel};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 struct Ctx<'a> {
@@ -136,10 +136,11 @@ pub fn verify_program_sched(
     target: &TargetModel,
     kind: SchedKind,
 ) -> Result<(), VerifyError> {
+    let costs = CycleCache::new(target);
     for (bi, block) in program.blocks.iter().enumerate() {
         let ctx = Ctx { program, block: bi };
         verify_block_structure(&ctx, block, target)?;
-        let sched = schedule_block_with(target, block, kind);
+        let sched = schedule_block_cached(&costs, block, kind);
         audit_schedule(&ctx, block, target, &sched)?;
     }
     Ok(())
@@ -708,7 +709,7 @@ fn audit_modulo_overlay(
 mod tests {
     use super::*;
     use crate::Invariant;
-    use slpwlo_core::{prepare, wlo_slp_flow};
+    use slpwlo_core::{prepare, wlo_slp_flow_checked, BenefitKind};
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_targets::{st240, xentium};
 
@@ -730,7 +731,15 @@ kernel fir8 {
 
     fn programs(target: &TargetModel) -> (MachineProgram, MachineProgram) {
         let prep = prepare(parse_kernel(FIR8).unwrap());
-        let res = wlo_slp_flow(&prep, target, -40.0);
+        let res = wlo_slp_flow_checked(
+            &prep,
+            target,
+            -40.0,
+            BenefitKind::default(),
+            SchedKind::List,
+            &mut |_| Ok::<(), std::convert::Infallible>(()),
+        )
+        .unwrap();
         (res.simd, res.scalar)
     }
 

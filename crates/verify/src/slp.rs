@@ -22,7 +22,7 @@ use slpwlo_ir::{Dfg, NodeId};
 use slpwlo_slp::{
     closes_cycle, exhaustive_best, set_value, BenefitKind, BenefitModel, Round, SimdGroup,
 };
-use slpwlo_targets::TargetModel;
+use slpwlo_targets::{CycleCache, TargetModel};
 use std::collections::HashSet;
 
 fn err(
@@ -148,7 +148,7 @@ pub fn verify_groups(
 /// big", never "silently wrong".
 ///
 /// This check is sound only for selections driven by the *same* fixed
-/// oracle (e.g. `extract_plain`-style hooks); under evolving-spec hooks
+/// oracle (e.g. `extract_plain_with`-style hooks); under evolving-spec hooks
 /// the selector legitimately prices against intermediate states the
 /// verifier cannot see.
 pub fn verify_optimal_selection(
@@ -191,7 +191,8 @@ pub fn verify_optimal_selection(
             }
         }
     }
-    let model = BenefitModel::with_kind(dfg, &round, target, BenefitKind::Cycles, wl);
+    let prices = CycleCache::new(target);
+    let model = BenefitModel::new(dfg, &round, &prices, BenefitKind::Cycles, wl, |_| None);
     let v = set_value(&model, &round, prior, &chosen_idx);
     let (best_set, best_v) = exhaustive_best(dfg, &model, &round, prior, &alive);
     if v + 1e-6 < best_v {
@@ -307,7 +308,7 @@ kernel f {
     #[test]
     fn optimal_selection_spot_check_accepts_exact_and_rejects_empty() {
         use slpwlo_slp::{run_selection_stats, CandidateView, SelectHooks, SelectStats};
-        // Frozen 16-bit word lengths, mirroring `extract_plain`'s hooks.
+        // Frozen 16-bit word lengths, mirroring `extract_plain_with`'s hooks.
         struct FixedWl<'a> {
             target: &'a TargetModel,
         }

@@ -12,35 +12,41 @@
 //!     `TargetModel::cost` — spot-checked through `TargetModel::cycles`
 //!     folding over it.
 
-mod common;
-
-use common::extract_on_spec;
-use slpwlo::core::cycles_per_activation;
 use slpwlo::core::nodes::value_wl;
-use slpwlo::core::{lower_fixed, lower_scalar};
+use slpwlo::core::{
+    cycles_per_activation_cached, extract_on_spec_stats, lower_fixed, lower_scalar,
+};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::Dfg;
 use slpwlo::kernels::all_benchmarks;
-use slpwlo::slp::{extract_plain_with, BenefitKind};
-use slpwlo::targets::{vex, FuSet, OpQuery, SimdConfig, TargetModel};
+use slpwlo::slp::{extract_plain_with, BenefitKind, SelectStats};
+use slpwlo::targets::{vex, CycleCache, FuSet, OpQuery, SchedKind, SimdConfig, TargetModel};
 
 /// (a) VEX-1: whatever the cycle-priced model admits must never schedule
 /// slower than the scalar program under the same specification.
 #[test]
 fn cycles_model_never_loses_to_scalar_on_vex1() {
     let target = vex(1);
+    let costs = CycleCache::new(&target);
     for bench in all_benchmarks() {
         let ranges = determine_ranges(&bench.kernel, &RangeOptions::default());
         for wl in [12, 16, 24, 32] {
             let spec = FixedPointSpec::from_ranges(&bench.kernel, &ranges, wl);
-            let blocks = extract_on_spec(&bench.kernel, &spec, &target, BenefitKind::Cycles);
+            let blocks = extract_on_spec_stats(
+                &bench.kernel,
+                &spec,
+                &target,
+                BenefitKind::Cycles,
+                SchedKind::List,
+                &mut SelectStats::default(),
+            );
             let groups: usize = blocks.iter().map(|(_, _, g)| g.len()).sum();
             let simd = lower_fixed(&bench.kernel, &spec, &target, &blocks);
             let scalar = lower_scalar(&bench.kernel, &spec, &target);
-            let vc = cycles_per_activation(&target, &simd);
-            let sc = cycles_per_activation(&target, &scalar);
+            let vc = cycles_per_activation_cached(&costs, &simd, SchedKind::List);
+            let sc = cycles_per_activation_cached(&costs, &scalar, SchedKind::List);
             assert!(
                 vc <= sc,
                 "{} at wl {wl} on VEX-1: {groups} admitted groups cost {vc} cycles \
@@ -138,7 +144,9 @@ fn slots_and_cycles_agree_on_a_unit_cost_machine() {
                 })
                 .collect();
             let simd = lower_fixed(&bench.kernel, &spec, &target, &blocks);
-            per_kind.push((shapes, cycles_per_activation(&target, &simd)));
+            let cycles =
+                cycles_per_activation_cached(&CycleCache::new(&target), &simd, SchedKind::List);
+            per_kind.push((shapes, cycles));
         }
         if per_kind[0].0 == per_kind[1].0 {
             assert_eq!(

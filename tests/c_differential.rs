@@ -15,13 +15,13 @@ mod common;
 use common::{assert_bit_identical, cc_available, compile_and_run, simd_program};
 use slpwlo::accuracy::simulate::simulate_fixed;
 use slpwlo::codegen::{emit_fixed_c, emit_intrinsics_header, emit_simd_c};
-use slpwlo::core::{lower_scalar, prepare, wlo_slp_flow, MachineProgram};
+use slpwlo::core::{lower_scalar, prepare, wlo_slp_flow_checked, BenefitKind, MachineProgram};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::{FixedPointSpec, QFormat, SpecKey};
 use slpwlo::ir::parser::parse_kernel;
 use slpwlo::ir::{ExprNode, Kernel};
 use slpwlo::kernels::{conv3x3, fir64, iir10, Workload};
-use slpwlo::targets::xentium;
+use slpwlo::targets::{xentium, SchedKind};
 
 fn check_both_backends(
     tag: &str,
@@ -101,7 +101,15 @@ fn compiled_c_matches_simulation_on_flow_specs() {
     let target = xentium();
     for (kernel, workload) in &benches {
         let prep = prepare(kernel.clone());
-        let flow = wlo_slp_flow(&prep, &target, -40.0);
+        let flow = wlo_slp_flow_checked(
+            &prep,
+            &target,
+            -40.0,
+            BenefitKind::default(),
+            SchedKind::List,
+            &mut |_| Ok::<(), std::convert::Infallible>(()),
+        )
+        .unwrap();
         check_both_backends(
             &format!("{}_wloslp", kernel.name()),
             kernel,

@@ -5,20 +5,15 @@
 //! every binary uses every helper.
 #![allow(dead_code)]
 
-use slpwlo::core::{lower_fixed, MachineProgram};
+use slpwlo::core::{extract_on_spec_stats, lower_fixed, MachineProgram, SchedKind};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::Kernel;
 use slpwlo::kernels::Workload;
-use slpwlo::slp::BenefitKind;
+use slpwlo::slp::{BenefitKind, SelectStats};
 use slpwlo::targets::TargetModel;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-
-/// `slpwlo_core::extract_on_spec`, re-exported for the harnesses (the
-/// WLO-First back half's extraction: word lengths *and* formats feed
-/// the cycle-priced benefit model).
-pub use slpwlo::core::extract_on_spec;
 
 /// Plain (accuracy-unaware) SLP groups on a frozen spec, lowered to the
 /// SIMD machine program — the WLO-First back half, used as the SIMD leg
@@ -28,7 +23,14 @@ pub fn simd_program(
     spec: &FixedPointSpec,
     target: &TargetModel,
 ) -> MachineProgram {
-    let blocks = extract_on_spec(kernel, spec, target, BenefitKind::default());
+    let blocks = extract_on_spec_stats(
+        kernel,
+        spec,
+        target,
+        BenefitKind::default(),
+        SchedKind::List,
+        &mut SelectStats::default(),
+    );
     lower_fixed(kernel, spec, target, &blocks)
 }
 

@@ -10,16 +10,18 @@
 
 use slpwlo::accuracy::simulate::simulate_fixed;
 use slpwlo::core::nodes::value_wl;
-use slpwlo::core::{lower_fixed, lower_scalar, prepare, wlo_first_flow, wlo_slp_flow};
-use slpwlo::core::{MachineProgram, TabuOptions};
+use slpwlo::core::{lower_fixed, lower_scalar, prepare, wlo_first_flow_checked};
+use slpwlo::core::{wlo_slp_flow_checked, BenefitKind, MachineProgram, PassArtifact};
+use slpwlo::core::{SchedKind, TabuOptions};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::{Dfg, Kernel};
 use slpwlo::kernels::{conv3x3, fir64, iir10, Workload};
 use slpwlo::sim::execute_fixed;
-use slpwlo::slp::extract_plain;
+use slpwlo::slp::extract_plain_with;
 use slpwlo::targets::{vex, xentium, TargetModel};
+use std::convert::Infallible;
 
 fn benchmarks() -> Vec<(Kernel, Workload)> {
     vec![
@@ -38,7 +40,12 @@ fn simd_program(kernel: &Kernel, spec: &FixedPointSpec, target: &TargetModel) ->
             let groups = {
                 let spec_ref = &spec;
                 let dfg_ref = &dfg;
-                extract_plain(&dfg, target, &move |n| value_wl(spec_ref, dfg_ref, n))
+                extract_plain_with(
+                    &dfg,
+                    target,
+                    &move |n| value_wl(spec_ref, dfg_ref, n),
+                    BenefitKind::default(),
+                )
             };
             (b, dfg, groups)
         })
@@ -94,8 +101,11 @@ fn interpreter_matches_simulate_fixed_on_flow_specs() {
     for (kernel, workload) in benchmarks() {
         let prep = prepare(kernel.clone());
         let target = xentium();
+        let (benefit, sched) = (BenefitKind::default(), SchedKind::List);
+        let tabu = TabuOptions::default();
         for db in [-25.0, -55.0] {
-            let joint = wlo_slp_flow(&prep, &target, db);
+            let ok = &mut |_: PassArtifact<'_>| Ok::<(), Infallible>(());
+            let joint = wlo_slp_flow_checked(&prep, &target, db, benefit, sched, ok).unwrap();
             let reference = simulate_fixed(&kernel, &joint.spec, &workload.inputs);
             for prog in [&joint.simd, &joint.scalar] {
                 let got = execute_fixed(prog, &workload.inputs).expect("program runs");
@@ -105,7 +115,8 @@ fn interpreter_matches_simulate_fixed_on_flow_specs() {
                     &got,
                 );
             }
-            let first = wlo_first_flow(&prep, &target, db, &TabuOptions::default());
+            let first =
+                wlo_first_flow_checked(&prep, &target, db, &tabu, benefit, sched, ok).unwrap();
             let reference = simulate_fixed(&kernel, &first.spec, &workload.inputs);
             for prog in [&first.simd, &first.scalar] {
                 let got = execute_fixed(prog, &workload.inputs).expect("program runs");

@@ -15,12 +15,14 @@
 mod common;
 
 use slpwlo::codegen::{emit_fixed_c, emit_simd_c};
-use slpwlo::core::{lower_scalar, prepare, wlo_slp_flow};
+use slpwlo::core::{
+    lower_scalar, prepare, wlo_slp_flow_checked, BenefitKind, FlowResult, Prepared,
+};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::parser::parse_kernel;
 use slpwlo::kernels::dot_product256;
-use slpwlo::targets::xentium;
+use slpwlo::targets::{xentium, SchedKind};
 use std::path::Path;
 
 const FIR8: &str = r#"
@@ -58,10 +60,25 @@ fn check_golden(name: &str, produced: &str) {
     );
 }
 
+/// FIR-8 through the joint flow on XENTIUM at -40 dB, with the library
+/// defaults.
+fn fir8_flow() -> (Prepared, FlowResult) {
+    let prep = prepare(parse_kernel(FIR8).unwrap());
+    let flow = wlo_slp_flow_checked(
+        &prep,
+        &xentium(),
+        -40.0,
+        BenefitKind::default(),
+        SchedKind::List,
+        &mut |_| Ok::<(), std::convert::Infallible>(()),
+    )
+    .unwrap();
+    (prep, flow)
+}
+
 #[test]
 fn fir8_scalar_c_matches_golden() {
-    let prep = prepare(parse_kernel(FIR8).unwrap());
-    let flow = wlo_slp_flow(&prep, &xentium(), -40.0);
+    let (prep, flow) = fir8_flow();
     let scalar = lower_scalar(&prep.kernel, &flow.spec, &xentium());
     let c = emit_fixed_c(&scalar).expect("scalar C emits");
     check_golden("fir8_fixed.c", &c);
@@ -69,8 +86,7 @@ fn fir8_scalar_c_matches_golden() {
 
 #[test]
 fn fir8_simd_c_matches_golden() {
-    let prep = prepare(parse_kernel(FIR8).unwrap());
-    let flow = wlo_slp_flow(&prep, &xentium(), -40.0);
+    let (_, flow) = fir8_flow();
     let c = emit_simd_c(&flow.simd, "XENTIUM").expect("SIMD C emits");
     check_golden("fir8_simd.c", &c);
 }

@@ -16,6 +16,9 @@
 //! 4. **compiled C** (gated on a host `cc`) — the emitted scalar and
 //!    SIMD C compile with `-std=c99 -Wall -Werror` and their outputs
 //!    are bit-identical to the same reference.
+//! 5. **text round trip** — the kernel's DSL rendering parses back, and
+//!    render∘parse is idempotent after one pass (the first pass
+//!    renumbers loop variables).
 //!
 //! Interleaved with the differentials, every artifact additionally runs
 //! the `slpwlo-verify` static checkers at paranoid depth (kernel, each
@@ -46,6 +49,7 @@ use slpwlo::fixedpoint::range::{determine_ranges, RangeMethod, RangeOptions, Ran
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::gen::{shrink, KernelGen, Plan};
 use slpwlo::ir::interp::{ExecCtx, Executor, Semantics};
+use slpwlo::ir::parser::parse_kernel;
 use slpwlo::ir::pretty::kernel_to_string;
 use slpwlo::ir::{BinOp, ExprId, InputId, Kernel, ParamId, UnOp};
 use slpwlo::kernels::{all_benchmarks, Workload};
@@ -343,6 +347,22 @@ fn check_c_differential(
     bit_diff(&format!("{tag} SIMD C"), &reference, &got)
 }
 
+fn check_round_trip(kernel: &Kernel) -> Result<(), String> {
+    let render_parse = |text: &str| {
+        parse_kernel(text)
+            .map(|k| kernel_to_string(&k))
+            .map_err(|e| format!("rendering does not parse: {e}\n{text}"))
+    };
+    let once = render_parse(&kernel_to_string(kernel))?;
+    let twice = render_parse(&once)?;
+    if once != twice {
+        return Err(format!(
+            "render∘parse is not idempotent:\n{once}\nre-rendered as\n{twice}"
+        ));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // The full per-kernel check
 // ---------------------------------------------------------------------------
@@ -352,6 +372,7 @@ fn check_kernel(kernel: &Kernel, seed: u64, cc: CcStage, tag: &str) -> Result<()
         .validate()
         .map_err(|e| format!("validation failed: {e}"))?;
     verify_kernel(kernel).map_err(|e| format!("kernel verification failed: {e}"))?;
+    check_round_trip(kernel)?;
     let workload = Workload::white(kernel.inputs().len(), FUZZ_ACTIVATIONS, seed ^ 0xF00D);
     let ranges = determine_ranges(kernel, &RangeOptions::default());
     check_range_soundness(kernel, &ranges, &workload)?;
@@ -486,6 +507,7 @@ fn fuzz_benchmark_kernels() {
         };
         let result = catching(|| {
             verify_kernel(&kernel).map_err(|e| format!("kernel verification failed: {e}"))?;
+            check_round_trip(&kernel)?;
             let ranges = determine_ranges(&kernel, &RangeOptions::default());
             check_range_soundness(&kernel, &ranges, &workload)?;
             check_incremental_agreement(&kernel, &ranges, seed, 20)?;

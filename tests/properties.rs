@@ -11,6 +11,7 @@ use slpwlo::ir::builder::KernelBuilder;
 use slpwlo::ir::interp::{Executor, FloatSem};
 use slpwlo::ir::unroll::unroll;
 use slpwlo::ir::Kernel;
+use slpwlo::slp::BenefitKind;
 
 /// Builds a random FIR-like kernel: `taps` MACs in a loop, arbitrary
 /// (bounded) coefficients.
@@ -116,7 +117,7 @@ fn fixed_error_bounded_by_format_budget() {
 }
 
 /// SLP extraction on a random block never packs dependent nodes and
-/// never reuses a node across groups (checked inside extract_plain's own
+/// never reuses a node across groups (checked inside extract_plain_with's own
 /// assertions plus here over group structure).
 #[test]
 fn extraction_respects_structure() {
@@ -129,7 +130,8 @@ fn extraction_respects_structure() {
             let target = slpwlo::targets::vex(4);
             for b in &blocks {
                 let dfg = slpwlo::ir::Dfg::from_block(&k, b);
-                let groups = slpwlo::slp::extract_plain(&dfg, &target, &|_| wl);
+                let groups =
+                    slpwlo::slp::extract_plain_with(&dfg, &target, &|_| wl, BenefitKind::default());
                 let mut seen = std::collections::HashSet::new();
                 for g in &groups {
                     for (i, &a) in g.elems.iter().enumerate() {
@@ -156,7 +158,15 @@ fn lowering_is_topologically_valid() {
     let bench = slpwlo::kernels::fir64();
     let prep = slpwlo::core::prepare(bench);
     for db in [-100.0f64, -85.0, -60.0, -42.5, -25.0, -10.0] {
-        let flow = slpwlo::core::wlo_slp_flow(&prep, &slpwlo::targets::vex(4), db);
+        let flow = slpwlo::core::wlo_slp_flow_checked(
+            &prep,
+            &slpwlo::targets::vex(4),
+            db,
+            BenefitKind::default(),
+            slpwlo::core::SchedKind::List,
+            &mut |_| Ok::<(), std::convert::Infallible>(()),
+        )
+        .unwrap();
         for block in &flow.simd.blocks {
             for (i, op) in block.ops.iter().enumerate() {
                 for &p in &op.preds {

@@ -4,10 +4,10 @@
 //! Over the 8-benchmark suite × {XENTIUM, VEX-4} × wl {12, 16, 24, 32}
 //! and a seeded generated corpus (`SLPWLO_FUZZ_SEEDS`, default 64):
 //!
-//! 1. **list bit-identity** — `SchedKind::List` through the cached
-//!    dispatcher is field-identical to the legacy `schedule_block`
-//!    entry point, deterministic across repeated runs, and never
-//!    carries a modulo overlay;
+//! 1. **list bit-identity** — `SchedKind::List` through a warmed
+//!    `CycleCache` is field-identical to the same schedule priced
+//!    through a fresh cache, deterministic across repeated runs, and
+//!    never carries a modulo overlay;
 //! 2. **II optimality and bounds** — every pipelined block achieves
 //!    `II ≥ max(ResMII, RecMII)`, with equality on blocks free of
 //!    loop-carried dependences (the exact search leaves no slack when
@@ -23,8 +23,8 @@ mod common;
 
 use common::simd_program;
 use slpwlo::core::{
-    loop_carried_deps, lower_scalar, modulo_bounds_cached, schedule_block, schedule_block_cached,
-    schedule_block_with, MachineProgram, SchedKind,
+    loop_carried_deps, lower_scalar, modulo_bounds_cached, schedule_block_cached, MachineProgram,
+    SchedKind,
 };
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
@@ -85,25 +85,23 @@ fn for_all_lowerings(mut check: impl FnMut(&str, &TargetModel, &MachineProgram))
     }
 }
 
-/// `SchedKind::List` through the new dispatcher must be bit-identical
-/// to the legacy flat scheduler — same starts, finishes, makespan and
-/// issue log, never a modulo overlay — and deterministic.
+/// `SchedKind::List` through a warmed price cache must be bit-identical
+/// to the same block scheduled through a fresh cache — same starts,
+/// finishes, makespan and issue log, never a modulo overlay — and
+/// deterministic.
 #[test]
 fn list_schedules_are_bit_identical_and_deterministic() {
     for_all_lowerings(|tag, target, program| {
         let costs = CycleCache::new(target);
         for (b, block) in program.blocks.iter().enumerate() {
-            let legacy = schedule_block(target, block);
+            let fresh = schedule_block_cached(&CycleCache::new(target), block, SchedKind::List);
             let cached = schedule_block_cached(&costs, block, SchedKind::List);
             let again = schedule_block_cached(&costs, block, SchedKind::List);
             for s in [&cached, &again] {
-                assert_eq!(legacy.start, s.start, "{tag} blk{b}: start drifted");
-                assert_eq!(legacy.finish, s.finish, "{tag} blk{b}: finish drifted");
-                assert_eq!(
-                    legacy.makespan, s.makespan,
-                    "{tag} blk{b}: makespan drifted"
-                );
-                assert_eq!(legacy.issues, s.issues, "{tag} blk{b}: issue log drifted");
+                assert_eq!(fresh.start, s.start, "{tag} blk{b}: start drifted");
+                assert_eq!(fresh.finish, s.finish, "{tag} blk{b}: finish drifted");
+                assert_eq!(fresh.makespan, s.makespan, "{tag} blk{b}: makespan drifted");
+                assert_eq!(fresh.issues, s.issues, "{tag} blk{b}: issue log drifted");
                 assert!(s.modulo.is_none(), "{tag} blk{b}: list schedule pipelined");
             }
         }
@@ -219,8 +217,9 @@ fn verifier_accepts_both_sched_kinds_across_the_corpus() {
 fn verifier_rejects_a_hand_shifted_steady_state() {
     let mut rejections = 0usize;
     for_all_lowerings(|tag, target, program| {
+        let costs = CycleCache::new(target);
         for (b, block) in program.blocks.iter().enumerate() {
-            let sched = schedule_block_with(target, block, SchedKind::modulo());
+            let sched = schedule_block_cached(&costs, block, SchedKind::modulo());
             if sched.modulo.is_none() {
                 continue;
             }

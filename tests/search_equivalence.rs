@@ -7,11 +7,11 @@
 //! [`IncrementalEvaluator`] the flows now use.
 
 use slpwlo::accuracy::{AccuracyEvaluator, IncrementalEvaluator};
-use slpwlo::core::total_cycles;
-use slpwlo::core::{prepare, tabu_wlo, wlo_slp, TabuOptions};
+use slpwlo::core::{prepare, tabu_wlo, total_cycles_cached, wlo_slp_sched, TabuOptions};
+use slpwlo::core::{BenefitKind, SchedKind};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::kernels::{conv3x3, fir64, iir10};
-use slpwlo::targets::xentium;
+use slpwlo::targets::{xentium, CycleCache};
 
 fn assert_specs_identical(
     kernel: &slpwlo::ir::Kernel,
@@ -74,9 +74,20 @@ fn wlo_slp_is_identical_with_and_without_incremental_evaluation() {
         let prep = prepare(kernel);
         let target = xentium();
 
-        let res_full = wlo_slp(&prep.kernel, &target, &prep.eval, db, &prep.ranges);
-        let inc = IncrementalEvaluator::new(&prep.eval);
-        let res_inc = wlo_slp(&prep.kernel, &target, &inc, db, &prep.ranges);
+        let run = |eval: &dyn AccuracyEvaluator| {
+            let (benefit, sched) = (BenefitKind::default(), SchedKind::List);
+            wlo_slp_sched(
+                &prep.kernel,
+                &target,
+                eval,
+                db,
+                &prep.ranges,
+                benefit,
+                sched,
+            )
+        };
+        let res_full = run(&prep.eval);
+        let res_inc = run(&IncrementalEvaluator::new(&prep.eval));
 
         // Same SETMAXWL outcome: groups, word lengths, noise.
         assert_eq!(
@@ -107,7 +118,7 @@ fn wlo_slp_is_identical_with_and_without_incremental_evaluation() {
                 .map(|b| (b.block.clone(), b.dfg.clone(), b.groups.clone()))
                 .collect();
             let prog = slpwlo::core::lower_fixed(&prep.kernel, &res.spec, &target, &blocks);
-            total_cycles(&target, &prog, 2048)
+            total_cycles_cached(&CycleCache::new(&target), &prog, 2048, SchedKind::List)
         };
         assert_eq!(
             lower(&res_full),

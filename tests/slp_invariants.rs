@@ -21,18 +21,15 @@
 //! every boundary — so this harness checks them by calling that pass
 //! rather than re-implementing them.
 
-mod common;
-
 use slpwlo::core::nodes::value_wl;
-use slpwlo::core::total_cycles;
-use slpwlo::core::{lower_fixed, lower_scalar};
+use slpwlo::core::{extract_on_spec_stats, lower_fixed, lower_scalar, total_cycles_cached};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::gen::KernelGen;
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::Dfg;
-use slpwlo::slp::extract_plain;
-use slpwlo::targets::{vex, xentium};
+use slpwlo::slp::{extract_plain_with, BenefitKind, SelectStats};
+use slpwlo::targets::{vex, xentium, CycleCache, SchedKind};
 use slpwlo::verify::verify_groups;
 
 const SEEDS: u64 = 48;
@@ -50,7 +47,12 @@ fn selected_packs_respect_structural_invariants() {
                     let groups = {
                         let spec_ref = &spec;
                         let dfg_ref = &dfg;
-                        extract_plain(&dfg, &target, &move |n| value_wl(spec_ref, dfg_ref, n))
+                        extract_plain_with(
+                            &dfg,
+                            &target,
+                            &move |n| value_wl(spec_ref, dfg_ref, n),
+                            BenefitKind::default(),
+                        )
                     };
                     let ctx = format!("seed {seed} wl {wl} {} {}", target.name, block.id);
                     if let Err(e) = verify_groups(&dfg, &groups, &target, &ctx) {
@@ -73,16 +75,17 @@ fn selected_packs_respect_structural_invariants() {
 /// reject it.
 #[test]
 fn every_candidate_benefit_is_finite_and_rankable() {
-    use slpwlo::slp::{BenefitKind, BenefitModel, Round};
+    use slpwlo::slp::{BenefitModel, Round};
     let mut candidates_seen = 0usize;
     for seed in 0..SEEDS {
         let kernel = KernelGen::with_seed(seed).gen();
         for target in [xentium(), vex(4)] {
+            let prices = CycleCache::new(&target);
             for block in collect_blocks(&kernel) {
                 let dfg = Dfg::from_block(&kernel, &block);
                 let round = Round::new(&dfg, &target, &[]);
                 for kind in [BenefitKind::Slots, BenefitKind::Cycles] {
-                    let model = BenefitModel::with_kind(&dfg, &round, &target, kind, |_| 16);
+                    let model = BenefitModel::new(&dfg, &round, &prices, kind, |_| 16, |_| None);
                     let alive = vec![true; round.candidates.len()];
                     for idx in 0..round.candidates.len() {
                         let b = model.benefit(idx, &alive, &[]);
@@ -118,7 +121,7 @@ fn every_candidate_benefit_is_finite_and_rankable() {
 
 /// Whole-program benefit vs the scalar baseline: extraction runs the
 /// way the flows run it — over the frozen spec's full format context
-/// (`common::extract_on_spec`) — so the cycle-priced model sees word
+/// (`extract_on_spec_stats`) — so the cycle-priced model sees word
 /// lengths *and* per-lane scalings. Individual kernels may still lose a
 /// few per-cent to scheduling effects the per-candidate estimate cannot
 /// see, but losses must stay bounded on every kernel, and across the
@@ -132,12 +135,20 @@ fn vectorization_benefit_holds_against_the_scalar_baseline() {
         let ranges = determine_ranges(&kernel, &RangeOptions::default());
         for target in [xentium(), vex(4)] {
             let spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
-            let blocks = common::extract_on_spec(&kernel, &spec, &target, Default::default());
+            let blocks = extract_on_spec_stats(
+                &kernel,
+                &spec,
+                &target,
+                BenefitKind::default(),
+                SchedKind::List,
+                &mut SelectStats::default(),
+            );
             let n_groups: usize = blocks.iter().map(|(_, _, g)| g.len()).sum();
             let simd = lower_fixed(&kernel, &spec, &target, &blocks);
             let scalar = lower_scalar(&kernel, &spec, &target);
-            let vc = total_cycles(&target, &simd, 64);
-            let sc = total_cycles(&target, &scalar, 64);
+            let costs = CycleCache::new(&target);
+            let vc = total_cycles_cached(&costs, &simd, 64, SchedKind::List);
+            let sc = total_cycles_cached(&costs, &scalar, 64, SchedKind::List);
             total_simd += vc;
             total_scalar += sc;
             // Per-kernel: losses happen (the op-count heuristic cannot

@@ -27,7 +27,7 @@ use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::builder::KernelBuilder;
 use slpwlo::ir::Dfg;
 use slpwlo::kernels::all_benchmarks;
-use slpwlo::slp::{extract_plain, SimdGroup};
+use slpwlo::slp::{extract_plain_with, BenefitKind, SimdGroup};
 use slpwlo::targets::{vex, xentium, TargetModel};
 use slpwlo::verify::{
     verify_groups, verify_kernel, verify_program, verify_spec, Invariant, Pass, VerifyError,
@@ -154,7 +154,12 @@ fn block_groupings(
             let groups = {
                 let spec_ref = &spec;
                 let dfg_ref = &dfg;
-                extract_plain(&dfg, target, &move |n| value_wl(spec_ref, dfg_ref, n))
+                extract_plain_with(
+                    &dfg,
+                    target,
+                    &move |n| value_wl(spec_ref, dfg_ref, n),
+                    BenefitKind::default(),
+                )
             };
             (dfg, groups)
         })
@@ -464,18 +469,20 @@ fn machine_mutations_kill_the_machine_checker() {
 /// per-cycle audit, which is exactly why the overlay exists.
 #[test]
 fn modulo_schedule_mutations_kill_the_machine_checker() {
-    use slpwlo::core::{loop_carried_deps, schedule_block_with, SchedKind};
+    use slpwlo::core::{loop_carried_deps, schedule_block_cached, SchedKind};
+    use slpwlo::targets::CycleCache;
     use slpwlo::verify::audit_block_schedule;
 
     let mut identity_kills = 0usize;
     let mut residue_kills = 0usize;
     let mut carried_kills = 0usize;
     for target in [xentium(), vex(4), vex(1)] {
+        let costs = CycleCache::new(&target);
         for bench in all_benchmarks() {
             let (simd, scalar) = lowerings(&bench, &target);
             for program in [&simd, &scalar] {
                 for (b, block) in program.blocks.iter().enumerate() {
-                    let sched = schedule_block_with(&target, block, SchedKind::modulo());
+                    let sched = schedule_block_cached(&costs, block, SchedKind::modulo());
                     let Some(ms) = sched.modulo else { continue };
                     audit_block_schedule(program, b, &target, &sched).unwrap_or_else(|e| {
                         panic!("{}: clean pipelined schedule rejected: {e}", bench.name)
