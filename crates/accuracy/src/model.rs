@@ -162,8 +162,7 @@ impl AnalyticalEvaluator {
     }
 
     /// [`new`](Self::new) against a caller-provided [`ConeIndex`], so a
-    /// pipeline that already built one (e.g. `slpwlo_core::prepare`) does not pay
-    /// for it twice.
+    /// caller that already built one does not pay for it twice.
     pub fn new_with_cone(kernel: &Kernel, opts: &EvalOptions, cone: Option<&ConeIndex>) -> Self {
         let gains = measure_gains_with(kernel, &opts.gains, cone);
         let sources = enumerate_sources(kernel);
@@ -182,7 +181,7 @@ impl AnalyticalEvaluator {
     /// Linear output noise power for a specification.
     ///
     /// Accumulation contract: per-source `(bias, var)` contributions are
-    /// computed by [`Self::contribution_at`] and summed in source order —
+    /// computed by `contribution_at` and summed in source order —
     /// the *same* per-source values and the *same* total fold the
     /// incremental engine uses, so both produce bit-identical powers.
     pub fn noise_power(&self, spec: &FixedPointSpec) -> f64 {

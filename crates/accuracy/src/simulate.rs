@@ -34,12 +34,6 @@ impl<'s> FixedSem<'s> {
         }
     }
 
-    /// Overrides the signal-path quantization mode.
-    pub fn with_mode(mut self, mode: QuantizeMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     fn fmt(&self, e: ExprId) -> QFormat {
         self.spec.format(SpecKey::Expr(e))
     }

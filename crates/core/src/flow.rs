@@ -17,11 +17,11 @@ use crate::nodes::{value_format, value_wl};
 use crate::tabu::{tabu_wlo, TabuOptions};
 use crate::wlo_slp::wlo_slp_sched;
 use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, EvalOptions, IncrementalEvaluator};
-use slpwlo_fixedpoint::range::{RangeAnalysis, RangeOptions, Ranges};
+use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions, Ranges};
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::collect_blocks;
 use slpwlo_ir::dfg::{Dfg, NodeId};
-use slpwlo_ir::{ConeIndex, Kernel};
+use slpwlo_ir::Kernel;
 use slpwlo_slp::{extract_rounds_stats, BenefitKind, CandidateView, SelectHooks, SelectStats};
 use slpwlo_targets::{SchedKind, TargetModel};
 
@@ -37,29 +37,17 @@ pub struct Prepared {
     pub ranges: Ranges,
     /// The analytical accuracy evaluator (`EVALACC`).
     pub eval: AnalyticalEvaluator,
-    /// Influence-cone index of the kernel, shared by the cone-restricted
-    /// gain measurement and incremental range updates.
-    pub cone: ConeIndex,
-    /// The journal-carrying range analysis behind [`Self::ranges`];
-    /// enables bitwise-exact incremental re-analysis after
-    /// structure-preserving kernel edits (see
-    /// [`slpwlo_fixedpoint::range::RangeAnalysis::update`]).
-    pub range_analysis: RangeAnalysis,
 }
 
-/// Runs the shared front end: the influence-cone index, range analysis
-/// and accuracy-model construction under default [`EvalOptions`].
+/// Runs the shared front end: range analysis and accuracy-model
+/// construction under default [`RangeOptions`] and [`EvalOptions`].
 pub fn prepare(kernel: Kernel) -> Prepared {
-    let cone = ConeIndex::build(&kernel);
-    let range_analysis = RangeAnalysis::new(&kernel, &RangeOptions::default());
-    let ranges = range_analysis.ranges().clone();
-    let eval = AnalyticalEvaluator::new_with_cone(&kernel, &EvalOptions::default(), Some(&cone));
+    let ranges = determine_ranges(&kernel, &RangeOptions::default());
+    let eval = AnalyticalEvaluator::new(&kernel, &EvalOptions::default());
     Prepared {
         kernel,
         ranges,
         eval,
-        cone,
-        range_analysis,
     }
 }
 

@@ -23,7 +23,7 @@
 //! * [`Mop::kind`] — the executable semantics: which storage location is
 //!   accessed, which operands flow in (previous results, quantized
 //!   immediates, live-in variables), and the **absolute** fixed-point
-//!   format every requantization lands on. The [`slpwlo-sim`]
+//!   format every requantization lands on. The `slpwlo-sim`
 //!   interpreter and the C back-ends are driven entirely by this view,
 //!   so emitted code never has to invent undeclared symbols.
 

@@ -207,11 +207,6 @@ impl Optimizer {
         &self.prep
     }
 
-    /// The configured target model.
-    pub fn target_model(&self) -> &TargetModel {
-        &self.target
-    }
-
     /// The lowest output noise (dB) any fixed-point specification can
     /// reach on the configured target: every node at maximum word
     /// length. Constraints below this are unsatisfiable. Memoized per

@@ -27,6 +27,6 @@ pub mod value;
 pub use format::QFormat;
 pub use interval::Interval;
 pub use quantize::{noise_stats, OverflowMode, QuantizeMode};
-pub use range::{changed_exprs, determine_ranges, RangeAnalysis, RangeMethod, Ranges};
+pub use range::{determine_ranges, RangeMethod, Ranges};
 pub use spec::{FixedPointSpec, SpecKey};
 pub use value::FxValue;

@@ -18,9 +18,8 @@ use crate::interval::Interval;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slpwlo_ir::interp::{ExecCtx, Executor, Semantics};
-use slpwlo_ir::types::{ArrayId, BinOp, ExprId, InputId, LoopId, ParamId, UnOp};
-use slpwlo_ir::{ConeIndex, ExprNode, Kernel, Stmt};
-use std::collections::HashMap;
+use slpwlo_ir::types::{ArrayId, BinOp, ExprId, InputId, ParamId, UnOp};
+use slpwlo_ir::Kernel;
 
 /// Which method produced a [`Ranges`] result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,8 +130,7 @@ pub fn interval_ranges(kernel: &Kernel, opts: &RangeOptions) -> Option<Ranges> {
         // early (dl[k] reads of a line still filling up). Including the
         // full machine state also makes stability rigorous: two equal
         // consecutive post-sweep states pin the trajectory to period one
-        // forever, which the incremental replay in [`RangeAnalysis`]
-        // relies on to extend a recorded journal past its last sweep.
+        // forever.
         let state = (
             ex.semantics().exprs.clone(),
             ex.array_state().to_vec(),
@@ -216,540 +214,23 @@ fn param_ranges(kernel: &Kernel) -> Vec<Interval> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Incremental range analysis
-// ---------------------------------------------------------------------------
-
-/// Incremental interval range analysis.
+/// The result of [`determine_ranges`] behind a constructor.
 ///
-/// A full fix-point run records a **journal**: per sweep, the interval
-/// every expression evaluation delivered (in statement walk order) plus
-/// the accumulated per-expression unions after the sweep. After a kernel
-/// edit that keeps the structure (new literal constants, parameter
-/// tables or input range declarations), [`update`](Self::update)
-/// re-propagates only the expressions inside the edited nodes' influence
-/// cones and replays every other evaluation from the journal —
-/// expressions outside the cones provably see the exact same trajectory,
-/// so the result is **bitwise identical** to a fresh
-/// [`determine_ranges`] run on the edited kernel, at a cost proportional
-/// to the cone instead of the kernel.
-///
-/// When the interval iteration diverges (feedback kernels) the analysis
-/// holds a [`RangeMethod::Simulation`] result without a journal, and
-/// `update` falls back to a full recompute.
+/// Kept only because the `perfbench` benchmark calls
+/// [`new`](Self::new) and [`ranges`](Self::ranges) by name; new code
+/// calls [`determine_ranges`] directly.
 #[derive(Debug)]
-pub struct RangeAnalysis {
-    opts: RangeOptions,
-    ranges: Ranges,
-    journal: Option<Journal>,
-    /// Per-expression evaluation-tree size (operands re-evaluated per
-    /// occurrence), used to skip journal spans of unaffected subtrees.
-    subtree: Vec<u32>,
-}
-
-/// Baseline trajectory of a converged interval fix-point run.
-#[derive(Debug, Default)]
-struct Journal {
-    /// `vals[sweep][k]`: interval delivered by the `k`-th expression
-    /// evaluation of the sweep, in deterministic statement walk order.
-    vals: Vec<Vec<Interval>>,
-    /// `exprs[sweep]`: accumulated per-expression unions after the sweep.
-    exprs: Vec<Vec<Option<Interval>>>,
-}
-
-/// Post-sweep stability snapshot: accumulated unions plus the raw
-/// machine state (arrays, variables). Two equal consecutive snapshots
-/// pin the trajectory to period one.
-#[derive(PartialEq)]
-struct Snap {
-    exprs: Vec<Option<Interval>>,
-    arrays: Vec<Vec<Interval>>,
-    vars: Vec<Interval>,
-}
+pub struct RangeAnalysis(Ranges);
 
 impl RangeAnalysis {
-    /// Runs the full analysis (same fallback policy as
-    /// [`determine_ranges`], bitwise-identical result) and records the
-    /// journal for later incremental updates.
+    /// Runs [`determine_ranges`].
     pub fn new(kernel: &Kernel, opts: &RangeOptions) -> Self {
-        let subtree = subtree_sizes(kernel);
-        match record_interval(kernel, opts) {
-            Some((ranges, journal)) => RangeAnalysis {
-                opts: *opts,
-                ranges,
-                journal: Some(journal),
-                subtree,
-            },
-            None => RangeAnalysis {
-                opts: *opts,
-                ranges: simulate_ranges(kernel, opts),
-                journal: None,
-                subtree,
-            },
-        }
+        RangeAnalysis(determine_ranges(kernel, opts))
     }
 
-    /// The current ranges.
+    /// The ranges.
     pub fn ranges(&self) -> &Ranges {
-        &self.ranges
-    }
-
-    /// Whether a journal is held (interval method converged), i.e. the
-    /// next [`update`](Self::update) can run incrementally.
-    pub fn is_incremental(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Re-analyses after an edit. `kernel` must be structurally
-    /// identical to the previously analysed kernel (same arena, loops
-    /// and statements — see [`changed_exprs`]); `changed` lists the
-    /// expressions whose produced values may differ; `cone` is the
-    /// influence-cone index of the kernel. Only the union of the changed
-    /// expressions' cones is re-propagated; everything else replays from
-    /// the journal. The result is bitwise identical to a fresh
-    /// [`determine_ranges`] on `kernel`.
-    pub fn update(&mut self, kernel: &Kernel, changed: &[ExprId], cone: &ConeIndex) -> &Ranges {
-        assert_eq!(
-            cone.expr_count(),
-            kernel.expr_count(),
-            "cone index built for a different kernel"
-        );
-        if changed.is_empty() {
-            return &self.ranges;
-        }
-        if self.journal.is_none() {
-            // No baseline trajectory (simulation result): full recompute.
-            *self = RangeAnalysis::new(kernel, &self.opts);
-            return &self.ranges;
-        }
-        let n = kernel.expr_count();
-        let mut incone = vec![false; n];
-        for &c in changed {
-            cone.for_each_member(c, |e| incone[e] = true);
-        }
-        match self.replay(kernel, &incone) {
-            Some((ranges, journal)) => {
-                self.ranges = ranges;
-                self.journal = Some(journal);
-            }
-            None => {
-                // The edit pushed the interval iteration into divergence:
-                // same fallback a fresh run takes.
-                self.ranges = simulate_ranges(kernel, &self.opts);
-                self.journal = None;
-            }
-        }
-        &self.ranges
-    }
-
-    /// Cone-restricted fix-point replay; `None` on divergence (by the
-    /// same criteria as [`interval_ranges`]).
-    fn replay(&self, kernel: &Kernel, incone: &[bool]) -> Option<(Ranges, Journal)> {
-        let base = self.journal.as_ref().expect("caller checked");
-        let last = base.vals.len() - 1;
-        let n = kernel.expr_count();
-        let mut m = IvMachine::new(kernel);
-        let mut journal = Journal::default();
-        let mut prev: Option<Snap> = None;
-        let mut stable = 0;
-        for s in 0..self.opts.max_sweeps {
-            // Past the recorded horizon the baseline is at its fix point
-            // (two equal consecutive machine states pin it to period
-            // one), so its last sweep repeats verbatim.
-            let bs = s.min(last);
-            let mut vals = base.vals[bs].clone();
-            m.replay_sweep(kernel, incone, &self.subtree, &mut vals);
-            let exprs: Vec<Option<Interval>> = (0..n)
-                .map(|i| {
-                    if incone[i] {
-                        m.exprs[i]
-                    } else {
-                        base.exprs[bs][i]
-                    }
-                })
-                .collect();
-            journal.vals.push(vals);
-            journal.exprs.push(exprs.clone());
-            if exprs
-                .iter()
-                .flatten()
-                .any(|iv| iv.magnitude() > self.opts.divergence_bound)
-            {
-                return None;
-            }
-            let snap = Snap {
-                exprs,
-                arrays: m.arrays.clone(),
-                vars: m.vars.clone(),
-            };
-            if prev.as_ref() == Some(&snap) {
-                stable += 1;
-                if stable >= 2 {
-                    let ranges = Ranges {
-                        exprs: snap.exprs,
-                        arrays: m.array_ranges.clone(),
-                        params: param_ranges(kernel),
-                        method: RangeMethod::Interval,
-                    };
-                    return Some((ranges, journal));
-                }
-            } else {
-                stable = 0;
-                prev = Some(snap);
-            }
-        }
-        None
-    }
-}
-
-/// Expressions whose produced values can differ between two structurally
-/// identical kernels: edited literal constants, parameter tables, or
-/// input range declarations. Returns `None` when the kernels differ
-/// structurally (incremental update does not apply). Bitwise value
-/// comparison — an edit from `0.0` to `-0.0` counts as a change.
-pub fn changed_exprs(old: &Kernel, new: &Kernel) -> Option<Vec<ExprId>> {
-    if old.expr_count() != new.expr_count()
-        || old.inputs().len() != new.inputs().len()
-        || old.params().len() != new.params().len()
-    {
-        return None;
-    }
-    let table_eq = |p: usize| {
-        let (a, b) = (&old.params()[p].values, &new.params()[p].values);
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-    };
-    let mut out = Vec::new();
-    for ((e, a), (_, b)) in old.exprs().zip(new.exprs()) {
-        match (a, b) {
-            (ExprNode::Const(x), ExprNode::Const(y)) => {
-                if x.to_bits() != y.to_bits() {
-                    out.push(e);
-                }
-            }
-            (ExprNode::ReadInput(x), ExprNode::ReadInput(y)) if x == y => {
-                let (oi, ni) = (&old.inputs()[x.index()], &new.inputs()[x.index()]);
-                if oi.lo.to_bits() != ni.lo.to_bits() || oi.hi.to_bits() != ni.hi.to_bits() {
-                    out.push(e);
-                }
-            }
-            (ExprNode::LoadParam(p, ix), ExprNode::LoadParam(q, jx)) if p == q && ix == jx => {
-                if !table_eq(p.index()) {
-                    out.push(e);
-                }
-            }
-            (a, b) if a == b => {}
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Evaluation-tree size of every expression (a shared node is counted
-/// once per occurrence, matching the interpreter's walk).
-fn subtree_sizes(kernel: &Kernel) -> Vec<u32> {
-    fn size(k: &Kernel, e: ExprId, memo: &mut [u32]) -> u32 {
-        if memo[e.index()] != 0 {
-            return memo[e.index()];
-        }
-        let s = match k.expr(e) {
-            ExprNode::Unary(_, a) => 1 + size(k, *a, memo),
-            ExprNode::Bin(_, a, b) => {
-                let (a, b) = (*a, *b);
-                1 + size(k, a, memo) + size(k, b, memo)
-            }
-            _ => 1,
-        };
-        memo[e.index()] = s;
-        s
-    }
-    let mut memo = vec![0u32; kernel.expr_count()];
-    for i in 0..kernel.expr_count() {
-        size(kernel, ExprId(i as u32), &mut memo);
-    }
-    memo
-}
-
-/// Full recording run of the interval fix point; `None` on divergence.
-/// Mirrors [`interval_ranges`] exactly (the `range_incremental`
-/// differential tests pin the bitwise agreement).
-fn record_interval(kernel: &Kernel, opts: &RangeOptions) -> Option<(Ranges, Journal)> {
-    let mut m = IvMachine::new(kernel);
-    let mut journal = Journal::default();
-    let mut prev: Option<Snap> = None;
-    let mut stable = 0;
-    for _ in 0..opts.max_sweeps {
-        let mut vals = Vec::new();
-        m.record_sweep(kernel, &mut vals);
-        journal.vals.push(vals);
-        journal.exprs.push(m.exprs.clone());
-        if m.exprs
-            .iter()
-            .flatten()
-            .any(|iv| iv.magnitude() > opts.divergence_bound)
-        {
-            return None;
-        }
-        let snap = Snap {
-            exprs: m.exprs.clone(),
-            arrays: m.arrays.clone(),
-            vars: m.vars.clone(),
-        };
-        if prev.as_ref() == Some(&snap) {
-            stable += 1;
-            if stable >= 2 {
-                let ranges = Ranges {
-                    exprs: m.exprs.clone(),
-                    arrays: m.array_ranges.clone(),
-                    params: param_ranges(kernel),
-                    method: RangeMethod::Interval,
-                };
-                return Some((ranges, journal));
-            }
-        } else {
-            stable = 0;
-            prev = Some(snap);
-        }
-    }
-    None
-}
-
-/// Interval abstract machine replicating the [`Executor`] +
-/// [`IntervalSem`] walk: same statement order, loop unrolling, index
-/// resolution and zero-initialised state, so delivered values agree
-/// bitwise with [`interval_ranges`].
-struct IvMachine {
-    vars: Vec<Interval>,
-    arrays: Vec<Vec<Interval>>,
-    /// Per-array union over all stored values and the zero init.
-    array_ranges: Vec<Interval>,
-    /// Accumulated per-expression unions (in replay mode only the
-    /// in-cone entries are maintained).
-    exprs: Vec<Option<Interval>>,
-    input_decls: Vec<Interval>,
-    env: HashMap<LoopId, i64>,
-}
-
-impl IvMachine {
-    fn new(kernel: &Kernel) -> Self {
-        IvMachine {
-            vars: vec![Interval::zero(); kernel.vars().len()],
-            arrays: kernel
-                .arrays()
-                .iter()
-                .map(|a| vec![Interval::zero(); a.len])
-                .collect(),
-            array_ranges: vec![Interval::zero(); kernel.arrays().len()],
-            exprs: vec![None; kernel.expr_count()],
-            input_decls: kernel
-                .inputs()
-                .iter()
-                .map(|i| Interval::new(i.lo, i.hi))
-                .collect(),
-            env: HashMap::new(),
-        }
-    }
-
-    fn union_expr(&mut self, e: ExprId, v: Interval) {
-        let slot = &mut self.exprs[e.index()];
-        *slot = Some(match *slot {
-            Some(old) => old.union(v),
-            None => v,
-        });
-    }
-
-    fn index(&self, ix: &slpwlo_ir::IndexExpr) -> i64 {
-        ix.eval(&|l| self.env.get(&l).copied().unwrap_or(0))
-    }
-
-    fn resolve(&self, ix: &slpwlo_ir::IndexExpr, array: usize) -> usize {
-        let len = self.arrays[array].len() as i64;
-        self.index(ix).rem_euclid(len) as usize
-    }
-
-    /// One full sweep, appending every delivered value to `out`.
-    fn record_sweep(&mut self, kernel: &Kernel, out: &mut Vec<Interval>) {
-        self.record_stmts(kernel, kernel.body(), out);
-    }
-
-    fn record_stmts(&mut self, kernel: &Kernel, stmts: &[Stmt], out: &mut Vec<Interval>) {
-        for s in stmts {
-            match s {
-                Stmt::Assign(v, e) => {
-                    let val = self.record_eval(kernel, *e, out);
-                    self.vars[v.index()] = val;
-                }
-                Stmt::Store(a, ix, e) => {
-                    let val = self.record_eval(kernel, *e, out);
-                    let idx = self.resolve(ix, a.index());
-                    self.array_ranges[a.index()] = self.array_ranges[a.index()].union(val);
-                    self.arrays[a.index()][idx] = val;
-                }
-                Stmt::ShiftIn(a, e) => {
-                    let val = self.record_eval(kernel, *e, out);
-                    self.array_ranges[a.index()] = self.array_ranges[a.index()].union(val);
-                    let arr = &mut self.arrays[a.index()];
-                    for i in (1..arr.len()).rev() {
-                        arr[i] = arr[i - 1];
-                    }
-                    if !arr.is_empty() {
-                        arr[0] = val;
-                    }
-                }
-                Stmt::Output(_, e) => {
-                    let _ = self.record_eval(kernel, *e, out);
-                }
-                Stmt::For { var, count, body } => {
-                    for trip in 0..*count {
-                        self.env.insert(*var, trip as i64);
-                        self.record_stmts(kernel, body, out);
-                    }
-                    self.env.remove(var);
-                }
-            }
-        }
-    }
-
-    fn record_eval(&mut self, kernel: &Kernel, e: ExprId, out: &mut Vec<Interval>) -> Interval {
-        let v = match kernel.expr(e) {
-            ExprNode::Const(v) => Interval::point(*v),
-            ExprNode::ReadVar(v) => self.vars[v.index()],
-            ExprNode::ReadInput(i) => self.input_decls[i.index()],
-            ExprNode::LoadParam(p, ix) => Interval::point(kernel.param_value(*p, self.index(ix))),
-            ExprNode::LoadArray(a, ix) => {
-                let idx = self.resolve(ix, a.index());
-                self.arrays[a.index()][idx]
-            }
-            ExprNode::Unary(UnOp::Neg, a) => {
-                let a = *a;
-                -self.record_eval(kernel, a, out)
-            }
-            ExprNode::Bin(op, a, b) => {
-                let (op, a, b) = (*op, *a, *b);
-                let av = self.record_eval(kernel, a, out);
-                let bv = self.record_eval(kernel, b, out);
-                match op {
-                    BinOp::Add => av + bv,
-                    BinOp::Sub => av - bv,
-                    BinOp::Mul => av * bv,
-                }
-            }
-        };
-        self.union_expr(e, v);
-        out.push(v);
-        v
-    }
-
-    /// One cone-restricted sweep. `vals` holds the baseline sweep's
-    /// delivered values on entry; in-cone positions are overwritten with
-    /// the recomputed values (so the vector becomes the edited kernel's
-    /// journal sweep), out-of-cone positions are consumed as-is.
-    fn replay_sweep(
-        &mut self,
-        kernel: &Kernel,
-        incone: &[bool],
-        subtree: &[u32],
-        vals: &mut [Interval],
-    ) {
-        let mut cur = 0;
-        self.replay_stmts(kernel, kernel.body(), incone, subtree, vals, &mut cur);
-        debug_assert_eq!(cur, vals.len(), "journal walk misaligned");
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn replay_stmts(
-        &mut self,
-        kernel: &Kernel,
-        stmts: &[Stmt],
-        incone: &[bool],
-        subtree: &[u32],
-        vals: &mut [Interval],
-        cur: &mut usize,
-    ) {
-        for s in stmts {
-            match s {
-                Stmt::Assign(v, e) => {
-                    let val = self.replay_eval(kernel, *e, incone, subtree, vals, cur);
-                    self.vars[v.index()] = val;
-                }
-                Stmt::Store(a, ix, e) => {
-                    let val = self.replay_eval(kernel, *e, incone, subtree, vals, cur);
-                    let idx = self.resolve(ix, a.index());
-                    self.array_ranges[a.index()] = self.array_ranges[a.index()].union(val);
-                    self.arrays[a.index()][idx] = val;
-                }
-                Stmt::ShiftIn(a, e) => {
-                    let val = self.replay_eval(kernel, *e, incone, subtree, vals, cur);
-                    self.array_ranges[a.index()] = self.array_ranges[a.index()].union(val);
-                    let arr = &mut self.arrays[a.index()];
-                    for i in (1..arr.len()).rev() {
-                        arr[i] = arr[i - 1];
-                    }
-                    if !arr.is_empty() {
-                        arr[0] = val;
-                    }
-                }
-                Stmt::Output(_, e) => {
-                    let _ = self.replay_eval(kernel, *e, incone, subtree, vals, cur);
-                }
-                Stmt::For { var, count, body } => {
-                    for trip in 0..*count {
-                        self.env.insert(*var, trip as i64);
-                        self.replay_stmts(kernel, body, incone, subtree, vals, cur);
-                    }
-                    self.env.remove(var);
-                }
-            }
-        }
-    }
-
-    /// Evaluates an expression during replay. Out-of-cone subtrees are
-    /// skipped wholesale: no changed node influences them (influence
-    /// through variables and arrays is part of the cone graph), so the
-    /// journal value at the subtree's root position is exact.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_eval(
-        &mut self,
-        kernel: &Kernel,
-        e: ExprId,
-        incone: &[bool],
-        subtree: &[u32],
-        vals: &mut [Interval],
-        cur: &mut usize,
-    ) -> Interval {
-        if !incone[e.index()] {
-            let n = subtree[e.index()] as usize;
-            let v = vals[*cur + n - 1];
-            *cur += n;
-            return v;
-        }
-        let v = match kernel.expr(e) {
-            ExprNode::Const(v) => Interval::point(*v),
-            ExprNode::ReadVar(v) => self.vars[v.index()],
-            ExprNode::ReadInput(i) => self.input_decls[i.index()],
-            ExprNode::LoadParam(p, ix) => Interval::point(kernel.param_value(*p, self.index(ix))),
-            ExprNode::LoadArray(a, ix) => {
-                let idx = self.resolve(ix, a.index());
-                self.arrays[a.index()][idx]
-            }
-            ExprNode::Unary(UnOp::Neg, a) => {
-                let a = *a;
-                -self.replay_eval(kernel, a, incone, subtree, vals, cur)
-            }
-            ExprNode::Bin(op, a, b) => {
-                let (op, a, b) = (*op, *a, *b);
-                let av = self.replay_eval(kernel, a, incone, subtree, vals, cur);
-                let bv = self.replay_eval(kernel, b, incone, subtree, vals, cur);
-                match op {
-                    BinOp::Add => av + bv,
-                    BinOp::Sub => av - bv,
-                    BinOp::Mul => av * bv,
-                }
-            }
-        };
-        self.union_expr(e, v);
-        vals[*cur] = v;
-        *cur += 1;
-        v
+        &self.0
     }
 }
 

@@ -45,19 +45,6 @@ impl FxValue {
         FxValue { raw, fmt }
     }
 
-    /// Builds a value from a raw integer already on the format's grid.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if `raw` is outside the representable range.
-    pub fn from_raw(raw: i64, fmt: QFormat) -> Self {
-        debug_assert!(
-            raw >= fmt.min_raw() && raw <= fmt.max_raw(),
-            "raw {raw} out of range for {fmt}"
-        );
-        FxValue { raw, fmt }
-    }
-
     /// The raw integer.
     pub fn raw(self) -> i64 {
         self.raw

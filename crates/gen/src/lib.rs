@@ -22,7 +22,7 @@
 //!   contractive IIR-like feedback, loop nests with partial/full
 //!   unrolling, fan-out through variables, and dead-code-free outputs
 //!   (every computed value reaches some output);
-//! * [`shrink`] — greedy bisection of a failing plan to a minimal plan
+//! * [`shrink()`] — greedy bisection of a failing plan to a minimal plan
 //!   that still fails the caller's predicate.
 //!
 //! Determinism is total: the same seed yields the same kernel on every

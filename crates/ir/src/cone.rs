@@ -8,28 +8,22 @@
 //! was stored into. Everywhere else the kernel computes bit-for-bit the
 //! same values it would have computed without the deviation.
 //!
-//! [`ConeIndex`] materialises that fact once per kernel:
+//! [`ConeIndex`] materialises that fact once per kernel. It builds the
+//! influence graph from three edge families: operand → parent,
+//! assignment → reaching `ReadVar`s (including the cross-activation carry
+//! into reads that execute before the variable's first write of an
+//! activation), and store/shift-in → every load of the written array.
+//! From it, it derives **lifetimes**: for every expression, an upper
+//! bound on how many activations after the injecting one a deviation can
+//! still reach an output (`None` when feedback makes it unbounded).
+//! Delay-line state bounds the carry (`ShiftIn` into a length-`n` array
+//! is readable for at most `n` further activations), a live-across
+//! variable carries one activation per hop, and plain `Store` arrays or
+//! dependence cycles make the bound infinite.
 //!
-//! * **cones** — for every expression `src`, the downstream closure
-//!   `cone(src)` as a dense bitset over the arena (self-inclusive), built
-//!   from three edge families: operand → parent, assignment → reaching
-//!   `ReadVar`s (including the cross-activation carry into reads that
-//!   execute before the variable's first write of an activation), and
-//!   store/shift-in → every load of the written array;
-//! * **lifetimes** — for every expression, an upper bound on how many
-//!   activations after the injecting one a deviation can still reach an
-//!   output (`None` when feedback makes it unbounded). Delay-line state
-//!   bounds the carry (`ShiftIn` into a length-`n` array is readable for
-//!   at most `n` further activations), a live-across variable carries one
-//!   activation per hop, and plain `Store` arrays or dependence cycles
-//!   make the bound infinite.
-//!
-//! Gain analysis uses cones to evaluate each impulse lane only over the
-//! expressions its deviation can reach (everything else is *exactly* the
-//! baseline, so skipping is bitwise-free) and lifetimes to retire lanes
-//! whose response is provably dead. Incremental range analysis uses
-//! cones to re-propagate only the part of the interval fixpoint a kernel
-//! edit can affect.
+//! Gain analysis uses lifetimes to batch impulse lanes of similar
+//! lifetime together and to retire lanes whose response is provably
+//! dead.
 
 use crate::kernel::{ExprNode, Kernel, Stmt};
 use crate::types::{ExprId, VarId};
@@ -138,15 +132,10 @@ pub fn var_flow(kernel: &Kernel) -> VarFlow {
     flow
 }
 
-/// Downstream influence cones and deviation lifetimes, computed once per
-/// kernel (see the module docs).
+/// Deviation lifetimes over the downstream influence graph, computed
+/// once per kernel (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ConeIndex {
-    exprs: usize,
-    words: usize,
-    /// `exprs` rows of `words` 64-bit words: row `e` is the bitset of
-    /// expressions a deviation at `e` can reach (including `e` itself).
-    bits: Vec<u64>,
     /// Per expression: max activations after the injecting one at which
     /// a deviation can still reach an output; `None` = unbounded.
     life: Vec<Option<u32>>,
@@ -156,7 +145,6 @@ impl ConeIndex {
     /// Builds the index for a kernel.
     pub fn build(kernel: &Kernel) -> Self {
         let n = kernel.expr_count();
-        let words = n.div_ceil(64).max(1);
 
         // -- Edge construction ------------------------------------------
         // succ[e] = (successor, activation delay). The delay is an upper
@@ -218,85 +206,15 @@ impl ConeIndex {
             _ => {}
         });
 
-        // -- Cones: transitive closure over all edges -------------------
-        // Rows converge in a handful of sweeps: ids are topological for
-        // operand edges, so a reverse-order sweep resolves whole
-        // statement trees at once and only the loop-carried edges need
-        // extra rounds.
-        let mut bits = vec![0u64; n * words];
-        for e in 0..n {
-            bits[e * words + e / 64] |= 1u64 << (e % 64);
-        }
-        loop {
-            let mut changed = false;
-            for e in (0..n).rev() {
-                for &(s, _) in &succ[e] {
-                    let (row_e, row_s) = if e < s as usize {
-                        let (a, b) = bits.split_at_mut(s as usize * words);
-                        (&mut a[e * words..e * words + words], &b[..words])
-                    } else if (s as usize) < e {
-                        let (a, b) = bits.split_at_mut(e * words);
-                        (
-                            &mut b[..words],
-                            &a[s as usize * words..s as usize * words + words],
-                        )
-                    } else {
-                        continue;
-                    };
-                    for w in 0..words {
-                        let merged = row_e[w] | row_s[w];
-                        if merged != row_e[w] {
-                            row_e[w] = merged;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
         // -- Lifetimes: longest delay to an output ----------------------
         let life = lifetimes(n, &succ, &unbounded_edge, &output_root);
 
-        ConeIndex {
-            exprs: n,
-            words,
-            bits,
-            life,
-        }
+        ConeIndex { life }
     }
 
     /// Number of expressions the index covers.
     pub fn expr_count(&self) -> usize {
-        self.exprs
-    }
-
-    /// True when a deviation at `src` can influence the value of `e`.
-    #[inline]
-    pub fn contains(&self, src: ExprId, e: ExprId) -> bool {
-        let i = e.index();
-        self.bits[src.index() * self.words + i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    /// Number of expressions inside `src`'s cone.
-    pub fn cone_size(&self, src: ExprId) -> usize {
-        let row = &self.bits[src.index() * self.words..(src.index() + 1) * self.words];
-        row.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Calls `f` with the arena index of every expression inside `src`'s
-    /// cone, in ascending order.
-    pub fn for_each_member(&self, src: ExprId, mut f: impl FnMut(usize)) {
-        let row = &self.bits[src.index() * self.words..][..self.words];
-        for (wi, &word) in row.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                f(wi * 64 + w.trailing_zeros() as usize);
-                w &= w - 1;
-            }
-        }
+        self.life.len()
     }
 
     /// Max activations after the injecting one at which a deviation at
@@ -499,23 +417,6 @@ kernel iir1 {
     }
 
     #[test]
-    fn cone_is_self_inclusive_and_downstream() {
-        let k = parse_kernel(FIR4).unwrap();
-        let cone = ConeIndex::build(&k);
-        let input = find(&k, |n| matches!(n, ExprNode::ReadInput(_)));
-        let mul = find(&k, |n| matches!(n, ExprNode::Bin(BinOp::Mul, _, _)));
-        let add = find(&k, |n| matches!(n, ExprNode::Bin(BinOp::Add, _, _)));
-        assert!(cone.contains(input, input), "self-inclusive");
-        // The input is shifted into the delay line, whose loads feed the
-        // muls and the accumulator adds.
-        assert!(cone.contains(input, mul));
-        assert!(cone.contains(input, add));
-        // The downstream add is not in the mul-operand's *upstream*.
-        assert!(!cone.contains(add, input));
-        assert!(!cone.contains(mul, input));
-    }
-
-    #[test]
     fn fir_lifetimes_are_bounded_by_the_delay_line() {
         let k = parse_kernel(FIR4).unwrap();
         let cone = ConeIndex::build(&k);
@@ -582,20 +483,37 @@ kernel carry {
         let add = find(&k, |n| matches!(n, ExprNode::Bin(BinOp::Add, _, _)));
         assert_eq!(cone.life(mul), Some(1));
         assert_eq!(cone.life(add), Some(0));
-        // And the cone crosses the activation boundary: the mul reaches
-        // the add through the carried variable.
-        assert!(cone.contains(mul, add));
     }
 
     #[test]
-    fn dead_nodes_have_trivial_cones() {
+    fn dead_nodes_have_zero_lifetime() {
         let src = "kernel k { input x range [-1,1]; output y; var a; for i in 0..4 unroll 2 { a = x * 1.0; } y = a; }";
         let k = parse_kernel(src).unwrap();
         let cone = ConeIndex::build(&k);
-        // Dead arena nodes keep self-inclusive cones and a zero lifetime
-        // (they reach nothing).
-        for (e, _) in k.exprs() {
-            assert!(cone.contains(e, e));
+        // Dead arena nodes (left behind by unrolling) reach nothing.
+        let mut live = vec![false; k.expr_count()];
+        k.visit_stmts(&mut |s, _| {
+            let root = match s {
+                Stmt::Assign(_, e)
+                | Stmt::Store(_, _, e)
+                | Stmt::ShiftIn(_, e)
+                | Stmt::Output(_, e) => *e,
+                Stmt::For { .. } => return,
+            };
+            let mut stack = vec![root];
+            while let Some(e) = stack.pop() {
+                live[e.index()] = true;
+                stack.extend(k.expr(e).operands());
+            }
+        });
+        let dead: Vec<ExprId> = k
+            .exprs()
+            .map(|(e, _)| e)
+            .filter(|e| !live[e.index()])
+            .collect();
+        assert!(!dead.is_empty(), "expected dead arena nodes");
+        for e in dead {
+            assert_eq!(cone.life(e), Some(0), "{e:?}");
         }
     }
 }

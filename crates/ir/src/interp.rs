@@ -13,7 +13,6 @@
 //! is running — the key piece needed to inject impulses per execution
 //! instance during gain analysis.
 
-use crate::cone::ConeIndex;
 use crate::kernel::{ExprNode, Kernel, Stmt};
 use crate::types::{ArrayId, BinOp, ExprId, InputId, LoopId, ParamId, UnOp};
 use std::collections::HashMap;
@@ -175,11 +174,6 @@ impl<'k, S: Semantics> Executor<'k, S> {
     /// statistics after a run).
     pub fn semantics(&self) -> &S {
         &self.sem
-    }
-
-    /// Mutable access to the plugged semantics.
-    pub fn semantics_mut(&mut self) -> &mut S {
-        &mut self.sem
     }
 
     /// The current per-element state of every array (delay lines, line
@@ -406,7 +400,7 @@ pub struct ImpulseChannel {
 /// value — which keeps the restricted sweep bitwise identical to a dense
 /// one while doing work proportional to actual deviations. Sorting
 /// channels so that lanes with overlapping cones sit next to each other
-/// (see [`ConeIndex`]) keeps the hulls tight.
+/// keeps the hulls tight.
 ///
 /// Lanes whose response has died out are retired with
 /// [`retain`](Self::retain); the survivors are compacted so inner loops
@@ -792,27 +786,6 @@ fn write_state(dst: &mut [f64], row: &[f64], base: f64, own: (u32, u32)) {
 impl<'k> BatchExecutor<'k> {
     /// Creates a batch executor with zeroed state, one lane per channel.
     pub fn new(kernel: &'k Kernel, channels: Vec<ImpulseChannel>) -> Self {
-        Self::make(kernel, channels)
-    }
-
-    /// Creates a batch executor for channels packed with the help of a
-    /// [`ConeIndex`] (sorting lanes so overlapping cones sit together
-    /// keeps the deviation hulls tight). Execution is identical to
-    /// [`new`](Self::new) — the index only validates compatibility here.
-    pub fn with_cone(
-        kernel: &'k Kernel,
-        channels: Vec<ImpulseChannel>,
-        cone: &'k ConeIndex,
-    ) -> Self {
-        assert_eq!(
-            cone.expr_count(),
-            kernel.expr_count(),
-            "cone index built for a different kernel"
-        );
-        Self::make(kernel, channels)
-    }
-
-    fn make(kernel: &'k Kernel, channels: Vec<ImpulseChannel>) -> Self {
         let l = channels.len();
         let mut poked = vec![false; kernel.expr_count()];
         for ch in &channels {

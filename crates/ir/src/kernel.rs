@@ -129,25 +129,6 @@ pub enum Stmt {
     Output(usize, ExprId),
 }
 
-/// A numeric value position inside a [`Kernel`] that [`Kernel::edit_values`]
-/// can rewrite without changing the kernel's structure.
-///
-/// Structure-preserving edits keep the expression arena, the statement tree
-/// and every declaration's shape identical, so incremental analyses (e.g.
-/// journal-replay range analysis keyed on a [`crate::ConeIndex`]) remain
-/// applicable across the edit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValueSite {
-    /// The literal of a [`ExprNode::Const`] node.
-    Const(ExprId),
-    /// One entry of a parameter table ([`Param::values`]`[i]`).
-    Param(ParamId, usize),
-    /// The lower bound of an input's declared range.
-    InputLo(InputId),
-    /// The upper bound of an input's declared range.
-    InputHi(InputId),
-}
-
 /// A complete kernel: declarations plus the per-activation body.
 ///
 /// Construct kernels through [`crate::builder::KernelBuilder`] or the DSL
@@ -291,35 +272,6 @@ impl Kernel {
             n += self.expr_tree_size(op);
         }
         n
-    }
-
-    /// Returns a copy of this kernel with every numeric value rewritten
-    /// through `f`.
-    ///
-    /// `f` receives each [`ValueSite`] (constant literals, parameter-table
-    /// entries, input range bounds) with its current value and returns the
-    /// new value; returning the argument unchanged leaves that site alone.
-    /// The arena shape, statement tree and declaration layout are untouched,
-    /// so [`crate::ConeIndex`]es built for `self` stay valid for the result
-    /// and incremental analyses can replay across the edit (see
-    /// `changed_exprs` in the fixed-point crate).
-    pub fn edit_values(&self, mut f: impl FnMut(ValueSite, f64) -> f64) -> Kernel {
-        let mut k = self.clone();
-        for (i, n) in k.exprs.iter_mut().enumerate() {
-            if let ExprNode::Const(v) = n {
-                *v = f(ValueSite::Const(ExprId(i as u32)), *v);
-            }
-        }
-        for (p, param) in k.params.iter_mut().enumerate() {
-            for (i, v) in param.values.iter_mut().enumerate() {
-                *v = f(ValueSite::Param(ParamId(p as u32), i), *v);
-            }
-        }
-        for (i, input) in k.inputs.iter_mut().enumerate() {
-            input.lo = f(ValueSite::InputLo(InputId(i as u32)), input.lo);
-            input.hi = f(ValueSite::InputHi(InputId(i as u32)), input.hi);
-        }
-        k
     }
 
     /// Validates arena invariants; used by tests and after transformations.

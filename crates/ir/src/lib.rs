@@ -64,5 +64,5 @@ pub use cone::ConeIndex;
 pub use dfg::{Dfg, DfgNode, NodeId, NodeKind};
 pub use error::IrError;
 pub use interp::{ExecCtx, Executor, FloatSem, Semantics};
-pub use kernel::{Array, ExprNode, Input, Kernel, Output, Param, Stmt, ValueSite, Var};
+pub use kernel::{Array, ExprNode, Input, Kernel, Output, Param, Stmt, Var};
 pub use types::{ArrayId, BinOp, ExprId, IndexExpr, InputId, LoopId, ParamId, UnOp, VarId};

@@ -349,16 +349,6 @@ impl<'a> BenefitModel<'a> {
         self.assess(idx, alive, selected).rank()
     }
 
-    /// Net benefit of candidate `idx` (see [`CostedBenefit::net`]).
-    ///
-    /// Selection admits a candidate only while its net benefit is
-    /// positive, re-evaluated each iteration: reuse grows as neighbouring
-    /// candidates are selected, and under WLO↔SLP the displaced-scalar
-    /// prices move as word lengths shrink.
-    pub fn net_benefit(&self, idx: usize, alive: &[bool], selected: &[SimdGroup]) -> f64 {
-        self.assess(idx, alive, selected).net()
-    }
-
     /// Full priced assessment of candidate `idx`.
     pub fn assess(&self, idx: usize, alive: &[bool], selected: &[SimdGroup]) -> CostedBenefit {
         self.pass(alive, selected).assess(idx)
@@ -367,7 +357,7 @@ impl<'a> BenefitModel<'a> {
     /// Starts one assessment pass over a fixed `(alive, selected)` state.
     ///
     /// A pass memoizes the one-level viability probe of speculative
-    /// partners ([`shallow_viable`](Self::shallow_viable)), which is
+    /// partners, which is
     /// sound exactly as long as the liveness and selection state do not
     /// change — the selection loop's argmax over all live candidates is
     /// the intended scope. Use [`assess`](Self::assess) directly when

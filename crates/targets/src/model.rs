@@ -391,9 +391,10 @@ impl TargetModel {
     /// from [`cost`](Self::cost): `slots / min(unit capacity, issue
     /// width)` for pipelined ops, the full latency for serializing ones.
     ///
-    /// Composite queries fold over the same primitive [`cost`] calls the
-    /// scheduler prices for the lowered program, so selection and
-    /// scheduling can never disagree on a pack/unpack/gather price:
+    /// Composite queries fold over the same primitive
+    /// [`cost`](Self::cost) calls the scheduler prices for the lowered
+    /// program, so selection and scheduling can never disagree on a
+    /// pack/unpack/gather price:
     ///
     /// * [`OpQuery::Gather`] = `lanes` scalar loads + one [`OpQuery::Pack`];
     /// * [`OpQuery::Scatter`] = `lanes` extracts + `lanes` scalar stores;

@@ -416,3 +416,36 @@ kernel gknan {
     }
     let _ = FixedPointSpec::from_ranges(&k, &ranges, 32);
 }
+
+/// Which range method each registered benchmark takes: interval
+/// propagation converges on the feed-forward kernels and diverges on
+/// the feedback ones, which must fall back to simulation.
+#[test]
+fn benchmark_range_methods() {
+    let expected = [
+        ("FIR", true),
+        ("IIR", false),
+        ("CONV", true),
+        ("DOT", true),
+        ("MATVEC", true),
+        ("BIQUAD", false),
+        ("CFIR", true),
+        ("POLY", true),
+    ];
+    let benches = slpwlo::kernels::all_benchmarks();
+    let names: Vec<_> = benches.iter().map(|b| b.name).collect();
+    let expected_names: Vec<_> = expected.iter().map(|&(n, _)| n).collect();
+    assert_eq!(names, expected_names, "every benchmark has an expectation");
+    for (bench, (_, interval)) in benches.iter().zip(expected) {
+        let method = determine_ranges(&bench.kernel, &RangeOptions::default()).method;
+        if interval {
+            assert_eq!(method, RangeMethod::Interval, "{}", bench.name);
+        } else {
+            assert!(
+                matches!(method, RangeMethod::Simulation { .. }),
+                "{}: expected simulation, got {method:?}",
+                bench.name
+            );
+        }
+    }
+}

@@ -29,30 +29,24 @@ fn opts(threads: usize) -> GainOptions {
 }
 
 /// Asserts bitwise `(G1, G2)` equality between the batched and the
-/// reference measurement on every noise source of `kernel`, with the
-/// cone-restricted evaluation both on and off.
+/// reference measurement on every noise source of `kernel`.
 fn assert_bitwise_identical(kernel: &Kernel, label: &str, threads: usize) {
-    for cone in [true, false] {
-        let o = GainOptions {
-            cone,
-            ..opts(threads)
-        };
-        let batched = measure_gains(kernel, &o);
-        let reference = measure_gains_reference(kernel, &o);
-        assert_eq!(batched.len(), reference.len(), "{label}: source count");
-        for (e, (g1, g2)) in batched.iter() {
-            let (r1, r2) = reference.get(e);
-            assert_eq!(
-                g1.to_bits(),
-                r1.to_bits(),
-                "{label} threads={threads} cone={cone}: G1 of source {e:?} diverged ({g1} vs {r1})"
-            );
-            assert_eq!(
-                g2.to_bits(),
-                r2.to_bits(),
-                "{label} threads={threads} cone={cone}: G2 of source {e:?} diverged ({g2} vs {r2})"
-            );
-        }
+    let o = opts(threads);
+    let batched = measure_gains(kernel, &o);
+    let reference = measure_gains_reference(kernel, &o);
+    assert_eq!(batched.len(), reference.len(), "{label}: source count");
+    for (e, (g1, g2)) in batched.iter() {
+        let (r1, r2) = reference.get(e);
+        assert_eq!(
+            g1.to_bits(),
+            r1.to_bits(),
+            "{label} threads={threads}: G1 of source {e:?} diverged ({g1} vs {r1})"
+        );
+        assert_eq!(
+            g2.to_bits(),
+            r2.to_bits(),
+            "{label} threads={threads}: G2 of source {e:?} diverged ({g2} vs {r2})"
+        );
     }
 }
 
