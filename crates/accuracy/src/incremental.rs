@@ -5,8 +5,10 @@
 //! asking "does this candidate spec still meet the constraint?", yet each
 //! move changes only a handful of word lengths. [`IncrementalEvaluator`]
 //! exploits that: it precomputes an inverted index from [`SpecKey`] to the
-//! noise sources whose contribution depends on that key, caches every
-//! source's `(bias, var)` contribution, and consumes the spec's undo
+//! noise sources whose contribution depends on that key — a dense CSR
+//! pair with one slot per key, so a lookup is two array reads rather than
+//! a hash — caches every source's `(bias, var)` contribution, and
+//! consumes the spec's undo
 //! journal ([`FixedPointSpec::changed_since`]) to re-evaluate only the
 //! sources a trial touched — O(changed keys × fanout) per move instead of
 //! O(all sources).
@@ -39,7 +41,6 @@
 use crate::model::{AccuracyEvaluator, AnalyticalEvaluator};
 use slpwlo_fixedpoint::spec::{FixedPointSpec, SpecKey};
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Mutable evaluation state, behind a [`RefCell`] so the evaluator can be
 /// used through the shared-reference [`AccuracyEvaluator`] trait. The
@@ -76,8 +77,13 @@ struct State {
 #[derive(Debug)]
 pub struct IncrementalEvaluator<'a> {
     base: &'a AnalyticalEvaluator,
-    /// Inverted index: key → indices of sources depending on it.
-    index: HashMap<SpecKey, Vec<u32>>,
+    /// First dense slot of each key space (expressions, arrays,
+    /// parameters), plus the total slot count; see [`Self::slot`].
+    bases: [usize; 4],
+    /// Inverted index in CSR form: the sources depending on the key in
+    /// slot `s` are `members[offsets[s]..offsets[s + 1]]`, ascending.
+    offsets: Vec<u32>,
+    members: Vec<u32>,
     state: RefCell<State>,
 }
 
@@ -87,19 +93,47 @@ impl<'a> IncrementalEvaluator<'a> {
     /// trials.
     pub fn new(base: &'a AnalyticalEvaluator) -> Self {
         let n = base.source_count();
-        let mut index: HashMap<SpecKey, Vec<u32>> = HashMap::new();
         let mut keys = Vec::new();
+        // Size each key space by the largest index any source reads.
+        let mut lens = [0usize; 3];
         for i in 0..n {
             base.source_keys(i, &mut keys);
-            keys.sort_unstable_by_key(spec_key_ord);
-            keys.dedup();
             for &key in &keys {
-                index.entry(key).or_default().push(i as u32);
+                let (space, idx) = key_space(key);
+                lens[space] = lens[space].max(idx + 1);
             }
         }
+        let bases = [0, lens[0], lens[0] + lens[1], lens[0] + lens[1] + lens[2]];
+        // (slot, source) edges, each source's slots deduplicated. Sources
+        // arrive ascending, so the stable sort keeps every slot's members
+        // ascending.
+        let mut edges: Vec<(usize, u32)> = Vec::new();
+        let mut slots = Vec::new();
+        for i in 0..n {
+            base.source_keys(i, &mut keys);
+            slots.clear();
+            slots.extend(keys.iter().map(|&key| {
+                let (space, idx) = key_space(key);
+                bases[space] + idx
+            }));
+            slots.sort_unstable();
+            slots.dedup();
+            edges.extend(slots.iter().map(|&s| (s, i as u32)));
+        }
+        edges.sort_by_key(|&(s, _)| s);
+        let mut offsets = vec![0u32; bases[3] + 1];
+        for &(s, _) in &edges {
+            offsets[s + 1] += 1;
+        }
+        for s in 0..bases[3] {
+            offsets[s + 1] += offsets[s];
+        }
+        let members = edges.into_iter().map(|(_, si)| si).collect();
         IncrementalEvaluator {
             base,
-            index,
+            bases,
+            offsets,
+            members,
             state: RefCell::new(State {
                 contrib: vec![(0.0, 0.0); n],
                 saved: Vec::new(),
@@ -120,7 +154,23 @@ impl<'a> IncrementalEvaluator<'a> {
 
     /// Sources whose contribution depends on `key` (index fanout).
     pub fn fanout(&self, key: SpecKey) -> usize {
-        self.index.get(&key).map_or(0, Vec::len)
+        self.sources_of(key).len()
+    }
+
+    /// Dense CSR slot of `key`, or `None` when its index lies past every
+    /// key of its space that a source depends on (zero fanout).
+    fn slot(&self, key: SpecKey) -> Option<usize> {
+        let (space, idx) = key_space(key);
+        let s = self.bases[space] + idx;
+        (s < self.bases[space + 1]).then_some(s)
+    }
+
+    /// The sources depending on `key`, ascending.
+    fn sources_of(&self, key: SpecKey) -> &[u32] {
+        match self.slot(key) {
+            Some(s) => &self.members[self.offsets[s] as usize..self.offsets[s + 1] as usize],
+            None => &[],
+        }
     }
 
     /// Recomputes every contribution from `spec`, discarding any
@@ -161,10 +211,7 @@ impl<'a> IncrementalEvaluator<'a> {
         st.trial_id += 1;
         let id = st.trial_id;
         for key in spec.changed_since(mark) {
-            let Some(sources) = self.index.get(&key) else {
-                continue;
-            };
-            for &si in sources {
+            for &si in self.sources_of(key) {
                 let i = si as usize;
                 if st.touched[i] == id {
                     continue;
@@ -233,13 +280,12 @@ impl AccuracyEvaluator for IncrementalEvaluator<'_> {
     }
 }
 
-/// Total order over [`SpecKey`] for index construction (the key type
-/// deliberately does not implement `Ord`).
-fn spec_key_ord(key: &SpecKey) -> (u8, u32) {
+/// The key space (expressions, arrays, parameters) and index of a key.
+fn key_space(key: SpecKey) -> (usize, usize) {
     match key {
-        SpecKey::Expr(e) => (0, e.index() as u32),
-        SpecKey::Array(a) => (1, a.index() as u32),
-        SpecKey::Param(p) => (2, p.index() as u32),
+        SpecKey::Expr(e) => (0, e.index()),
+        SpecKey::Array(a) => (1, a.index()),
+        SpecKey::Param(p) => (2, p.index()),
     }
 }
 

@@ -1,17 +1,19 @@
 //! Micro-benchmarks of the individual algorithm stages: accuracy
 //! evaluation (`EVALACC`), noise-gain analysis, SLP candidate rounds,
-//! Tabu WLO and the VLIW list scheduler.
+//! Tabu WLO, the joint WLO-SLP search and the VLIW list scheduler.
 //!
 //! Run with: `cargo bench -p slpwlo-bench --bench algorithms`
 
-use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator};
+use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, IncrementalEvaluator};
 use slpwlo_bench::Micro;
-use slpwlo_core::{cycles_per_activation_cached, lower_scalar, prepare, tabu_wlo, TabuOptions};
+use slpwlo_core::{
+    cycles_per_activation_cached, lower_scalar, prepare, tabu_wlo, wlo_slp_sched, TabuOptions,
+};
 use slpwlo_driver::Optimizer;
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
-use slpwlo_kernels::{conv3x3, fir64};
+use slpwlo_kernels::{complex_fir32, conv3x3, fir64, matvec16x16};
 use slpwlo_slp::{extract_plain_with, BenefitKind, Round};
 use slpwlo_targets::{xentium, CycleCache, SchedKind};
 
@@ -44,6 +46,34 @@ fn main() {
             -40.0,
             &target.scalar_wls,
             &TabuOptions::default(),
+        )
+    });
+
+    // The two searches that set the Fig. 4 exploration's throughput, each
+    // over the incremental evaluator the flows use: WLO-First's Tabu
+    // search on MATVEC and the joint WLO-SLP search on CFIR.
+    let matvec = prepare(matvec16x16());
+    m.bench("tabu_wlo_matvec", || {
+        let mut spec = FixedPointSpec::from_ranges(&matvec.kernel, &matvec.ranges, 32);
+        tabu_wlo(
+            &matvec.kernel,
+            &mut spec,
+            &IncrementalEvaluator::new(&matvec.eval),
+            -40.0,
+            &target.scalar_wls,
+            &TabuOptions::default(),
+        )
+    });
+    let cfir = prepare(complex_fir32());
+    m.bench("wlo_slp_cfir", || {
+        wlo_slp_sched(
+            &cfir.kernel,
+            &target,
+            &IncrementalEvaluator::new(&cfir.eval),
+            -40.0,
+            &cfir.ranges,
+            BenefitKind::default(),
+            SchedKind::List,
         )
     });
 

@@ -14,6 +14,11 @@
 //!   effect of a selection break the constraint after all (the paper's
 //!   pairwise conflicts cannot rule this out), the selection is vetoed and
 //!   rolled back.
+//!
+//! Validation and conflict answers are memoized in a `TrialMemo`: many
+//! candidates and candidate pairs shrink exactly the same keys to the same
+//! word lengths, and rounds re-ask the same questions while the spec has
+//! not moved.
 
 use crate::nodes::{node_key, value_format, value_wl};
 use slpwlo_accuracy::AccuracyEvaluator;
@@ -21,6 +26,90 @@ use slpwlo_fixedpoint::{FixedPointSpec, SpecKey};
 use slpwlo_ir::dfg::{Dfg, NodeId, NodeKind};
 use slpwlo_slp::{resolved_operands, CandidateView, SelectHooks, SimdGroup};
 use slpwlo_targets::SchedKind;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Answers of accuracy trials against one committed specification, keyed
+/// by the trial's write set: the written keys with their final word
+/// lengths, sorted and deduplicated.
+///
+/// `SETMAXWL` only ever narrows a key while preserving its integer word
+/// length, and output noise depends on nothing but the formats, so two
+/// trials with equal write sets over the same committed spec get the same
+/// answer. The memo is valid for one constraint and must be cleared
+/// whenever the committed spec changes.
+#[derive(Debug, Default)]
+pub(crate) struct TrialMemo {
+    answers: HashMap<Box<[u64]>, bool, BuildHasherDefault<WordHasher>>,
+    /// The write set of the trial being looked up, one
+    /// [`write_code`] per written key.
+    writes: Vec<u64>,
+}
+
+impl TrialMemo {
+    /// Forgets every answer (the committed spec changed).
+    pub(crate) fn clear(&mut self) {
+        self.answers.clear();
+    }
+
+    /// Loads the write set of the trial open since `mark`.
+    fn load(&mut self, spec: &FixedPointSpec, mark: usize) {
+        self.writes.clear();
+        self.writes.extend(
+            spec.changed_since(mark)
+                .map(|key| write_code(key, spec.wl(key))),
+        );
+        self.writes.sort_unstable();
+        self.writes.dedup();
+    }
+
+    fn get(&self) -> Option<bool> {
+        self.answers.get(&self.writes[..]).copied()
+    }
+
+    fn insert(&mut self, meets: bool) {
+        self.answers.insert(self.writes.as_slice().into(), meets);
+    }
+}
+
+/// A code for "`key` has word length `wl`": key space, 32-bit key index
+/// and 16-bit word length in disjoint bit fields, so sorting the codes
+/// orders writes by key (the key type deliberately does not implement
+/// `Ord`).
+fn write_code(key: SpecKey, wl: i32) -> u64 {
+    let (space, idx) = match key {
+        SpecKey::Expr(e) => (0, e.0),
+        SpecKey::Array(a) => (1, a.0),
+        SpecKey::Param(p) => (2, p.0),
+    };
+    debug_assert!((1..=i32::from(u16::MAX)).contains(&wl), "word length {wl}");
+    (space << 48) | (u64::from(idx) << 16) | u64::from(wl as u16)
+}
+
+/// A multiply-rotate hasher for the memo's machine-word keys, which the
+/// default SipHash would make a visible share of a lookup.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Selection hooks enforcing the accuracy constraint.
 pub struct AccuracyHooks<'a> {
@@ -37,6 +126,8 @@ pub struct AccuracyHooks<'a> {
     /// a committed greedy probe cannot be unwound through the journal —
     /// a clone of the spec is the only sound checkpoint.
     saved: Option<FixedPointSpec>,
+    /// Validation and conflict answers against the committed spec.
+    memo: TrialMemo,
 }
 
 impl<'a> AccuracyHooks<'a> {
@@ -56,6 +147,7 @@ impl<'a> AccuracyHooks<'a> {
             constraint_db,
             sched: SchedKind::List,
             saved: None,
+            memo: TrialMemo::default(),
         }
     }
 
@@ -65,10 +157,40 @@ impl<'a> AccuracyHooks<'a> {
         self
     }
 
+    /// Continues from `memo`, whose answers must hold for this spec and
+    /// constraint; [`Self::into_memo`] hands it back for the next round.
+    pub(crate) fn with_memo(mut self, memo: TrialMemo) -> Self {
+        self.memo = memo;
+        self
+    }
+
+    /// The memo, valid for the spec as these hooks leave it.
+    pub(crate) fn into_memo(self) -> TrialMemo {
+        self.memo
+    }
+
     /// One `SETMAXWL` trial: evaluates the spec with the writes since
     /// `mark` open, via the evaluator's incremental trial path.
     fn trial_meets(&self, mark: usize) -> bool {
         self.eval.trial_meets(self.spec, mark, self.constraint_db)
+    }
+
+    /// A trial whose writes are then discarded, answered from the memo
+    /// when an equal write set was tried against the same spec before.
+    fn probe(&mut self, mark: usize) -> bool {
+        self.memo.load(self.spec, mark);
+        let hit = self.memo.get();
+        #[cfg(test)]
+        if let Some(ok) = hit {
+            audit::hit(self.spec, ok);
+        }
+        let ok = hit.unwrap_or_else(|| self.trial_meets(mark));
+        self.spec.rollback(mark);
+        if hit.is_none() {
+            self.eval.rollback_trial();
+            self.memo.insert(ok);
+        }
+        ok
     }
 }
 
@@ -76,26 +198,23 @@ impl SelectHooks for AccuracyHooks<'_> {
     fn validate(&mut self, view: &CandidateView) -> bool {
         let mark = self.spec.mark();
         set_max_wl(self.spec, self.dfg, &view.group, view.elem_wl);
-        let ok = self.trial_meets(mark);
-        self.spec.rollback(mark);
-        self.eval.rollback_trial();
-        ok
+        self.probe(mark)
     }
 
     fn accuracy_conflict(&mut self, a: &CandidateView, b: &CandidateView) -> bool {
         let mark = self.spec.mark();
         set_max_wl(self.spec, self.dfg, &a.group, a.elem_wl);
         set_max_wl(self.spec, self.dfg, &b.group, b.elem_wl);
-        let ok = self.trial_meets(mark);
-        self.spec.rollback(mark);
-        self.eval.rollback_trial();
-        !ok
+        !self.probe(mark)
     }
 
     fn on_select(&mut self, view: &CandidateView) -> bool {
         let mark = self.spec.mark();
         set_max_wl(self.spec, self.dfg, &view.group, view.elem_wl);
         if self.trial_meets(mark) {
+            if self.spec.changed_since(mark).next().is_some() {
+                self.memo.clear();
+            }
             self.spec.commit(mark);
             self.eval.commit_trial();
             true
@@ -143,7 +262,42 @@ impl SelectHooks for AccuracyHooks<'_> {
         if let Some(saved) = self.saved.take() {
             *self.spec = saved;
             self.eval.begin(self.spec);
+            self.memo.clear();
         }
+    }
+}
+
+/// Test-only observer of memo hits.
+#[cfg(test)]
+pub(crate) mod audit {
+    use slpwlo_fixedpoint::FixedPointSpec;
+    use std::cell::RefCell;
+
+    type Observer = Box<dyn FnMut(&FixedPointSpec, bool)>;
+
+    thread_local! {
+        static OBSERVER: RefCell<Option<Observer>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `f`, calling `observer` on every memo hit on this thread
+    /// with the spec as the trial's writes left it and the memoized
+    /// answer.
+    pub(crate) fn observe<R>(
+        observer: impl FnMut(&FixedPointSpec, bool) + 'static,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        OBSERVER.with(|o| *o.borrow_mut() = Some(Box::new(observer)));
+        let out = f();
+        OBSERVER.with(|o| *o.borrow_mut() = None);
+        out
+    }
+
+    pub(super) fn hit(spec: &FixedPointSpec, ok: bool) {
+        OBSERVER.with(|o| {
+            if let Some(observer) = o.borrow_mut().as_mut() {
+                observer(spec, ok);
+            }
+        });
     }
 }
 

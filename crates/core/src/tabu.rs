@@ -16,14 +16,14 @@ use slpwlo_accuracy::gains::expr_executions;
 use slpwlo_accuracy::AccuracyEvaluator;
 use slpwlo_fixedpoint::{FixedPointSpec, SpecKey};
 use slpwlo_ir::{ExprNode, Kernel};
-use std::collections::HashMap;
 
 /// Options for the Tabu search.
 #[derive(Debug, Clone, Copy)]
 pub struct TabuOptions {
     /// Maximum search iterations.
     pub max_iters: usize,
-    /// Tabu tenure: iterations a reversed move stays forbidden.
+    /// Tabu tenure: iterations during which a key just moved may not
+    /// move again, in either direction.
     pub tenure: usize,
     /// Iterations without improvement before giving up.
     pub patience: usize,
@@ -44,24 +44,41 @@ impl Default for TabuOptions {
 
 /// The Menard-style optimistic cost of a specification: execution-count
 /// weighted `wl / max_wl` over all operation expressions.
+///
+/// Computed as the integer weight `Σ execs·wl` divided once by `max_wl`,
+/// so the Tabu search can maintain the weight move by move and still
+/// agree with this full walk bitwise.
 pub fn menard_cost(kernel: &Kernel, spec: &FixedPointSpec, execs: &[u64]) -> f64 {
-    let max_wl = spec.max_wl() as f64;
-    let mut cost = 0.0;
-    for (id, node) in kernel.exprs() {
-        if matches!(node, ExprNode::Bin(..) | ExprNode::Unary(..)) {
-            let wl = spec.wl(SpecKey::Expr(id)) as f64;
-            cost += execs[id.index()] as f64 * (wl / max_wl);
-        }
-    }
-    cost
+    weight_cost(menard_weight(kernel, spec, execs), spec.max_wl())
+}
+
+/// The integer Menard weight `Σ execs·wl` over operation expressions.
+fn menard_weight(kernel: &Kernel, spec: &FixedPointSpec, execs: &[u64]) -> u64 {
+    kernel
+        .exprs()
+        .filter(|(_, node)| is_op(node))
+        .map(|(id, _)| execs[id.index()] * spec.wl(SpecKey::Expr(id)) as u64)
+        .sum()
+}
+
+/// Operation expressions: the nodes the Menard cost prices.
+fn is_op(node: &ExprNode) -> bool {
+    matches!(node, ExprNode::Bin(..) | ExprNode::Unary(..))
+}
+
+fn weight_cost(weight: u64, max_wl: i32) -> f64 {
+    weight as f64 / max_wl as f64
 }
 
 /// Runs the Tabu-search WLO: minimizes the optimistic cost subject to the
 /// accuracy constraint, mutating `spec` to the best found solution.
 ///
 /// Moves shrink or widen one node's word length one step along the
-/// supported set (e.g. 32 -> 16 -> 8). Returns the cost of the final
-/// specification.
+/// supported set (e.g. 32 -> 16 -> 8). Each iteration takes the cheapest
+/// feasible move, even an uphill one, among the keys that are not tabu; a
+/// moved key stays tabu for [`TabuOptions::tenure`] iterations, with no
+/// aspiration override. Returns the cost of the best specification
+/// visited, which `spec` is left at.
 pub fn tabu_wlo(
     kernel: &Kernel,
     spec: &mut FixedPointSpec,
@@ -70,8 +87,40 @@ pub fn tabu_wlo(
     supported_wls: &[i32],
     opts: &TabuOptions,
 ) -> f64 {
+    tabu_search(
+        kernel,
+        spec,
+        eval,
+        constraint_db,
+        supported_wls,
+        opts,
+        |_, _| {},
+    )
+}
+
+/// [`tabu_wlo`], calling `on_move` with the spec and its maintained cost
+/// after every accepted move.
+fn tabu_search(
+    kernel: &Kernel,
+    spec: &mut FixedPointSpec,
+    eval: &dyn AccuracyEvaluator,
+    constraint_db: f64,
+    supported_wls: &[i32],
+    opts: &TabuOptions,
+    mut on_move: impl FnMut(&FixedPointSpec, f64),
+) -> f64 {
     let execs = expr_executions(kernel);
     let keys = spec.optimizable_keys(kernel);
+    // Menard weight of one bit of each key: its execution count when it
+    // is an operation expression, zero otherwise.
+    let unit: Vec<u64> = keys
+        .iter()
+        .map(|&key| match key {
+            SpecKey::Expr(id) if is_op(kernel.expr(id)) => execs[id.index()],
+            _ => 0,
+        })
+        .collect();
+    let max_wl = spec.max_wl();
     let mut wls: Vec<i32> = supported_wls.to_vec();
     wls.sort_unstable();
     let mut rng = StdRng::seed_from_u64(opts.seed);
@@ -88,9 +137,11 @@ pub fn tabu_wlo(
     };
 
     let mut best_snap = snapshot(spec);
-    let mut best_cost = menard_cost(kernel, spec, &execs);
-    let mut cur_cost = best_cost;
-    let mut tabu: HashMap<SpecKey, usize> = HashMap::new();
+    let mut cur_weight = menard_weight(kernel, spec, &execs);
+    let mut best_cost = weight_cost(cur_weight, max_wl);
+    // Iteration until which each key (by position) stays tabu.
+    let mut tabu_until = vec![0usize; keys.len()];
+    let mut order: Vec<usize> = Vec::with_capacity(keys.len());
     let mut stall = 0usize;
 
     // The neighbourhood scan evaluates one single-key move per trial; an
@@ -98,44 +149,45 @@ pub fn tabu_wlo(
     eval.begin(spec);
 
     for iter in 0..opts.max_iters {
-        // Enumerate neighbour moves: one key one step down or up.
-        let mut best_move: Option<(SpecKey, i32, f64)> = None;
-        let mut order: Vec<usize> = (0..keys.len()).collect();
+        // Enumerate neighbour moves: one key one step down or up. A key
+        // moved within the last `tenure` iterations is skipped outright;
+        // there is no aspiration override.
+        let mut best_move: Option<(usize, i32, u64, f64)> = None;
+        order.clear();
+        order.extend(0..keys.len());
         order.shuffle(&mut rng);
-        for ki in order {
-            let key = keys[ki];
-            if tabu.get(&key).is_some_and(|&until| until > iter) {
+        for &ki in &order {
+            if tabu_until[ki] > iter {
                 continue;
             }
+            let key = keys[ki];
             let cur = spec.wl(key);
-            for &next in neighbours(&wls, cur) {
+            for next in neighbours(&wls, cur) {
+                let weight = (cur_weight + unit[ki] * next as u64) - unit[ki] * cur as u64;
+                let cost = weight_cost(weight, max_wl);
+                // Only a strictly cheaper move can displace the best one
+                // found so far, so a costlier move needs no trial.
+                if best_move.is_some_and(|(.., c)| cost >= c) {
+                    continue;
+                }
                 let mark = spec.mark();
                 spec.set_wl(key, next);
                 let feasible = eval.trial_meets(spec, mark, constraint_db);
-                // Only feasible moves pay the O(kernel) cost walk.
-                let cost = if feasible {
-                    menard_cost(kernel, spec, &execs)
-                } else {
-                    f64::INFINITY
-                };
                 spec.rollback(mark);
                 eval.rollback_trial();
-                if !feasible {
-                    continue;
-                }
-                // Aspiration: a tabu-breaking move is allowed when it
-                // beats the global best (handled by the tabu skip above
-                // being per-key; keep simple).
-                if best_move.is_none_or(|(_, _, c)| cost < c) {
-                    best_move = Some((key, next, cost));
+                if feasible {
+                    best_move = Some((ki, next, weight, cost));
                 }
             }
         }
         match best_move {
-            Some((key, wl, cost)) if cost < cur_cost => {
-                apply_move(spec, eval, key, wl);
-                cur_cost = cost;
-                tabu.insert(key, iter + opts.tenure);
+            // Downhill moves may set a new best; uphill and sideways
+            // moves diversify.
+            Some((ki, wl, weight, cost)) => {
+                apply_move(spec, eval, keys[ki], wl);
+                cur_weight = weight;
+                on_move(spec, cost);
+                tabu_until[ki] = iter + opts.tenure;
                 if cost < best_cost {
                     best_cost = cost;
                     best_snap = snapshot(spec);
@@ -144,16 +196,7 @@ pub fn tabu_wlo(
                     stall += 1;
                 }
             }
-            Some((key, wl, cost)) => {
-                // Uphill/sideways move (diversification).
-                apply_move(spec, eval, key, wl);
-                cur_cost = cost;
-                tabu.insert(key, iter + opts.tenure);
-                stall += 1;
-            }
-            None => {
-                stall += 1;
-            }
+            None => stall += 1,
         }
         if stall > opts.patience {
             break;
@@ -174,20 +217,12 @@ fn apply_move(spec: &mut FixedPointSpec, eval: &dyn AccuracyEvaluator, key: Spec
 }
 
 /// Word lengths one step below and above `cur` in the supported set.
-fn neighbours(wls: &[i32], cur: i32) -> Vec<&i32> {
-    let pos = wls.iter().position(|&w| w >= cur);
-    let mut out = Vec::new();
-    if let Some(p) = pos {
-        if p > 0 {
-            out.push(&wls[p - 1]);
-        }
-        if p + 1 < wls.len() {
-            out.push(&wls[p + 1]);
-        }
-    } else if let Some(last) = wls.last() {
-        out.push(last);
-    }
-    out
+fn neighbours(wls: &[i32], cur: i32) -> impl Iterator<Item = i32> + '_ {
+    let (down, up) = match wls.iter().position(|&w| w >= cur) {
+        Some(p) => (p.checked_sub(1).map(|i| wls[i]), wls.get(p + 1).copied()),
+        None => (wls.last().copied(), None),
+    };
+    down.into_iter().chain(up)
 }
 
 #[cfg(test)]
@@ -311,10 +346,52 @@ kernel f {
     }
 
     #[test]
+    fn maintained_cost_matches_the_full_walk_after_every_move() {
+        use crate::flow::prepare;
+        use slpwlo_accuracy::IncrementalEvaluator;
+        use slpwlo_kernels::all_benchmarks;
+        use slpwlo_targets::{st240, vex, xentium};
+
+        for bench in all_benchmarks() {
+            let prep = prepare(bench.kernel);
+            let execs = expr_executions(&prep.kernel);
+            for target in [xentium(), st240(), vex(4)] {
+                let mut spec =
+                    FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
+                let eval = IncrementalEvaluator::new(&prep.eval);
+                let mut moves = 0;
+                let best = tabu_search(
+                    &prep.kernel,
+                    &mut spec,
+                    &eval,
+                    -40.0,
+                    &target.scalar_wls,
+                    &TabuOptions::default(),
+                    |spec, cost| {
+                        moves += 1;
+                        let walk = menard_cost(&prep.kernel, spec, &execs);
+                        assert_eq!(
+                            cost.to_bits(),
+                            walk.to_bits(),
+                            "{} on {}: move {moves}",
+                            bench.name,
+                            target.name
+                        );
+                    },
+                );
+                assert!(moves > 0, "{} on {}: no move", bench.name, target.name);
+                let walk = menard_cost(&prep.kernel, &spec, &execs);
+                assert_eq!(best.to_bits(), walk.to_bits(), "{}", bench.name);
+            }
+        }
+    }
+
+    #[test]
     fn neighbours_step_one_level() {
         let wls = [8, 16, 32];
-        assert_eq!(neighbours(&wls, 32), vec![&16]);
-        assert_eq!(neighbours(&wls, 16), vec![&8, &32]);
-        assert_eq!(neighbours(&wls, 8), vec![&16]);
+        let step = |cur| neighbours(&wls, cur).collect::<Vec<_>>();
+        assert_eq!(step(32), vec![16]);
+        assert_eq!(step(16), vec![8, 32]);
+        assert_eq!(step(8), vec![16]);
     }
 }

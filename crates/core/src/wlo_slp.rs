@@ -13,7 +13,7 @@
 //! 4. Scaling optimization (fig. 1b) then equalizes per-lane scaling
 //!    amounts inside the block's reused superwords.
 
-use crate::hooks::AccuracyHooks;
+use crate::hooks::{AccuracyHooks, TrialMemo};
 use crate::scalopt::{scaling_optimize, ScalOptReport};
 use slpwlo_accuracy::AccuracyEvaluator;
 use slpwlo_fixedpoint::{FixedPointSpec, Ranges};
@@ -68,7 +68,9 @@ impl WloSlpResult {
 /// the [`AccuracyEvaluator`] trial protocol, so passing an
 /// [`slpwlo_accuracy::IncrementalEvaluator`] makes each query O(touched
 /// keys) instead of O(kernel); a plain evaluator falls back to full
-/// recomputes with identical results.
+/// recomputes with identical results. Validation and conflict answers
+/// are memoized across the rounds and blocks of the search until the spec
+/// next changes, so a repeated question never reaches the evaluator.
 ///
 /// `benefit` is the candidate-pricing strategy. Under
 /// [`BenefitKind::Cycles`] the selection loop re-prices live candidates
@@ -96,6 +98,7 @@ pub fn wlo_slp_sched(
     eval.begin(&spec);
     let mut results = Vec::new();
     let mut select = SelectStats::default();
+    let mut memo = TrialMemo::default();
 
     // Line 4: visit blocks in priority order.
     for block in blocks_by_priority(kernel) {
@@ -105,19 +108,19 @@ pub fn wlo_slp_sched(
         // Lines 6-14: iterate SLP extraction until no new groups.
         loop {
             let round = Round::new(&dfg, target, &groups);
-            let selected = {
-                let mut hooks =
-                    AccuracyHooks::new(&dfg, &mut spec, eval, constraint_db).with_sched(sched);
-                run_selection_stats(
-                    &dfg,
-                    target,
-                    &round,
-                    &groups,
-                    &mut hooks,
-                    benefit,
-                    &mut select,
-                )
-            };
+            let mut hooks = AccuracyHooks::new(&dfg, &mut spec, eval, constraint_db)
+                .with_sched(sched)
+                .with_memo(std::mem::take(&mut memo));
+            let selected = run_selection_stats(
+                &dfg,
+                target,
+                &round,
+                &groups,
+                &mut hooks,
+                benefit,
+                &mut select,
+            );
+            memo = hooks.into_memo();
             if selected.is_empty() {
                 break;
             }
@@ -125,8 +128,12 @@ pub fn wlo_slp_sched(
             absorb_selected(&mut groups, selected);
         }
 
-        // Line 15: SLP-aware scaling optimization.
+        // Line 15: SLP-aware scaling optimization. Only an equalization
+        // changes the spec.
         let scalopt = scaling_optimize(&mut spec, &dfg, &groups, eval, constraint_db, target);
+        if scalopt.equalized > 0 {
+            memo.clear();
+        }
         results.push(BlockResult {
             block,
             dfg,
@@ -242,6 +249,78 @@ kernel fir8 {
             .max()
             .unwrap_or(0);
         assert!(max_x <= 2);
+    }
+
+    /// Answers every trial with a fresh full recompute and counts the
+    /// trials that reach it.
+    struct CountingEvaluator<'a> {
+        inner: &'a AnalyticalEvaluator,
+        trials: std::cell::Cell<usize>,
+    }
+
+    impl AccuracyEvaluator for CountingEvaluator<'_> {
+        fn noise_db(&self, spec: &FixedPointSpec) -> f64 {
+            self.inner.noise_db(spec)
+        }
+
+        fn trial_noise_db(&self, spec: &FixedPointSpec, _mark: usize) -> f64 {
+            self.trials.set(self.trials.get() + 1);
+            self.inner.noise_db(spec)
+        }
+    }
+
+    #[test]
+    fn memoized_answers_equal_fresh_trials() {
+        use crate::flow::prepare;
+        use crate::hooks::audit;
+        use slpwlo_kernels::all_benchmarks;
+        use slpwlo_targets::st240;
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        const DB: f64 = -40.0;
+        let mut conv_xentium_trials = None;
+        for bench in all_benchmarks() {
+            let prep = Rc::new(prepare(bench.kernel));
+            for target in [xentium(), st240(), vex(4)] {
+                let hits = Rc::new(Cell::new(0usize));
+                let observer = {
+                    let (prep, hits) = (Rc::clone(&prep), Rc::clone(&hits));
+                    let ctx = format!("{} on {}", bench.name, target.name);
+                    move |spec: &FixedPointSpec, ok: bool| {
+                        hits.set(hits.get() + 1);
+                        assert_eq!(prep.eval.meets(spec, DB), ok, "{ctx}: stale memo answer");
+                    }
+                };
+                let eval = CountingEvaluator {
+                    inner: &prep.eval,
+                    trials: Cell::new(0),
+                };
+                let res = audit::observe(observer, || {
+                    wlo_slp_sched(
+                        &prep.kernel,
+                        &target,
+                        &eval,
+                        DB,
+                        &prep.ranges,
+                        BenefitKind::default(),
+                        SchedKind::List,
+                    )
+                });
+                assert!(prep.eval.meets(&res.spec, DB));
+                assert!(
+                    hits.get() > 0,
+                    "{} on {}: no memo hit",
+                    bench.name,
+                    target.name
+                );
+                if bench.name == "CONV" && target.name == xentium().name {
+                    conv_xentium_trials = Some(eval.trials.get());
+                }
+            }
+        }
+        // Without the memo this search makes 2 835 trials.
+        assert_eq!(conv_xentium_trials, Some(233));
     }
 
     #[test]

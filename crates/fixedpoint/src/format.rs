@@ -144,7 +144,23 @@ impl fmt::Display for QFormat {
 }
 
 /// `2^e` as f64 for arbitrary (possibly negative) exponents.
+///
+/// In the normal range the result is assembled from its exponent bits,
+/// which is exact and bit-identical to `powi`; subnormal and overflowing
+/// exponents fall back to `powi` itself.
 pub(crate) fn pow2(e: i32) -> f64 {
+    if (-1022..=1023).contains(&e) {
+        f64::from_bits(((e + 1023) as u64) << 52)
+    } else {
+        pow2_outside_normal(e)
+    }
+}
+
+/// Out of line, so the optimizer cannot hoist the `powi` call into the
+/// common path of [`pow2`].
+#[cold]
+#[inline(never)]
+fn pow2_outside_normal(e: i32) -> f64 {
     f64::powi(2.0, e)
 }
 
@@ -210,6 +226,13 @@ mod tests {
         assert_eq!(q.wl(), 8);
         assert_eq!(q.step(), 4.0);
         assert_eq!(q.max_value(), 512.0 - 4.0);
+    }
+
+    #[test]
+    fn pow2_matches_powi_bitwise() {
+        for e in -1100..=1100 {
+            assert_eq!(pow2(e).to_bits(), 2f64.powi(e).to_bits(), "2^{e}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use slpwlo::accuracy::{AccuracyEvaluator, IncrementalEvaluator};
 use slpwlo::core::{prepare, tabu_wlo, total_cycles_cached, wlo_slp_sched, TabuOptions};
 use slpwlo::core::{BenefitKind, SchedKind};
 use slpwlo::fixedpoint::FixedPointSpec;
-use slpwlo::kernels::{conv3x3, fir64, iir10};
+use slpwlo::kernels::{biquad_cascade4, complex_fir32, conv3x3, fir64, iir10, matvec16x16};
 use slpwlo::targets::{xentium, CycleCache};
 
 fn assert_specs_identical(
@@ -30,7 +30,14 @@ fn assert_specs_identical(
 
 #[test]
 fn tabu_is_identical_with_and_without_incremental_evaluation() {
-    for (kernel, db) in [(fir64(), -40.0), (iir10(), -35.0), (conv3x3(), -50.0)] {
+    for (kernel, db) in [
+        (fir64(), -40.0),
+        (iir10(), -35.0),
+        (conv3x3(), -50.0),
+        (matvec16x16(), -40.0),
+        (complex_fir32(), -40.0),
+        (biquad_cascade4(), -40.0),
+    ] {
         let name = kernel.name().to_string();
         let prep = prepare(kernel);
         let target = xentium();
@@ -69,7 +76,14 @@ fn tabu_is_identical_with_and_without_incremental_evaluation() {
 
 #[test]
 fn wlo_slp_is_identical_with_and_without_incremental_evaluation() {
-    for (kernel, db) in [(fir64(), -35.0), (iir10(), -30.0), (conv3x3(), -45.0)] {
+    for (kernel, db) in [
+        (fir64(), -35.0),
+        (iir10(), -30.0),
+        (conv3x3(), -45.0),
+        (matvec16x16(), -40.0),
+        (complex_fir32(), -40.0),
+        (biquad_cascade4(), -40.0),
+    ] {
         let name = kernel.name().to_string();
         let prep = prepare(kernel);
         let target = xentium();
