@@ -294,18 +294,8 @@ fn impulse_gains(
         n => n,
     }
     .min(srcs.len());
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(srcs.len());
-        let all: Vec<usize> = (0..srcs.len()).collect();
-        for chunk in all.chunks(chunk_len(srcs, BATCH_LANES)) {
-            // chunks() of a precomputed length keeps sources grouped the
-            // same way regardless of arrival order; correctness only
-            // needs each source whole within one batch.
-            run_impulse_batch(kernel, srcs, chunk, opts, lives, &mut out);
-        }
-        out.sort_by_key(|&(e, _, _)| e.index());
-        return out;
-    }
+    // One worker runs the same claim loop as many; per-source sums do not
+    // depend on which batch a source lands in.
     let cursor = AtomicUsize::new(0);
     let results: Mutex<Vec<(ExprId, f64, f64)>> = Mutex::new(Vec::with_capacity(srcs.len()));
     std::thread::scope(|scope| {
@@ -336,14 +326,6 @@ fn impulse_gains(
     let mut out = results.into_inner().expect("worker panicked");
     out.sort_by_key(|&(e, _, _)| e.index());
     out
-}
-
-/// Batch size (in sources) that yields ~`target` lanes per batch for the
-/// single-threaded path.
-fn chunk_len(srcs: &[(ExprId, u64)], target: usize) -> usize {
-    let total: u64 = srcs.iter().map(|&(_, k)| k).sum();
-    let per_src = (total as usize).div_ceil(srcs.len());
-    target.div_ceil(per_src.max(1)).max(1)
 }
 
 /// Runs one batched sweep over the sources listed in `batch` (indices

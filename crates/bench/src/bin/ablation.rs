@@ -45,15 +45,15 @@ use slpwlo_driver::{
 };
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
-use slpwlo_ir::dfg::Dfg;
+use slpwlo_ir::dfg::{Dfg, NodeId};
 use slpwlo_kernels::{all_benchmarks, paper_benchmarks, Benchmark};
 use slpwlo_slp::{
-    absorb_selected, run_selection_stats, BenefitModel, CandidateView, Round, SelectHooks,
-    SelectStats, SimdGroup,
+    extract_rounds_stats, BenefitModel, CandidateView, Round, SelectHooks, SelectStats,
 };
 use slpwlo_targets::{all_targets, st240, vex, xentium, CycleCache, TargetModel};
 
-/// Accuracy hooks with the pairwise conflict detection disabled.
+/// Accuracy hooks with the pairwise conflict detection disabled; every
+/// other hook answers as the wrapped hooks do.
 struct NoConflictHooks<'a>(AccuracyHooks<'a>);
 
 impl SelectHooks for NoConflictHooks<'_> {
@@ -65,6 +65,24 @@ impl SelectHooks for NoConflictHooks<'_> {
     }
     fn on_select(&mut self, view: &CandidateView) -> bool {
         self.0.on_select(view)
+    }
+    fn current_wl(&self, node: NodeId) -> Option<i32> {
+        self.0.current_wl(node)
+    }
+    fn current_fwl(&self, node: NodeId) -> Option<i32> {
+        self.0.current_fwl(node)
+    }
+    fn equalization_follows(&self) -> bool {
+        self.0.equalization_follows()
+    }
+    fn sched_kind(&self) -> SchedKind {
+        self.0.sched_kind()
+    }
+    fn checkpoint(&mut self) {
+        self.0.checkpoint();
+    }
+    fn restore(&mut self) {
+        self.0.restore();
     }
 }
 
@@ -95,27 +113,13 @@ impl CompilationFlow for AblatedWloSlp {
         let mut per_block = Vec::new();
         for block in blocks_by_priority(&prep.kernel) {
             let dfg = Dfg::from_block(&prep.kernel, &block);
-            let mut groups: Vec<SimdGroup> = Vec::new();
-            loop {
-                let round = Round::new(&dfg, target, &groups);
-                let selected = {
-                    let inner = AccuracyHooks::new(&dfg, &mut spec, &prep.eval, db);
-                    let (mut no_conflicts, mut plain);
-                    let hooks: &mut dyn SelectHooks = if self.0 == Ablate::AccConflicts {
-                        no_conflicts = NoConflictHooks(inner);
-                        &mut no_conflicts
-                    } else {
-                        plain = inner;
-                        &mut plain
-                    };
-                    let (benefit, stats) = (BenefitKind::default(), &mut SelectStats::default());
-                    run_selection_stats(&dfg, target, &round, &groups, hooks, benefit, stats)
-                };
-                if selected.is_empty() {
-                    break;
-                }
-                absorb_selected(&mut groups, selected);
-            }
+            let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &prep.eval, db);
+            let (benefit, stats) = (BenefitKind::default(), &mut SelectStats::default());
+            let groups = if self.0 == Ablate::AccConflicts {
+                extract_rounds_stats(&dfg, target, &mut NoConflictHooks(hooks), benefit, stats)
+            } else {
+                extract_rounds_stats(&dfg, target, &mut hooks, benefit, stats)
+            };
             if self.0 != Ablate::Scalopt {
                 let _ = scaling_optimize(&mut spec, &dfg, &groups, &prep.eval, db, target);
             }
@@ -519,4 +523,67 @@ fn main() -> Result<(), Error> {
     benefit_model_study()?;
     sched_study()?;
     optimal_study()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The wrapper must differ from the accuracy hooks it wraps in
+    /// exactly one answer: it never reports an accuracy conflict.
+    #[test]
+    fn no_conflict_hooks_forward_everything_but_conflicts() {
+        let bench = paper_benchmarks().remove(0);
+        let prep = prepare(bench.kernel);
+        let target = xentium();
+        let block = blocks_by_priority(&prep.kernel).remove(0);
+        let dfg = Dfg::from_block(&prep.kernel, &block);
+        let round = Round::new(&dfg, &target, &[]);
+        let views: Vec<CandidateView> = (0..round.candidates.len())
+            .map(|i| round.view(&target, i))
+            .collect();
+        assert!(views.len() >= 2, "the hot block must offer candidates");
+        let seed = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
+        let (mut inner_spec, mut outer_spec) = (seed.clone(), seed);
+        let db = -60.0;
+        let mut inner = AccuracyHooks::new(&dfg, &mut inner_spec, &prep.eval, db)
+            .with_sched(SchedKind::modulo());
+        let mut outer = NoConflictHooks(
+            AccuracyHooks::new(&dfg, &mut outer_spec, &prep.eval, db)
+                .with_sched(SchedKind::modulo()),
+        );
+        let same_oracle = |inner: &AccuracyHooks, outer: &NoConflictHooks| {
+            dfg.iter().all(|(n, _)| {
+                inner.current_wl(n) == outer.current_wl(n)
+                    && inner.current_fwl(n) == outer.current_fwl(n)
+            })
+        };
+        assert_eq!(inner.equalization_follows(), outer.equalization_follows());
+        assert_eq!(inner.sched_kind(), outer.sched_kind());
+        for a in &views {
+            assert_eq!(inner.validate(a), outer.validate(a));
+            for b in &views {
+                assert!(!outer.accuracy_conflict(a, b));
+            }
+        }
+        let wls = |hooks: &NoConflictHooks| -> Vec<_> {
+            dfg.iter().map(|(n, _)| hooks.current_wl(n)).collect()
+        };
+        let before = wls(&outer);
+        inner.checkpoint();
+        outer.checkpoint();
+        for v in &views {
+            assert_eq!(inner.on_select(v), outer.on_select(v));
+            assert!(same_oracle(&inner, &outer));
+        }
+        assert_ne!(
+            wls(&outer),
+            before,
+            "some selection must shrink a word length"
+        );
+        inner.restore();
+        outer.restore();
+        assert!(same_oracle(&inner, &outer));
+        assert_eq!(wls(&outer), before, "restore must undo the selections");
+    }
 }

@@ -3,8 +3,10 @@
 //!
 //! Both flows share the front half of the paper's tool-chain — range
 //! analysis, IWL determination, the analytical accuracy model — and the
-//! back half — scaling insertion, lowering. They differ exactly where the
-//! paper differs:
+//! back half: the scheduler guard over the selected groups, scaling
+//! insertion and lowering to the SIMD and scalar programs. The back half
+//! is written once (`run_leg`); each public flow supplies only its
+//! search. They differ exactly where the paper differs:
 //!
 //! * **`WLO-SLP`** (this paper): joint accuracy-aware SLP extraction and
 //!   word-length optimization plus scaling optimization;
@@ -19,10 +21,12 @@ use crate::wlo_slp::wlo_slp_sched;
 use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, EvalOptions, IncrementalEvaluator};
 use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions, Ranges};
 use slpwlo_fixedpoint::FixedPointSpec;
-use slpwlo_ir::blocks::collect_blocks;
+use slpwlo_ir::blocks::{collect_blocks, Block};
 use slpwlo_ir::dfg::{Dfg, NodeId};
 use slpwlo_ir::Kernel;
-use slpwlo_slp::{extract_rounds_stats, BenefitKind, CandidateView, SelectHooks, SelectStats};
+use slpwlo_slp::{
+    extract_rounds_stats, BenefitKind, CandidateView, SelectHooks, SelectStats, SimdGroup,
+};
 use slpwlo_targets::{SchedKind, TargetModel};
 
 /// A kernel with its once-per-kernel analyses (ranges, noise gains).
@@ -51,6 +55,9 @@ pub fn prepare(kernel: Kernel) -> Prepared {
     }
 }
 
+/// One block with its data-flow graph and selected SIMD groups.
+type BlockGroups = (Block, Dfg, Vec<SimdGroup>);
+
 /// Plain (accuracy-unaware) SLP extraction over a frozen specification,
 /// block by block — the `WLO-First` back half's extraction. The spec
 /// supplies word lengths for candidate validation *and* the full format
@@ -67,7 +74,7 @@ pub fn extract_on_spec_stats(
     benefit: BenefitKind,
     sched: SchedKind,
     stats: &mut SelectStats,
-) -> Vec<(slpwlo_ir::blocks::Block, Dfg, Vec<slpwlo_slp::SimdGroup>)> {
+) -> Vec<BlockGroups> {
     struct FrozenSpecHooks<'a> {
         target: &'a TargetModel,
         spec: &'a FixedPointSpec,
@@ -76,12 +83,7 @@ pub fn extract_on_spec_stats(
     }
     impl SelectHooks for FrozenSpecHooks<'_> {
         fn validate(&mut self, view: &CandidateView) -> bool {
-            view.group.elems.iter().all(|&e| {
-                match self.target.container_wl(value_wl(self.spec, self.dfg, e)) {
-                    Some(c) => c <= view.elem_wl,
-                    None => false,
-                }
-            })
+            view.fits_frozen_wls(self.target, |e| value_wl(self.spec, self.dfg, e))
         }
         fn current_wl(&self, node: NodeId) -> Option<i32> {
             Some(value_wl(self.spec, self.dfg, node))
@@ -97,15 +99,13 @@ pub fn extract_on_spec_stats(
         .into_iter()
         .map(|b| {
             let dfg = Dfg::from_block(kernel, &b);
-            let groups = {
-                let mut hooks = FrozenSpecHooks {
-                    target,
-                    spec,
-                    dfg: &dfg,
-                    sched,
-                };
-                extract_rounds_stats(&dfg, target, &mut hooks, benefit, stats)
+            let mut hooks = FrozenSpecHooks {
+                target,
+                spec,
+                dfg: &dfg,
+                sched,
             };
+            let groups = extract_rounds_stats(&dfg, target, &mut hooks, benefit, stats);
             (b, dfg, groups)
         })
         .collect()
@@ -154,7 +154,7 @@ pub enum PassArtifact<'a> {
         /// The block's data-flow graph.
         dfg: &'a Dfg,
         /// The selected groups.
-        groups: &'a [slpwlo_slp::SimdGroup],
+        groups: &'a [SimdGroup],
         /// The target the grouping must be realisable on.
         target: &'a TargetModel,
         /// Which block the grouping belongs to.
@@ -190,8 +190,8 @@ fn prune_unprofitable_groups<E>(
     spec: &FixedPointSpec,
     target: &TargetModel,
     sched: SchedKind,
-    blocks: &mut [(slpwlo_ir::blocks::Block, Dfg, Vec<slpwlo_slp::SimdGroup>)],
-    check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
+    blocks: &mut [BlockGroups],
+    check: &mut Check<'_, E>,
 ) -> Result<MachineProgram, E> {
     use crate::sched::block_activation_cycles_cached;
     use slpwlo_targets::CycleCache;
@@ -277,25 +277,38 @@ pub struct FlowResult {
     pub select: SelectStats,
 }
 
-/// Portfolio arbitration for [`BenefitKind::Optimal`]: per-round
-/// model-value optimality does not by itself bound the *final* scheduled
-/// cycle count (rounds interact through `SETMAXWL`, and the scheduler
-/// guard re-prices whole blocks), so the flow also runs the greedy
-/// cycle-priced leg end to end and returns whichever program schedules
-/// faster — ties go to the exact leg, keeping budget-0 runs bitwise
-/// identical to greedy. A greedy win bumps `select.portfolio_fallbacks`;
-/// the exact leg's search statistics are carried either way.
-fn arbitrate_portfolio<E>(
-    exact: FlowResult,
-    benefit: BenefitKind,
+/// The pass-boundary callback a flow threads through its passes.
+type Check<'a, E> = dyn FnMut(PassArtifact<'_>) -> Result<(), E> + 'a;
+
+/// A flow's search: given the leg's benefit kind, it reports its specs
+/// to the callback and hands the back half the final spec, each block's
+/// groups before the scheduler guard, and the exact selector's search
+/// statistics.
+type Search<'a, E> = dyn FnMut(BenefitKind, &mut Check<'_, E>) -> Result<Searched, E> + 'a;
+type Searched = (FixedPointSpec, Vec<BlockGroups>, SelectStats);
+
+/// Runs a flow: one leg, or under [`BenefitKind::Optimal`] two legs with
+/// portfolio arbitration. Per-round model-value optimality does not by
+/// itself bound the *final* scheduled cycle count (rounds interact
+/// through `SETMAXWL`, and the scheduler guard re-prices whole blocks),
+/// so the flow also runs the greedy cycle-priced leg end to end and
+/// returns whichever program schedules faster — ties go to the exact
+/// leg, keeping budget-0 runs bitwise identical to greedy. A greedy win
+/// bumps `select.portfolio_fallbacks`; the exact leg's search statistics
+/// are carried either way.
+fn run_legs<E>(
+    prep: &Prepared,
     target: &TargetModel,
+    benefit: BenefitKind,
     sched: SchedKind,
-    greedy_leg: &mut dyn FnMut(BenefitKind) -> Result<FlowResult, E>,
+    check: &mut Check<'_, E>,
+    search: &mut Search<'_, E>,
 ) -> Result<FlowResult, E> {
+    let exact = run_leg(prep, target, benefit, sched, check, search)?;
     if !matches!(benefit, BenefitKind::Optimal { .. }) {
         return Ok(exact);
     }
-    let greedy = greedy_leg(BenefitKind::Cycles)?;
+    let greedy = run_leg(prep, target, BenefitKind::Cycles, sched, check, search)?;
     let costs = slpwlo_targets::CycleCache::new(target);
     let exact_cycles = crate::sched::cycles_per_activation_cached(&costs, &exact.simd, sched);
     let greedy_cycles = crate::sched::cycles_per_activation_cached(&costs, &greedy.simd, sched);
@@ -306,6 +319,67 @@ fn arbitrate_portfolio<E>(
     } else {
         Ok(exact)
     }
+}
+
+/// One leg of a flow: the search, then the back half both flows share —
+/// the scheduler guard between the pre- and post-guard groupings, the
+/// final SIMD and scalar programs, and the predicted noise.
+fn run_leg<E>(
+    prep: &Prepared,
+    target: &TargetModel,
+    benefit: BenefitKind,
+    sched: SchedKind,
+    check: &mut Check<'_, E>,
+    search: &mut Search<'_, E>,
+) -> Result<FlowResult, E> {
+    check(PassArtifact::Kernel {
+        kernel: &prep.kernel,
+    })?;
+    let (spec, mut blocks, select) = search(benefit, check)?;
+    check_groups(&blocks, target, false, check)?;
+    let simd = prune_unprofitable_groups(&prep.kernel, &spec, target, sched, &mut blocks, check)?;
+    check_groups(&blocks, target, true, check)?;
+    check(PassArtifact::Program {
+        program: &simd,
+        target,
+        role: ProgramRole::Simd,
+        sched,
+    })?;
+    let group_count = blocks.iter().map(|(_, _, g)| g.len()).sum();
+    let scalar = lower_scalar(&prep.kernel, &spec, target);
+    check(PassArtifact::Program {
+        program: &scalar,
+        target,
+        role: ProgramRole::Scalar,
+        sched,
+    })?;
+    let noise_db = prep.eval.noise_db(&spec);
+    Ok(FlowResult {
+        spec,
+        simd,
+        scalar,
+        group_count,
+        noise_db,
+        select,
+    })
+}
+
+/// Hands every block's grouping to the pass-boundary callback.
+fn check_groups<E>(
+    blocks: &[BlockGroups],
+    target: &TargetModel,
+    is_final: bool,
+    check: &mut Check<'_, E>,
+) -> Result<(), E> {
+    blocks.iter().try_for_each(|(b, dfg, groups)| {
+        check(PassArtifact::Groups {
+            dfg,
+            groups,
+            target,
+            block: b.id,
+            is_final,
+        })
+    })
 }
 
 /// The paper's joint flow (`WLO-SLP`, fig. 3).
@@ -336,86 +410,25 @@ pub fn wlo_slp_flow_checked<E>(
     sched: SchedKind,
     check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
 ) -> Result<FlowResult, E> {
-    let exact = wlo_slp_flow_once(prep, target, constraint_db, benefit, sched, check)?;
-    arbitrate_portfolio(exact, benefit, target, sched, &mut |kind| {
-        wlo_slp_flow_once(prep, target, constraint_db, kind, sched, check)
-    })
-}
-
-fn wlo_slp_flow_once<E>(
-    prep: &Prepared,
-    target: &TargetModel,
-    constraint_db: f64,
-    benefit: BenefitKind,
-    sched: SchedKind,
-    check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
-) -> Result<FlowResult, E> {
-    check(PassArtifact::Kernel {
-        kernel: &prep.kernel,
-    })?;
-    let eval = IncrementalEvaluator::new(&prep.eval);
-    let res = wlo_slp_sched(
-        &prep.kernel,
-        target,
-        &eval,
-        constraint_db,
-        &prep.ranges,
-        benefit,
-        sched,
-    );
-    check(PassArtifact::Spec {
-        kernel: &prep.kernel,
-        ranges: &prep.ranges,
-        spec: &res.spec,
-        is_final: true,
-    })?;
-    let mut blocks: Vec<_> = res
-        .blocks
-        .into_iter()
-        .map(|b| (b.block, b.dfg, b.groups))
-        .collect();
-    for (b, dfg, groups) in &blocks {
-        check(PassArtifact::Groups {
-            dfg,
-            groups,
+    run_legs(prep, target, benefit, sched, check, &mut |kind, check| {
+        let eval = IncrementalEvaluator::new(&prep.eval);
+        let res = wlo_slp_sched(
+            &prep.kernel,
             target,
-            block: b.id,
-            is_final: false,
-        })?;
-    }
-    let simd =
-        prune_unprofitable_groups(&prep.kernel, &res.spec, target, sched, &mut blocks, check)?;
-    for (b, dfg, groups) in &blocks {
-        check(PassArtifact::Groups {
-            dfg,
-            groups,
-            target,
-            block: b.id,
+            &eval,
+            constraint_db,
+            &prep.ranges,
+            kind,
+            sched,
+        );
+        check(PassArtifact::Spec {
+            kernel: &prep.kernel,
+            ranges: &prep.ranges,
+            spec: &res.spec,
             is_final: true,
         })?;
-    }
-    check(PassArtifact::Program {
-        program: &simd,
-        target,
-        role: ProgramRole::Simd,
-        sched,
-    })?;
-    let group_count = blocks.iter().map(|(_, _, g)| g.len()).sum();
-    let scalar = lower_scalar(&prep.kernel, &res.spec, target);
-    check(PassArtifact::Program {
-        program: &scalar,
-        target,
-        role: ProgramRole::Scalar,
-        sched,
-    })?;
-    let noise_db = prep.eval.noise_db(&res.spec);
-    Ok(FlowResult {
-        spec: res.spec,
-        simd,
-        scalar,
-        group_count,
-        noise_db,
-        select: res.select,
+        let blocks = res.blocks.into_iter().map(|b| (b.block, b.dfg, b.groups));
+        Ok((res.spec, blocks.collect(), res.select))
     })
 }
 
@@ -435,90 +448,24 @@ pub fn wlo_first_flow_checked<E>(
     sched: SchedKind,
     check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
 ) -> Result<FlowResult, E> {
-    let exact = wlo_first_flow_once(prep, target, constraint_db, tabu, benefit, sched, check)?;
-    arbitrate_portfolio(exact, benefit, target, sched, &mut |kind| {
-        wlo_first_flow_once(prep, target, constraint_db, tabu, kind, sched, check)
-    })
-}
-
-fn wlo_first_flow_once<E>(
-    prep: &Prepared,
-    target: &TargetModel,
-    constraint_db: f64,
-    tabu: &TabuOptions,
-    benefit: BenefitKind,
-    sched: SchedKind,
-    check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
-) -> Result<FlowResult, E> {
-    check(PassArtifact::Kernel {
-        kernel: &prep.kernel,
-    })?;
-    let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
-    check(PassArtifact::Spec {
-        kernel: &prep.kernel,
-        ranges: &prep.ranges,
-        spec: &spec,
-        is_final: false,
-    })?;
-    let eval = IncrementalEvaluator::new(&prep.eval);
-    tabu_wlo(
-        &prep.kernel,
-        &mut spec,
-        &eval,
-        constraint_db,
-        &target.scalar_wls,
-        tabu,
-    );
-    check(PassArtifact::Spec {
-        kernel: &prep.kernel,
-        ranges: &prep.ranges,
-        spec: &spec,
-        is_final: true,
-    })?;
-    let mut select = SelectStats::default();
-    let mut blocks =
-        extract_on_spec_stats(&prep.kernel, &spec, target, benefit, sched, &mut select);
-    for (b, dfg, groups) in &blocks {
-        check(PassArtifact::Groups {
-            dfg,
-            groups,
-            target,
-            block: b.id,
-            is_final: false,
-        })?;
-    }
-    let simd = prune_unprofitable_groups(&prep.kernel, &spec, target, sched, &mut blocks, check)?;
-    for (b, dfg, groups) in &blocks {
-        check(PassArtifact::Groups {
-            dfg,
-            groups,
-            target,
-            block: b.id,
-            is_final: true,
-        })?;
-    }
-    check(PassArtifact::Program {
-        program: &simd,
-        target,
-        role: ProgramRole::Simd,
-        sched,
-    })?;
-    let group_count = blocks.iter().map(|(_, _, g)| g.len()).sum();
-    let scalar = lower_scalar(&prep.kernel, &spec, target);
-    check(PassArtifact::Program {
-        program: &scalar,
-        target,
-        role: ProgramRole::Scalar,
-        sched,
-    })?;
-    let noise_db = prep.eval.noise_db(&spec);
-    Ok(FlowResult {
-        spec,
-        simd,
-        scalar,
-        group_count,
-        noise_db,
-        select,
+    run_legs(prep, target, benefit, sched, check, &mut |kind, check| {
+        let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
+        let mut spec_artifact = |spec: &FixedPointSpec, is_final| {
+            check(PassArtifact::Spec {
+                kernel: &prep.kernel,
+                ranges: &prep.ranges,
+                spec,
+                is_final,
+            })
+        };
+        spec_artifact(&spec, false)?;
+        let eval = IncrementalEvaluator::new(&prep.eval);
+        let (kernel, wls) = (&prep.kernel, &target.scalar_wls);
+        tabu_wlo(kernel, &mut spec, &eval, constraint_db, wls, tabu);
+        spec_artifact(&spec, true)?;
+        let mut select = SelectStats::default();
+        let blocks = extract_on_spec_stats(&prep.kernel, &spec, target, kind, sched, &mut select);
+        Ok((spec, blocks, select))
     })
 }
 
@@ -613,5 +560,90 @@ kernel fir8 {
         let (a1, a2) = (run(), run());
         assert_eq!(a1.group_count, a2.group_count);
         assert_eq!(a1.simd.ops_per_activation(), a2.simd.ops_per_activation());
+    }
+
+    /// The pass-artifact order, one token per artifact: the variant,
+    /// then `is_final` for specs and groups or the role for programs.
+    /// Span attribution in the benchmark depends on this order.
+    fn artifact_order(joint: bool, benefit: BenefitKind) -> Vec<String> {
+        let prep = prepare(parse_kernel(FIR8).unwrap());
+        let target = slpwlo_targets::st240();
+        let tabu = TabuOptions::default();
+        let mut seq = Vec::new();
+        let record = &mut |a: PassArtifact<'_>| {
+            seq.push(match a {
+                PassArtifact::Kernel { .. } => "Kernel".to_string(),
+                PassArtifact::Spec { is_final, .. } => format!("Spec/{is_final}"),
+                PassArtifact::Groups { is_final, .. } => format!("Groups/{is_final}"),
+                PassArtifact::Program { role, .. } => format!("Program/{role:?}"),
+            });
+            Ok::<(), Infallible>(())
+        };
+        let sched = SchedKind::List;
+        if joint {
+            wlo_slp_flow_checked(&prep, &target, -40.0, benefit, sched, record).unwrap();
+        } else {
+            wlo_first_flow_checked(&prep, &target, -40.0, &tabu, benefit, sched, record).unwrap();
+        }
+        seq
+    }
+
+    #[test]
+    fn pass_artifact_order_is_pinned() {
+        // One leg of WLO-SLP on FIR8/ST240: the guard lowers twice and
+        // keeps the packs, so the final groups follow both candidates.
+        const SLP: [&str; 12] = [
+            "Kernel",
+            "Spec/true",
+            "Groups/false",
+            "Groups/false",
+            "Groups/false",
+            "Program/Candidate",
+            "Program/Candidate",
+            "Groups/true",
+            "Groups/true",
+            "Groups/true",
+            "Program/Simd",
+            "Program/Scalar",
+        ];
+        // WLO-First's greedy leg selects nothing, so the guard lowers
+        // once; its exact leg packs and lowers twice.
+        const FIRST_GREEDY: [&str; 12] = [
+            "Kernel",
+            "Spec/false",
+            "Spec/true",
+            "Groups/false",
+            "Groups/false",
+            "Groups/false",
+            "Program/Candidate",
+            "Groups/true",
+            "Groups/true",
+            "Groups/true",
+            "Program/Simd",
+            "Program/Scalar",
+        ];
+        const FIRST_EXACT: [&str; 13] = [
+            "Kernel",
+            "Spec/false",
+            "Spec/true",
+            "Groups/false",
+            "Groups/false",
+            "Groups/false",
+            "Program/Candidate",
+            "Program/Candidate",
+            "Groups/true",
+            "Groups/true",
+            "Groups/true",
+            "Program/Simd",
+            "Program/Scalar",
+        ];
+        let (greedy, exact) = (BenefitKind::default(), BenefitKind::optimal());
+        assert_eq!(artifact_order(true, greedy), SLP);
+        assert_eq!(artifact_order(true, exact), [SLP, SLP].concat());
+        assert_eq!(artifact_order(false, greedy), FIRST_GREEDY);
+        assert_eq!(
+            artifact_order(false, exact),
+            [&FIRST_EXACT[..], &FIRST_GREEDY[..]].concat()
+        );
     }
 }

@@ -6,10 +6,12 @@
 //! 2. Basic blocks are visited in priority order (their contribution to
 //!    execution time), so the accuracy-degradation budget is spent on the
 //!    hottest code first.
-//! 3. For each block, accuracy-aware SLP extraction runs to fixpoint:
-//!    each selected group's word lengths shrink per equation (1)
-//!    (`SETMAXWL`), wider groups absorb the narrower groups they merge
-//!    (line 12), and the loop ends when a pass selects nothing.
+//! 3. For each block, accuracy-aware SLP extraction runs to fixpoint
+//!    (`slpwlo_slp::extract_rounds_stats`, under one set of
+//!    [`AccuracyHooks`] per block): each selected group's word lengths
+//!    shrink per equation (1) (`SETMAXWL`), wider groups absorb the
+//!    narrower groups they merge (line 12), and the loop ends when a
+//!    pass selects nothing.
 //! 4. Scaling optimization (fig. 1b) then equalizes per-lane scaling
 //!    amounts inside the block's reused superwords.
 
@@ -20,9 +22,7 @@ use slpwlo_fixedpoint::{FixedPointSpec, Ranges};
 use slpwlo_ir::blocks::{blocks_by_priority, Block};
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_ir::Kernel;
-use slpwlo_slp::{
-    absorb_selected, run_selection_stats, BenefitKind, Round, SelectStats, SimdGroup,
-};
+use slpwlo_slp::{extract_rounds_stats, BenefitKind, SelectStats, SimdGroup};
 use slpwlo_targets::{SchedKind, TargetModel};
 
 /// Per-block outcome of the joint optimization.
@@ -95,7 +95,6 @@ pub fn wlo_slp_sched(
 ) -> WloSlpResult {
     // Lines 1-3: all nodes at the maximum supported word length.
     let mut spec = FixedPointSpec::from_ranges(kernel, ranges, target.max_wl());
-    eval.begin(&spec);
     let mut results = Vec::new();
     let mut select = SelectStats::default();
     let mut memo = TrialMemo::default();
@@ -103,30 +102,15 @@ pub fn wlo_slp_sched(
     // Line 4: visit blocks in priority order.
     for block in blocks_by_priority(kernel) {
         let dfg = Dfg::from_block(kernel, &block);
-        let mut groups: Vec<SimdGroup> = Vec::new();
 
-        // Lines 6-14: iterate SLP extraction until no new groups.
-        loop {
-            let round = Round::new(&dfg, target, &groups);
-            let mut hooks = AccuracyHooks::new(&dfg, &mut spec, eval, constraint_db)
-                .with_sched(sched)
-                .with_memo(std::mem::take(&mut memo));
-            let selected = run_selection_stats(
-                &dfg,
-                target,
-                &round,
-                &groups,
-                &mut hooks,
-                benefit,
-                &mut select,
-            );
-            memo = hooks.into_memo();
-            if selected.is_empty() {
-                break;
-            }
-            // Line 12: wider merges supersede the groups they absorbed.
-            absorb_selected(&mut groups, selected);
-        }
+        // Lines 6-14: iterate SLP extraction until no new groups; wider
+        // merges supersede the groups they absorbed (line 12). One set of
+        // hooks serves every round of the block.
+        let mut hooks = AccuracyHooks::new(&dfg, &mut spec, eval, constraint_db)
+            .with_sched(sched)
+            .with_memo(std::mem::take(&mut memo));
+        let groups = extract_rounds_stats(&dfg, target, &mut hooks, benefit, &mut select);
+        memo = hooks.into_memo();
 
         // Line 15: SLP-aware scaling optimization. Only an equalization
         // changes the spec.

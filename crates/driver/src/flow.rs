@@ -3,15 +3,16 @@
 //! The paper compares three ways of producing code for one kernel:
 //! the joint **`WLO-SLP`** flow (fig. 3), the **`WLO-First`** baseline
 //! (fig. 5, Tabu WLO then accuracy-unaware SLP) and the original
-//! **floating-point** version. Each is a [`CompilationFlow`] strategy; the
+//! **floating-point** version. [`FlowKind`] names them and is itself the
+//! [`CompilationFlow`] strategy that runs them; the
 //! [`Optimizer`](crate::Optimizer) runs whichever is configured, and new
 //! flows (different WLO searches, different extraction policies, new
 //! back-ends) plug in through the same trait without touching the driver.
 
 use crate::error::Error;
 use slpwlo_core::{
-    lower_float, wlo_first_flow_checked, wlo_slp_flow_checked, BenefitKind, MachineProgram,
-    PassArtifact, Prepared, ProgramRole, SelectStats, TabuOptions,
+    lower_float, wlo_first_flow_checked, wlo_slp_flow_checked, BenefitKind, FlowResult,
+    MachineProgram, PassArtifact, Prepared, ProgramRole, SelectStats, TabuOptions,
 };
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_targets::{SchedKind, TargetModel};
@@ -126,11 +127,7 @@ impl FlowKind {
 
     /// Instantiates the strategy object for this kind.
     pub fn instantiate(self) -> Box<dyn CompilationFlow + Send + Sync> {
-        match self {
-            FlowKind::WloSlp => Box::new(WloSlpFlow),
-            FlowKind::WloFirst => Box::new(WloFirstFlow),
-            FlowKind::Float => Box::new(FloatFlow),
-        }
+        Box::new(self)
     }
 }
 
@@ -156,98 +153,65 @@ pub fn required_constraint(ctx: &FlowContext<'_>, flow: &str) -> Result<f64, Err
     ctx.constraint_db.ok_or_else(|| missing_constraint(flow))
 }
 
-/// The paper's joint flow as a strategy.
-pub struct WloSlpFlow;
-
-impl CompilationFlow for WloSlpFlow {
-    fn name(&self) -> &'static str {
-        FlowKind::WloSlp.name()
-    }
-
-    fn run(&self, ctx: &FlowContext<'_>) -> Result<FlowOutput, Error> {
-        let db = required_constraint(ctx, self.name())?;
-        let res = wlo_slp_flow_checked(
-            ctx.prep,
-            ctx.target,
-            db,
-            ctx.benefit,
-            ctx.sched,
-            &mut ctx.boundary_check(),
-        )?;
-        Ok(FlowOutput {
+impl From<FlowResult> for FlowOutput {
+    fn from(res: FlowResult) -> Self {
+        FlowOutput {
             spec: Some(res.spec),
             program: res.simd,
             scalar: res.scalar,
             group_count: res.group_count,
             noise_db: Some(res.noise_db),
             select: res.select,
-        })
+        }
     }
 }
 
-/// The `WLO-First` baseline as a strategy.
-pub struct WloFirstFlow;
-
-impl CompilationFlow for WloFirstFlow {
+/// The built-in flows as strategies: `WloSlp` and `WloFirst` run the
+/// core's checked flows under the context's boundary check; `Float`
+/// lowers the kernel unquantized.
+impl CompilationFlow for FlowKind {
     fn name(&self) -> &'static str {
-        FlowKind::WloFirst.name()
-    }
-
-    fn run(&self, ctx: &FlowContext<'_>) -> Result<FlowOutput, Error> {
-        let db = required_constraint(ctx, self.name())?;
-        let res = wlo_first_flow_checked(
-            ctx.prep,
-            ctx.target,
-            db,
-            ctx.tabu,
-            ctx.benefit,
-            ctx.sched,
-            &mut ctx.boundary_check(),
-        )?;
-        Ok(FlowOutput {
-            spec: Some(res.spec),
-            program: res.simd,
-            scalar: res.scalar,
-            group_count: res.group_count,
-            noise_db: Some(res.noise_db),
-            select: res.select,
-        })
-    }
-}
-
-/// The original floating-point version as a strategy.
-pub struct FloatFlow;
-
-impl CompilationFlow for FloatFlow {
-    fn name(&self) -> &'static str {
-        FlowKind::Float.name()
+        FlowKind::name(*self)
     }
 
     fn needs_constraint(&self) -> bool {
-        false
+        *self != FlowKind::Float
     }
 
     fn run(&self, ctx: &FlowContext<'_>) -> Result<FlowOutput, Error> {
-        let mut check = ctx.boundary_check();
-        check(PassArtifact::Kernel {
-            kernel: &ctx.prep.kernel,
-        })?;
-        let program = lower_float(&ctx.prep.kernel);
-        check(PassArtifact::Program {
-            program: &program,
-            target: ctx.target,
-            role: ProgramRole::Simd,
-            sched: ctx.sched,
-        })?;
-        let scalar = program.clone();
-        Ok(FlowOutput {
-            spec: None,
-            program,
-            scalar,
-            group_count: 0,
-            noise_db: None,
-            select: SelectStats::default(),
-        })
+        let check = &mut ctx.boundary_check();
+        let (prep, target, benefit, sched) = (ctx.prep, ctx.target, ctx.benefit, ctx.sched);
+        match self {
+            FlowKind::WloSlp => {
+                let db = required_constraint(ctx, self.name())?;
+                Ok(wlo_slp_flow_checked(prep, target, db, benefit, sched, check)?.into())
+            }
+            FlowKind::WloFirst => {
+                let db = required_constraint(ctx, self.name())?;
+                let tabu = ctx.tabu;
+                Ok(wlo_first_flow_checked(prep, target, db, tabu, benefit, sched, check)?.into())
+            }
+            FlowKind::Float => {
+                check(PassArtifact::Kernel {
+                    kernel: &prep.kernel,
+                })?;
+                let program = lower_float(&prep.kernel);
+                check(PassArtifact::Program {
+                    program: &program,
+                    target,
+                    role: ProgramRole::Simd,
+                    sched,
+                })?;
+                Ok(FlowOutput {
+                    spec: None,
+                    scalar: program.clone(),
+                    program,
+                    group_count: 0,
+                    noise_db: None,
+                    select: SelectStats::default(),
+                })
+            }
+        }
     }
 }
 

@@ -35,10 +35,7 @@ pub mod optimizer;
 pub mod report;
 
 pub use error::Error;
-pub use flow::{
-    required_constraint, CompilationFlow, FloatFlow, FlowContext, FlowKind, FlowOutput,
-    WloFirstFlow, WloSlpFlow,
-};
+pub use flow::{required_constraint, CompilationFlow, FlowContext, FlowKind, FlowOutput};
 pub use optimizer::Optimizer;
 pub use report::{ExportedC, Report};
 pub use slpwlo_core::{BenefitKind, SelectStats};

@@ -323,7 +323,7 @@ impl Optimizer {
     /// changing the configured strategy — the cheap way to compare flows
     /// on one prepared kernel (the paper's whole evaluation does this).
     pub fn run_with(&self, kind: FlowKind) -> Result<Report, Error> {
-        self.run_flow(kind.instantiate().as_ref())
+        self.run_flow(&kind)
     }
 
     /// Runs the configured flow at one explicit constraint point, leaving

@@ -89,18 +89,6 @@ impl ExprNode {
         };
         a.into_iter().chain(b)
     }
-
-    /// Returns `true` for leaf nodes (no expression operands).
-    pub fn is_leaf(&self) -> bool {
-        matches!(
-            self,
-            ExprNode::Const(_)
-                | ExprNode::ReadVar(_)
-                | ExprNode::ReadInput(_)
-                | ExprNode::LoadParam(..)
-                | ExprNode::LoadArray(..)
-        )
-    }
 }
 
 /// A statement of the kernel body.
@@ -183,11 +171,6 @@ impl Kernel {
         &self.body
     }
 
-    /// Number of loops ever created in this kernel (unrolling included).
-    pub fn loop_count(&self) -> u32 {
-        self.n_loops
-    }
-
     /// Number of expression nodes in the arena.
     pub fn expr_count(&self) -> usize {
         self.exprs.len()
@@ -241,28 +224,6 @@ impl Kernel {
             }
         }
         go(&self.body, &mut Vec::new(), f);
-    }
-
-    /// Total number of expression-node *executions* per activation.
-    ///
-    /// This is the static node count weighted by enclosing trip counts; it
-    /// is used for basic-block prioritisation.
-    pub fn executions_per_activation(&self) -> u64 {
-        let mut total = 0u64;
-        self.visit_stmts(&mut |s, stack| {
-            let trips: u64 = stack.iter().map(|&(_, c)| c as u64).product();
-            let root = match s {
-                Stmt::Assign(_, e)
-                | Stmt::Store(_, _, e)
-                | Stmt::ShiftIn(_, e)
-                | Stmt::Output(_, e) => Some(*e),
-                Stmt::For { .. } => None,
-            };
-            if let Some(root) = root {
-                total += trips * self.expr_tree_size(root) as u64;
-            }
-        });
-        total
     }
 
     /// Number of nodes in the expression tree rooted at `root`.
@@ -367,28 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn executions_per_activation_counts_trips() {
-        let mut b = KernelBuilder::new("k");
-        let x = b.input("x", -1.0, 1.0);
-        let y = b.output("y");
-        let acc = b.var("acc");
-        let z = b.constf(0.0);
-        b.assign(acc, z);
-        let i = b.begin_for(8);
-        let a = b.read_var(acc);
-        let xv = b.read_input(x);
-        let s = b.add(a, xv);
-        b.assign(acc, s);
-        b.end_for(i);
-        let fin = b.read_var(acc);
-        b.set_output(y, fin);
-        let k = b.finish();
-        // Outside the loop: const(1) + read_var(1) = 2 nodes;
-        // inside: (read_var + read_input + add) * 8 = 24.
-        assert_eq!(k.executions_per_activation(), 26);
-    }
-
-    #[test]
     fn param_value_wraps() {
         let mut b = KernelBuilder::new("k");
         let p = b.param("c", vec![1.0, 2.0, 3.0]);
@@ -409,7 +348,6 @@ mod tests {
             .find(|(_, n)| matches!(n, ExprNode::Bin(BinOp::Mul, _, _)))
             .unwrap();
         assert_eq!(k.expr(mul_id).operands().count(), 2);
-        assert!(!k.expr(mul_id).is_leaf());
-        assert!(k.expr(ExprId(0)).is_leaf());
+        assert_eq!(k.expr(ExprId(0)).operands().count(), 0);
     }
 }

@@ -79,15 +79,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Short lowercase mnemonic (`"add"`, `"sub"`, `"mul"`).
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-        }
-    }
-
     /// Infix symbol used by the DSL and pretty printer.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -344,7 +335,6 @@ mod tests {
         assert!(BinOp::Add.is_commutative());
         assert!(BinOp::Mul.is_commutative());
         assert!(!BinOp::Sub.is_commutative());
-        assert_eq!(BinOp::Mul.mnemonic(), "mul");
         assert_eq!(format!("{}", BinOp::Sub), "-");
     }
 

@@ -44,29 +44,6 @@ pub fn unroll(kernel: &mut Kernel, target: LoopId, factor: u32) -> Result<(), Ir
     }
 }
 
-/// Fully unrolls every loop whose trip count is at most `max_trip`.
-///
-/// Convenience used for kernels like the 3x3 convolution where the paper
-/// unrolls everything.
-pub fn unroll_all_upto(kernel: &mut Kernel, max_trip: u32) -> Result<(), IrError> {
-    loop {
-        let mut found: Option<LoopId> = None;
-        kernel.visit_stmts(&mut |s, _| {
-            if found.is_none() {
-                if let Stmt::For { var, count, .. } = s {
-                    if *count <= max_trip {
-                        found = Some(*var);
-                    }
-                }
-            }
-        });
-        match found {
-            Some(l) => unroll(kernel, l, 0)?,
-            None => return Ok(()),
-        }
-    }
-}
-
 fn unroll_in(kernel: &mut Kernel, stmts: &mut Vec<Stmt>, target: LoopId, factor: u32) -> bool {
     let mut i = 0;
     while i < stmts.len() {
@@ -329,13 +306,6 @@ mod tests {
             unroll(&mut k, LoopId(99), 2),
             Err(IrError::InvalidUnroll(_))
         ));
-    }
-
-    #[test]
-    fn unroll_all_upto_limit() {
-        let (mut k, _) = fir_like(6);
-        unroll_all_upto(&mut k, 8).unwrap();
-        assert!(k.body().iter().all(|s| !matches!(s, Stmt::For { .. })));
     }
 
     #[test]

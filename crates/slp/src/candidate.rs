@@ -34,6 +34,19 @@ pub struct CandidateView {
     pub elem_wl: i32,
 }
 
+impl CandidateView {
+    /// The admission test under frozen word lengths: every element's
+    /// word length `wl_of(e)` has a native container no wider than the
+    /// sub-word the target grants the group.
+    pub fn fits_frozen_wls(&self, target: &TargetModel, wl_of: impl Fn(NodeId) -> i32) -> bool {
+        self.group.elems.iter().all(|&e| {
+            target
+                .container_wl(wl_of(e))
+                .is_some_and(|c| c <= self.elem_wl)
+        })
+    }
+}
+
 /// One extraction round over the current items.
 #[derive(Debug)]
 pub struct Round {

@@ -15,21 +15,6 @@ use crate::candidate::Round;
 use crate::group::group_reaches;
 use slpwlo_ir::dfg::Dfg;
 
-/// Enumerates structural conflicts as pairs of candidate indices
-/// (`i < j`).
-pub fn structural_conflicts(dfg: &Dfg, round: &Round) -> Vec<(usize, usize)> {
-    let n = round.candidates.len();
-    let mut out = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if conflicts(dfg, round, i, j) {
-                out.push((i, j));
-            }
-        }
-    }
-    out
-}
-
 /// Tests whether candidates `i` and `j` structurally conflict.
 pub fn conflicts(dfg: &Dfg, round: &Round, i: usize, j: usize) -> bool {
     let a = round.candidates[i];
@@ -149,7 +134,6 @@ kernel sh {
         let round = Round::new(&dfg, &xentium(), &[]);
         // Three independent muls yield several pair candidates sharing
         // items; all sharing pairs must be conflicts.
-        let conf = structural_conflicts(&dfg, &round);
         let mut mul_cands = Vec::new();
         for (idx, c) in round.candidates.iter().enumerate() {
             let g = round.items[c.left].concat(&round.items[c.right]);
@@ -174,7 +158,7 @@ kernel sh {
                     || ca.right == cb.right;
                 if shares {
                     assert!(
-                        conf.contains(&(a.min(b), a.max(b))),
+                        conflicts(&dfg, &round, a, b),
                         "sharing candidates must conflict"
                     );
                 }

@@ -29,7 +29,6 @@ pub mod select;
 
 pub use benefit::{BenefitKind, BenefitModel, CostedBenefit};
 pub use candidate::{Candidate, CandidateView, Round};
-pub use conflict::structural_conflicts;
 pub use group::{
     closes_cycle, effective_users, fully_independent, group_reaches, mem_status, resolve_producer,
     resolved_operands, MemStatus, SimdGroup,

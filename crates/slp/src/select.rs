@@ -438,13 +438,7 @@ pub fn extract_plain_with(
     }
     impl SelectHooks for FixedWlHooks<'_> {
         fn validate(&mut self, view: &CandidateView) -> bool {
-            view.group
-                .elems
-                .iter()
-                .all(|&e| match self.target.container_wl((self.wl_of)(e)) {
-                    Some(c) => c <= view.elem_wl,
-                    None => false,
-                })
+            view.fits_frozen_wls(self.target, self.wl_of)
         }
 
         fn current_wl(&self, node: NodeId) -> Option<i32> {

@@ -163,16 +163,7 @@ pub fn verify_optimal_selection(
     let round = Round::new(dfg, target, prior);
     let n = round.candidates.len();
     let alive: Vec<bool> = (0..n)
-        .map(|i| {
-            let view = round.view(target, i);
-            view.group
-                .elems
-                .iter()
-                .all(|&e| match target.container_wl(wl(e)) {
-                    Some(c) => c <= view.elem_wl,
-                    None => false,
-                })
-        })
+        .map(|i| round.view(target, i).fits_frozen_wls(target, wl))
         .collect();
     if alive.iter().filter(|&&a| a).count() > max_candidates {
         return Ok(());
