@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the individual algorithm stages: accuracy
 //! evaluation (`EVALACC`), noise-gain analysis, SLP candidate rounds,
-//! Tabu WLO, the joint WLO-SLP search and the VLIW list scheduler.
+//! Tabu WLO, the joint WLO-SLP search (greedy, and exact with modulo
+//! scheduling) and the VLIW list scheduler.
 //!
 //! Run with: `cargo bench -p slpwlo-bench --bench algorithms`
 
@@ -15,7 +16,7 @@ use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_kernels::{complex_fir32, conv3x3, fir64, matvec16x16};
 use slpwlo_slp::{extract_plain_with, BenefitKind, Round};
-use slpwlo_targets::{xentium, CycleCache, SchedKind};
+use slpwlo_targets::{st240, xentium, CycleCache, SchedKind};
 
 fn main() {
     let mut m = Micro::for_bench("algorithms");
@@ -74,6 +75,21 @@ fn main() {
             &cfir.ranges,
             BenefitKind::default(),
             SchedKind::List,
+        )
+    });
+    // The maximum-quality compile's search: exact pack selection with
+    // modulo scheduling on ST240, where the branch and bound (not the
+    // accuracy trials) used to set the pace.
+    let st = st240();
+    m.bench("wlo_slp_cfir_exact", || {
+        wlo_slp_sched(
+            &cfir.kernel,
+            &st,
+            &IncrementalEvaluator::new(&cfir.eval),
+            -40.0,
+            &cfir.ranges,
+            BenefitKind::optimal(),
+            SchedKind::modulo(),
         )
     });
 

@@ -196,6 +196,13 @@ impl Dfg {
         (w[to.index() / 64] >> (to.index() % 64)) & 1 == 1
     }
 
+    /// The reachability row of `from`: bit `b` of word `b / 64` is set
+    /// iff node `b` is reachable from `from` (the bitset behind
+    /// [`reaches`](Self::reaches)), `len().div_ceil(64)` words long.
+    pub fn reach_row(&self, from: NodeId) -> &[u64] {
+        &self.reach[from.index()]
+    }
+
     /// Returns `true` if neither node depends on the other — the
     /// independence requirement for SIMD grouping.
     pub fn independent(&self, a: NodeId, b: NodeId) -> bool {

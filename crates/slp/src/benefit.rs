@@ -61,10 +61,11 @@ pub enum BenefitKind {
 
 impl BenefitKind {
     /// Default per-round trial budget of [`BenefitKind::Optimal`] —
-    /// enough to search any round the suite produces exhaustively
-    /// (CFIR's fully-unrolled first round, the suite's largest at 244
-    /// pooled candidates, completes in ~106k include-steps), small
-    /// enough to bound a degenerate round.
+    /// enough to search every round the joint WLO-SLP flow produces on
+    /// the suite exhaustively (CFIR's fully-unrolled first round, the
+    /// suite's largest at 244 pooled candidates, completes in ~106k
+    /// include-steps), small enough to bound a degenerate round. Some
+    /// WLO-First rounds on CFIR exhaust it and fall back to greedy.
     pub const DEFAULT_BUDGET: u32 = 262_144;
 
     /// [`BenefitKind::Optimal`] with the default budget.
@@ -816,30 +817,7 @@ impl<'a> BenefitModel<'a> {
         if matches!(g.kind(self.dfg), NodeKind::StoreArray(..)) {
             return None; // stores produce no value
         }
-        // A consumer superword exists if some selected group or live
-        // candidate uses lane i's value in its lane i, at one common
-        // operand position — only then does the result flow register to
-        // register (lowering's `vector_operand` materialises operand
-        // superwords per position; lanes consumed at different positions
-        // would still be extracted).
-        let consumed_by = |cons: &SimdGroup| -> bool {
-            if cons.lanes() != g.lanes() {
-                return false;
-            }
-            let arity = cons
-                .elems
-                .iter()
-                .map(|&u| self.round.resolved_ops(u).len())
-                .min()
-                .unwrap_or(0);
-            (0..arity).any(|pos| {
-                g.elems
-                    .iter()
-                    .zip(&cons.elems)
-                    .all(|(&prod, &user)| self.round.resolved_ops(user).get(pos) == Some(&prod))
-            })
-        };
-        if selected.iter().any(&consumed_by) {
+        if selected.iter().any(|cons| self.consumes(cons, g)) {
             return Some(Flow::Reused);
         }
         // Candidate consumers come from the round's inverted index: every
@@ -853,6 +831,30 @@ impl<'a> BenefitModel<'a> {
         Some(Flow::Unresolved)
     }
 
+    /// Does `cons` consume `g`'s result as a superword? A consumer
+    /// superword exists if `cons` uses lane i's value in its lane i, at
+    /// one common operand position — only then does the result flow
+    /// register to register (lowering's `vector_operand` materialises
+    /// operand superwords per position; lanes consumed at different
+    /// positions would still be extracted).
+    fn consumes(&self, cons: &SimdGroup, g: &SimdGroup) -> bool {
+        if cons.lanes() != g.lanes() {
+            return false;
+        }
+        let arity = cons
+            .elems
+            .iter()
+            .map(|&u| self.round.resolved_ops(u).len())
+            .min()
+            .unwrap_or(0);
+        (0..arity).any(|pos| {
+            g.elems
+                .iter()
+                .zip(&cons.elems)
+                .all(|(&prod, &user)| self.round.resolved_ops(user).get(pos) == Some(&prod))
+        })
+    }
+
     /// Lanes whose value has scalar users outside the group (each needs
     /// an extract when no consumer superword exists).
     fn external_lanes(&self, g: &SimdGroup) -> usize {
@@ -864,6 +866,12 @@ impl<'a> BenefitModel<'a> {
 
     /// The live candidate (other than `self_idx`) whose merged lanes
     /// equal `sw`, if any.
+    fn matching_candidate(&self, sw: &[NodeId], self_idx: usize, alive: &[bool]) -> Option<usize> {
+        self.producer_of(sw)
+            .filter(|&ci| ci != self_idx && alive[ci])
+    }
+
+    /// The candidate whose merged lanes equal `sw`, live or not.
     ///
     /// Splitting `sw` at its midpoint is exhaustive: candidates merge two
     /// equal-size items, so a candidate producing `sw` must be the pair
@@ -871,7 +879,7 @@ impl<'a> BenefitModel<'a> {
     /// the singleton items, which `Round::item_of` resolves like any
     /// other). When either half is not an item, no candidate can produce
     /// `sw`.
-    fn matching_candidate(&self, sw: &[NodeId], self_idx: usize, alive: &[bool]) -> Option<usize> {
+    fn producer_of(&self, sw: &[NodeId]) -> Option<usize> {
         if sw.len() < 2 {
             return None;
         }
@@ -882,8 +890,7 @@ impl<'a> BenefitModel<'a> {
         ) else {
             return None;
         };
-        let ci = self.round.candidate_of(li, ri)?;
-        (ci != self_idx && alive[ci]).then_some(ci)
+        self.round.candidate_of(li, ri)
     }
 
     // -- exact-selection support ------------------------------------------
@@ -911,6 +918,51 @@ impl<'a> BenefitModel<'a> {
             }
         }
         .sanitized()
+    }
+
+    /// The reuse shape of candidate `idx` against the groups `prior`:
+    /// the cycle pricing's only dependence on `(alive, selected)`. With
+    /// `selected` = `prior` plus a set `C` of this round's merged
+    /// candidates, [`assess_optimistic`](Self::assess_optimistic) with
+    /// `alive` = `A` is a function of the key with `C ∪ A` present, and
+    /// [`assess`](Self::assess) with nothing alive is the same function
+    /// of the key with `C` present: a flow resolved through `prior` or a
+    /// chosen partner is certain reuse, one through a live partner is —
+    /// in the shallow assessment — priced as certain reuse too, and with
+    /// nothing alive there are no speculative flows to price.
+    pub(crate) fn reuse_shape(&self, idx: usize, prior: &[SimdGroup]) -> ReuseShape {
+        let g = self.round.merged(idx);
+        let mut shape = ReuseShape::default();
+        let arity = match g.kind(self.dfg) {
+            NodeKind::Bin(_) => 2,
+            NodeKind::Un(_) | NodeKind::StoreArray(..) => 1,
+            _ => 0,
+        };
+        for pos in 0..arity {
+            let Some(sw) = self.operand_superword(g, pos) else {
+                continue;
+            };
+            // `operand_flow`'s cases in its order: a prior group, the
+            // producing candidate, a splat (never backed), a packed item.
+            let splat = sw.iter().all(|&n| n == sw[0]);
+            let packed = self
+                .round
+                .item_of(&sw)
+                .is_some_and(|i| self.round.items[i].lanes() > 1);
+            shape.fixed[pos] = prior.iter().any(|s| s.elems == sw) || (!splat && packed);
+            shape.partners[pos].extend(self.producer_of(&sw).filter(|&ci| ci != idx));
+        }
+        if !matches!(g.kind(self.dfg), NodeKind::StoreArray(..)) {
+            shape.fixed[2] = prior.iter().any(|cons| self.consumes(cons, g));
+            shape.partners[2] = self
+                .round
+                .consumers_of(&g.elems)
+                .iter()
+                .copied()
+                .filter(|&ci| ci != idx)
+                .collect();
+        }
+        shape
     }
 
     /// The live candidates whose selection changes candidate `idx`'s
@@ -945,6 +997,32 @@ impl<'a> BenefitModel<'a> {
         out.sort_unstable();
         out.dedup();
         out
+    }
+}
+
+/// Which of a candidate's three reuse flows — operand 0, operand 1 and
+/// the result, in that order — resolve, and through whom. Under the
+/// cycle pricing a candidate assessed with `prior ⊆ selected` prices
+/// the same whenever the same flows resolve, so the exact selector keys
+/// its price memo on these three bits (see [`BenefitModel::reuse_shape`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReuseShape {
+    /// Per flow: resolved by `prior` alone (a prior group produces the
+    /// operand superword or consumes the result), whatever else is
+    /// chosen.
+    fixed: [bool; 3],
+    /// Per flow: the other candidates, any one of which resolves it when
+    /// selected or live — the operand's producer, the result's consumers.
+    partners: [Vec<usize>; 3],
+}
+
+impl ReuseShape {
+    /// The three resolution bits as a memo key in `0..8` (bit `k` for
+    /// flow `k`), given which candidates count as `present`.
+    pub(crate) fn key(&self, present: impl Fn(usize) -> bool) -> usize {
+        (0..3)
+            .filter(|&k| self.fixed[k] || self.partners[k].iter().any(|&p| present(p)))
+            .fold(0, |key, k| key | 1 << k)
     }
 }
 

@@ -25,13 +25,12 @@ pub fn conflicts(dfg: &Dfg, round: &Round, i: usize, j: usize) -> bool {
     }
     // Overlapping elements through different items (possible in extension
     // rounds where one node sits in a prior group).
-    let ga = round.items[a.left].concat(&round.items[a.right]);
-    let gb = round.items[b.left].concat(&round.items[b.right]);
-    if ga.overlaps(&gb) {
+    let (ga, gb) = (round.merged(i), round.merged(j));
+    if ga.overlaps(gb) {
         return true;
     }
     // Cyclic dependency: both groups reach each other.
-    group_reaches(dfg, &ga, &gb) && group_reaches(dfg, &gb, &ga)
+    group_reaches(dfg, ga, gb) && group_reaches(dfg, gb, ga)
 }
 
 #[cfg(test)]

@@ -1,4 +1,12 @@
 //! SIMD groups and group-level graph utilities.
+//!
+//! Besides the group type, this holds the structural queries selection
+//! asks about groups: operand resolution through `VarUse` wiring, lane
+//! independence, memory layout, and [`closes_cycle`], the multi-group
+//! acyclicity guard. That guard runs at every branch-and-bound node
+//! the exact selector's bound does not prune, so it works on the DFG's
+//! precomputed reachability rows ([`Dfg::reach_row`]) and a frontier
+//! bitset rather than building the coarsened group graph per call.
 
 use slpwlo_ir::dfg::{Dfg, NodeId, NodeKind};
 use std::fmt;
@@ -133,8 +141,82 @@ pub fn group_reaches(dfg: &Dfg, from: &SimdGroup, to: &SimdGroup) -> bool {
 /// lowering's coarsened topological sort relies on.
 ///
 /// Selected groups overlapping `g` are skipped: they are the narrower
-/// groups a wider extension candidate absorbs and supersedes.
+/// groups a wider extension candidate absorbs and supersedes. A node in
+/// two selected groups belongs to the later one.
+///
+/// Works on the DFG's reachability rows instead of building the
+/// coarsened graph: a frontier starts as everything `g`'s lanes reach;
+/// whenever it touches a member of a selected group, that whole group
+/// is reached, so the rows of all its members join the frontier. `g`
+/// closes a cycle iff the frontier comes back to one of `g`'s own
+/// lanes. This relies on `g`'s lanes being mutually independent, as
+/// every candidate's are — a lane reaching a lane directly is an edge
+/// inside `g`'s super-node, not a cycle.
 pub fn closes_cycle(dfg: &Dfg, selected: &[SimdGroup], g: &SimdGroup) -> bool {
+    debug_assert!(
+        g.elems
+            .iter()
+            .all(|&a| g.elems.iter().all(|&b| !dfg.reaches(a, b))),
+        "closes_cycle needs mutually independent lanes: {g}"
+    );
+    // Unit per node: 0 for `g`'s lanes, `k + 1` for the `k`-th
+    // non-overlapping selected group, `NONE` for ungrouped nodes.
+    const NONE: u32 = u32::MAX;
+    let mut unit = vec![NONE; dfg.len()];
+    for &e in &g.elems {
+        unit[e.index()] = 0;
+    }
+    let kept: Vec<&SimdGroup> = selected.iter().filter(|s| !s.overlaps(g)).collect();
+    for (k, s) in kept.iter().enumerate() {
+        for &e in &s.elems {
+            unit[e.index()] = k as u32 + 1;
+        }
+    }
+    let mut frontier = vec![0u64; dfg.len().div_ceil(64)];
+    let absorb = |frontier: &mut [u64], n: NodeId| {
+        for (f, r) in frontier.iter_mut().zip(dfg.reach_row(n)) {
+            *f |= r;
+        }
+    };
+    let hit = |frontier: &[u64], n: NodeId| frontier[n.index() / 64] >> (n.index() % 64) & 1 == 1;
+    for &e in &g.elems {
+        absorb(&mut frontier, e);
+    }
+    // Expand reached groups until none is left to reach: each pass
+    // either absorbs a new group or ends the loop.
+    let mut reached = vec![false; kept.len()];
+    loop {
+        if g.elems.iter().any(|&e| hit(&frontier, e)) {
+            return true;
+        }
+        let mut grew = false;
+        for (k, s) in kept.iter().enumerate() {
+            let members = || {
+                s.elems
+                    .iter()
+                    .copied()
+                    .filter(|e| unit[e.index()] == k as u32 + 1)
+            };
+            if reached[k] || !members().any(|e| hit(&frontier, e)) {
+                continue;
+            }
+            reached[k] = true;
+            grew = true;
+            for e in members() {
+                absorb(&mut frontier, e);
+            }
+        }
+        if !grew {
+            return false;
+        }
+    }
+}
+
+/// The coarsened-graph construction [`closes_cycle`] replaced: one
+/// `HashMap` unit per group and node, and a DFS over coarsened
+/// successors from `g`'s unit. The differential oracle of the tests.
+#[cfg(test)]
+pub(crate) fn closes_cycle_coarsened(dfg: &Dfg, selected: &[SimdGroup], g: &SimdGroup) -> bool {
     use std::collections::{HashMap, HashSet};
     // Unit 0 is `g`; each non-overlapping selected group gets its own
     // unit; every other node is its own unit.
@@ -340,6 +422,111 @@ kernel f {
             elems: vec![muls[0], muls[1]],
         };
         assert_eq!(mem_status(&dfg, &e), MemStatus::NotMemory);
+    }
+
+    /// The reach-bitset [`closes_cycle`] agrees with the coarsened-graph
+    /// construction it replaced on seeded random selections: over every
+    /// block of every suite kernel and of 16 generated kernels, round by
+    /// round as greedy extraction widens the groups, a random candidate
+    /// `g` is tested against a random mix of the prior groups (the ones
+    /// `g` widens included, which the test must skip) and of the round's
+    /// candidates (some overlapping `g`, some each other).
+    #[test]
+    fn closes_cycle_matches_the_coarsened_graph() {
+        use crate::candidate::Round;
+        use crate::select::{absorb_selected, extract_rounds_stats, run_selection_stats};
+        use crate::{BenefitKind, NoHooks, SelectStats};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use slpwlo_targets::{vex, xentium};
+
+        let mut kernels: Vec<Kernel> = slpwlo_kernels::all_benchmarks()
+            .into_iter()
+            .map(|b| b.kernel)
+            .collect();
+        let mut gen = slpwlo_gen::KernelGen::with_seed(0x5eed);
+        kernels.extend((0..16).map(|_| gen.gen()));
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut cycles, mut clean) = (0usize, 0usize);
+        let (mut overlapping, mut widening) = (0usize, 0usize);
+        for (ki, kernel) in kernels.iter().enumerate() {
+            // Alternate a 2-lane and a 4-lane target so extension rounds
+            // (candidates widening prior groups) occur.
+            let target = if ki % 2 == 0 { xentium() } else { vex(4) };
+            for block in collect_blocks(kernel) {
+                let dfg = Dfg::from_block(kernel, &block);
+                let mut prior: Vec<SimdGroup> = Vec::new();
+                loop {
+                    let round = Round::new(&dfg, &target, &prior);
+                    let n = round.candidates.len();
+                    if n == 0 {
+                        break;
+                    }
+                    for _ in 0..32 {
+                        let g = round.merged(rng.gen_range(0..n));
+                        let mut selected: Vec<SimdGroup> = prior
+                            .iter()
+                            .filter(|_| rng.gen_range(0..4usize) != 0)
+                            .cloned()
+                            .collect();
+                        for _ in 0..rng.gen_range(0..n.min(24) + 1) {
+                            selected.push(round.merged(rng.gen_range(0..n)).clone());
+                        }
+                        let pos = rng.gen_range(0..selected.len() + 1);
+                        selected.rotate_left(pos);
+                        overlapping += usize::from(selected.iter().any(|s| s.overlaps(g)));
+                        widening += usize::from(prior.iter().any(|p| p.overlaps(g)));
+                        let want = closes_cycle_coarsened(&dfg, &selected, g);
+                        assert_eq!(
+                            closes_cycle(&dfg, &selected, g),
+                            want,
+                            "{}: g = {g}, selected = {selected:?}",
+                            kernel.name()
+                        );
+                        if want {
+                            cycles += 1;
+                        } else {
+                            clean += 1;
+                        }
+                    }
+                    let chosen = run_selection_stats(
+                        &dfg,
+                        &target,
+                        &round,
+                        &prior,
+                        &mut NoHooks,
+                        BenefitKind::Cycles,
+                        &mut SelectStats::default(),
+                    );
+                    if chosen.is_empty() {
+                        break;
+                    }
+                    absorb_selected(&mut prior, chosen);
+                }
+                // The selector's own fixpoint stays acyclic under both.
+                let groups = extract_rounds_stats(
+                    &dfg,
+                    &target,
+                    &mut NoHooks,
+                    BenefitKind::Cycles,
+                    &mut SelectStats::default(),
+                );
+                for (gi, g) in groups.iter().enumerate() {
+                    let others: Vec<SimdGroup> = groups
+                        .iter()
+                        .enumerate()
+                        .filter(|&(oi, _)| oi != gi)
+                        .map(|(_, o)| o.clone())
+                        .collect();
+                    assert!(!closes_cycle(&dfg, &others, g));
+                    assert!(!closes_cycle_coarsened(&dfg, &others, g));
+                }
+            }
+        }
+        assert!(cycles > 0, "no cyclic selection drawn");
+        assert!(clean > 0, "no acyclic selection drawn");
+        assert!(overlapping > 0, "no selection overlapping g drawn");
+        assert!(widening > 0, "no g widening a prior group drawn");
     }
 
     #[test]

@@ -26,8 +26,21 @@
 //!   order; a veto during that replay (the set's *cumulative* accuracy
 //!   effect can exceed what pairwise conflicts admit) rolls back and
 //!   falls back to greedy ([`SelectStats::veto_fallbacks`]).
+//!
+//! A search node prices nothing afresh. Within one search — one
+//! word-length snapshot against a fixed set of prior groups — a
+//! candidate's optimistic bound term and its in-set value term are one
+//! function of three bits: whether each operand superword is produced
+//! packed and whether the result is consumed packed. A flow resolves
+//! through a prior group, or through a partner candidate that is chosen
+//! (or, for the bound, still available). The search precomputes each
+//! pooled candidate's partners once and memoises the eight prices per
+//! candidate, filling a miss from [`BenefitModel::assess_optimistic`] or
+//! [`BenefitModel::assess`] themselves, so every answer is bitwise the
+//! model's. The include-steps spent are reported as
+//! [`SelectStats::include_steps`].
 
-use crate::benefit::{BenefitKind, BenefitModel};
+use crate::benefit::{BenefitKind, BenefitModel, ReuseShape};
 use crate::candidate::{CandidateView, Round};
 use crate::conflict::conflicts;
 use crate::group::{closes_cycle, SimdGroup};
@@ -57,6 +70,10 @@ pub struct SelectStats {
     /// Rounds where replaying the improved set was vetoed by the hooks
     /// (cumulative accuracy effect) and greedy was restored instead.
     pub veto_fallbacks: u64,
+    /// Branch-and-bound include-steps spent, summed over rounds (a round
+    /// that exhausts its budget counts the whole budget). Deterministic:
+    /// the search's work measure, independent of the machine.
+    pub include_steps: u64,
     /// Flow-level arbitrations that preferred the greedy leg's schedule
     /// over the exact leg's (the exact selector optimizes the benefit
     /// model, the flow's contract is real scheduled cycles).
@@ -85,20 +102,10 @@ pub fn set_value(
     let mut all: Vec<SimdGroup> = prior.to_vec();
     all.extend(chosen.iter().map(|&i| round.merged(i).clone()));
     let dead = vec![false; round.candidates.len()];
-    value_with(model, round, &dead, chosen, &all)
-}
-
-fn value_with(
-    model: &BenefitModel<'_>,
-    _round: &Round,
-    dead: &[bool],
-    chosen: &[usize],
-    all: &[SimdGroup],
-) -> f64 {
     let margin = model.admission_margin();
     chosen
         .iter()
-        .map(|&i| model.assess(i, dead, all).net() - margin)
+        .map(|&i| model.assess(i, &dead, &all).net() - margin)
         .sum()
 }
 
@@ -200,7 +207,7 @@ pub(crate) fn run_selection_optimal(
 
     let max_wl = target.max_wl();
     let prices = CycleCache::new(target);
-    let (best_set, exhausted) = {
+    let (best_set, exhausted, steps) = {
         let oracle: &dyn SelectHooks = &*hooks;
         let model = BenefitModel::new(
             dfg,
@@ -224,6 +231,7 @@ pub(crate) fn run_selection_optimal(
         )
     };
 
+    stats.include_steps += u64::from(steps);
     if exhausted {
         stats.budget_fallbacks += 1;
         return replay(dfg, hooks, views, selected_so_far, &probe.chosen, false)
@@ -259,8 +267,9 @@ pub(crate) fn run_selection_optimal(
 
 /// Branch-and-bound over the round's candidates. Returns the best set
 /// strictly better than the greedy incumbent (`None` when greedy is
-/// already optimal among what was searched) and whether the budget ran
-/// out (in which case the best set is meaningless and discarded).
+/// already optimal among what was searched), whether the budget ran
+/// out (in which case the best set is meaningless and discarded), and
+/// the include-steps spent.
 #[allow(clippy::too_many_arguments)]
 fn search(
     dfg: &Dfg,
@@ -271,7 +280,7 @@ fn search(
     conf: &[(usize, usize)],
     budget: u32,
     incumbent: &[usize],
-) -> (Option<Vec<usize>>, bool) {
+) -> (Option<Vec<usize>>, bool, u32) {
     // Per-candidate optimistic bound: the shallow assessment treats
     // every speculative flow as certain reuse, which upper-bounds the
     // candidate's in-set net over any chosen set.
@@ -303,14 +312,21 @@ fn search(
         }
     }
     let mut order: Vec<usize> = (0..n).filter(|&i| in_pool[i]).collect();
+    let words = n.div_ceil(64);
+    let mut avail = vec![0u64; words];
+    for &i in &order {
+        avail[i / 64] |= 1 << (i % 64);
+    }
+    let nothing_chosen = vec![0u64; words];
+    let mut memo = PriceMemo::new(model, round, prior, &order);
     // Re-tighten the static bounds against the pool itself: partners
     // outside the pool can never be chosen, so optimism extended to
     // them (the full `alive` set above — needed first, to make the
     // reachability closure sound) only loosens every cap derived from
-    // `opt` below.
-    let pool_alive: Vec<bool> = (0..n).map(|i| in_pool[i]).collect();
+    // `opt` below. Priced through the memo, which this also warms: the
+    // search's root node asks exactly these questions.
     for &i in &order {
-        opt[i] = model.assess_optimistic(i, &pool_alive, prior).net() - margin;
+        opt[i] = memo.bound(i, &nothing_chosen, &avail, prior);
     }
     // Best-bound-first ordering tightens the suffix bound fastest;
     // total_cmp plus the index tie-break keeps it deterministic.
@@ -324,15 +340,10 @@ fn search(
     // mutually overlapping candidates) are intractable under the
     // conflict-blind bound and close in a few thousand steps under this
     // one.
-    let words = n.div_ceil(64);
     let mut conf_mask = vec![0u64; n * words];
     for &(a, b) in conf {
         conf_mask[a * words + b / 64] |= 1 << (b % 64);
         conf_mask[b * words + a / 64] |= 1 << (a % 64);
-    }
-    let mut avail = vec![0u64; words];
-    for &i in &order {
-        avail[i / 64] |= 1 << (i % 64);
     }
 
     // Greedy clique cover of the pool under the conflict relation, in
@@ -359,66 +370,126 @@ fn search(
     }
     let clique_members: Vec<Vec<usize>> = cliques.into_iter().map(|(m, _)| m).collect();
 
-    let incumbent_value = set_value(model, round, prior, incumbent);
-
-    if std::env::var_os("SLPWLO_SEARCH_DEBUG").is_some() {
-        let pos = order.iter().filter(|&&i| opt[i] > 0.0).count();
-        let live_conf = conf
-            .iter()
-            .filter(|&&(a, b)| in_pool[a] && in_pool[b])
-            .count();
-        let root: f64 = clique_members
-            .iter()
-            .map(|m| m.iter().map(|&i| opt[i].max(0.0)).fold(0.0, f64::max))
-            .sum();
-        let sizes: Vec<usize> = clique_members.iter().map(Vec::len).collect();
-        eprintln!(
-            "search: n={n} pool={} positive={pos} conf-pairs={live_conf} cliques={} root-bound={root:.3} incumbent={incumbent_value:.3} sizes={sizes:?}",
-            order.len(),
-            clique_members.len()
-        );
-    }
-
-    let dead = vec![false; n];
     let mut s = Search {
         dfg,
-        model,
         round,
         order: &order,
         opt: &opt,
         conf_mask: &conf_mask,
         words,
         cliques: &clique_members,
-        dead: &dead,
-        margin,
+        memo,
         budget,
         exhausted: false,
         chosen: Vec::new(),
+        chosen_mask: nothing_chosen,
         sel: prior.to_vec(),
         prior_len: prior.len(),
-        best_value: incumbent_value,
+        best_value: set_value(model, round, prior, incumbent),
         best_set: None,
-        alive_buf: vec![false; n],
-        nodes: 0,
-        prunes: 0,
     };
     s.dfs(0, &avail);
-    if std::env::var_os("SLPWLO_SEARCH_DEBUG").is_some() {
-        eprintln!(
-            "search end: nodes={} prunes={} includes={} exhausted={} best={:.3} (incumbent {incumbent_value:.3})",
-            s.nodes,
-            s.prunes,
-            budget - s.budget,
-            s.exhausted,
-            s.best_value
-        );
+    (s.best_set, s.exhausted, budget - s.budget)
+}
+
+/// Bit `i` of a candidate bitset.
+fn has(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// The search's price memo: each pooled candidate's bound and value
+/// terms (`net() - margin`), keyed by its [`ReuseShape`] bits.
+///
+/// Invariant: one memo serves one [`search`] call, which prices one
+/// word-length snapshot (the model's oracles are fixed for its
+/// lifetime) against one fixed `prior`, and every pricing context the
+/// search builds is `prior` plus chosen pool members. Under those
+/// conditions a candidate's optimistic assessment and its in-set
+/// assessment are one function of which of its three reuse flows
+/// resolve (see [`BenefitModel::reuse_shape`]), so eight entries per
+/// candidate hold every answer the search can ask for. A miss prices
+/// through the model's own
+/// [`assess_optimistic`](BenefitModel::assess_optimistic) or
+/// [`assess`](BenefitModel::assess), so the memo returns their bits
+/// exactly.
+struct PriceMemo<'a, 'm> {
+    model: &'a BenefitModel<'m>,
+    margin: f64,
+    /// Reuse shape per candidate index; filled for pool members only.
+    shapes: Vec<ReuseShape>,
+    terms: Vec<[Option<f64>; 8]>,
+    /// All-false liveness: the in-set value prices no speculation.
+    dead: Vec<bool>,
+    /// The current `avail` as a liveness slice, for bound misses.
+    alive_buf: Vec<bool>,
+    /// Whether `alive_buf` mirrors the current `avail`; cleared by
+    /// [`invalidate`](Self::invalidate), refreshed on the next miss.
+    alive_fresh: bool,
+}
+
+impl<'a, 'm> PriceMemo<'a, 'm> {
+    fn new(
+        model: &'a BenefitModel<'m>,
+        round: &Round,
+        prior: &[SimdGroup],
+        pool: &[usize],
+    ) -> Self {
+        let n = round.candidates.len();
+        let mut shapes = vec![ReuseShape::default(); n];
+        for &i in pool {
+            shapes[i] = model.reuse_shape(i, prior);
+        }
+        PriceMemo {
+            model,
+            margin: model.admission_margin(),
+            shapes,
+            terms: vec![[None; 8]; n],
+            dead: vec![false; n],
+            alive_buf: vec![false; n],
+            alive_fresh: false,
+        }
     }
-    (s.best_set, s.exhausted)
+
+    /// Marks `avail` as changed since the last bound miss.
+    fn invalidate(&mut self) {
+        self.alive_fresh = false;
+    }
+
+    /// Candidate `i`'s optimistic net over the margin against `sel`
+    /// (`prior` plus the `chosen` groups), with the `avail` candidates
+    /// live: `assess_optimistic(i, avail, sel).net() - margin`.
+    fn bound(&mut self, i: usize, chosen: &[u64], avail: &[u64], sel: &[SimdGroup]) -> f64 {
+        let key = self.shapes[i].key(|p| has(chosen, p) || has(avail, p));
+        if let Some(v) = self.terms[i][key] {
+            return v;
+        }
+        if !self.alive_fresh {
+            for (idx, a) in self.alive_buf.iter_mut().enumerate() {
+                *a = has(avail, idx);
+            }
+            self.alive_fresh = true;
+        }
+        let v = self.model.assess_optimistic(i, &self.alive_buf, sel).net() - self.margin;
+        self.terms[i][key] = Some(v);
+        v
+    }
+
+    /// Candidate `i`'s in-set net over the margin against `sel` (`prior`
+    /// plus the `chosen` groups): `assess(i, dead, sel).net() - margin`,
+    /// the summand of [`set_value`].
+    fn value(&mut self, i: usize, chosen: &[u64], sel: &[SimdGroup]) -> f64 {
+        let key = self.shapes[i].key(|p| has(chosen, p));
+        if let Some(v) = self.terms[i][key] {
+            return v;
+        }
+        let v = self.model.assess(i, &self.dead, sel).net() - self.margin;
+        self.terms[i][key] = Some(v);
+        v
+    }
 }
 
 struct Search<'a, 'm> {
     dfg: &'a Dfg,
-    model: &'a BenefitModel<'m>,
     round: &'a Round,
     order: &'a [usize],
     opt: &'a [f64],
@@ -429,21 +500,18 @@ struct Search<'a, 'm> {
     /// Clique cover of the pool; members of each clique in descending
     /// optimistic-bound order, mutually conflicting.
     cliques: &'a [Vec<usize>],
-    dead: &'a [bool],
-    margin: f64,
+    memo: PriceMemo<'a, 'm>,
     budget: u32,
     exhausted: bool,
     /// Candidate indices of the current partial set, in inclusion order.
     chosen: Vec<usize>,
+    /// `chosen` as a bitset over candidate indices.
+    chosen_mask: Vec<u64>,
     /// Prior groups plus the chosen groups (the pricing context).
     sel: Vec<SimdGroup>,
     prior_len: usize,
     best_value: f64,
     best_set: Option<Vec<usize>>,
-    /// Scratch liveness slice for path-dependent optimistic bounds.
-    alive_buf: Vec<bool>,
-    nodes: u64,
-    prunes: u64,
 }
 
 impl Search<'_, '_> {
@@ -458,35 +526,27 @@ impl Search<'_, '_> {
     /// bounds every completion of this partial set. Bounding the chosen
     /// side statically instead is fatal on large rounds: round-entry
     /// optimism alone can exceed the incumbent at depth 15, and the
-    /// search never prunes again below that.
+    /// search never prunes again below that. Every term comes from the
+    /// price memo, so a node costs bitset tests, not re-pricing.
     fn dfs(&mut self, k: usize, avail: &[u64]) {
         if self.exhausted {
             return;
         }
-        self.nodes += 1;
         let Some((pos, i)) = self
             .order
             .iter()
             .enumerate()
             .skip(k)
-            .find(|&(_, &i)| avail[i / 64] & (1 << (i % 64)) != 0)
+            .find(|&(_, &i)| has(avail, i))
             .map(|(pos, &i)| (pos, i))
         else {
             return;
         };
-        // Refresh the scratch liveness to this subtree's reachable set.
-        for (idx, a) in self.alive_buf.iter_mut().enumerate() {
-            *a = avail[idx / 64] & (1 << (idx % 64)) != 0;
-        }
+        self.memo.invalidate();
         let mut bound: f64 = self
             .chosen
             .iter()
-            .map(|&j| {
-                self.model
-                    .assess_optimistic(j, &self.alive_buf, &self.sel)
-                    .net()
-                    - self.margin
-            })
+            .map(|&j| self.memo.bound(j, &self.chosen_mask, avail, &self.sel))
             .sum();
         // Add each clique's best still-available member at its dynamic
         // value. Members are walked in descending static-bound order,
@@ -502,20 +562,15 @@ impl Search<'_, '_> {
                 if self.opt[m] <= best_m {
                     break;
                 }
-                if avail[m / 64] & (1 << (m % 64)) == 0 {
+                if !has(avail, m) {
                     continue;
                 }
-                let d = self
-                    .model
-                    .assess_optimistic(m, &self.alive_buf, &self.sel)
-                    .net()
-                    - self.margin;
+                let d = self.memo.bound(m, &self.chosen_mask, avail, &self.sel);
                 best_m = best_m.max(d);
             }
             bound += best_m.max(0.0);
         }
         if bound <= self.best_value + EPS {
-            self.prunes += 1;
             return;
         }
         // Structural conflicts with the chosen set are pre-banned in
@@ -527,8 +582,13 @@ impl Search<'_, '_> {
             }
             self.budget -= 1;
             self.chosen.push(i);
+            self.chosen_mask[i / 64] |= 1 << (i % 64);
             self.sel.push(self.round.merged(i).clone());
-            let v = value_with(self.model, self.round, self.dead, &self.chosen, &self.sel);
+            let v: f64 = self
+                .chosen
+                .iter()
+                .map(|&j| self.memo.value(j, &self.chosen_mask, &self.sel))
+                .sum();
             if v > self.best_value + EPS {
                 self.best_value = v;
                 self.best_set = Some(self.chosen.clone());
@@ -541,6 +601,7 @@ impl Search<'_, '_> {
             }
             self.dfs(pos + 1, &narrowed);
             self.chosen.pop();
+            self.chosen_mask[i / 64] &= !(1 << (i % 64));
             self.sel.truncate(self.prior_len + self.chosen.len());
             if self.exhausted {
                 return;
@@ -677,6 +738,94 @@ kernel f {
             );
         }
         assert!(enumerated > 0, "no round was small enough to enumerate");
+    }
+
+    /// Every price the search's memo answers equals a fresh assessment
+    /// bit for bit: on the first round of CFIR's and BIQUAD's hot blocks
+    /// (ST240, VEX-1) and of the FIR fixture, over seeded random
+    /// `(chosen, avail)` states priced through one long-lived memo (so
+    /// later states hit entries earlier states filled), each bound term
+    /// matches `assess_optimistic` against `avail` and each value term
+    /// matches `assess` with nothing live.
+    #[test]
+    fn price_memo_matches_fresh_assessments() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use slpwlo_ir::blocks::blocks_by_priority;
+        use slpwlo_kernels::{biquad_cascade4, complex_fir32};
+
+        let hot = |k: slpwlo_ir::Kernel| Dfg::from_block(&k, &blocks_by_priority(&k)[0]);
+        let mut cases = Vec::new();
+        for dfg in [hot(complex_fir32()), hot(biquad_cascade4())] {
+            cases.push((dfg.clone(), st240()));
+            cases.push((dfg, vex(1)));
+        }
+        cases.push((fir_dfg(), st240()));
+        let mut rng = StdRng::seed_from_u64(0x3e30);
+        for (dfg, target) in &cases {
+            let round = Round::new(dfg, target, &[]);
+            let n = round.candidates.len();
+            let prices = CycleCache::new(target);
+            let max = target.max_wl();
+            // Mismatched per-lane formats with equalization on, so the
+            // backed bits also move the scaling prices.
+            let model = BenefitModel::new(
+                dfg,
+                &round,
+                &prices,
+                BenefitKind::Cycles,
+                |_| max,
+                |n| Some(8 + (n.index() % 3) as i32),
+            )
+            .assume_equalization(true);
+            let margin = model.admission_margin();
+            let pool: Vec<usize> = (0..n).collect();
+            let mut memo = PriceMemo::new(&model, &round, &[], &pool);
+            let words = n.div_ceil(64);
+            let dead = vec![false; n];
+            let (mut asked, mut hits) = (0usize, 0usize);
+            for _ in 0..48 {
+                let mut chosen_mask = vec![0u64; words];
+                let mut avail = vec![0u64; words];
+                let mut sel: Vec<SimdGroup> = Vec::new();
+                let mut chosen: Vec<usize> = Vec::new();
+                for _ in 0..rng.gen_range(0..n.min(8) + 1) {
+                    let i = rng.gen_range(0..n);
+                    if !has(&chosen_mask, i) {
+                        chosen_mask[i / 64] |= 1 << (i % 64);
+                        chosen.push(i);
+                        sel.push(round.merged(i).clone());
+                    }
+                }
+                let density = rng.gen_range(0..4usize);
+                for i in 0..n {
+                    if !has(&chosen_mask, i) && rng.gen_range(0..4usize) < density {
+                        avail[i / 64] |= 1 << (i % 64);
+                    }
+                }
+                let alive: Vec<bool> = (0..n).map(|i| has(&avail, i)).collect();
+                memo.invalidate();
+                for _ in 0..16 {
+                    let i = rng.gen_range(0..n);
+                    let had = memo.terms[i].iter().flatten().count();
+                    let got = memo.bound(i, &chosen_mask, &avail, &sel);
+                    let fresh = model.assess_optimistic(i, &alive, &sel).net() - margin;
+                    assert_eq!(got.to_bits(), fresh.to_bits(), "bound of {i}");
+                    asked += 1;
+                    hits += usize::from(memo.terms[i].iter().flatten().count() == had);
+                }
+                for &i in &chosen {
+                    let got = memo.value(i, &chosen_mask, &sel);
+                    let fresh = model.assess(i, &dead, &sel).net() - margin;
+                    assert_eq!(got.to_bits(), fresh.to_bits(), "value of {i}");
+                }
+            }
+            assert!(
+                hits > 0 && hits < asked,
+                "{}: {hits} of {asked} hit",
+                target.name
+            );
+        }
     }
 
     /// A zero budget degrades to exactly the greedy selection.

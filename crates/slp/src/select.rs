@@ -260,7 +260,7 @@ pub(crate) fn greedy_loop(
             // enter candidates through their group's item), which is a
             // legal widening that `absorb_selected` resolves — see
             // `overlap_with_prior_groups_implies_containment`.
-            kill_overlapping(round, best, &mut alive, &new_groups);
+            kill_overlapping(round, &mut alive, &new_groups);
             continue;
         }
         let accepted = try_select(
@@ -320,7 +320,7 @@ fn try_select(
 /// Kills candidates overlapping any already-formed group (used in the
 /// conflict-free tail, where shared-item conflicts are gone but overlaps
 /// with fresh selections must still be respected).
-fn kill_overlapping(round: &Round, _idx: usize, alive: &mut [bool], new_groups: &[SimdGroup]) {
+fn kill_overlapping(round: &Round, alive: &mut [bool], new_groups: &[SimdGroup]) {
     for (ci, a) in alive.iter_mut().enumerate() {
         if !*a {
             continue;

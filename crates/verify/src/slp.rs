@@ -19,9 +19,7 @@
 
 use crate::{Invariant, Pass, VerifyError};
 use slpwlo_ir::{Dfg, NodeId};
-use slpwlo_slp::{
-    closes_cycle, exhaustive_best, set_value, BenefitKind, BenefitModel, Round, SimdGroup,
-};
+use slpwlo_slp::{exhaustive_best, set_value, BenefitKind, BenefitModel, Round, SimdGroup};
 use slpwlo_targets::{CycleCache, TargetModel};
 use std::collections::HashSet;
 
@@ -113,23 +111,74 @@ pub fn verify_groups(
             }
         }
     }
-    for (gi, g) in groups.iter().enumerate() {
-        let others: Vec<SimdGroup> = groups
-            .iter()
-            .enumerate()
-            .filter(|&(oi, _)| oi != gi)
-            .map(|(_, o)| o.clone())
-            .collect();
-        if closes_cycle(dfg, &others, g) {
-            return Err(err(
-                ctx,
-                Invariant::GroupCycle,
-                Some(format!("group #{gi} {g}")),
-                "realising this group closes a coarsened dependency cycle",
-            ));
-        }
+    if let Some(gi) = first_cyclic_group(dfg, groups) {
+        return Err(err(
+            ctx,
+            Invariant::GroupCycle,
+            Some(format!("group #{gi} {}", groups[gi])),
+            "realising this group closes a coarsened dependency cycle",
+        ));
     }
     Ok(())
+}
+
+/// The lowest-index group lying on a cycle of the coarsened dependence
+/// graph — each group one unit, every ungrouped node its own — or
+/// `None` when that graph is acyclic. The groups must be disjoint.
+///
+/// Independent of the selector's own incremental cycle test
+/// (`slpwlo_slp::closes_cycle`): one topological sort (Kahn's) over the
+/// final grouping decides acyclicity. Only a cyclic grouping pays for
+/// naming the group: every unit the sort could not place lies on a
+/// cycle or downstream of one, and a group lies on a cycle iff it
+/// reaches itself through those units.
+fn first_cyclic_group(dfg: &Dfg, groups: &[SimdGroup]) -> Option<usize> {
+    let units = groups.len() + dfg.len();
+    let mut unit: Vec<usize> = (groups.len()..units).collect();
+    for (gi, g) in groups.iter().enumerate() {
+        for &e in &g.elems {
+            unit[e.index()] = gi;
+        }
+    }
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); units];
+    let mut indeg = vec![0usize; units];
+    for (id, _) in dfg.iter() {
+        let u = unit[id.index()];
+        for p in dfg.preds(id) {
+            let pu = unit[p.index()];
+            if pu != u {
+                succs[pu].push(u);
+                indeg[u] += 1;
+            }
+        }
+    }
+    let mut ready: Vec<usize> = (0..units).filter(|&u| indeg[u] == 0).collect();
+    let mut placed = 0;
+    while let Some(u) = ready.pop() {
+        placed += 1;
+        for &v in &succs[u] {
+            indeg[v] -= 1;
+            if indeg[v] == 0 {
+                ready.push(v);
+            }
+        }
+    }
+    if placed == units {
+        return None;
+    }
+    (0..groups.len()).filter(|&gi| indeg[gi] > 0).find(|&gi| {
+        let mut seen = vec![false; units];
+        let mut stack = succs[gi].clone();
+        while let Some(u) = stack.pop() {
+            if u == gi {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[u], true) {
+                stack.extend(succs[u].iter().copied().filter(|&v| indeg[v] > 0));
+            }
+        }
+        false
+    })
 }
 
 /// Spot-checks one *round* of the exact selector against brute force:
@@ -283,6 +332,57 @@ kernel f {
         }];
         let e = verify_groups(&dfg, &groups, &xentium(), "t").unwrap_err();
         assert_eq!(e.invariant, Invariant::DependentLanes);
+    }
+
+    /// Two mutually independent multiply chains `m0 → t0` and
+    /// `m1 → t1`, grouped crosswise: every lane pair is independent, yet
+    /// `{m0, t1}` feeds `{m1, t0}` through `m0 → t0` and is fed by it
+    /// through `m1 → t1`.
+    #[test]
+    fn kills_cross_chain_group_cycles() {
+        let k = parse_kernel(
+            r#"
+kernel cy {
+    input x range [-1, 1];
+    output y;
+    array a[8];
+    var m0;
+    var m1;
+    var t0;
+    var t1;
+    shiftin a <- x;
+    m0 = a[0] * a[1];
+    m1 = a[2] * a[3];
+    t0 = m0 * a[4];
+    t1 = m1 * a[5];
+    y = t0 + t1;
+}
+"#,
+        )
+        .unwrap();
+        let blocks = collect_blocks(&k);
+        let dfg = Dfg::from_block(&k, &blocks[0]);
+        let m = muls(&dfg);
+        assert_eq!(m.len(), 4);
+        let (m0, m1, t0, t1) = (m[0], m[1], m[2], m[3]);
+        assert!(dfg.reaches(m0, t0) && dfg.reaches(m1, t1));
+        let loads: Vec<NodeId> = dfg
+            .iter()
+            .filter(|(_, n)| matches!(n.kind, NodeKind::LoadArray(..)))
+            .map(|(i, _)| i)
+            .collect();
+        let pair = |a, b| SimdGroup { elems: vec![a, b] };
+        verify_groups(&dfg, &[pair(m0, m1), pair(t0, t1)], &xentium(), "t").unwrap();
+        let e = verify_groups(
+            &dfg,
+            &[pair(loads[0], loads[1]), pair(m0, t1), pair(m1, t0)],
+            &xentium(),
+            "t",
+        )
+        .unwrap_err();
+        assert_eq!(e.invariant, Invariant::GroupCycle);
+        // Group #0 (two loads) is clean; #1 is the lowest on the cycle.
+        assert!(e.to_string().contains("group #1"), "{e}");
     }
 
     #[test]

@@ -14,12 +14,17 @@
 //!    programs), with the fallback recorded in the report's stats;
 //! 4. **exhaustive agreement** — driving rounds by hand under a frozen
 //!    word-length oracle, every committed round is spot-checked against
-//!    brute-force subset enumeration via `verify_optimal_selection`.
+//!    brute-force subset enumeration via `verify_optimal_selection`;
+//! 5. **search work** — the include-steps CFIR's exact, pipelined
+//!    compile on ST240 spends are pinned, so a change to the search's
+//!    pruning shows up as a moved count, not only as a moved timing.
 
+use slpwlo::core::SchedKind;
 use slpwlo::gen::KernelGen;
 use slpwlo::kernels::all_benchmarks;
+use slpwlo::kernels::complex_fir32;
 use slpwlo::targets::{st240, vex, xentium};
-use slpwlo::{BenefitKind, Error, Optimizer, VerifyLevel};
+use slpwlo::{BenefitKind, Error, FlowKind, Optimizer, VerifyLevel};
 
 const DBS: [f64; 2] = [-20.0, -50.0];
 
@@ -250,4 +255,23 @@ fn committed_rounds_agree_with_exhaustive_enumeration() {
         verified_rounds > 0,
         "no round was small enough for the exhaustive spot-check"
     );
+}
+
+/// The branch-and-bound's include-steps are deterministic: CFIR on
+/// ST240 at -40 dB, exact selection with modulo scheduling (the
+/// maximum-quality compile), spends exactly this many over all rounds,
+/// well inside one round's default budget.
+#[test]
+fn cfir_exact_include_steps_are_pinned() {
+    let report = Optimizer::for_kernel(complex_fir32())
+        .expect("suite kernel")
+        .target(st240())
+        .constraint_db(-40.0)
+        .benefit_kind(BenefitKind::optimal())
+        .sched_kind(SchedKind::modulo())
+        .run_with(FlowKind::WloSlp)
+        .expect("CFIR meets -40 dB on ST240");
+    let stats = report.select;
+    assert_eq!(stats.budget_fallbacks, 0);
+    assert_eq!(stats.include_steps, 1_684, "{stats:?}");
 }

@@ -25,7 +25,7 @@ use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::{FixedPointSpec, QFormat};
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::builder::KernelBuilder;
-use slpwlo::ir::Dfg;
+use slpwlo::ir::{Dfg, NodeId};
 use slpwlo::kernels::all_benchmarks;
 use slpwlo::slp::{extract_plain_with, BenefitKind, SimdGroup};
 use slpwlo::targets::{vex, xentium, TargetModel};
@@ -166,13 +166,55 @@ fn block_groupings(
         .collect()
 }
 
+/// Two chains `p1 → q1` and `p2 → q2` of one op kind, on nodes no group
+/// claims, grouped crosswise as `{p1, q2}` and `{p2, q1}`: every lane
+/// pair is independent, yet each group feeds the other (through
+/// `p1 → q1` and `p2 → q2`) — a coarsened cycle that no lane-level
+/// check sees. `None` when the block has no such pair of chains.
+fn cross_chain_groups(dfg: &Dfg, groups: &[SimdGroup]) -> Option<[SimdGroup; 2]> {
+    let free: Vec<NodeId> = dfg
+        .groupable_nodes()
+        .into_iter()
+        .filter(|&n| !groups.iter().any(|g| g.contains(n)))
+        .collect();
+    let alike = |a: NodeId, b: NodeId| {
+        let (x, y) = (dfg.node(a), dfg.node(b));
+        x.kind.isomorphic(&y.kind) && x.operands.len() == y.operands.len()
+    };
+    // Each free node's first like successor, in topological order.
+    let chains: Vec<(NodeId, NodeId)> = free
+        .iter()
+        .filter_map(|&p| {
+            let q = free.iter().find(|&&q| alike(p, q) && dfg.reaches(p, q))?;
+            Some((p, *q))
+        })
+        .collect();
+    for (a, &(p1, q1)) in chains.iter().enumerate() {
+        for &(p2, q2) in &chains[a + 1..] {
+            if q1 != q2 && alike(p1, p2) && dfg.independent(p1, q2) && dfg.independent(p2, q1) {
+                return Some([
+                    SimdGroup {
+                        elems: vec![p1, q2],
+                    },
+                    SimdGroup {
+                        elems: vec![p2, q1],
+                    },
+                ]);
+            }
+        }
+    }
+    None
+}
+
 /// Lane-level single-point mutations: claim a node twice (within a
 /// group and across groups), drop to one lane, and stretch to a width
-/// the target cannot realise. Each class must kill at least once per
-/// target across the suite.
+/// the target cannot realise — plus one group-level mutation, two
+/// extra groups that close a coarsened dependency cycle. Each class
+/// must kill at least once per target across the suite.
 #[test]
 fn group_mutations_kill_the_slp_checker() {
     for target in targets() {
+        let mut cycle_kills = 0usize;
         let mut dup_kills = 0usize;
         let mut reclaim_kills = 0usize;
         let mut swap_kills = 0usize;
@@ -182,6 +224,22 @@ fn group_mutations_kill_the_slp_checker() {
             for (dfg, groups) in block_groupings(&bench, &target) {
                 verify_groups(&dfg, &groups, &target, bench.name)
                     .unwrap_or_else(|e| panic!("{}: clean groups rejected: {e}", bench.name));
+
+                // Add two crosswise groups over independent chains: each
+                // is legal on its own, together they form a cycle.
+                if target.simd_element_wl(2).is_some() {
+                    if let Some(cross) = cross_chain_groups(&dfg, &groups) {
+                        let mut m = groups.clone();
+                        m.extend(cross);
+                        assert_kill(
+                            &format!("{}/slp-cycle {}", bench.name, target.name),
+                            verify_groups(&dfg, &m, &target, bench.name),
+                            Pass::Slp,
+                            Invariant::GroupCycle,
+                        );
+                        cycle_kills += 1;
+                    }
+                }
                 if groups.is_empty() {
                     continue;
                 }
@@ -260,6 +318,7 @@ fn group_mutations_kill_the_slp_checker() {
                 }
             }
         }
+        assert!(cycle_kills > 0, "{}: no group-cycle kills", target.name);
         assert!(dup_kills > 0, "{}: no duplicate-lane kills", target.name);
         assert!(reclaim_kills > 0, "{}: no group-reclaim kills", target.name);
         assert!(swap_kills > 0, "{}: no lane-swap kills", target.name);
