@@ -15,7 +15,7 @@ use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_kernels::{complex_fir32, conv3x3, fir64, matvec16x16};
-use slpwlo_slp::{extract_plain_with, BenefitKind, Round};
+use slpwlo_slp::{extract_plain_with, BenefitKind, PassCtx, Round};
 use slpwlo_targets::{st240, xentium, CycleCache, SchedKind};
 
 fn main() {
@@ -35,7 +35,9 @@ fn main() {
     let dfg = Dfg::from_block(&kernel, &blocks[0]);
     m.bench("slp_round_conv3x3", || Round::new(&dfg, &target, &[]));
     m.bench("slp_extract_plain_conv3x3", || {
-        extract_plain_with(&dfg, &target, &|_| 16, BenefitKind::default())
+        let costs = CycleCache::new(&target);
+        let mut ctx = PassCtx::new(costs, BenefitKind::default(), SchedKind::List, false);
+        extract_plain_with(&mut ctx, &dfg, &|_| 16)
     });
 
     m.bench("tabu_wlo_fir64", || {

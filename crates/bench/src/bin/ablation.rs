@@ -48,7 +48,7 @@ use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::{Dfg, NodeId};
 use slpwlo_kernels::{all_benchmarks, paper_benchmarks, Benchmark};
 use slpwlo_slp::{
-    extract_rounds_stats, BenefitModel, CandidateView, Round, SelectHooks, SelectStats,
+    extract_rounds, BenefitModel, CandidateView, PassCtx, Round, SelectHooks, SelectStats,
 };
 use slpwlo_targets::{all_targets, st240, vex, xentium, CycleCache, TargetModel};
 
@@ -71,12 +71,6 @@ impl SelectHooks for NoConflictHooks<'_> {
     }
     fn current_fwl(&self, node: NodeId) -> Option<i32> {
         self.0.current_fwl(node)
-    }
-    fn equalization_follows(&self) -> bool {
-        self.0.equalization_follows()
-    }
-    fn sched_kind(&self) -> SchedKind {
-        self.0.sched_kind()
     }
     fn checkpoint(&mut self) {
         self.0.checkpoint();
@@ -110,15 +104,18 @@ impl CompilationFlow for AblatedWloSlp {
         let prep = ctx.prep;
         let target = ctx.target;
         let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
+        // The joint flow's selection context, equalization included, so
+        // each ablation removes exactly one ingredient.
+        let costs = CycleCache::new(target);
+        let mut pass = PassCtx::new(costs, BenefitKind::default(), SchedKind::List, true);
         let mut per_block = Vec::new();
         for block in blocks_by_priority(&prep.kernel) {
             let dfg = Dfg::from_block(&prep.kernel, &block);
             let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &prep.eval, db);
-            let (benefit, stats) = (BenefitKind::default(), &mut SelectStats::default());
             let groups = if self.0 == Ablate::AccConflicts {
-                extract_rounds_stats(&dfg, target, &mut NoConflictHooks(hooks), benefit, stats)
+                extract_rounds(&mut pass, &dfg, &mut NoConflictHooks(hooks))
             } else {
-                extract_rounds_stats(&dfg, target, &mut hooks, benefit, stats)
+                extract_rounds(&mut pass, &dfg, &mut hooks)
             };
             if self.0 != Ablate::Scalopt {
                 let _ = scaling_optimize(&mut spec, &dfg, &groups, &prep.eval, db, target);
@@ -208,22 +205,21 @@ fn pricing_overhead(micro: &mut Micro, bench: &Benchmark, target: &TargetModel) 
         })
         .collect();
     let max_wl = target.max_wl();
-    // Selection shares one price cache across model rebuilds
-    // (`run_selection_stats` hoists it out of the loop); mirror that here
-    // so the sweep prices through a warmed cache, not cold target folds.
-    let prices = CycleCache::new(target);
     let mut medians = [0.0f64; 2];
     for (k, kind) in [BenefitKind::Slots, BenefitKind::Cycles]
         .into_iter()
         .enumerate()
     {
+        // Selection prices a whole leg through its context's one cache;
+        // mirror that here so the sweep prices through a warmed cache,
+        // not cold target folds.
+        let ctx = PassCtx::new(CycleCache::new(target), kind, SchedKind::List, false);
         medians[k] = micro.bench(
             &format!("price/{}/{}/{kind}", bench.name, target.name),
             || {
                 let mut acc = 0.0;
                 for (dfg, round) in &rounds {
-                    let model =
-                        BenefitModel::new(dfg, round, &prices, kind, move |_| max_wl, |_| None);
+                    let model = BenefitModel::new(dfg, round, &ctx, move |_| max_wl, |_| None);
                     let alive = vec![true; round.candidates.len()];
                     let pass = model.pass(&alive, &[]);
                     for i in 0..round.candidates.len() {
@@ -546,20 +542,14 @@ mod tests {
         let seed = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
         let (mut inner_spec, mut outer_spec) = (seed.clone(), seed);
         let db = -60.0;
-        let mut inner = AccuracyHooks::new(&dfg, &mut inner_spec, &prep.eval, db)
-            .with_sched(SchedKind::modulo());
-        let mut outer = NoConflictHooks(
-            AccuracyHooks::new(&dfg, &mut outer_spec, &prep.eval, db)
-                .with_sched(SchedKind::modulo()),
-        );
+        let mut inner = AccuracyHooks::new(&dfg, &mut inner_spec, &prep.eval, db);
+        let mut outer = NoConflictHooks(AccuracyHooks::new(&dfg, &mut outer_spec, &prep.eval, db));
         let same_oracle = |inner: &AccuracyHooks, outer: &NoConflictHooks| {
             dfg.iter().all(|(n, _)| {
                 inner.current_wl(n) == outer.current_wl(n)
                     && inner.current_fwl(n) == outer.current_fwl(n)
             })
         };
-        assert_eq!(inner.equalization_follows(), outer.equalization_follows());
-        assert_eq!(inner.sched_kind(), outer.sched_kind());
         for a in &views {
             assert_eq!(inner.validate(a), outer.validate(a));
             for b in &views {

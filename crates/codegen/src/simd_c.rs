@@ -44,15 +44,12 @@ pub fn emit_simd_c(program: &MachineProgram, target_name: &str) -> Result<String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slpwlo_core::nodes::value_wl;
-    use slpwlo_core::{lower_fixed, MachineProgram};
+    use slpwlo_core::{extract_on_spec, lower_fixed, MachineProgram, PassCtx, SchedKind};
     use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
     use slpwlo_fixedpoint::FixedPointSpec;
-    use slpwlo_ir::blocks::collect_blocks;
-    use slpwlo_ir::dfg::Dfg;
     use slpwlo_ir::parser::parse_kernel;
-    use slpwlo_slp::{extract_plain_with, BenefitKind};
-    use slpwlo_targets::xentium;
+    use slpwlo_slp::BenefitKind;
+    use slpwlo_targets::{xentium, CycleCache};
 
     fn program() -> MachineProgram {
         let src = r#"
@@ -69,7 +66,7 @@ kernel f {
     y = t0 + t1;
 }
 "#;
-        // Structural extraction over a frozen 16-bit spec: this test is
+        // The WLO-First extraction over a frozen 16-bit spec: this test is
         // about C emission of vector programs, not about whether the
         // end-to-end flow's scheduler guard finds packing profitable on
         // this tiny kernel (it does not), so the flow layer is bypassed.
@@ -77,23 +74,9 @@ kernel f {
         let target = xentium();
         let ranges = determine_ranges(&kernel, &RangeOptions::default());
         let spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
-        let blocks: Vec<_> = collect_blocks(&kernel)
-            .into_iter()
-            .map(|b| {
-                let dfg = Dfg::from_block(&kernel, &b);
-                let groups = {
-                    let spec_ref = &spec;
-                    let dfg_ref = &dfg;
-                    extract_plain_with(
-                        &dfg,
-                        &target,
-                        &move |n| value_wl(spec_ref, dfg_ref, n),
-                        BenefitKind::default(),
-                    )
-                };
-                (b, dfg, groups)
-            })
-            .collect();
+        let costs = CycleCache::new(&target);
+        let mut ctx = PassCtx::new(costs, BenefitKind::default(), SchedKind::List, false);
+        let blocks = extract_on_spec(&kernel, &spec, &mut ctx);
         lower_fixed(&kernel, &spec, &target, &blocks)
     }
 

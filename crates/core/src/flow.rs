@@ -16,8 +16,9 @@
 
 use crate::lower::{lower_fixed, lower_scalar, MachineProgram};
 use crate::nodes::{value_format, value_wl};
+use crate::sched::{block_activation_cycles_cached, cycles_per_activation_cached};
 use crate::tabu::{tabu_wlo, TabuOptions};
-use crate::wlo_slp::wlo_slp_sched;
+use crate::wlo_slp::wlo_slp;
 use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, EvalOptions, IncrementalEvaluator};
 use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions, Ranges};
 use slpwlo_fixedpoint::FixedPointSpec;
@@ -25,9 +26,9 @@ use slpwlo_ir::blocks::{collect_blocks, Block};
 use slpwlo_ir::dfg::{Dfg, NodeId};
 use slpwlo_ir::Kernel;
 use slpwlo_slp::{
-    extract_rounds_stats, BenefitKind, CandidateView, SelectHooks, SelectStats, SimdGroup,
+    extract_rounds, BenefitKind, CandidateView, PassCtx, SelectHooks, SelectStats, SimdGroup,
 };
-use slpwlo_targets::{SchedKind, TargetModel};
+use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
 
 /// A kernel with its once-per-kernel analyses (ranges, noise gains).
 ///
@@ -62,24 +63,22 @@ type BlockGroups = (Block, Dfg, Vec<SimdGroup>);
 /// block by block — the `WLO-First` back half's extraction. The spec
 /// supplies word lengths for candidate validation *and* the full format
 /// context (`current_wl`/`current_fwl`) the cycle-priced benefit model
-/// reads; no scaling equalization follows, so mismatched scalings keep
-/// their fig. 2 price. `sched` is the scheduler the candidates are priced
-/// under (the benefit model relaxes its latency hedge when iterations
-/// will overlap); the exact selector's search statistics accumulate into
-/// `stats` (untouched under the greedy kinds).
-pub fn extract_on_spec_stats(
+/// reads. The context supplies the target, the pricing strategy and the
+/// scheduler the candidates are priced under (the benefit model relaxes
+/// its latency hedge when iterations will overlap); the flow leaves its
+/// `equalize` unset, as no scaling equalization follows, so mismatched
+/// scalings keep their fig. 2 price. The exact selector's search
+/// statistics accumulate into `ctx.stats` (untouched under the greedy
+/// kinds).
+pub fn extract_on_spec(
     kernel: &Kernel,
     spec: &FixedPointSpec,
-    target: &TargetModel,
-    benefit: BenefitKind,
-    sched: SchedKind,
-    stats: &mut SelectStats,
+    ctx: &mut PassCtx<'_>,
 ) -> Vec<BlockGroups> {
     struct FrozenSpecHooks<'a> {
         target: &'a TargetModel,
         spec: &'a FixedPointSpec,
         dfg: &'a Dfg,
-        sched: SchedKind,
     }
     impl SelectHooks for FrozenSpecHooks<'_> {
         fn validate(&mut self, view: &CandidateView) -> bool {
@@ -91,10 +90,8 @@ pub fn extract_on_spec_stats(
         fn current_fwl(&self, node: NodeId) -> Option<i32> {
             Some(value_format(self.spec, self.dfg, node).fwl)
         }
-        fn sched_kind(&self) -> SchedKind {
-            self.sched
-        }
     }
+    let target = ctx.target;
     collect_blocks(kernel)
         .into_iter()
         .map(|b| {
@@ -103,9 +100,8 @@ pub fn extract_on_spec_stats(
                 target,
                 spec,
                 dfg: &dfg,
-                sched,
             };
-            let groups = extract_rounds_stats(&dfg, target, &mut hooks, benefit, stats);
+            let groups = extract_rounds(ctx, &dfg, &mut hooks);
             (b, dfg, groups)
         })
         .collect()
@@ -177,24 +173,22 @@ pub enum PassArtifact<'a> {
 }
 
 /// The scheduler guard: the benefit model is a per-candidate estimate;
-/// the configured scheduler (`sched`) is the arbiter. Every block's
-/// selected groups are kept only if the block's vectorized form
-/// actually schedules faster than dropping them under the final
-/// specification — otherwise the word-length decisions stand (the spec
-/// is untouched) but the packs are discarded. Blocks schedule
-/// independently, so the per-block greedy is exact; the returned
-/// program is the cheapest keep/drop assignment and never slower than
-/// the all-scalar lowering of the same spec.
+/// the leg's scheduler (`ctx.sched`, priced through `ctx.costs`) is the
+/// arbiter. Every block's selected groups are kept only if the block's
+/// vectorized form actually schedules faster than dropping them under
+/// the final specification — otherwise the word-length decisions stand
+/// (the spec is untouched) but the packs are discarded. Blocks schedule
+/// independently, so the per-block greedy is exact; the returned program
+/// is the cheapest keep/drop assignment and never slower than the
+/// all-scalar lowering of the same spec.
 fn prune_unprofitable_groups<E>(
     kernel: &Kernel,
     spec: &FixedPointSpec,
-    target: &TargetModel,
-    sched: SchedKind,
+    ctx: &PassCtx<'_>,
     blocks: &mut [BlockGroups],
     check: &mut Check<'_, E>,
 ) -> Result<MachineProgram, E> {
-    use crate::sched::block_activation_cycles_cached;
-    use slpwlo_targets::CycleCache;
+    let (target, sched, costs) = (ctx.target, ctx.sched, &ctx.costs);
     fn candidate<'a>(
         p: &'a MachineProgram,
         target: &'a TargetModel,
@@ -229,9 +223,6 @@ fn prune_unprofitable_groups<E>(
         .collect();
     let none = lower_fixed(kernel, spec, target, &bare);
     check(candidate(&none, target, sched))?;
-    // One price cache for every keep/drop comparison: both lowerings of
-    // every block draw from the same small set of op queries.
-    let costs = CycleCache::new(target);
     let mut pruned = false;
     for (i, (_, _, groups)) in blocks.iter_mut().enumerate() {
         if groups.is_empty() {
@@ -241,8 +232,8 @@ fn prune_unprofitable_groups<E>(
         // its schedule (ties keep the vector form). Trip-weighted
         // activation cycles, so pipelined steady states are compared on
         // the same footing as sequential iteration costs.
-        if block_activation_cycles_cached(&costs, &none.blocks[i], sched)
-            < block_activation_cycles_cached(&costs, &full.blocks[i], sched)
+        if block_activation_cycles_cached(costs, &none.blocks[i], sched)
+            < block_activation_cycles_cached(costs, &full.blocks[i], sched)
         {
             groups.clear();
             pruned = true;
@@ -280,12 +271,12 @@ pub struct FlowResult {
 /// The pass-boundary callback a flow threads through its passes.
 type Check<'a, E> = dyn FnMut(PassArtifact<'_>) -> Result<(), E> + 'a;
 
-/// A flow's search: given the leg's benefit kind, it reports its specs
-/// to the callback and hands the back half the final spec, each block's
-/// groups before the scheduler guard, and the exact selector's search
-/// statistics.
-type Search<'a, E> = dyn FnMut(BenefitKind, &mut Check<'_, E>) -> Result<Searched, E> + 'a;
-type Searched = (FixedPointSpec, Vec<BlockGroups>, SelectStats);
+/// A flow's search: under the leg's context, it reports its specs to
+/// the callback and hands the back half the final spec and each block's
+/// groups before the scheduler guard. The exact selector's search
+/// statistics accumulate in the context.
+type Search<'a, E> = dyn FnMut(&mut PassCtx<'_>, &mut Check<'_, E>) -> Result<Searched, E> + 'a;
+type Searched = (FixedPointSpec, Vec<BlockGroups>);
 
 /// Runs a flow: one leg, or under [`BenefitKind::Optimal`] two legs with
 /// portfolio arbitration. Per-round model-value optimality does not by
@@ -295,23 +286,23 @@ type Searched = (FixedPointSpec, Vec<BlockGroups>, SelectStats);
 /// returns whichever program schedules faster — ties go to the exact
 /// leg, keeping budget-0 runs bitwise identical to greedy. A greedy win
 /// bumps `select.portfolio_fallbacks`; the exact leg's search statistics
-/// are carried either way.
+/// are carried either way. `ctx` is the first leg's context; the greedy
+/// leg gets a fresh one differing only in its benefit kind.
 fn run_legs<E>(
     prep: &Prepared,
-    target: &TargetModel,
-    benefit: BenefitKind,
-    sched: SchedKind,
+    mut ctx: PassCtx<'_>,
     check: &mut Check<'_, E>,
     search: &mut Search<'_, E>,
 ) -> Result<FlowResult, E> {
-    let exact = run_leg(prep, target, benefit, sched, check, search)?;
-    if !matches!(benefit, BenefitKind::Optimal { .. }) {
+    let exact = run_leg(prep, &mut ctx, check, search)?;
+    if !matches!(ctx.benefit, BenefitKind::Optimal { .. }) {
         return Ok(exact);
     }
-    let greedy = run_leg(prep, target, BenefitKind::Cycles, sched, check, search)?;
-    let costs = slpwlo_targets::CycleCache::new(target);
-    let exact_cycles = crate::sched::cycles_per_activation_cached(&costs, &exact.simd, sched);
-    let greedy_cycles = crate::sched::cycles_per_activation_cached(&costs, &greedy.simd, sched);
+    let costs = CycleCache::new(ctx.target);
+    let mut greedy_ctx = PassCtx::new(costs, BenefitKind::Cycles, ctx.sched, ctx.equalize);
+    let greedy = run_leg(prep, &mut greedy_ctx, check, search)?;
+    let exact_cycles = cycles_per_activation_cached(&ctx.costs, &exact.simd, ctx.sched);
+    let greedy_cycles = cycles_per_activation_cached(&ctx.costs, &greedy.simd, ctx.sched);
     if greedy_cycles < exact_cycles {
         let mut select = exact.select;
         select.portfolio_fallbacks += 1;
@@ -326,18 +317,17 @@ fn run_legs<E>(
 /// final SIMD and scalar programs, and the predicted noise.
 fn run_leg<E>(
     prep: &Prepared,
-    target: &TargetModel,
-    benefit: BenefitKind,
-    sched: SchedKind,
+    ctx: &mut PassCtx<'_>,
     check: &mut Check<'_, E>,
     search: &mut Search<'_, E>,
 ) -> Result<FlowResult, E> {
     check(PassArtifact::Kernel {
         kernel: &prep.kernel,
     })?;
-    let (spec, mut blocks, select) = search(benefit, check)?;
+    let (spec, mut blocks) = search(ctx, check)?;
+    let (target, sched) = (ctx.target, ctx.sched);
     check_groups(&blocks, target, false, check)?;
-    let simd = prune_unprofitable_groups(&prep.kernel, &spec, target, sched, &mut blocks, check)?;
+    let simd = prune_unprofitable_groups(&prep.kernel, &spec, ctx, &mut blocks, check)?;
     check_groups(&blocks, target, true, check)?;
     check(PassArtifact::Program {
         program: &simd,
@@ -360,7 +350,7 @@ fn run_leg<E>(
         scalar,
         group_count,
         noise_db,
-        select,
+        select: ctx.stats,
     })
 }
 
@@ -410,17 +400,10 @@ pub fn wlo_slp_flow_checked<E>(
     sched: SchedKind,
     check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
 ) -> Result<FlowResult, E> {
-    run_legs(prep, target, benefit, sched, check, &mut |kind, check| {
+    let ctx = PassCtx::new(CycleCache::new(target), benefit, sched, true);
+    run_legs(prep, ctx, check, &mut |ctx, check| {
         let eval = IncrementalEvaluator::new(&prep.eval);
-        let res = wlo_slp_sched(
-            &prep.kernel,
-            target,
-            &eval,
-            constraint_db,
-            &prep.ranges,
-            kind,
-            sched,
-        );
+        let res = wlo_slp(ctx, &prep.kernel, &eval, constraint_db, &prep.ranges);
         check(PassArtifact::Spec {
             kernel: &prep.kernel,
             ranges: &prep.ranges,
@@ -428,7 +411,7 @@ pub fn wlo_slp_flow_checked<E>(
             is_final: true,
         })?;
         let blocks = res.blocks.into_iter().map(|b| (b.block, b.dfg, b.groups));
-        Ok((res.spec, blocks.collect(), res.select))
+        Ok((res.spec, blocks.collect()))
     })
 }
 
@@ -448,7 +431,8 @@ pub fn wlo_first_flow_checked<E>(
     sched: SchedKind,
     check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
 ) -> Result<FlowResult, E> {
-    run_legs(prep, target, benefit, sched, check, &mut |kind, check| {
+    let ctx = PassCtx::new(CycleCache::new(target), benefit, sched, false);
+    run_legs(prep, ctx, check, &mut |ctx, check| {
         let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
         let mut spec_artifact = |spec: &FixedPointSpec, is_final| {
             check(PassArtifact::Spec {
@@ -463,9 +447,8 @@ pub fn wlo_first_flow_checked<E>(
         let (kernel, wls) = (&prep.kernel, &target.scalar_wls);
         tabu_wlo(kernel, &mut spec, &eval, constraint_db, wls, tabu);
         spec_artifact(&spec, true)?;
-        let mut select = SelectStats::default();
-        let blocks = extract_on_spec_stats(&prep.kernel, &spec, target, kind, sched, &mut select);
-        Ok((spec, blocks, select))
+        let blocks = extract_on_spec(&prep.kernel, &spec, ctx);
+        Ok((spec, blocks))
     })
 }
 

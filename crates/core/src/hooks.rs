@@ -25,7 +25,6 @@ use slpwlo_accuracy::AccuracyEvaluator;
 use slpwlo_fixedpoint::{FixedPointSpec, SpecKey};
 use slpwlo_ir::dfg::{Dfg, NodeId, NodeKind};
 use slpwlo_slp::{resolved_operands, CandidateView, SelectHooks, SimdGroup};
-use slpwlo_targets::SchedKind;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -118,9 +117,6 @@ pub struct AccuracyHooks<'a> {
     eval: &'a dyn AccuracyEvaluator,
     /// Accuracy constraint in dB (maximum tolerable output noise power).
     constraint_db: f64,
-    /// Scheduler the flow prices blocks under (relayed to the benefit
-    /// model, which relaxes its latency hedge when iterations overlap).
-    sched: SchedKind,
     /// Whole-spec snapshot for the exact selector's checkpoint/restore
     /// protocol. `FixedPointSpec::commit` truncates the undo journal, so
     /// a committed greedy probe cannot be unwound through the journal —
@@ -145,16 +141,9 @@ impl<'a> AccuracyHooks<'a> {
             spec,
             eval,
             constraint_db,
-            sched: SchedKind::List,
             saved: None,
             memo: TrialMemo::default(),
         }
-    }
-
-    /// Declares which scheduler the flow prices blocks under.
-    pub fn with_sched(mut self, sched: SchedKind) -> Self {
-        self.sched = sched;
-        self
     }
 
     /// Continues from `memo`, whose answers must hold for this spec and
@@ -237,16 +226,6 @@ impl SelectHooks for AccuracyHooks<'_> {
     /// assuming uniform scalings.
     fn current_fwl(&self, node: NodeId) -> Option<i32> {
         Some(value_format(self.spec, self.dfg, node).fwl)
-    }
-
-    /// The joint flow runs fig. 1b scaling equalization after
-    /// extraction, so reachable mismatches will be repaired.
-    fn equalization_follows(&self) -> bool {
-        true
-    }
-
-    fn sched_kind(&self) -> SchedKind {
-        self.sched
     }
 
     /// Snapshot the working spec so the exact selector can probe a whole
@@ -346,8 +325,8 @@ mod tests {
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_ir::types::ArrayId;
     use slpwlo_ir::Kernel;
-    use slpwlo_slp::{extract_rounds_stats, mem_status, BenefitKind, SelectStats};
-    use slpwlo_targets::xentium;
+    use slpwlo_slp::{extract_rounds, mem_status, BenefitKind, PassCtx};
+    use slpwlo_targets::{xentium, CycleCache, SchedKind, TargetModel};
 
     const SRC: &str = r#"
 kernel f {
@@ -363,6 +342,12 @@ kernel f {
     y = t0 + t1;
 }
 "#;
+
+    /// The joint flow's context: scaling equalization follows.
+    fn joint(target: &TargetModel) -> PassCtx<'_> {
+        let costs = CycleCache::new(target);
+        PassCtx::new(costs, BenefitKind::default(), SchedKind::List, true)
+    }
 
     fn setup() -> (Kernel, Dfg, FixedPointSpec, AnalyticalEvaluator) {
         let k = parse_kernel(SRC).unwrap();
@@ -401,13 +386,7 @@ kernel f {
         let target = xentium();
         // Loose constraint: everything packs.
         let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &eval, -40.0);
-        let groups = extract_rounds_stats(
-            &dfg,
-            &target,
-            &mut hooks,
-            BenefitKind::default(),
-            &mut SelectStats::default(),
-        );
+        let groups = extract_rounds(&mut joint(&target), &dfg, &mut hooks);
         assert!(!groups.is_empty(), "-40 dB must allow 16-bit SIMD groups");
         assert!(
             eval.meets(&spec, -40.0),
@@ -419,13 +398,7 @@ kernel f {
         let (_, dfg2, mut spec2, eval2) = setup();
         let before = eval2.noise_db(&spec2);
         let mut hooks2 = AccuracyHooks::new(&dfg2, &mut spec2, &eval2, -200.0);
-        let groups2 = extract_rounds_stats(
-            &dfg2,
-            &target,
-            &mut hooks2,
-            BenefitKind::default(),
-            &mut SelectStats::default(),
-        );
+        let groups2 = extract_rounds(&mut joint(&target), &dfg2, &mut hooks2);
         assert!(groups2.is_empty(), "-200 dB must block all 16-bit grouping");
         // The spec is untouched (all rollbacks).
         assert_eq!(eval2.noise_db(&spec2), before);
@@ -436,13 +409,7 @@ kernel f {
         let (_, dfg, mut spec, eval) = setup();
         let target = xentium();
         let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &eval, -40.0);
-        let groups = extract_rounds_stats(
-            &dfg,
-            &target,
-            &mut hooks,
-            BenefitKind::default(),
-            &mut SelectStats::default(),
-        );
+        let groups = extract_rounds(&mut joint(&target), &dfg, &mut hooks);
         for g in &groups {
             if matches!(
                 g.kind(&dfg),
@@ -462,13 +429,7 @@ kernel f {
         for db in [-20.0, -45.0, -70.0, -90.0] {
             let (_, dfg, mut spec, eval) = setup();
             let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &eval, db);
-            let _ = extract_rounds_stats(
-                &dfg,
-                &xentium(),
-                &mut hooks,
-                BenefitKind::default(),
-                &mut SelectStats::default(),
-            );
+            let _ = extract_rounds(&mut joint(&xentium()), &dfg, &mut hooks);
             assert!(
                 eval.meets(&spec, db),
                 "constraint {db} dB violated: got {}",

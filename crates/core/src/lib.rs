@@ -34,7 +34,7 @@ pub mod tabu;
 pub mod wlo_slp;
 
 pub use flow::{
-    extract_on_spec_stats, prepare, wlo_first_flow_checked, wlo_slp_flow_checked, FlowResult,
+    extract_on_spec, prepare, wlo_first_flow_checked, wlo_slp_flow_checked, FlowResult,
     PassArtifact, Prepared, ProgramRole,
 };
 pub use hooks::AccuracyHooks;
@@ -49,7 +49,7 @@ pub use sched::{
     modulo_attempt_cached, modulo_bounds_cached, schedule_block_cached, total_cycles_cached,
     ModuloAttempt, ModuloSchedule, Schedule,
 };
-pub use slpwlo_slp::{BenefitKind, SelectStats};
+pub use slpwlo_slp::{BenefitKind, PassCtx, SelectStats};
 pub use slpwlo_targets::SchedKind;
 pub use tabu::{tabu_wlo, TabuOptions};
 pub use wlo_slp::{wlo_slp_sched, BlockResult, WloSlpResult};

@@ -7,11 +7,12 @@
 //!    execution time), so the accuracy-degradation budget is spent on the
 //!    hottest code first.
 //! 3. For each block, accuracy-aware SLP extraction runs to fixpoint
-//!    (`slpwlo_slp::extract_rounds_stats`, under one set of
-//!    [`AccuracyHooks`] per block): each selected group's word lengths
-//!    shrink per equation (1) (`SETMAXWL`), wider groups absorb the
-//!    narrower groups they merge (line 12), and the loop ends when a
-//!    pass selects nothing.
+//!    (`slpwlo_slp::extract_rounds`, under one set of [`AccuracyHooks`]
+//!    per block and one [`PassCtx`] for the whole search, which tells
+//!    the benefit model that equalization follows): each selected
+//!    group's word lengths shrink per equation (1) (`SETMAXWL`), wider
+//!    groups absorb the narrower groups they merge (line 12), and the
+//!    loop ends when a pass selects nothing.
 //! 4. Scaling optimization (fig. 1b) then equalizes per-lane scaling
 //!    amounts inside the block's reused superwords.
 
@@ -22,8 +23,8 @@ use slpwlo_fixedpoint::{FixedPointSpec, Ranges};
 use slpwlo_ir::blocks::{blocks_by_priority, Block};
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_ir::Kernel;
-use slpwlo_slp::{extract_rounds_stats, BenefitKind, SelectStats, SimdGroup};
-use slpwlo_targets::{SchedKind, TargetModel};
+use slpwlo_slp::{extract_rounds, BenefitKind, PassCtx, SelectStats, SimdGroup};
+use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
 
 /// Per-block outcome of the joint optimization.
 #[derive(Debug)]
@@ -93,10 +94,24 @@ pub fn wlo_slp_sched(
     benefit: BenefitKind,
     sched: SchedKind,
 ) -> WloSlpResult {
+    let mut ctx = PassCtx::new(CycleCache::new(target), benefit, sched, true);
+    wlo_slp(&mut ctx, kernel, eval, constraint_db, ranges)
+}
+
+/// [`wlo_slp_sched`] under the caller's context, whose `equalize` must
+/// be set: fig. 1b scaling optimization runs after every block's
+/// extraction. The returned statistics are the context's after the run.
+pub(crate) fn wlo_slp(
+    ctx: &mut PassCtx<'_>,
+    kernel: &Kernel,
+    eval: &dyn AccuracyEvaluator,
+    constraint_db: f64,
+    ranges: &Ranges,
+) -> WloSlpResult {
+    let target = ctx.target;
     // Lines 1-3: all nodes at the maximum supported word length.
     let mut spec = FixedPointSpec::from_ranges(kernel, ranges, target.max_wl());
     let mut results = Vec::new();
-    let mut select = SelectStats::default();
     let mut memo = TrialMemo::default();
 
     // Line 4: visit blocks in priority order.
@@ -107,9 +122,8 @@ pub fn wlo_slp_sched(
         // merges supersede the groups they absorbed (line 12). One set of
         // hooks serves every round of the block.
         let mut hooks = AccuracyHooks::new(&dfg, &mut spec, eval, constraint_db)
-            .with_sched(sched)
             .with_memo(std::mem::take(&mut memo));
-        let groups = extract_rounds_stats(&dfg, target, &mut hooks, benefit, &mut select);
+        let groups = extract_rounds(ctx, &dfg, &mut hooks);
         memo = hooks.into_memo();
 
         // Line 15: SLP-aware scaling optimization. Only an equalization
@@ -128,7 +142,7 @@ pub fn wlo_slp_sched(
     WloSlpResult {
         spec,
         blocks: results,
-        select,
+        select: ctx.stats,
     }
 }
 

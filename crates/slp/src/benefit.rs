@@ -25,12 +25,16 @@
 //! re-evaluated every iteration: a pack that is not worth its traffic now
 //! can become admissible once its neighbours are selected or its word
 //! lengths shrink.
+//!
+//! [`TargetModel::cycles`]: slpwlo_targets::TargetModel::cycles
+//! [`TargetModel::cost`]: slpwlo_targets::TargetModel::cost
 
 use crate::candidate::Round;
+use crate::ctx::PassCtx;
 use crate::group::{mem_status, MemStatus, SimdGroup};
 use slpwlo_ir::dfg::{Dfg, NodeId, NodeKind};
 use slpwlo_ir::types::BinOp;
-use slpwlo_targets::{CycleCache, OpQuery, SchedKind, TargetModel};
+use slpwlo_targets::{OpQuery, SchedKind};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -39,8 +43,9 @@ use std::collections::HashMap;
 pub enum BenefitKind {
     /// Target-blind issue-slot counting (the historical model).
     Slots,
-    /// Cycle prices drawn from [`TargetModel::cost`] at the candidate's
-    /// current word lengths.
+    /// Cycle prices drawn from
+    /// [`TargetModel::cost`](slpwlo_targets::TargetModel::cost) at the
+    /// candidate's current word lengths.
     #[default]
     Cycles,
     /// Exact per-round selection: a branch-and-bound search over the
@@ -131,7 +136,8 @@ impl CostedBenefit {
     /// which is the point: tests drive [`sanitized`](Self::sanitized)
     /// and the selector's admission guard with values the pricing code
     /// is never supposed to produce.
-    pub fn from_parts(saved: f64, reuse: f64, reuse_speculative: f64, pack: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_parts(saved: f64, reuse: f64, reuse_speculative: f64, pack: f64) -> Self {
         CostedBenefit {
             saved,
             reuse,
@@ -238,25 +244,15 @@ impl Amounts {
 pub struct BenefitModel<'a> {
     dfg: &'a Dfg,
     round: &'a Round,
-    target: &'a TargetModel,
-    kind: BenefitKind,
+    /// The pricing strategy, the scheduler and the equalization flag,
+    /// plus the memoized op prices: selection asks the same
+    /// `(op kind, wl)` throughput questions for every candidate every
+    /// iteration.
+    ctx: &'a PassCtx<'a>,
     wl: Box<dyn Fn(NodeId) -> i32 + 'a>,
     /// Current fractional word lengths (`None` = unknown: scalings are
     /// assumed uniform rather than priced per lane).
     fwl: Box<dyn Fn(NodeId) -> Option<i32> + 'a>,
-    /// Whether a scaling-equalization pass (fig. 1b) runs after
-    /// extraction: mismatched non-negative amounts on group-backed
-    /// superwords are then priced as one vector shift (the equalizer's
-    /// job), not the fig. 2 penalty.
-    equalization_follows: bool,
-    /// Which scheduler the flow prices blocks under. Governs the
-    /// admission margin of the cycle model: under modulo scheduling the
-    /// latency-boundedness hedge is dropped (see
-    /// [`admission_margin`](Self::admission_margin)).
-    sched: SchedKind,
-    /// Memoized op prices: selection asks the same `(op kind, wl)`
-    /// throughput questions for every candidate every iteration.
-    prices: &'a CycleCache<'a>,
     /// Memoized [`scalar_op_cycles`](Self::scalar_op_cycles) per node.
     /// One model instance prices one word-length snapshot (the selection
     /// loop rebuilds the model after every accepted selection precisely
@@ -273,7 +269,7 @@ pub struct BenefitModel<'a> {
 impl std::fmt::Debug for BenefitModel<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BenefitModel")
-            .field("kind", &self.kind)
+            .field("kind", &self.ctx.benefit)
             .field("candidates", &self.round.candidates.len())
             .finish_non_exhaustive()
     }
@@ -287,28 +283,24 @@ impl<'a> BenefitModel<'a> {
     /// fig. 2 penalty mismatched ones carry — are priced, not assumed
     /// free; answer `None` to assume uniform scalings).
     ///
-    /// Op prices come from the caller's `prices` cache. They depend only
-    /// on the target, so a loop that rebuilds the model per
+    /// The strategy ([`PassCtx::benefit`]), the scheduler and the
+    /// equalization flag come from `ctx`, and so do the op prices. They
+    /// depend only on the target, so a loop that rebuilds the model per
     /// iteration (selection does, to refresh the oracles) shares one
     /// warmed cache across every rebuild.
     pub fn new(
         dfg: &'a Dfg,
         round: &'a Round,
-        prices: &'a CycleCache<'a>,
-        kind: BenefitKind,
+        ctx: &'a PassCtx<'a>,
         wl: impl Fn(NodeId) -> i32 + 'a,
         fwl: impl Fn(NodeId) -> Option<i32> + 'a,
     ) -> Self {
         BenefitModel {
             dfg,
             round,
-            target: prices.target(),
-            kind,
+            ctx,
             wl: Box::new(wl),
             fwl: Box::new(fwl),
-            equalization_follows: false,
-            sched: SchedKind::List,
-            prices,
             scalar_cycles: RefCell::new(vec![None; dfg.len()]),
             fwl_memo: RefCell::new(vec![None; dfg.len()]),
         }
@@ -322,24 +314,6 @@ impl<'a> BenefitModel<'a> {
         let v = (self.fwl)(n);
         self.fwl_memo.borrow_mut()[n.index()] = Some(v);
         v
-    }
-
-    /// Declares that a scaling-equalization pass (fig. 1b, `scalopt`)
-    /// runs after extraction — the WLO↔SLP flow's case. Mismatched
-    /// scaling amounts that the equalizer can reach (all non-negative,
-    /// superword backed by a group or live candidate) are then priced as
-    /// a uniform vector shift instead of the fig. 2 penalty.
-    pub fn assume_equalization(mut self, yes: bool) -> Self {
-        self.equalization_follows = yes;
-        self
-    }
-
-    /// Declares which scheduler the flow prices blocks under (see
-    /// [`admission_margin`](Self::admission_margin)). Defaults to the
-    /// sequential-issue list scheduler.
-    pub fn assume_sched(mut self, sched: SchedKind) -> Self {
-        self.sched = sched;
-        self
     }
 
     /// Ranking benefit of candidate `idx` (see [`CostedBenefit::rank`]).
@@ -386,10 +360,10 @@ impl<'a> BenefitModel<'a> {
     /// packs the hedge would reject become admissible — the scheduler
     /// guard still arbitrates with the real pipelined schedule.
     pub fn admission_margin(&self) -> f64 {
-        match (self.kind.pricing(), self.sched) {
+        match (self.ctx.benefit.pricing(), self.ctx.sched) {
             (BenefitKind::Slots, _) => 0.0,
             (_, SchedKind::Modulo { .. }) => 0.0,
-            (_, SchedKind::List) => 0.5 * self.prices.cost(OpQuery::Extract).latency as f64,
+            (_, SchedKind::List) => 0.5 * self.ctx.costs.cost(OpQuery::Extract).latency as f64,
         }
     }
 
@@ -507,7 +481,7 @@ impl<'a> BenefitModel<'a> {
         viab: &RefCell<HashMap<usize, bool>>,
     ) -> CostedBenefit {
         let lanes = g.lanes();
-        let t = self.prices;
+        let t = &self.ctx.costs;
         // Packing traffic sits on the dependency chain between scalar
         // producers/consumers and the vector op, so its price is floored
         // at the op's latency: issue-slot throughput alone would let a
@@ -650,7 +624,7 @@ impl<'a> BenefitModel<'a> {
     }
 
     fn scalar_op_cycles_uncached(&self, e: NodeId) -> f64 {
-        let t = self.prices;
+        let t = &self.ctx.costs;
         let cwl = |n: NodeId| self.container_wl(n);
         // One scalar requantization shift, unless the amount is known to
         // be zero. `assume` is the unknown-format default: multiplies
@@ -693,7 +667,7 @@ impl<'a> BenefitModel<'a> {
 
     /// Current container word length of a node's value.
     fn container_wl(&self, n: NodeId) -> i32 {
-        let t = self.target;
+        let t = self.ctx.target;
         let wl = (self.wl)(n).clamp(1, t.datapath);
         t.container_wl(wl).unwrap_or(t.datapath)
     }
@@ -736,23 +710,21 @@ impl<'a> BenefitModel<'a> {
     /// vector realisation against its scalar baseline.
     ///
     /// A mismatch is downgraded to the uniform vector-shift price when a
-    /// scaling-equalization pass follows ([`assume_equalization`]
-    /// (Self::assume_equalization)), the superword is `equalizable`
+    /// scaling-equalization pass follows ([`PassCtx::equalize`]), the
+    /// superword is `equalizable`
     /// (group-backed, so fig. 1b's reuse enumeration will see it) and
     /// every amount is non-negative (the equalizer skips mixed-sign
     /// amounts).
     fn scaling_cost(&self, amounts: Amounts, lanes: u32, assume: bool, equalizable: bool) -> f64 {
-        let p = self.prices;
+        let p = &self.ctx.costs;
         match amounts {
             Amounts::Known { all_zero: true, .. } => 0.0,
             Amounts::Known { uniform: true, .. } => p.cycles(OpQuery::VShift(lanes)),
-            Amounts::Known { all_nonneg, .. }
-                if self.equalization_follows && equalizable && all_nonneg =>
-            {
+            Amounts::Known { all_nonneg, .. } if self.ctx.equalize && equalizable && all_nonneg => {
                 p.cycles(OpQuery::VShift(lanes))
             }
             Amounts::Known { .. } => {
-                let t = self.target;
+                let t = self.ctx.target;
                 let elem = t.simd_element_wl(lanes).unwrap_or(t.datapath);
                 lanes as f64 * (p.cycles(OpQuery::Extract) + p.cycles(OpQuery::Shift(elem)))
                     + p.cycles(OpQuery::Pack(lanes))
@@ -910,7 +882,7 @@ impl<'a> BenefitModel<'a> {
         selected: &[SimdGroup],
     ) -> CostedBenefit {
         let g = self.round.merged(idx);
-        match self.kind.pricing() {
+        match self.ctx.benefit.pricing() {
             BenefitKind::Slots => self.assess_slots(g, idx, alive, selected),
             _ => {
                 let viab = RefCell::new(HashMap::new());
@@ -1046,7 +1018,7 @@ impl AssessPass<'_, '_> {
     /// here as the unselectable benefit, never as a NaN `net()`.
     pub fn assess(&self, idx: usize) -> CostedBenefit {
         let g = self.model.round.merged(idx);
-        match self.model.kind.pricing() {
+        match self.model.ctx.benefit.pricing() {
             BenefitKind::Slots => self.model.assess_slots(g, idx, self.alive, self.selected),
             _ => self
                 .model
@@ -1062,7 +1034,7 @@ mod tests {
     use crate::group::resolved_operands;
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::parser::parse_kernel;
-    use slpwlo_targets::{vex, xentium};
+    use slpwlo_targets::{vex, xentium, TargetModel};
 
     fn fir_unrolled() -> Dfg {
         let src = r#"
@@ -1084,39 +1056,30 @@ kernel f {
         Dfg::from_stmts(&k, &blocks[0].stmts)
     }
 
+    /// Slots and cycles contexts over `target`, for [`models`].
+    fn both(target: &TargetModel) -> [PassCtx<'_>; 2] {
+        [BenefitKind::Slots, BenefitKind::Cycles].map(|k| PassCtx::plain(target, k))
+    }
+
     fn models<'a>(
         dfg: &'a Dfg,
         round: &'a Round,
-        prices: &'a CycleCache<'a>,
+        ctxs: &'a [PassCtx<'a>; 2],
     ) -> [BenefitModel<'a>; 2] {
-        let max = prices.target().max_wl();
+        let max = ctxs[0].target.max_wl();
         [
-            BenefitModel::new(
-                dfg,
-                round,
-                prices,
-                BenefitKind::Slots,
-                move |_| max,
-                |_| None,
-            ),
-            BenefitModel::new(dfg, round, prices, BenefitKind::Cycles, |_| 16, |_| None),
+            BenefitModel::new(dfg, round, &ctxs[0], move |_| max, |_| None),
+            BenefitModel::new(dfg, round, &ctxs[1], |_| 16, |_| None),
         ]
     }
 
     fn cycles_model<'a>(
         dfg: &'a Dfg,
         round: &'a Round,
-        prices: &'a CycleCache<'a>,
+        ctx: &'a PassCtx<'a>,
         wl: i32,
     ) -> BenefitModel<'a> {
-        BenefitModel::new(
-            dfg,
-            round,
-            prices,
-            BenefitKind::Cycles,
-            move |_| wl,
-            |_| None,
-        )
+        BenefitModel::new(dfg, round, ctx, move |_| wl, |_| None)
     }
 
     #[test]
@@ -1124,7 +1087,7 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        for model in models(&dfg, &round, &CycleCache::new(&target)) {
+        for model in models(&dfg, &round, &both(&target)) {
             let alive = vec![true; round.candidates.len()];
             let mut best_adjacent = f64::MIN;
             let mut best_gather = f64::MIN;
@@ -1143,7 +1106,7 @@ kernel f {
             assert!(
                 best_adjacent > best_gather,
                 "{:?}: {best_adjacent} vs {best_gather}",
-                model.kind
+                model.ctx.benefit
             );
         }
     }
@@ -1153,7 +1116,7 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        for model in models(&dfg, &round, &CycleCache::new(&target)) {
+        for model in models(&dfg, &round, &both(&target)) {
             let alive = vec![true; round.candidates.len()];
             let dead = vec![false; round.candidates.len()];
             for idx in 0..round.candidates.len() {
@@ -1166,7 +1129,7 @@ kernel f {
                         with_cands >= without,
                         "{:?}: live operand candidates must not lower benefit \
                          ({with_cands} vs {without})",
-                        model.kind
+                        model.ctx.benefit
                     );
                 }
             }
@@ -1178,7 +1141,7 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        for model in models(&dfg, &round, &CycleCache::new(&target)) {
+        for model in models(&dfg, &round, &both(&target)) {
             let alive = vec![true; round.candidates.len()];
             // Take the first mul pair candidate; compare benefit with its
             // operand loads merely candidates vs actually selected.
@@ -1202,7 +1165,11 @@ kernel f {
                 let selected = vec![SimdGroup { elems: param_sw }, SimdGroup { elems: array_sw }];
                 let b_sel = model.benefit(idx, &alive, &selected);
                 let b_cand = model.benefit(idx, &alive, &[]);
-                assert!(b_sel > b_cand, "{:?}: {b_sel} vs {b_cand}", model.kind);
+                assert!(
+                    b_sel > b_cand,
+                    "{:?}: {b_sel} vs {b_cand}",
+                    model.ctx.benefit
+                );
                 checked = true;
                 break;
             }
@@ -1219,16 +1186,9 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        let prices = CycleCache::new(&target);
+        let ctx = PassCtx::plain(&target, BenefitKind::default());
         let max = target.max_wl();
-        let model = BenefitModel::new(
-            &dfg,
-            &round,
-            &prices,
-            BenefitKind::default(),
-            |_| max,
-            |_| None,
-        );
+        let model = BenefitModel::new(&dfg, &round, &ctx, |_| max, |_| None);
         let mut verified = false;
         for idx in 0..round.candidates.len() {
             let c = round.candidates[idx];
@@ -1272,8 +1232,8 @@ kernel f {
         let wide = xentium();
         let pack_of = |target: &TargetModel| -> f64 {
             let round = Round::new(&dfg, target, &[]);
-            let prices = CycleCache::new(target);
-            let model = cycles_model(&dfg, &round, &prices, 16);
+            let ctx = PassCtx::plain(target, BenefitKind::Cycles);
+            let model = cycles_model(&dfg, &round, &ctx, 16);
             let dead = vec![false; round.candidates.len()];
             for idx in 0..round.candidates.len() {
                 let c = round.candidates[idx];
@@ -1305,9 +1265,9 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        let prices = CycleCache::new(&target);
-        let wide = cycles_model(&dfg, &round, &prices, 32);
-        let narrow = cycles_model(&dfg, &round, &prices, 16);
+        let ctx = PassCtx::plain(&target, BenefitKind::Cycles);
+        let wide = cycles_model(&dfg, &round, &ctx, 32);
+        let narrow = cycles_model(&dfg, &round, &ctx, 16);
         let alive = vec![true; round.candidates.len()];
         for idx in 0..round.candidates.len() {
             let c = round.candidates[idx];
@@ -1345,16 +1305,12 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        let prices = CycleCache::new(&target);
-        let cycles = cycles_model(&dfg, &round, &prices, 16);
-        let optimal = BenefitModel::new(
-            &dfg,
-            &round,
-            &prices,
-            BenefitKind::optimal(),
-            |_| 16,
-            |_| None,
+        let (cycles_ctx, optimal_ctx) = (
+            PassCtx::plain(&target, BenefitKind::Cycles),
+            PassCtx::plain(&target, BenefitKind::optimal()),
         );
+        let cycles = cycles_model(&dfg, &round, &cycles_ctx, 16);
+        let optimal = cycles_model(&dfg, &round, &optimal_ctx, 16);
         assert_eq!(BenefitKind::optimal().pricing(), BenefitKind::Cycles);
         assert_eq!(BenefitKind::optimal().name(), "optimal");
         assert_eq!(cycles.admission_margin(), optimal.admission_margin());
@@ -1378,8 +1334,8 @@ kernel f {
         let dfg = fir_unrolled();
         for target in [xentium(), vex(1), vex(4)] {
             let round = Round::new(&dfg, &target, &[]);
-            let prices = CycleCache::new(&target);
-            let model = cycles_model(&dfg, &round, &prices, 16);
+            let ctx = PassCtx::plain(&target, BenefitKind::Cycles);
+            let model = cycles_model(&dfg, &round, &ctx, 16);
             let alive = vec![true; round.candidates.len()];
             let dead = vec![false; round.candidates.len()];
             for idx in 0..round.candidates.len() {
@@ -1408,8 +1364,8 @@ kernel f {
         let dfg = fir_unrolled();
         let target = xentium();
         let round = Round::new(&dfg, &target, &[]);
-        let prices = CycleCache::new(&target);
-        let model = cycles_model(&dfg, &round, &prices, 16);
+        let ctx = PassCtx::plain(&target, BenefitKind::Cycles);
+        let model = cycles_model(&dfg, &round, &ctx, 16);
         let alive = vec![true; round.candidates.len()];
         let mut edges = 0;
         for idx in 0..round.candidates.len() {
@@ -1429,11 +1385,11 @@ kernel f {
         let dfg = fir_unrolled();
         for target in [xentium(), vex(1), vex(4)] {
             let round = Round::new(&dfg, &target, &[]);
-            for model in models(&dfg, &round, &CycleCache::new(&target)) {
+            for model in models(&dfg, &round, &both(&target)) {
                 let alive = vec![true; round.candidates.len()];
                 for idx in 0..round.candidates.len() {
                     let b = model.benefit(idx, &alive, &[]);
-                    assert!(b.is_finite() && b >= 0.0, "{:?}: {b}", model.kind);
+                    assert!(b.is_finite() && b >= 0.0, "{:?}: {b}", model.ctx.benefit);
                 }
             }
         }

@@ -434,8 +434,8 @@ kernel f {
     #[test]
     fn closes_cycle_matches_the_coarsened_graph() {
         use crate::candidate::Round;
-        use crate::select::{absorb_selected, extract_rounds_stats, run_selection_stats};
-        use crate::{BenefitKind, NoHooks, SelectStats};
+        use crate::select::{absorb_selected, extract_rounds, run_selection};
+        use crate::{BenefitKind, NoHooks, PassCtx};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use slpwlo_targets::{vex, xentium};
@@ -453,6 +453,7 @@ kernel f {
             // Alternate a 2-lane and a 4-lane target so extension rounds
             // (candidates widening prior groups) occur.
             let target = if ki % 2 == 0 { xentium() } else { vex(4) };
+            let mut ctx = PassCtx::plain(&target, BenefitKind::Cycles);
             for block in collect_blocks(kernel) {
                 let dfg = Dfg::from_block(kernel, &block);
                 let mut prior: Vec<SimdGroup> = Vec::new();
@@ -489,28 +490,14 @@ kernel f {
                             clean += 1;
                         }
                     }
-                    let chosen = run_selection_stats(
-                        &dfg,
-                        &target,
-                        &round,
-                        &prior,
-                        &mut NoHooks,
-                        BenefitKind::Cycles,
-                        &mut SelectStats::default(),
-                    );
+                    let chosen = run_selection(&mut ctx, &dfg, &round, &prior, &mut NoHooks);
                     if chosen.is_empty() {
                         break;
                     }
                     absorb_selected(&mut prior, chosen);
                 }
                 // The selector's own fixpoint stays acyclic under both.
-                let groups = extract_rounds_stats(
-                    &dfg,
-                    &target,
-                    &mut NoHooks,
-                    BenefitKind::Cycles,
-                    &mut SelectStats::default(),
-                );
+                let groups = extract_rounds(&mut ctx, &dfg, &mut NoHooks);
                 for (gi, g) in groups.iter().enumerate() {
                     let others: Vec<SimdGroup> = groups
                         .iter()

@@ -11,9 +11,12 @@
 //!   cyclic dependency can never both be realised;
 //! * **benefit** estimation: superword reuse enabled by a candidate versus
 //!   the packing/unpacking cost it incurs;
-//! * the iterative **selection loop** with pluggable hooks, through which
-//!   `slpwlo-core` injects the paper's accuracy-awareness (candidate
-//!   validation, accuracy conflicts, `SETMAXWL` on selection);
+//! * the iterative **selection loop**, which reads one flow leg's
+//!   [`PassCtx`] (target, price cache, benefit kind, scheduler,
+//!   equalization flag, accumulated [`SelectStats`]) and calls pluggable
+//!   [`SelectHooks`], through which `slpwlo-core` injects the paper's
+//!   accuracy-awareness (candidate validation, accuracy conflicts,
+//!   `SETMAXWL` on selection) and the evolving spec's word lengths;
 //! * an **exact per-round selector** ([`BenefitKind::Optimal`], module
 //!   [`optimal`]): branch-and-bound over the cycle prices with a greedy
 //!   incumbent and deterministic budget fallback;
@@ -23,18 +26,19 @@
 pub mod benefit;
 pub mod candidate;
 pub mod conflict;
+pub mod ctx;
 pub mod group;
 pub mod optimal;
 pub mod select;
 
 pub use benefit::{BenefitKind, BenefitModel, CostedBenefit};
 pub use candidate::{Candidate, CandidateView, Round};
+pub use ctx::PassCtx;
 pub use group::{
     closes_cycle, effective_users, fully_independent, group_reaches, mem_status, resolve_producer,
     resolved_operands, MemStatus, SimdGroup,
 };
-pub use optimal::{exhaustive_best, set_value, SelectStats};
+pub use optimal::{exhaustive_best, set_value, SelectStats, EXHAUSTIVE_LIMIT};
 pub use select::{
-    absorb_selected, extract_plain_with, extract_rounds_stats, run_selection_stats, NoHooks,
-    SelectHooks,
+    absorb_selected, extract_plain_with, extract_rounds, run_selection, NoHooks, SelectHooks,
 };

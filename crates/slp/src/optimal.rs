@@ -39,14 +39,17 @@
 //! [`BenefitModel::assess`] themselves, so every answer is bitwise the
 //! model's. The include-steps spent are reported as
 //! [`SelectStats::include_steps`].
+//!
+//! [`BenefitKind::Optimal`]: crate::BenefitKind::Optimal
+//! [`BenefitKind::Cycles`]: crate::BenefitKind::Cycles
 
-use crate::benefit::{BenefitKind, BenefitModel, ReuseShape};
-use crate::candidate::{CandidateView, Round};
+use crate::benefit::{BenefitModel, ReuseShape};
+use crate::candidate::Round;
 use crate::conflict::conflicts;
+use crate::ctx::PassCtx;
 use crate::group::{closes_cycle, SimdGroup};
-use crate::select::{greedy_loop, SelectHooks};
+use crate::select::{greedy_loop, hook_model, Screened, SelectHooks};
 use slpwlo_ir::dfg::Dfg;
-use slpwlo_targets::{CycleCache, TargetModel};
 
 /// Value-comparison slack: two selections within this are considered
 /// equal, so float dust can neither dethrone the greedy incumbent nor
@@ -80,13 +83,6 @@ pub struct SelectStats {
     pub portfolio_fallbacks: u64,
 }
 
-impl SelectStats {
-    /// Total rounds that fell back to greedy for any per-round reason.
-    pub fn fallbacks(&self) -> u64 {
-        self.budget_fallbacks + self.veto_fallbacks
-    }
-}
-
 /// In-set value of a chosen candidate subset: the sum over members of
 /// their net benefit priced against the chosen set itself (liveness
 /// off, so no speculative optimism — a reuse either resolves against a
@@ -109,11 +105,14 @@ pub fn set_value(
         .sum()
 }
 
+/// The most live candidates [`exhaustive_best`] enumerates.
+pub const EXHAUSTIVE_LIMIT: usize = 20;
+
 /// Reference optimum by subset enumeration, for verification on small
 /// rounds: the feasible (pairwise structurally conflict-free, acyclic
 /// against `prior`) subset of live candidates with maximal
 /// [`set_value`], against the empty set's baseline of zero. Exponential
-/// in the live count — callers gate the size.
+/// in the live count — callers gate the size to [`EXHAUSTIVE_LIMIT`].
 pub fn exhaustive_best(
     dfg: &Dfg,
     model: &BenefitModel<'_>,
@@ -128,7 +127,7 @@ pub fn exhaustive_best(
         .map(|(i, _)| i)
         .collect();
     assert!(
-        live.len() <= 20,
+        live.len() <= EXHAUSTIVE_LIMIT,
         "exhaustive_best is for small rounds; got {} live candidates",
         live.len()
     );
@@ -165,102 +164,62 @@ pub fn exhaustive_best(
     best
 }
 
-/// One exact selection pass over a round. Called from
-/// `run_selection_stats` with the views, validated liveness and
-/// conflict pairs it already computed.
-#[allow(clippy::too_many_arguments)]
+/// One exact selection pass over a screened round, searching with at
+/// most `budget` include-steps.
 pub(crate) fn run_selection_optimal(
-    dfg: &Dfg,
-    target: &TargetModel,
-    round: &Round,
-    selected_so_far: &[SimdGroup],
+    ctx: &mut PassCtx<'_>,
+    screened: &Screened<'_>,
     hooks: &mut dyn SelectHooks,
-    views: &[CandidateView],
-    alive: Vec<bool>,
-    conf: &[(usize, usize)],
     budget: u32,
-    stats: &mut SelectStats,
 ) -> Vec<SimdGroup> {
-    let pricing = BenefitKind::Optimal { budget }.pricing();
-    if !alive.iter().any(|&a| a) {
+    if !screened.alive.iter().any(|&a| a) {
         return Vec::new();
     }
-    stats.rounds += 1;
+    ctx.stats.rounds += 1;
 
     // Greedy probe: run the full greedy loop speculatively to learn its
     // chosen set (the incumbent), then roll every hook side effect back
     // so the search prices candidates at the round-entry spec state —
     // the same state greedy's own first iteration saw.
     hooks.checkpoint();
-    let probe = greedy_loop(
-        dfg,
-        target,
-        round,
-        selected_so_far,
-        hooks,
-        pricing,
-        views,
-        alive.clone(),
-        conf,
-    );
+    let probe = greedy_loop(ctx, screened, hooks);
     hooks.restore();
 
-    let max_wl = target.max_wl();
-    let prices = CycleCache::new(target);
-    let (best_set, exhausted, steps) = {
-        let oracle: &dyn SelectHooks = &*hooks;
-        let model = BenefitModel::new(
-            dfg,
-            round,
-            &prices,
-            pricing,
-            |n| oracle.current_wl(n).unwrap_or(max_wl),
-            |n| oracle.current_fwl(n),
-        )
-        .assume_equalization(oracle.equalization_follows())
-        .assume_sched(oracle.sched_kind());
-        search(
-            dfg,
-            &model,
-            round,
-            selected_so_far,
-            &alive,
-            conf,
-            budget,
-            &probe.chosen,
-        )
-    };
-
-    stats.include_steps += u64::from(steps);
+    let (best_set, exhausted, steps) = search(
+        &hook_model(ctx, screened, &*hooks),
+        screened,
+        budget,
+        &probe.chosen,
+    );
+    ctx.stats.include_steps += u64::from(steps);
     if exhausted {
-        stats.budget_fallbacks += 1;
-        return replay(dfg, hooks, views, selected_so_far, &probe.chosen, false)
-            .expect("lax replay never fails");
+        ctx.stats.budget_fallbacks += 1;
     }
-    let Some(mut set) = best_set else {
-        // Greedy already matched the searched optimum: replay its
-        // probe. From the restored round-entry state the same accepted
-        // selections receive the same answers, so this is bitwise the
-        // greedy outcome.
-        return replay(dfg, hooks, views, selected_so_far, &probe.chosen, false)
-            .expect("lax replay never fails");
+    let greedy = |hooks: &mut dyn SelectHooks| {
+        replay(screened, hooks, &probe.chosen, false).expect("lax replay never fails")
+    };
+    let Some(mut set) = best_set.filter(|_| !exhausted) else {
+        // The budget ran out, or greedy already matched the searched
+        // optimum: replay its probe. From the restored round-entry
+        // state the same accepted selections receive the same answers,
+        // so this is bitwise the greedy outcome.
+        return greedy(hooks);
     };
     // Commit the improved set in ascending candidate order — a fixed,
     // deterministic replay order for the hooks' side effects.
     set.sort_unstable();
     hooks.checkpoint();
-    match replay(dfg, hooks, views, selected_so_far, &set, true) {
+    match replay(screened, hooks, &set, true) {
         Some(groups) => {
-            stats.improved += 1;
+            ctx.stats.improved += 1;
             groups
         }
         None => {
             // The set's cumulative accuracy effect was vetoed mid-replay:
             // roll back and fall back to the greedy incumbent.
-            stats.veto_fallbacks += 1;
+            ctx.stats.veto_fallbacks += 1;
             hooks.restore();
-            replay(dfg, hooks, views, selected_so_far, &probe.chosen, false)
-                .expect("lax replay never fails")
+            greedy(hooks)
         }
     }
 }
@@ -270,17 +229,20 @@ pub(crate) fn run_selection_optimal(
 /// already optimal among what was searched), whether the budget ran
 /// out (in which case the best set is meaningless and discarded), and
 /// the include-steps spent.
-#[allow(clippy::too_many_arguments)]
 fn search(
-    dfg: &Dfg,
     model: &BenefitModel<'_>,
-    round: &Round,
-    prior: &[SimdGroup],
-    alive: &[bool],
-    conf: &[(usize, usize)],
+    screened: &Screened<'_>,
     budget: u32,
     incumbent: &[usize],
 ) -> (Option<Vec<usize>>, bool, u32) {
+    let Screened {
+        dfg,
+        round,
+        prior,
+        alive,
+        conf,
+        ..
+    } = screened;
     // Per-candidate optimistic bound: the shallow assessment treats
     // every speculative flow as certain reuse, which upper-bounds the
     // candidate's in-set net over any chosen set.
@@ -624,17 +586,16 @@ impl Search<'_, '_> {
 /// the probe only logged accepted selections and the replay reproduces
 /// the probe's state trajectory write for write.
 fn replay(
-    dfg: &Dfg,
+    screened: &Screened<'_>,
     hooks: &mut dyn SelectHooks,
-    views: &[CandidateView],
-    selected_so_far: &[SimdGroup],
     chosen: &[usize],
     strict: bool,
 ) -> Option<Vec<SimdGroup>> {
-    let mut selected: Vec<SimdGroup> = selected_so_far.to_vec();
+    let views = &screened.views;
+    let mut selected: Vec<SimdGroup> = screened.prior.to_vec();
     let mut new_groups: Vec<SimdGroup> = Vec::new();
     for &i in chosen {
-        if closes_cycle(dfg, &selected, &views[i].group) || !hooks.on_select(&views[i]) {
+        if closes_cycle(screened.dfg, &selected, &views[i].group) || !hooks.on_select(&views[i]) {
             if strict {
                 return None;
             }
@@ -649,10 +610,12 @@ fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::{extract_rounds_stats, run_selection_stats, NoHooks};
+    use crate::candidate::CandidateView;
+    use crate::select::{extract_rounds, run_selection, NoHooks};
+    use crate::BenefitKind;
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::parser::parse_kernel;
-    use slpwlo_targets::{st240, vex, xentium};
+    use slpwlo_targets::{st240, vex, xentium, CycleCache, SchedKind};
 
     fn fir_dfg() -> Dfg {
         let src = r#"
@@ -683,32 +646,17 @@ kernel f {
         let mut enumerated = 0usize;
         for target in [xentium(), vex(4), st240()] {
             let mut groups: Vec<SimdGroup> = Vec::new();
-            let mut stats = SelectStats::default();
+            let mut ctx = PassCtx::plain(&target, BenefitKind::optimal());
+            let cycles = PassCtx::plain(&target, BenefitKind::Cycles);
             loop {
                 let round = Round::new(&dfg, &target, &groups);
                 let n = round.candidates.len();
-                let selected = run_selection_stats(
-                    &dfg,
-                    &target,
-                    &round,
-                    &groups,
-                    &mut NoHooks,
-                    BenefitKind::optimal(),
-                    &mut stats,
-                );
+                let selected = run_selection(&mut ctx, &dfg, &round, &groups, &mut NoHooks);
                 if n <= 14 {
                     enumerated += 1;
                     let alive = vec![true; n];
-                    let prices = CycleCache::new(&target);
                     let max = target.max_wl();
-                    let model = BenefitModel::new(
-                        &dfg,
-                        &round,
-                        &prices,
-                        BenefitKind::Cycles,
-                        |_| max,
-                        |_| None,
-                    );
+                    let model = BenefitModel::new(&dfg, &round, &cycles, |_| max, |_| None);
                     let chosen_idx: Vec<usize> = selected
                         .iter()
                         .map(|g| {
@@ -730,9 +678,9 @@ kernel f {
                 }
                 crate::select::absorb_selected(&mut groups, selected);
             }
-            assert!(stats.rounds > 0, "{}: no round searched", target.name);
+            assert!(ctx.stats.rounds > 0, "{}: no round searched", target.name);
             assert_eq!(
-                stats.budget_fallbacks, 0,
+                ctx.stats.budget_fallbacks, 0,
                 "{}: budget too small",
                 target.name
             );
@@ -765,19 +713,22 @@ kernel f {
         for (dfg, target) in &cases {
             let round = Round::new(dfg, target, &[]);
             let n = round.candidates.len();
-            let prices = CycleCache::new(target);
             let max = target.max_wl();
             // Mismatched per-lane formats with equalization on, so the
             // backed bits also move the scaling prices.
+            let ctx = PassCtx::new(
+                CycleCache::new(target),
+                BenefitKind::Cycles,
+                SchedKind::List,
+                true,
+            );
             let model = BenefitModel::new(
                 dfg,
                 &round,
-                &prices,
-                BenefitKind::Cycles,
+                &ctx,
                 |_| max,
                 |n| Some(8 + (n.index() % 3) as i32),
-            )
-            .assume_equalization(true);
+            );
             let margin = model.admission_margin();
             let pool: Vec<usize> = (0..n).collect();
             let mut memo = PriceMemo::new(&model, &round, &[], &pool);
@@ -833,21 +784,11 @@ kernel f {
     fn zero_budget_replays_greedy_exactly() {
         let dfg = fir_dfg();
         for target in [xentium(), vex(4)] {
-            let mut stats = SelectStats::default();
-            let exact = extract_rounds_stats(
-                &dfg,
-                &target,
-                &mut NoHooks,
-                BenefitKind::Optimal { budget: 0 },
-                &mut stats,
-            );
-            let greedy = extract_rounds_stats(
-                &dfg,
-                &target,
-                &mut NoHooks,
-                BenefitKind::Cycles,
-                &mut SelectStats::default(),
-            );
+            let mut ctx = PassCtx::plain(&target, BenefitKind::Optimal { budget: 0 });
+            let exact = extract_rounds(&mut ctx, &dfg, &mut NoHooks);
+            let mut greedy_ctx = PassCtx::plain(&target, BenefitKind::Cycles);
+            let greedy = extract_rounds(&mut greedy_ctx, &dfg, &mut NoHooks);
+            let stats = ctx.stats;
             assert_eq!(
                 exact, greedy,
                 "{}: budget-0 diverged from greedy",
@@ -864,7 +805,8 @@ kernel f {
     fn optimal_never_loses_to_greedy_per_round() {
         let dfg = fir_dfg();
         for target in [xentium(), vex(1), vex(4), st240()] {
-            let mut stats = SelectStats::default();
+            let mut ctx = PassCtx::plain(&target, BenefitKind::optimal());
+            let cycles = PassCtx::plain(&target, BenefitKind::Cycles);
             let mut groups: Vec<SimdGroup> = Vec::new();
             loop {
                 let round = Round::new(&dfg, &target, &groups);
@@ -880,37 +822,19 @@ kernel f {
                         }
                     }
                 }
-                let probe = greedy_loop(
-                    &dfg,
-                    &target,
-                    &round,
-                    &groups,
-                    &mut NoHooks,
-                    BenefitKind::Cycles,
-                    &views,
+                let screened = Screened {
+                    dfg: &dfg,
+                    round: &round,
+                    prior: &groups,
+                    views,
                     alive,
-                    &conf,
-                );
-                let prices = CycleCache::new(&target);
+                    conf,
+                };
+                let probe = greedy_loop(&cycles, &screened, &mut NoHooks);
                 let max = target.max_wl();
-                let model = BenefitModel::new(
-                    &dfg,
-                    &round,
-                    &prices,
-                    BenefitKind::Cycles,
-                    |_| max,
-                    |_| None,
-                );
+                let model = BenefitModel::new(&dfg, &round, &cycles, |_| max, |_| None);
                 let greedy_v = set_value(&model, &round, &groups, &probe.chosen);
-                let selected = run_selection_stats(
-                    &dfg,
-                    &target,
-                    &round,
-                    &groups,
-                    &mut NoHooks,
-                    BenefitKind::optimal(),
-                    &mut stats,
-                );
+                let selected = run_selection(&mut ctx, &dfg, &round, &groups, &mut NoHooks);
                 let chosen_idx: Vec<usize> = selected
                     .iter()
                     .map(|g| {
@@ -930,7 +854,7 @@ kernel f {
                 }
                 crate::select::absorb_selected(&mut groups, selected);
             }
-            assert_eq!(stats.budget_fallbacks, 0, "{}", target.name);
+            assert_eq!(ctx.stats.budget_fallbacks, 0, "{}", target.name);
         }
     }
 }

@@ -1,7 +1,10 @@
 //! The iterative group-selection loop (fig. 1c lines 26–35 of the paper)
 //! and the round driver.
 //!
-//! The loop is parameterised by [`SelectHooks`] so that `slpwlo-core` can
+//! A selection reads two things besides the round. The flow leg's
+//! [`PassCtx`] holds what is fixed for the leg (target, price cache,
+//! pricing strategy, scheduler, equalization flag) and collects the
+//! exact selector's statistics. [`SelectHooks`] let `slpwlo-core`
 //! inject the paper's accuracy-awareness:
 //!
 //! * [`SelectHooks::validate`] — "eliminate candidates violating the
@@ -13,14 +16,18 @@
 //!   option to veto a selection whose cumulative effect would break the
 //!   constraint (a strict guard the paper implies through its conflict
 //!   definition).
+//!
+//! The hooks also answer the evolving spec's word lengths, which the
+//! cycle-priced model reads, and checkpoint/restore their state for the
+//! exact selector's speculative greedy probe.
 
 use crate::benefit::{BenefitKind, BenefitModel, CostedBenefit};
 use crate::candidate::{CandidateView, Round};
 use crate::conflict::conflicts;
+use crate::ctx::PassCtx;
 use crate::group::{closes_cycle, SimdGroup};
-use crate::optimal::{run_selection_optimal, SelectStats};
+use crate::optimal::run_selection_optimal;
 use slpwlo_ir::dfg::{Dfg, NodeId};
-use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
 
 /// Hooks through which accuracy awareness (or any other policy) is
 /// injected into the selection loop.
@@ -75,24 +82,6 @@ pub trait SelectHooks {
         None
     }
 
-    /// Whether a scaling-equalization pass (fig. 1b) runs after this
-    /// extraction. The cycle-priced model then treats equalizable
-    /// mismatched scalings as uniform — the accuracy-aware WLO↔SLP flow
-    /// answers `true`, the equalization-free `WLO-First` baseline keeps
-    /// the default `false`.
-    fn equalization_follows(&self) -> bool {
-        false
-    }
-
-    /// Which scheduler the flow prices (and will run) blocks under.
-    /// Under [`SchedKind::Modulo`] the cycle-priced model drops its
-    /// latency-boundedness admission hedge: overlapped iterations hide
-    /// pack/extract chain hops, so slot pressure is the honest price.
-    /// The default is the sequential-issue list scheduler.
-    fn sched_kind(&self) -> SchedKind {
-        SchedKind::List
-    }
-
     /// Snapshot the hook's mutable state (the spec under accuracy-aware
     /// selection). The exact selector ([`BenefitKind::Optimal`]) probes a
     /// whole greedy round speculatively — `checkpoint`, run greedy
@@ -114,27 +103,39 @@ pub struct NoHooks;
 
 impl SelectHooks for NoHooks {}
 
+/// One round after candidate validation (fig. 1c lines 4–12) and
+/// conflict detection (lines 13–25): what both selectors start from.
+pub(crate) struct Screened<'r> {
+    pub dfg: &'r Dfg,
+    pub round: &'r Round,
+    /// The groups selected in earlier rounds.
+    pub prior: &'r [SimdGroup],
+    pub views: Vec<CandidateView>,
+    /// Which candidates passed validation.
+    pub alive: Vec<bool>,
+    /// Conflicting pairs of live candidates, structural or accuracy.
+    pub conf: Vec<(usize, usize)>,
+}
+
 /// Runs one selection pass over a round (one `SLP()` invocation of the
 /// paper) and returns the newly formed groups.
 ///
-/// `benefit` picks the candidate-pricing strategy; under
+/// `ctx.benefit` picks the candidate-pricing strategy; under
 /// [`BenefitKind::Cycles`] the model reads each node's current word
 /// length through [`SelectHooks::current_wl`] every iteration, so
 /// candidates are re-priced as selections shrink the spec. Under
 /// [`BenefitKind::Optimal`] the round is solved exactly by
-/// branch-and-bound, accumulating its search statistics into `stats`
-/// (untouched under the greedy kinds).
-pub fn run_selection_stats(
+/// branch-and-bound, accumulating its search statistics into
+/// `ctx.stats` (untouched under the greedy kinds).
+pub fn run_selection(
+    ctx: &mut PassCtx<'_>,
     dfg: &Dfg,
-    target: &TargetModel,
     round: &Round,
     selected_so_far: &[SimdGroup],
     hooks: &mut dyn SelectHooks,
-    benefit: BenefitKind,
-    stats: &mut SelectStats,
 ) -> Vec<SimdGroup> {
     let n = round.candidates.len();
-    let views: Vec<CandidateView> = (0..n).map(|i| round.view(target, i)).collect();
+    let views: Vec<CandidateView> = (0..n).map(|i| round.view(ctx.target, i)).collect();
 
     // Candidate validation (fig. 1c lines 4-12).
     let alive: Vec<bool> = views.iter().map(|v| hooks.validate(v)).collect();
@@ -155,32 +156,17 @@ pub fn run_selection_stats(
         }
     }
 
-    if let BenefitKind::Optimal { budget } = benefit {
-        run_selection_optimal(
-            dfg,
-            target,
-            round,
-            selected_so_far,
-            hooks,
-            &views,
-            alive,
-            &conf,
-            budget,
-            stats,
-        )
-    } else {
-        greedy_loop(
-            dfg,
-            target,
-            round,
-            selected_so_far,
-            hooks,
-            benefit,
-            &views,
-            alive,
-            &conf,
-        )
-        .groups
+    let screened = Screened {
+        dfg,
+        round,
+        prior: selected_so_far,
+        views,
+        alive,
+        conf,
+    };
+    match ctx.benefit {
+        BenefitKind::Optimal { budget } => run_selection_optimal(ctx, &screened, hooks, budget),
+        _ => greedy_loop(ctx, &screened, hooks).groups,
     }
 }
 
@@ -192,28 +178,36 @@ pub(crate) struct GreedyOutcome {
     pub chosen: Vec<usize>,
 }
 
-/// The paper's greedy-with-guards loop over pre-computed candidate
-/// views, liveness and conflicts. `benefit` only picks the pricing model
-/// here — [`BenefitKind::Optimal`] dispatch happens one level up.
-#[allow(clippy::too_many_arguments)]
+/// The benefit model of one word-length snapshot: the hooks' current
+/// word lengths, with unanswered nodes at the target's maximum.
+pub(crate) fn hook_model<'a>(
+    ctx: &'a PassCtx<'a>,
+    screened: &'a Screened<'a>,
+    oracle: &'a dyn SelectHooks,
+) -> BenefitModel<'a> {
+    let max_wl = ctx.target.max_wl();
+    BenefitModel::new(
+        screened.dfg,
+        screened.round,
+        ctx,
+        move |n| oracle.current_wl(n).unwrap_or(max_wl),
+        |n| oracle.current_fwl(n),
+    )
+}
+
+/// The paper's greedy-with-guards loop over a screened round. Under
+/// [`BenefitKind::Optimal`] it prices as [`BenefitKind::Cycles`] (the
+/// exact selector's incumbent probe).
 pub(crate) fn greedy_loop(
-    dfg: &Dfg,
-    target: &TargetModel,
-    round: &Round,
-    selected_so_far: &[SimdGroup],
+    ctx: &PassCtx<'_>,
+    screened: &Screened<'_>,
     hooks: &mut dyn SelectHooks,
-    benefit: BenefitKind,
-    views: &[CandidateView],
-    mut alive: Vec<bool>,
-    conf: &[(usize, usize)],
 ) -> GreedyOutcome {
-    let mut selected: Vec<SimdGroup> = selected_so_far.to_vec();
+    let (round, conf) = (screened.round, &screened.conf);
+    let mut alive = screened.alive.clone();
+    let mut selected: Vec<SimdGroup> = screened.prior.to_vec();
     let mut new_groups: Vec<SimdGroup> = Vec::new();
     let mut chosen: Vec<usize> = Vec::new();
-    let max_wl = target.max_wl();
-    // Op prices depend only on the target, never on the evolving spec,
-    // so one cache warms up across every per-iteration model rebuild.
-    let prices = CycleCache::new(target);
 
     // Main loop: while conflicts remain among live candidates, pick the
     // most beneficial candidate and eliminate everything conflicting.
@@ -222,51 +216,13 @@ pub(crate) fn greedy_loop(
         // The model is rebuilt each iteration over a fresh word-length
         // oracle: selections mutate the spec through the hooks, and the
         // cycle-priced strategy must see those shrinks.
-        let best = {
-            let oracle: &dyn SelectHooks = &*hooks;
-            let model = BenefitModel::new(
-                dfg,
-                round,
-                &prices,
-                benefit,
-                |n| oracle.current_wl(n).unwrap_or(max_wl),
-                |n| oracle.current_fwl(n),
-            )
-            .assume_equalization(oracle.equalization_follows())
-            .assume_sched(oracle.sched_kind());
-            argmax_benefit(&model, &alive, &selected)
-        };
+        let best = argmax_benefit(&hook_model(ctx, screened, &*hooks), &alive, &selected);
         let Some(best) = best else {
             break;
         };
-        if !live_conflicts {
-            // Conflict-free tail (paper: loop ends when conflicts are
-            // resolved; remaining compatible candidates are selected in
-            // benefit order, still subject to the selection hook).
-            if try_select(
-                dfg,
-                best,
-                views,
-                &mut alive,
-                &mut selected,
-                &mut new_groups,
-                hooks,
-            ) {
-                chosen.push(best);
-            }
-            // Killing against `new_groups` alone suffices: a candidate
-            // overlapping a `selected_so_far` group necessarily contains
-            // it wholly as one of its two items (prior-round nodes only
-            // enter candidates through their group's item), which is a
-            // legal widening that `absorb_selected` resolves — see
-            // `overlap_with_prior_groups_implies_containment`.
-            kill_overlapping(round, &mut alive, &new_groups);
-            continue;
-        }
         let accepted = try_select(
-            dfg,
+            screened,
             best,
-            views,
             &mut alive,
             &mut selected,
             &mut new_groups,
@@ -274,6 +230,19 @@ pub(crate) fn greedy_loop(
         );
         if accepted {
             chosen.push(best);
+        }
+        if !live_conflicts {
+            // Conflict-free tail (paper: loop ends when conflicts are
+            // resolved; remaining compatible candidates are selected in
+            // benefit order, still subject to the selection hook).
+            // Killing against `new_groups` alone suffices: a candidate
+            // overlapping a `selected_so_far` group necessarily contains
+            // it wholly as one of its two items (prior-round nodes only
+            // enter candidates through their group's item), which is a
+            // legal widening that `absorb_selected` resolves — see
+            // `overlap_with_prior_groups_implies_containment`.
+            kill_overlapping(round, &mut alive, &new_groups);
+        } else if accepted {
             // Eliminate candidates in conflict with the selection.
             for &(i, j) in conf {
                 if i == best && alive[j] {
@@ -291,32 +260,31 @@ pub(crate) fn greedy_loop(
 }
 
 fn try_select(
-    dfg: &Dfg,
+    screened: &Screened<'_>,
     idx: usize,
-    views: &[CandidateView],
     alive: &mut [bool],
     selected: &mut Vec<SimdGroup>,
     new_groups: &mut Vec<SimdGroup>,
     hooks: &mut dyn SelectHooks,
 ) -> bool {
     alive[idx] = false;
+    let view = &screened.views[idx];
     // Structural guard before any hook side effects: a group that would
     // close a dependency cycle with the groups already selected (this
     // round or earlier ones) can never be realised as one SIMD
     // instruction — pairwise candidate conflicts cannot see these
     // multi-group cycles.
-    if closes_cycle(dfg, selected, &views[idx].group) {
+    if closes_cycle(screened.dfg, selected, &view.group) {
         return false;
     }
-    if hooks.on_select(&views[idx]) {
-        selected.push(views[idx].group.clone());
-        new_groups.push(views[idx].group.clone());
+    if hooks.on_select(view) {
+        selected.push(view.group.clone());
+        new_groups.push(view.group.clone());
         true
     } else {
         false
     }
 }
-
 /// Kills candidates overlapping any already-formed group (used in the
 /// conflict-free tail, where shared-item conflicts are gone but overlaps
 /// with fresh selections must still be respected).
@@ -386,18 +354,16 @@ pub(crate) fn pick_best(
 /// over one basic block): each round re-enumerates candidates over the
 /// updated item set, allowing group sizes to grow as long as the target
 /// supports them. The exact selector's search statistics accumulate into
-/// `stats` (untouched under the greedy kinds).
-pub fn extract_rounds_stats(
+/// `ctx.stats` (untouched under the greedy kinds).
+pub fn extract_rounds(
+    ctx: &mut PassCtx<'_>,
     dfg: &Dfg,
-    target: &TargetModel,
     hooks: &mut dyn SelectHooks,
-    benefit: BenefitKind,
-    stats: &mut SelectStats,
 ) -> Vec<SimdGroup> {
     let mut groups: Vec<SimdGroup> = Vec::new();
     loop {
-        let round = Round::new(dfg, target, &groups);
-        let selected = run_selection_stats(dfg, target, &round, &groups, hooks, benefit, stats);
+        let round = Round::new(dfg, ctx.target, &groups);
+        let selected = run_selection(ctx, dfg, &round, &groups, hooks);
         if selected.is_empty() {
             return groups;
         }
@@ -427,13 +393,12 @@ pub fn absorb_selected(groups: &mut Vec<SimdGroup>, selected: Vec<SimdGroup>) {
 /// element's word length fits the sub-word the target grants the group.
 /// The frozen word lengths also feed the cycle-priced benefit model.
 pub fn extract_plain_with(
+    ctx: &mut PassCtx<'_>,
     dfg: &Dfg,
-    target: &TargetModel,
     wl_of: &dyn Fn(NodeId) -> i32,
-    benefit: BenefitKind,
 ) -> Vec<SimdGroup> {
     struct FixedWlHooks<'a> {
-        target: &'a TargetModel,
+        target: &'a slpwlo_targets::TargetModel,
         wl_of: &'a dyn Fn(NodeId) -> i32,
     }
     impl SelectHooks for FixedWlHooks<'_> {
@@ -445,14 +410,8 @@ pub fn extract_plain_with(
             Some((self.wl_of)(node))
         }
     }
-    let mut hooks = FixedWlHooks { target, wl_of };
-    extract_rounds_stats(
-        dfg,
-        target,
-        &mut hooks,
-        benefit,
-        &mut SelectStats::default(),
-    )
+    let target = ctx.target;
+    extract_rounds(ctx, dfg, &mut FixedWlHooks { target, wl_of })
 }
 
 #[cfg(test)]
@@ -462,7 +421,7 @@ mod tests {
     use slpwlo_ir::dfg::NodeKind;
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_ir::Kernel;
-    use slpwlo_targets::{st240, vex, xentium};
+    use slpwlo_targets::{st240, vex, xentium, TargetModel};
 
     fn fir4_block() -> (Kernel, Dfg) {
         let src = r#"
@@ -485,10 +444,18 @@ kernel f {
         (k, dfg)
     }
 
+    fn plain(dfg: &Dfg, target: &TargetModel, wl_of: &dyn Fn(NodeId) -> i32) -> Vec<SimdGroup> {
+        extract_plain_with(
+            &mut PassCtx::plain(target, BenefitKind::default()),
+            dfg,
+            wl_of,
+        )
+    }
+
     #[test]
     fn plain_extraction_finds_groups_at_16_bits() {
         let (_, dfg) = fir4_block();
-        let groups = extract_plain_with(&dfg, &xentium(), &|_| 16, BenefitKind::default());
+        let groups = plain(&dfg, &xentium(), &|_| 16);
         assert!(!groups.is_empty(), "16-bit data must vectorize");
         // The two multiplies with adjacent loads must be grouped.
         let mul_groups: Vec<_> = groups
@@ -509,7 +476,7 @@ kernel f {
     #[test]
     fn plain_extraction_finds_nothing_at_32_bits() {
         let (_, dfg) = fir4_block();
-        let groups = extract_plain_with(&dfg, &xentium(), &|_| 32, BenefitKind::default());
+        let groups = plain(&dfg, &xentium(), &|_| 32);
         assert!(
             groups.is_empty(),
             "32-bit data cannot pack on a 32-bit SIMD datapath"
@@ -519,14 +486,14 @@ kernel f {
     #[test]
     fn extension_to_four_lanes_on_vex() {
         let (_, dfg) = fir4_block();
-        let groups8 = extract_plain_with(&dfg, &vex(4), &|_| 8, BenefitKind::default());
+        let groups8 = plain(&dfg, &vex(4), &|_| 8);
         let max_lanes = groups8.iter().map(|g| g.lanes()).max().unwrap_or(0);
         assert_eq!(
             max_lanes, 4,
             "8-bit data on VEX must form 4-lane groups: {groups8:?}"
         );
         // On ST240 (2x16 only) the same data stays in pairs.
-        let groups_st = extract_plain_with(&dfg, &st240(), &|_| 8, BenefitKind::default());
+        let groups_st = plain(&dfg, &st240(), &|_| 8);
         let max_st = groups_st.iter().map(|g| g.lanes()).max().unwrap_or(0);
         assert_eq!(max_st, 2);
     }
@@ -541,12 +508,7 @@ kernel f {
             .map(|(i, _)| i)
             .collect();
         let wide = muls[0];
-        let groups = extract_plain_with(
-            &dfg,
-            &xentium(),
-            &move |n| if n == wide { 32 } else { 16 },
-            BenefitKind::default(),
-        );
+        let groups = plain(&dfg, &xentium(), &move |n| if n == wide { 32 } else { 16 });
         for g in &groups {
             assert!(!g.contains(wide), "the 32-bit op must stay scalar");
         }
@@ -555,7 +517,7 @@ kernel f {
     #[test]
     fn no_group_member_repeats() {
         let (_, dfg) = fir4_block();
-        let groups = extract_plain_with(&dfg, &vex(4), &|_| 16, BenefitKind::default());
+        let groups = plain(&dfg, &vex(4), &|_| 16);
         let mut seen = std::collections::HashSet::new();
         for g in &groups {
             for &e in &g.elems {
@@ -622,6 +584,7 @@ kernel f {
             // Drive rounds to fixpoint, checking every round's candidate
             // enumeration against the prior groups it extends.
             let mut groups: Vec<SimdGroup> = Vec::new();
+            let mut ctx = PassCtx::plain(&target, BenefitKind::Cycles);
             loop {
                 let round = Round::new(&dfg, &target, &groups);
                 for idx in 0..round.candidates.len() {
@@ -641,15 +604,7 @@ kernel f {
                         }
                     }
                 }
-                let selected = run_selection_stats(
-                    &dfg,
-                    &target,
-                    &round,
-                    &groups,
-                    &mut NoHooks,
-                    BenefitKind::Cycles,
-                    &mut SelectStats::default(),
-                );
+                let selected = run_selection(&mut ctx, &dfg, &round, &groups, &mut NoHooks);
                 if selected.is_empty() {
                     break;
                 }
@@ -675,13 +630,9 @@ kernel f {
             }
         }
         let (_, dfg) = fir4_block();
-        let groups = extract_rounds_stats(
-            &dfg,
-            &xentium(),
-            &mut VetoAll,
-            BenefitKind::default(),
-            &mut SelectStats::default(),
-        );
+        let target = xentium();
+        let mut ctx = PassCtx::plain(&target, BenefitKind::default());
+        let groups = extract_rounds(&mut ctx, &dfg, &mut VetoAll);
         assert!(groups.is_empty());
     }
 
@@ -704,13 +655,9 @@ kernel f {
             }
         }
         let (_, dfg) = fir4_block();
-        let groups = extract_rounds_stats(
-            &dfg,
-            &xentium(),
-            &mut NoAdds { dfg: &dfg },
-            BenefitKind::default(),
-            &mut SelectStats::default(),
-        );
+        let target = xentium();
+        let mut ctx = PassCtx::plain(&target, BenefitKind::default());
+        let groups = extract_rounds(&mut ctx, &dfg, &mut NoAdds { dfg: &dfg });
         assert!(!groups.is_empty());
         assert!(groups
             .iter()

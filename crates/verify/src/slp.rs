@@ -2,7 +2,7 @@
 //!
 //! Promotes the invariants that used to live in the
 //! `tests/slp_invariants.rs` harness into a reusable library pass, so
-//! that any selector — the current greedy rounds or a future exact
+//! that any selector — the greedy rounds or the exact
 //! (`BenefitKind::Optimal`) one — can be checked independently of its
 //! own bookkeeping:
 //!
@@ -16,11 +16,18 @@
 //!   acyclic — the invariant the lowering's topological sort relies
 //!   on, and the one pairwise checks cannot see (three groups can
 //!   form a cycle with every pair clean).
+//!
+//! [`verify_optimal_selection`] additionally spot-checks one round of
+//! the exact selector against brute-force enumeration, on rounds small
+//! enough to enumerate ([`EXHAUSTIVE_LIMIT`] live candidates at most).
 
 use crate::{Invariant, Pass, VerifyError};
 use slpwlo_ir::{Dfg, NodeId};
-use slpwlo_slp::{exhaustive_best, set_value, BenefitKind, BenefitModel, Round, SimdGroup};
-use slpwlo_targets::{CycleCache, TargetModel};
+use slpwlo_slp::{
+    exhaustive_best, set_value, BenefitKind, BenefitModel, PassCtx, Round, SimdGroup,
+    EXHAUSTIVE_LIMIT,
+};
+use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
 use std::collections::HashSet;
 
 fn err(
@@ -191,10 +198,10 @@ fn first_cyclic_group(dfg: &Dfg, groups: &[SimdGroup]) -> Option<usize> {
 ///
 /// Candidate liveness mirrors the frozen-spec selection hooks: a
 /// candidate is live when every lane's current word length fits the
-/// candidate's per-lane container on the target. Rounds with more than
-/// `max_candidates` live candidates are skipped (enumeration is
-/// exponential) — callers gate the size, `Ok(())` means "checked or too
-/// big", never "silently wrong".
+/// candidate's per-lane container on the target. Rounds with more live
+/// candidates than `max_candidates`, or than [`EXHAUSTIVE_LIMIT`] (the
+/// most the enumerator takes), are skipped: enumeration is exponential,
+/// so `Ok(())` means "checked or too big", never "silently wrong".
 ///
 /// This check is sound only for selections driven by the *same* fixed
 /// oracle (e.g. `extract_plain_with`-style hooks); under evolving-spec hooks
@@ -214,7 +221,7 @@ pub fn verify_optimal_selection(
     let alive: Vec<bool> = (0..n)
         .map(|i| round.view(target, i).fits_frozen_wls(target, wl))
         .collect();
-    if alive.iter().filter(|&&a| a).count() > max_candidates {
+    if alive.iter().filter(|&&a| a).count() > max_candidates.min(EXHAUSTIVE_LIMIT) {
         return Ok(());
     }
     let mut chosen_idx = Vec::with_capacity(chosen.len());
@@ -231,8 +238,13 @@ pub fn verify_optimal_selection(
             }
         }
     }
-    let prices = CycleCache::new(target);
-    let model = BenefitModel::new(dfg, &round, &prices, BenefitKind::Cycles, wl, |_| None);
+    let pricing = PassCtx::new(
+        CycleCache::new(target),
+        BenefitKind::Cycles,
+        SchedKind::List,
+        false,
+    );
+    let model = BenefitModel::new(dfg, &round, &pricing, wl, |_| None);
     let v = set_value(&model, &round, prior, &chosen_idx);
     let (best_set, best_v) = exhaustive_best(dfg, &model, &round, prior, &alive);
     if v + 1e-6 < best_v {
@@ -398,7 +410,7 @@ kernel cy {
 
     #[test]
     fn optimal_selection_spot_check_accepts_exact_and_rejects_empty() {
-        use slpwlo_slp::{run_selection_stats, CandidateView, SelectHooks, SelectStats};
+        use slpwlo_slp::{run_selection, CandidateView, SelectHooks};
         // Frozen 16-bit word lengths, mirroring `extract_plain_with`'s hooks.
         struct FixedWl<'a> {
             target: &'a TargetModel,
@@ -436,16 +448,18 @@ kernel g {
         let target = slpwlo_targets::st240();
         let wl = |_: NodeId| 16;
         let round = Round::new(&dfg, &target, &[]);
-        let mut stats = SelectStats::default();
-        let mut hooks = FixedWl { target: &target };
-        let chosen = run_selection_stats(
+        let mut ctx = PassCtx::new(
+            CycleCache::new(&target),
+            BenefitKind::optimal(),
+            SchedKind::List,
+            false,
+        );
+        let chosen = run_selection(
+            &mut ctx,
             &dfg,
-            &target,
             &round,
             &[],
-            &mut hooks,
-            BenefitKind::optimal(),
-            &mut stats,
+            &mut FixedWl { target: &target },
         );
         assert!(!chosen.is_empty(), "ST240 must pack this round");
         verify_optimal_selection(&dfg, &target, &[], &chosen, &wl, 20, "t").unwrap();
@@ -453,6 +467,23 @@ kernel g {
         // enumerated optimum.
         let e = verify_optimal_selection(&dfg, &target, &[], &[], &wl, 20, "t").unwrap_err();
         assert_eq!(e.invariant, Invariant::SelectionSuboptimal);
+    }
+
+    /// A round too large to enumerate is skipped even when the caller
+    /// allows more candidates than the enumerator takes: CONV3x3's
+    /// first round on XENTIUM at 16 bits.
+    #[test]
+    fn optimal_selection_spot_check_skips_rounds_beyond_the_enumerator() {
+        let kernel = slpwlo_kernels::conv3x3();
+        let target = xentium();
+        let wl = |_: NodeId| 16;
+        let dfg = Dfg::from_block(&kernel, &collect_blocks(&kernel)[0]);
+        let round = Round::new(&dfg, &target, &[]);
+        let live = (0..round.candidates.len())
+            .filter(|&i| round.view(&target, i).fits_frozen_wls(&target, wl))
+            .count();
+        assert_eq!(live, 81);
+        verify_optimal_selection(&dfg, &target, &[], &[], &wl, 100, "t").unwrap();
     }
 
     #[test]

@@ -13,15 +13,13 @@
 //!     folding over it.
 
 use slpwlo::core::nodes::value_wl;
-use slpwlo::core::{
-    cycles_per_activation_cached, extract_on_spec_stats, lower_fixed, lower_scalar,
-};
+use slpwlo::core::{cycles_per_activation_cached, extract_on_spec, lower_fixed, lower_scalar};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::Dfg;
 use slpwlo::kernels::all_benchmarks;
-use slpwlo::slp::{extract_plain_with, BenefitKind, SelectStats};
+use slpwlo::slp::{extract_plain_with, BenefitKind, PassCtx};
 use slpwlo::targets::{vex, CycleCache, FuSet, OpQuery, SchedKind, SimdConfig, TargetModel};
 
 /// (a) VEX-1: whatever the cycle-priced model admits must never schedule
@@ -34,13 +32,15 @@ fn cycles_model_never_loses_to_scalar_on_vex1() {
         let ranges = determine_ranges(&bench.kernel, &RangeOptions::default());
         for wl in [12, 16, 24, 32] {
             let spec = FixedPointSpec::from_ranges(&bench.kernel, &ranges, wl);
-            let blocks = extract_on_spec_stats(
+            let blocks = extract_on_spec(
                 &bench.kernel,
                 &spec,
-                &target,
-                BenefitKind::Cycles,
-                SchedKind::List,
-                &mut SelectStats::default(),
+                &mut PassCtx::new(
+                    CycleCache::new(&target),
+                    BenefitKind::Cycles,
+                    SchedKind::List,
+                    false,
+                ),
             );
             let groups: usize = blocks.iter().map(|(_, _, g)| g.len()).sum();
             let simd = lower_fixed(&bench.kernel, &spec, &target, &blocks);
@@ -120,14 +120,10 @@ fn slots_and_cycles_agree_on_a_unit_cost_machine() {
                 .map(|b| {
                     let dfg = Dfg::from_block(&bench.kernel, &b);
                     let groups = {
-                        let spec_ref = &spec;
-                        let dfg_ref = &dfg;
-                        extract_plain_with(
-                            &dfg,
-                            &target,
-                            &move |n| value_wl(spec_ref, dfg_ref, n),
-                            kind,
-                        )
+                        let mut ctx =
+                            PassCtx::new(CycleCache::new(&target), kind, SchedKind::List, false);
+                        let (spec_ref, dfg_ref) = (&spec, &dfg);
+                        extract_plain_with(&mut ctx, &dfg, &move |n| value_wl(spec_ref, dfg_ref, n))
                     };
                     (b, dfg, groups)
                 })

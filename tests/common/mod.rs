@@ -5,12 +5,11 @@
 //! every binary uses every helper.
 #![allow(dead_code)]
 
-use slpwlo::core::{extract_on_spec_stats, lower_fixed, MachineProgram, SchedKind};
+use slpwlo::core::{extract_on_spec, lower_fixed, BenefitKind, MachineProgram, PassCtx};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::Kernel;
 use slpwlo::kernels::Workload;
-use slpwlo::slp::{BenefitKind, SelectStats};
-use slpwlo::targets::TargetModel;
+use slpwlo::targets::{CycleCache, SchedKind, TargetModel};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -23,15 +22,15 @@ pub fn simd_program(
     spec: &FixedPointSpec,
     target: &TargetModel,
 ) -> MachineProgram {
-    let blocks = extract_on_spec_stats(
-        kernel,
-        spec,
-        target,
-        BenefitKind::default(),
-        SchedKind::List,
-        &mut SelectStats::default(),
-    );
+    let blocks = extract_on_spec(kernel, spec, &mut plain_ctx(target));
     lower_fixed(kernel, spec, target, &blocks)
+}
+
+/// The `WLO-First` back half's selection context: default greedy
+/// pricing under list scheduling, no scaling equalization.
+pub fn plain_ctx(target: &TargetModel) -> PassCtx<'_> {
+    let costs = CycleCache::new(target);
+    PassCtx::new(costs, BenefitKind::default(), SchedKind::List, false)
 }
 
 /// Is a C compiler available? With `SLPWLO_REQUIRE_CC=1` a missing

@@ -8,19 +8,19 @@
 //! outputs bit for bit. This is the golden-reference loop every C
 //! back-end is validated against.
 
+mod common;
+
+use common::simd_program;
 use slpwlo::accuracy::simulate::simulate_fixed;
-use slpwlo::core::nodes::value_wl;
-use slpwlo::core::{lower_fixed, lower_scalar, prepare, wlo_first_flow_checked};
-use slpwlo::core::{wlo_slp_flow_checked, BenefitKind, MachineProgram, PassArtifact};
+use slpwlo::core::{lower_scalar, prepare, wlo_first_flow_checked};
+use slpwlo::core::{wlo_slp_flow_checked, BenefitKind, PassArtifact};
 use slpwlo::core::{SchedKind, TabuOptions};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
-use slpwlo::ir::blocks::collect_blocks;
-use slpwlo::ir::{Dfg, Kernel};
+use slpwlo::ir::Kernel;
 use slpwlo::kernels::{conv3x3, fir64, iir10, Workload};
 use slpwlo::sim::execute_fixed;
-use slpwlo::slp::extract_plain_with;
-use slpwlo::targets::{vex, xentium, TargetModel};
+use slpwlo::targets::{vex, xentium};
 use std::convert::Infallible;
 
 fn benchmarks() -> Vec<(Kernel, Workload)> {
@@ -29,28 +29,6 @@ fn benchmarks() -> Vec<(Kernel, Workload)> {
         (iir10(), Workload::sine_mix(1, 256)),
         (conv3x3(), Workload::image_rows(64, 12, 5)),
     ]
-}
-
-/// Plain SLP groups on a frozen spec (the WLO-First back half).
-fn simd_program(kernel: &Kernel, spec: &FixedPointSpec, target: &TargetModel) -> MachineProgram {
-    let blocks: Vec<_> = collect_blocks(kernel)
-        .into_iter()
-        .map(|b| {
-            let dfg = Dfg::from_block(kernel, &b);
-            let groups = {
-                let spec_ref = &spec;
-                let dfg_ref = &dfg;
-                extract_plain_with(
-                    &dfg,
-                    target,
-                    &move |n| value_wl(spec_ref, dfg_ref, n),
-                    BenefitKind::default(),
-                )
-            };
-            (b, dfg, groups)
-        })
-        .collect();
-    lower_fixed(kernel, spec, target, &blocks)
 }
 
 fn assert_bit_identical(label: &str, reference: &[Vec<f64>], got: &[Vec<f64>]) {

@@ -11,7 +11,7 @@ use slpwlo::ir::builder::KernelBuilder;
 use slpwlo::ir::interp::{Executor, FloatSem};
 use slpwlo::ir::unroll::unroll;
 use slpwlo::ir::Kernel;
-use slpwlo::slp::BenefitKind;
+use slpwlo::slp::{BenefitKind, PassCtx};
 
 /// Builds a random FIR-like kernel: `taps` MACs in a loop, arbitrary
 /// (bounded) coefficients.
@@ -130,8 +130,10 @@ fn extraction_respects_structure() {
             let target = slpwlo::targets::vex(4);
             for b in &blocks {
                 let dfg = slpwlo::ir::Dfg::from_block(&k, b);
-                let groups =
-                    slpwlo::slp::extract_plain_with(&dfg, &target, &|_| wl, BenefitKind::default());
+                let costs = slpwlo::targets::CycleCache::new(&target);
+                let kind = BenefitKind::default();
+                let mut ctx = PassCtx::new(costs, kind, slpwlo::targets::SchedKind::List, false);
+                let groups = slpwlo::slp::extract_plain_with(&mut ctx, &dfg, &|_| wl);
                 let mut seen = std::collections::HashSet::new();
                 for g in &groups {
                     for (i, &a) in g.elems.iter().enumerate() {

@@ -8,15 +8,19 @@
 //! `Report` fields: every optimizable spec key's `(wl, fwl)`, the group
 //! count, both cycle counts, the bits of the predicted noise and the
 //! SIMD program's operations per activation. The slice is the 8 suite
-//! kernels on XENTIUM and ST240 at -40 dB under both flows, plus exact
-//! selection with modulo scheduling on ST240.
+//! kernels at -40 dB under both flows on XENTIUM and ST240 plus exact
+//! selection with modulo scheduling on ST240 (`GOLDEN`), and on VEX-4
+//! (the only target with 4-lane extension rounds) and VEX-1 plus exact
+//! selection with modulo scheduling on VEX-1 (`GOLDEN_VEX`). Every
+//! exact-selection point also pins all of its `Report::select` counters
+//! (`SELECT`).
 //!
 //! When a change is *meant* to move reports, the failure message prints
 //! the whole table in source form for re-recording.
 
 use slpwlo::core::SchedKind;
 use slpwlo::kernels::all_benchmarks;
-use slpwlo::targets::{st240, xentium};
+use slpwlo::targets::{st240, vex, xentium, TargetModel};
 use slpwlo::{BenefitKind, FlowKind, Optimizer, Report};
 
 /// 64-bit FNV-1a with the standard offset basis and prime.
@@ -108,15 +112,112 @@ const GOLDEN: &[(&str, u64)] = &[
     ("POLY/ST240/wlo-first/optimal+modulo", 0x254fffb820b61e64),
 ];
 
-#[test]
-fn reports_match_recorded_digests() {
-    let mut got = Vec::new();
+/// Digests of the VEX slice, recorded like `GOLDEN`.
+const GOLDEN_VEX: &[(&str, u64)] = &[
+    ("FIR/VEX-4/wlo-slp", 0xcca01a6cde0786e6),
+    ("FIR/VEX-4/wlo-first", 0x08abdcae1cb930bc),
+    ("FIR/VEX-1/wlo-slp", 0xcf269fc48e1b4bbc),
+    ("FIR/VEX-1/wlo-first", 0x39b7454a8141fc0c),
+    ("FIR/VEX-1/wlo-slp/optimal+modulo", 0x0cc750195a2177c5),
+    ("FIR/VEX-1/wlo-first/optimal+modulo", 0x1b18c42932293c4c),
+    ("IIR/VEX-4/wlo-slp", 0x436e6fe099f652ce),
+    ("IIR/VEX-4/wlo-first", 0x6b5535bd11d4632c),
+    ("IIR/VEX-1/wlo-slp", 0x3b7d35382b4170ca),
+    ("IIR/VEX-1/wlo-first", 0x806369e0a7c3e5dc),
+    ("IIR/VEX-1/wlo-slp/optimal+modulo", 0x06b86702e1c17948),
+    ("IIR/VEX-1/wlo-first/optimal+modulo", 0x806369e0a7c3e5dc),
+    ("CONV/VEX-4/wlo-slp", 0x0638298790421964),
+    ("CONV/VEX-4/wlo-first", 0x1024a244cbb86d30),
+    ("CONV/VEX-1/wlo-slp", 0x17a458fbf1cb65e7),
+    ("CONV/VEX-1/wlo-first", 0xed1abe7462b51f50),
+    ("CONV/VEX-1/wlo-slp/optimal+modulo", 0x17a458fbf1cb65e7),
+    ("CONV/VEX-1/wlo-first/optimal+modulo", 0xed1abe7462b51f50),
+    ("DOT/VEX-4/wlo-slp", 0x199feda1a523a174),
+    ("DOT/VEX-4/wlo-first", 0xeec9d12df9479e98),
+    ("DOT/VEX-1/wlo-slp", 0x6ae403e10b5c0af8),
+    ("DOT/VEX-1/wlo-first", 0xb9d870eadae5d618),
+    ("DOT/VEX-1/wlo-slp/optimal+modulo", 0x18e2bee51eca1c93),
+    ("DOT/VEX-1/wlo-first/optimal+modulo", 0xa1a0bff6c9dcb138),
+    ("MATVEC/VEX-4/wlo-slp", 0x92e9a4e9284f3181),
+    ("MATVEC/VEX-4/wlo-first", 0x0f1f7dcea762b941),
+    ("MATVEC/VEX-1/wlo-slp", 0x83e9d37dc05cf510),
+    ("MATVEC/VEX-1/wlo-first", 0x561cd390c9cc24c7),
+    ("MATVEC/VEX-1/wlo-slp/optimal+modulo", 0x8a5a1c9f7f8e4bf6),
+    ("MATVEC/VEX-1/wlo-first/optimal+modulo", 0x561cd390c9cc24c7),
+    ("BIQUAD/VEX-4/wlo-slp", 0x02032ddda2e50974),
+    ("BIQUAD/VEX-4/wlo-first", 0x72904bce4240b307),
+    ("BIQUAD/VEX-1/wlo-slp", 0x95c0fd3e031e019c),
+    ("BIQUAD/VEX-1/wlo-first", 0x053d44f162634817),
+    ("BIQUAD/VEX-1/wlo-slp/optimal+modulo", 0x00fde1811d8cef71),
+    ("BIQUAD/VEX-1/wlo-first/optimal+modulo", 0x053d44f162634817),
+    ("CFIR/VEX-4/wlo-slp", 0x06757ba48ed62e88),
+    ("CFIR/VEX-4/wlo-first", 0x901c383c81732836),
+    ("CFIR/VEX-1/wlo-slp", 0xf5ba63e6b8c98047),
+    ("CFIR/VEX-1/wlo-first", 0xf4a6cb5e74c38e36),
+    ("CFIR/VEX-1/wlo-slp/optimal+modulo", 0x7d9d93033c844958),
+    ("CFIR/VEX-1/wlo-first/optimal+modulo", 0xec31542812cfa776),
+    ("POLY/VEX-4/wlo-slp", 0xe4799d23acde5de6),
+    ("POLY/VEX-4/wlo-first", 0x649110a0fdba2c24),
+    ("POLY/VEX-1/wlo-slp", 0x6358aecaf42dfa3e),
+    ("POLY/VEX-1/wlo-first", 0x8e5921eca673afe4),
+    ("POLY/VEX-1/wlo-slp/optimal+modulo", 0xd3578b2938e8c872),
+    ("POLY/VEX-1/wlo-first/optimal+modulo", 0x8e5921eca673afe4),
+];
+
+/// `Report::select` of every exact-selection point: rounds, improved,
+/// budget, veto and portfolio fallbacks, include-steps.
+const SELECT: &[(&str, [u64; 6])] = &[
+    ("FIR/ST240/wlo-slp/optimal+modulo", [1, 0, 0, 0, 0, 0]),
+    ("FIR/ST240/wlo-first/optimal+modulo", [1, 1, 0, 0, 0, 31]),
+    ("FIR/VEX-1/wlo-slp/optimal+modulo", [2, 1, 0, 0, 0, 6]),
+    ("FIR/VEX-1/wlo-first/optimal+modulo", [2, 1, 0, 0, 0, 21]),
+    ("IIR/ST240/wlo-slp/optimal+modulo", [4, 0, 0, 0, 0, 0]),
+    ("IIR/ST240/wlo-first/optimal+modulo", [4, 4, 0, 0, 0, 32]),
+    ("IIR/VEX-1/wlo-slp/optimal+modulo", [6, 2, 0, 0, 0, 6]),
+    ("IIR/VEX-1/wlo-first/optimal+modulo", [6, 0, 0, 0, 0, 25]),
+    ("CONV/ST240/wlo-slp/optimal+modulo", [1, 1, 0, 0, 1, 70]),
+    ("CONV/ST240/wlo-first/optimal+modulo", [1, 1, 0, 0, 1, 1069]),
+    ("CONV/VEX-1/wlo-slp/optimal+modulo", [2, 2, 0, 0, 1, 57]),
+    ("CONV/VEX-1/wlo-first/optimal+modulo", [2, 1, 0, 0, 0, 1336]),
+    ("DOT/ST240/wlo-slp/optimal+modulo", [1, 0, 0, 0, 0, 46]),
+    ("DOT/ST240/wlo-first/optimal+modulo", [1, 0, 0, 0, 0, 0]),
+    ("DOT/VEX-1/wlo-slp/optimal+modulo", [3, 1, 0, 0, 0, 23]),
+    ("DOT/VEX-1/wlo-first/optimal+modulo", [1, 0, 0, 0, 0, 0]),
+    ("MATVEC/ST240/wlo-slp/optimal+modulo", [17, 0, 0, 0, 0, 12]),
+    (
+        "MATVEC/ST240/wlo-first/optimal+modulo",
+        [18, 0, 0, 0, 0, 13],
+    ),
+    ("MATVEC/VEX-1/wlo-slp/optimal+modulo", [33, 3, 0, 0, 0, 45]),
+    (
+        "MATVEC/VEX-1/wlo-first/optimal+modulo",
+        [33, 5, 0, 0, 1, 81],
+    ),
+    ("BIQUAD/ST240/wlo-slp/optimal+modulo", [1, 0, 0, 0, 0, 13]),
+    ("BIQUAD/ST240/wlo-first/optimal+modulo", [1, 0, 0, 0, 0, 0]),
+    ("BIQUAD/VEX-1/wlo-slp/optimal+modulo", [2, 1, 0, 0, 0, 70]),
+    ("BIQUAD/VEX-1/wlo-first/optimal+modulo", [1, 0, 0, 0, 0, 0]),
+    ("CFIR/ST240/wlo-slp/optimal+modulo", [2, 0, 0, 0, 0, 1684]),
+    ("CFIR/ST240/wlo-first/optimal+modulo", [2, 1, 0, 0, 0, 23]),
+    ("CFIR/VEX-1/wlo-slp/optimal+modulo", [3, 2, 0, 0, 1, 2441]),
+    ("CFIR/VEX-1/wlo-first/optimal+modulo", [2, 0, 0, 0, 0, 22]),
+    ("POLY/ST240/wlo-slp/optimal+modulo", [2, 0, 0, 0, 0, 0]),
+    ("POLY/ST240/wlo-first/optimal+modulo", [2, 1, 0, 0, 0, 31]),
+    ("POLY/VEX-1/wlo-slp/optimal+modulo", [4, 2, 0, 0, 0, 12]),
+    ("POLY/VEX-1/wlo-first/optimal+modulo", [3, 1, 0, 0, 0, 21]),
+];
+
+/// Runs every suite kernel at -40 dB under both flows for each
+/// `(target, exact)` point, where `exact` selects exact pack selection
+/// with modulo scheduling; labels follow the point order.
+fn reports(points: &[(TargetModel, bool)]) -> Vec<(String, Report)> {
+    let mut out = Vec::new();
     for bench in all_benchmarks() {
         let mut opt = Optimizer::for_kernel(bench.kernel).expect("suite kernel");
-        for (target, exact) in [(xentium(), false), (st240(), false), (st240(), true)] {
+        for (target, exact) in points {
             opt = opt.target(target.clone()).constraint_db(-40.0);
-            let mode = if exact { "/optimal+modulo" } else { "" };
-            opt = if exact {
+            let mode = if *exact { "/optimal+modulo" } else { "" };
+            opt = if *exact {
                 opt.benefit_kind(BenefitKind::optimal())
                     .sched_kind(SchedKind::modulo())
             } else {
@@ -125,18 +226,74 @@ fn reports_match_recorded_digests() {
             };
             for flow in [FlowKind::WloSlp, FlowKind::WloFirst] {
                 let report = opt.run_with(flow).expect("feasible point");
-                let label = format!("{}/{}/{flow}{mode}", bench.name, target.name);
-                got.push((label, digest(&report)));
+                out.push((
+                    format!("{}/{}/{flow}{mode}", bench.name, target.name),
+                    report,
+                ));
             }
         }
     }
+    out
+}
+
+/// Asserts `got` equals the recorded table, printing the current table
+/// in source form when it does not.
+fn assert_table<T: PartialEq + std::fmt::Debug + Copy>(
+    what: &str,
+    got: &[(String, T)],
+    recorded: &[(&str, T)],
+    show: impl Fn(&T) -> String,
+) {
+    let expected: Vec<(String, T)> = recorded.iter().map(|(l, v)| (l.to_string(), *v)).collect();
     let table: String = got
         .iter()
-        .map(|(l, d)| format!("    (\"{l}\", {d:#018x}),\n"))
+        .map(|(l, v)| format!("    (\"{l}\", {}),\n", show(v)))
         .collect();
-    let expected: Vec<(String, u64)> = GOLDEN.iter().map(|&(l, d)| (l.to_string(), d)).collect();
     assert!(
         got == expected,
-        "report digests drifted from the recorded ones; current table:\n{table}"
+        "{what} drifted from the recorded ones; current table:\n{table}"
     );
+}
+
+fn digests(reports: &[(String, Report)]) -> Vec<(String, u64)> {
+    reports
+        .iter()
+        .map(|(l, r)| (l.clone(), digest(r)))
+        .collect()
+}
+
+fn hex(d: &u64) -> String {
+    format!("{d:#018x}")
+}
+
+#[test]
+fn reports_match_recorded_digests() {
+    let got = reports(&[(xentium(), false), (st240(), false), (st240(), true)]);
+    assert_table("report digests", &digests(&got), GOLDEN, hex);
+}
+
+#[test]
+fn vex_reports_match_recorded_digests() {
+    let got = reports(&[(vex(4), false), (vex(1), false), (vex(1), true)]);
+    assert_table("VEX report digests", &digests(&got), GOLDEN_VEX, hex);
+}
+
+#[test]
+fn exact_selection_counters_match_recorded_values() {
+    let got: Vec<(String, [u64; 6])> = reports(&[(st240(), true), (vex(1), true)])
+        .into_iter()
+        .map(|(l, r)| {
+            let s = r.select;
+            let counters = [
+                s.rounds,
+                s.improved,
+                s.budget_fallbacks,
+                s.veto_fallbacks,
+                s.portfolio_fallbacks,
+                s.include_steps,
+            ];
+            (l, counters)
+        })
+        .collect();
+    assert_table("select counters", &got, SELECT, |c| format!("{c:?}"));
 }

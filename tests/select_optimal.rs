@@ -186,10 +186,9 @@ fn committed_rounds_agree_with_exhaustive_enumeration() {
     use slpwlo::ir::blocks::collect_blocks;
     use slpwlo::ir::dfg::{Dfg, NodeId};
     use slpwlo::slp::{
-        absorb_selected, run_selection_stats, CandidateView, Round, SelectHooks, SelectStats,
-        SimdGroup,
+        absorb_selected, run_selection, CandidateView, PassCtx, Round, SelectHooks, SimdGroup,
     };
-    use slpwlo::targets::TargetModel;
+    use slpwlo::targets::{CycleCache, TargetModel};
     use slpwlo::verify::verify_optimal_selection;
 
     struct FixedWl<'a> {
@@ -217,7 +216,9 @@ fn committed_rounds_agree_with_exhaustive_enumeration() {
             for block in collect_blocks(&bench.kernel) {
                 let dfg = Dfg::from_block(&bench.kernel, &block);
                 let mut groups: Vec<SimdGroup> = Vec::new();
-                let mut stats = SelectStats::default();
+                let costs = CycleCache::new(&target);
+                let exact = BenefitKind::optimal();
+                let mut ctx = PassCtx::new(costs, exact, SchedKind::List, false);
                 loop {
                     let round = Round::new(&dfg, &target, &groups);
                     let live = (0..round.candidates.len())
@@ -226,18 +227,8 @@ fn committed_rounds_agree_with_exhaustive_enumeration() {
                             matches!(target.container_wl(16), Some(c) if c <= view.elem_wl)
                         })
                         .count();
-                    let chosen = {
-                        let mut hooks = FixedWl { target: &target };
-                        run_selection_stats(
-                            &dfg,
-                            &target,
-                            &round,
-                            &groups,
-                            &mut hooks,
-                            BenefitKind::optimal(),
-                            &mut stats,
-                        )
-                    };
+                    let mut hooks = FixedWl { target: &target };
+                    let chosen = run_selection(&mut ctx, &dfg, &round, &groups, &mut hooks);
                     verify_optimal_selection(&dfg, &target, &groups, &chosen, &wl, 14, bench.name)
                         .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name, target.name));
                     if live <= 14 && live > 0 {

@@ -21,14 +21,16 @@
 //! every boundary — so this harness checks them by calling that pass
 //! rather than re-implementing them.
 
-use slpwlo::core::nodes::value_wl;
-use slpwlo::core::{extract_on_spec_stats, lower_fixed, lower_scalar, total_cycles_cached};
+mod common;
+
+use common::plain_ctx;
+use slpwlo::core::{extract_on_spec, lower_fixed, lower_scalar, total_cycles_cached, PassCtx};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::gen::KernelGen;
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::Dfg;
-use slpwlo::slp::{extract_plain_with, BenefitKind, SelectStats};
+use slpwlo::slp::BenefitKind;
 use slpwlo::targets::{vex, xentium, CycleCache, SchedKind};
 use slpwlo::verify::verify_groups;
 
@@ -42,18 +44,8 @@ fn selected_packs_respect_structural_invariants() {
         for target in [xentium(), vex(4)] {
             for wl in [8, 16] {
                 let spec = FixedPointSpec::from_ranges(&kernel, &ranges, wl);
-                for block in collect_blocks(&kernel) {
-                    let dfg = Dfg::from_block(&kernel, &block);
-                    let groups = {
-                        let spec_ref = &spec;
-                        let dfg_ref = &dfg;
-                        extract_plain_with(
-                            &dfg,
-                            &target,
-                            &move |n| value_wl(spec_ref, dfg_ref, n),
-                            BenefitKind::default(),
-                        )
-                    };
+                for (block, dfg, groups) in extract_on_spec(&kernel, &spec, &mut plain_ctx(&target))
+                {
                     let ctx = format!("seed {seed} wl {wl} {} {}", target.name, block.id);
                     if let Err(e) = verify_groups(&dfg, &groups, &target, &ctx) {
                         panic!("{} ({}): {e}", ctx, kernel.name());
@@ -80,12 +72,12 @@ fn every_candidate_benefit_is_finite_and_rankable() {
     for seed in 0..SEEDS {
         let kernel = KernelGen::with_seed(seed).gen();
         for target in [xentium(), vex(4)] {
-            let prices = CycleCache::new(&target);
             for block in collect_blocks(&kernel) {
                 let dfg = Dfg::from_block(&kernel, &block);
                 let round = Round::new(&dfg, &target, &[]);
                 for kind in [BenefitKind::Slots, BenefitKind::Cycles] {
-                    let model = BenefitModel::new(&dfg, &round, &prices, kind, |_| 16, |_| None);
+                    let ctx = PassCtx::new(CycleCache::new(&target), kind, SchedKind::List, false);
+                    let model = BenefitModel::new(&dfg, &round, &ctx, |_| 16, |_| None);
                     let alive = vec![true; round.candidates.len()];
                     for idx in 0..round.candidates.len() {
                         let b = model.benefit(idx, &alive, &[]);
@@ -121,7 +113,7 @@ fn every_candidate_benefit_is_finite_and_rankable() {
 
 /// Whole-program benefit vs the scalar baseline: extraction runs the
 /// way the flows run it — over the frozen spec's full format context
-/// (`extract_on_spec_stats`) — so the cycle-priced model sees word
+/// (`extract_on_spec`) — so the cycle-priced model sees word
 /// lengths *and* per-lane scalings. Individual kernels may still lose a
 /// few per-cent to scheduling effects the per-candidate estimate cannot
 /// see, but losses must stay bounded on every kernel, and across the
@@ -135,14 +127,7 @@ fn vectorization_benefit_holds_against_the_scalar_baseline() {
         let ranges = determine_ranges(&kernel, &RangeOptions::default());
         for target in [xentium(), vex(4)] {
             let spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
-            let blocks = extract_on_spec_stats(
-                &kernel,
-                &spec,
-                &target,
-                BenefitKind::default(),
-                SchedKind::List,
-                &mut SelectStats::default(),
-            );
+            let blocks = extract_on_spec(&kernel, &spec, &mut plain_ctx(&target));
             let n_groups: usize = blocks.iter().map(|(_, _, g)| g.len()).sum();
             let simd = lower_fixed(&kernel, &spec, &target, &blocks);
             let scalar = lower_scalar(&kernel, &spec, &target);

@@ -17,17 +17,16 @@
 
 mod common;
 
+use common::plain_ctx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use slpwlo::core::nodes::value_wl;
-use slpwlo::core::{lower_scalar, MachineProgram, MopKind};
+use slpwlo::core::{extract_on_spec, lower_scalar, MachineProgram, MopKind};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::{FixedPointSpec, QFormat};
-use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::builder::KernelBuilder;
 use slpwlo::ir::{Dfg, NodeId};
 use slpwlo::kernels::all_benchmarks;
-use slpwlo::slp::{extract_plain_with, BenefitKind, SimdGroup};
+use slpwlo::slp::SimdGroup;
 use slpwlo::targets::{vex, xentium, TargetModel};
 use slpwlo::verify::{
     verify_groups, verify_kernel, verify_program, verify_spec, Invariant, Pass, VerifyError,
@@ -139,30 +138,17 @@ fn spec_mutations_kill_the_spec_checker() {
 
 // --- SLP ------------------------------------------------------------
 
-/// Per-block DFG and plain extraction on the frozen 16-bit spec — the
-/// same grouping path `tests/slp_invariants.rs` exercises.
+/// Per-block DFG and the `WLO-First` extraction on the frozen 16-bit
+/// spec — the same grouping path `tests/slp_invariants.rs` exercises.
 fn block_groupings(
     bench: &slpwlo::kernels::Benchmark,
     target: &TargetModel,
 ) -> Vec<(Dfg, Vec<SimdGroup>)> {
     let ranges = determine_ranges(&bench.kernel, &RangeOptions::default());
     let spec = FixedPointSpec::from_ranges(&bench.kernel, &ranges, WL);
-    collect_blocks(&bench.kernel)
-        .iter()
-        .map(|block| {
-            let dfg = Dfg::from_block(&bench.kernel, block);
-            let groups = {
-                let spec_ref = &spec;
-                let dfg_ref = &dfg;
-                extract_plain_with(
-                    &dfg,
-                    target,
-                    &move |n| value_wl(spec_ref, dfg_ref, n),
-                    BenefitKind::default(),
-                )
-            };
-            (dfg, groups)
-        })
+    extract_on_spec(&bench.kernel, &spec, &mut plain_ctx(target))
+        .into_iter()
+        .map(|(_, dfg, groups)| (dfg, groups))
         .collect()
 }
 
