@@ -7,6 +7,11 @@
 //! recorded. `G1 = Σ h` and `G2 = Σ h²` accumulated over execution
 //! instances fully characterise how that node's quantization error reaches
 //! the output of an LTI kernel.
+//!
+//! Coefficient loads are measured differently: their error is
+//! multiplicative in the signal, so an always-on small offset per load
+//! site gives the mean squared output sensitivity under seeded random
+//! inputs (see `CoefSweep`). Both sweeps run as jobs of one worker pool.
 
 use slpwlo_ir::cone::ConeIndex;
 use slpwlo_ir::interp::{BatchExecutor, ExecCtx, Executor, FloatSem, ImpulseChannel, Semantics};
@@ -29,8 +34,11 @@ pub struct GainOptions {
     pub param_activations: usize,
     /// RNG seed for the coefficient-sensitivity measurement.
     pub param_seed: u64,
-    /// Worker threads for the impulse-source sweep (`0` = one per
-    /// available core). Results are identical for any thread count.
+    /// Worker threads (`0` = one per available core) for both sweeps:
+    /// the impulse-source batches and the coefficient-sensitivity sweep
+    /// run as jobs of one pool, and the coefficient sweep splits into up
+    /// to this many activation spans. Results are identical for any
+    /// thread count.
     pub threads: usize,
 }
 
@@ -161,12 +169,15 @@ pub fn expr_executions(kernel: &Kernel) -> Vec<u64> {
 /// Impulses are propagated in batches — one [`BatchExecutor`] sweep
 /// carries a lane of deviation state per pending (source × execution
 /// instance) impulse, the lanes retiring early on the `tail_epsilon`
-/// criterion — and the source sweep is sharded across `threads` scoped
-/// workers. Each value is computed only over its deviation hull (the
+/// criterion. Each value is computed only over its deviation hull (the
 /// lanes an impulse has actually reached), and lanes retire as soon as
 /// their deviation lifetime has provably elapsed (see [`ConeIndex`]).
-/// Per-source results are bitwise identical to the one run per impulse
-/// of [`measure_gains_reference`], for any thread count.
+/// The coefficient sweep keeps only its non-zero terms and, when every
+/// lifetime is finite, splits into activation spans. Impulse batches and
+/// coefficient spans run as the jobs of one pool of `threads` scoped
+/// workers. Per-source results are bitwise identical to the one run per
+/// impulse (and per coefficient site) of [`measure_gains_reference`],
+/// for any thread count.
 pub fn measure_gains(kernel: &Kernel, opts: &GainOptions) -> NoiseGains {
     measure_gains_with(kernel, opts, None)
 }
@@ -214,14 +225,32 @@ pub fn measure_gains_with(
         }
     }
 
+    // Static lane retirement is bitwise-safe only while the zero-input
+    // baseline provably stays finite, which holds exactly when every
+    // expression's deviation lifetime is finite (no unbounded feedback
+    // carrier reaches an output). The same condition makes the
+    // coefficient sweep's span split exact (see `CoefSweep`).
+    let lives: Option<Vec<u32>> = (0..kernel.expr_count())
+        .map(|i| cone.life(ExprId(i as u32)))
+        .collect();
+    let lives = lives.as_deref();
+    let workers = match opts.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    let sweep = CoefSweep::plan(kernel, &param_srcs, opts, lives, workers);
+    // Pack lanes of similar deviation lifetime into the same batch
+    // (per-source sums are independent of batch composition, and the
+    // final list is re-sorted by source anyway), so short-lived batches
+    // retire wholesale instead of idling behind one long-lived lane.
+    impulse_srcs.sort_by_key(|&(e, _)| (cone.life(e).unwrap_or(u32::MAX), e.index()));
+    let (span_terms, impulses) = run_jobs(kernel, &sweep, &impulse_srcs, opts, lives, workers);
+
     let mut gains = NoiseGains::new(kernel.expr_count());
-    for (src, g2) in param_srcs
-        .iter()
-        .zip(param_sensitivities(kernel, &param_srcs, opts))
-    {
+    for (src, g2) in param_srcs.iter().zip(sweep.fold(&span_terms)) {
         gains.insert(*src, (0.0, g2));
     }
-    for (src, g1, g2) in impulse_gains(kernel, &impulse_srcs, opts, cone) {
+    for (src, g1, g2) in impulses {
         gains.insert(src, (g1, g2));
     }
     gains
@@ -263,44 +292,40 @@ pub fn measure_gains_reference(kernel: &Kernel, opts: &GainOptions) -> NoiseGain
 /// batch, so per-source accumulation order is preserved).
 const BATCH_LANES: usize = 128;
 
-/// Batched impulse measurement for all non-parameter sources, sharded
-/// across scoped worker threads. Returns `(source, G1, G2)` triples.
-fn impulse_gains(
+/// Runs the coefficient sweep's spans and the impulse batches as the jobs
+/// of one pool of `workers` scoped threads. Spans go first (each is one
+/// long job); then every worker claims whole impulse sources until it
+/// holds [`BATCH_LANES`] lanes, runs them as one batch, and repeats.
+/// `srcs` must be life-sorted (see [`run_impulse_batch`]).
+///
+/// Returns each span's term lists, in span order, and `(source, G1, G2)`
+/// per impulse source in source order. Neither depends on which worker
+/// ran which job, so results are identical for any worker count.
+fn run_jobs(
     kernel: &Kernel,
+    sweep: &CoefSweep<'_>,
     srcs: &[(ExprId, u64)],
     opts: &GainOptions,
-    cone: &ConeIndex,
-) -> Vec<(ExprId, f64, f64)> {
-    if srcs.is_empty() {
-        return Vec::new();
-    }
-    // Pack lanes of similar deviation lifetime into the same batch
-    // (per-source sums are independent of batch composition, and the
-    // final list is re-sorted by source anyway), so short-lived batches
-    // retire wholesale instead of idling behind one long-lived lane.
-    let mut srcs = srcs.to_vec();
-    srcs.sort_by_key(|&(e, _)| (cone.life(e).unwrap_or(u32::MAX), e.index()));
-    let srcs = &srcs[..];
-    // Static lane retirement is bitwise-safe only while the zero-input
-    // baseline provably stays finite, which holds exactly when every
-    // expression's deviation lifetime is finite (no unbounded feedback
-    // carrier reaches an output).
-    let lives: Option<Vec<u32>> = (0..kernel.expr_count())
-        .map(|i| cone.life(ExprId(i as u32)))
-        .collect();
-    let lives = lives.as_deref();
-    let threads = match opts.threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .min(srcs.len());
-    // One worker runs the same claim loop as many; per-source sums do not
-    // depend on which batch a source lands in.
+    lives: Option<&[u32]>,
+    workers: usize,
+) -> (Vec<SpanTerms>, Vec<(ExprId, f64, f64)>) {
+    let n_spans = sweep.spans.len();
+    let workers = workers.min(n_spans + srcs.len());
+    let span_cursor = AtomicUsize::new(0);
     let cursor = AtomicUsize::new(0);
+    let spans: Mutex<Vec<SpanTerms>> = Mutex::new(vec![Vec::new(); n_spans]);
     let results: Mutex<Vec<(ExprId, f64, f64)>> = Mutex::new(Vec::with_capacity(srcs.len()));
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 0..workers {
             scope.spawn(|| {
+                loop {
+                    let i = span_cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n_spans {
+                        break;
+                    }
+                    let terms = sweep.run_span(i);
+                    spans.lock().expect("worker panicked")[i] = terms;
+                }
                 let mut local = Vec::new();
                 loop {
                     // Claim whole sources until the lane budget is met.
@@ -325,7 +350,7 @@ fn impulse_gains(
     });
     let mut out = results.into_inner().expect("worker panicked");
     out.sort_by_key(|&(e, _, _)| e.index());
-    out
+    (spans.into_inner().expect("worker panicked"), out)
 }
 
 /// Runs one batched sweep over the sources listed in `batch` (indices
@@ -456,6 +481,11 @@ fn run_impulse_batch(
     }
 }
 
+/// The coefficient offset of the sensitivity measurement: small enough to
+/// stay in the linear regime of feedback coefficients (see
+/// [`param_sensitivity`]).
+const PARAM_DELTA: f64 = 1e-4;
+
 /// Mean squared output sensitivity to an offset on one coefficient load
 /// site: `E[(∂y/∂c)²]` over random inputs. A fixed coefficient error `ε`
 /// then contributes `ε²·G2` of output power, and averaging over
@@ -466,7 +496,6 @@ fn run_impulse_batch(
 /// coefficients (a unit offset there can destabilise the filter), so the
 /// perturbation must stay in the linear regime.
 fn param_sensitivity(kernel: &Kernel, src: ExprId, opts: &GainOptions) -> f64 {
-    const DELTA: f64 = 1e-4;
     let n = opts.param_activations.max(1);
     let inputs = param_input_matrix(kernel, opts);
     let mut base_ex = Executor::new(kernel, FloatSem);
@@ -475,7 +504,7 @@ fn param_sensitivity(kernel: &Kernel, src: ExprId, opts: &GainOptions) -> f64 {
         target: src,
         exec: u32::MAX,
         activation: u32::MAX,
-        amount: DELTA,
+        amount: PARAM_DELTA,
         inner: FloatSem,
     };
     let mut pert_ex = Executor::new(kernel, sem);
@@ -483,7 +512,7 @@ fn param_sensitivity(kernel: &Kernel, src: ExprId, opts: &GainOptions) -> f64 {
     let mut sum = 0.0;
     for (b, p) in base.iter().zip(&pert) {
         for (x, y) in b.iter().zip(p) {
-            let d = (y - x) / DELTA;
+            let d = (y - x) / PARAM_DELTA;
             sum += d * d;
         }
     }
@@ -509,67 +538,162 @@ fn param_input_matrix(kernel: &Kernel, opts: &GainOptions) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Batched coefficient-sensitivity measurement: one shared input
-/// matrix and a single batched sweep with one always-on `DELTA` lane per
-/// source — each lane bitwise identical to the solo perturbed run of
-/// [`param_sensitivity`], and the executor's internal baseline lane
-/// standing in (bitwise) for the solo unperturbed run.
-fn param_sensitivities(kernel: &Kernel, srcs: &[ExprId], opts: &GainOptions) -> Vec<f64> {
-    const DELTA: f64 = 1e-4;
-    if srcs.is_empty() {
-        return Vec::new();
-    }
-    let n = opts.param_activations.max(1);
-    let inputs = param_input_matrix(kernel, opts);
-    // With no input streams the reference runs zero activations; its
-    // deviation fold is then empty and every sensitivity is +0.0.
-    let acts = inputs.first().map_or(0, |v| v.len());
-    let n_out = kernel.outputs().len();
-    let l = srcs.len();
-    let channels = srcs
-        .iter()
-        .map(|&src| ImpulseChannel {
-            target: src,
-            activation: u32::MAX,
-            exec: u32::MAX,
-            amount: DELTA,
-        })
-        .collect();
-    let mut ex = BatchExecutor::new(kernel, channels);
-    // Base and perturbed trajectories per (lane, output), activation-
-    // indexed.
-    let mut base = vec![vec![0.0; acts]; n_out];
-    let mut pert = vec![vec![0.0; acts]; l * n_out];
-    let mut sample = vec![0.0; inputs.len()];
-    for a in 0..acts {
-        for (i, s) in inputs.iter().enumerate() {
-            sample[i] = s[a];
+/// One coefficient-sweep span's non-zero terms in activation order,
+/// `terms[lane * outputs + output]`.
+type SpanTerms = Vec<Vec<f64>>;
+
+/// The batched coefficient-sensitivity measurement: one shared input
+/// matrix and one always-on `PARAM_DELTA` lane per source, each lane
+/// bitwise identical to the solo perturbed run of [`param_sensitivity`],
+/// and the batch executor's baseline lane standing in (bitwise) for the
+/// solo unperturbed run.
+///
+/// **Sparse capture.** The reference folds
+/// `d² = ((pert − base) / PARAM_DELTA)²` output-major, then activation
+/// by activation. Only the terms are kept, one list per (lane, output),
+/// and a term is skipped when `pert − base` is `±0.0` (a lane bitwise
+/// equal to a finite baseline): it is exactly
+/// `+0.0`, and adding `+0.0` to the running sum — which starts at `+0.0`
+/// and only ever adds squares, so it is never `-0.0` — is the identity.
+/// A non-finite baseline gives a `NaN` difference, which is kept.
+///
+/// **Activation spans.** When every expression's lifetime is finite,
+/// with `L` the largest, the activations split into contiguous spans run
+/// as independent jobs. A span starts from zeroed state `L` activations
+/// before its first counted activation and discards the warm-up outputs.
+/// This is exact: state present at the warm-up start was written at
+/// least `L + 1` activations before the span begins, by an expression
+/// whose deviation — and so whose value — can no longer reach an output
+/// there, so every counted output is computed from bitwise the same
+/// operands as in one unbroken run. Each span's term lists, concatenated
+/// in span order, are the unbroken run's.
+struct CoefSweep<'a> {
+    kernel: &'a Kernel,
+    srcs: &'a [ExprId],
+    inputs: Vec<Vec<f64>>,
+    /// Counted activations of each span; together they tile the run.
+    spans: Vec<std::ops::Range<usize>>,
+    /// Warm-up activations replayed (and discarded) before a span.
+    warmup: usize,
+    /// The reference's divisor, `param_activations.max(1)`.
+    n: usize,
+}
+
+impl<'a> CoefSweep<'a> {
+    /// Plans the sweep. With every lifetime finite it splits into one
+    /// span per worker, balanced so that every span replays the same
+    /// number of activations: the first span (which needs no warm-up)
+    /// counts `L` more than the others. It uses fewer spans while a later
+    /// span would count no more activations than its warm-up replays (a
+    /// split then buys less than it costs), and one span otherwise.
+    fn plan(
+        kernel: &'a Kernel,
+        srcs: &'a [ExprId],
+        opts: &GainOptions,
+        lives: Option<&[u32]>,
+        workers: usize,
+    ) -> Self {
+        let n = opts.param_activations.max(1);
+        if srcs.is_empty() {
+            return CoefSweep {
+                kernel,
+                srcs,
+                inputs: Vec::new(),
+                spans: Vec::new(),
+                warmup: 0,
+                n,
+            };
         }
-        ex.step(&sample);
-        let outs = ex.outputs();
-        let bouts = ex.outputs_base();
-        for o in 0..n_out {
-            base[o][a] = bouts[o];
-            for lane in 0..l {
-                pert[lane * n_out + o][a] = outs[o * l + lane];
+        let inputs = param_input_matrix(kernel, opts);
+        // With no input streams the reference runs zero activations; its
+        // deviation fold is then empty and every sensitivity is +0.0.
+        let acts = inputs.first().map_or(0, Vec::len);
+        let warmup = lives.map_or(0, |lv| lv.iter().copied().max().unwrap_or(0) as usize);
+        // Activations each later span counts when split `k` ways.
+        let later = |k: usize| acts.saturating_sub(warmup) / k;
+        let count = match lives {
+            Some(_) => (2..=workers)
+                .rev()
+                .find(|&k| later(k) > warmup)
+                .unwrap_or(1),
+            None => 1,
+        };
+        let first = acts - (count - 1) * later(count);
+        let spans = std::iter::once(0..first)
+            .chain((1..count).map(|k| {
+                let start = first + (k - 1) * later(count);
+                start..start + later(count)
+            }))
+            .collect();
+        CoefSweep {
+            kernel,
+            srcs,
+            inputs,
+            spans,
+            warmup,
+            n,
+        }
+    }
+
+    /// Runs span `i` and returns its non-zero terms.
+    fn run_span(&self, i: usize) -> SpanTerms {
+        let counted = self.spans[i].clone();
+        let n_out = self.kernel.outputs().len();
+        let l = self.srcs.len();
+        let channels = self
+            .srcs
+            .iter()
+            .map(|&src| ImpulseChannel {
+                target: src,
+                activation: u32::MAX,
+                exec: u32::MAX,
+                amount: PARAM_DELTA,
+            })
+            .collect();
+        let mut ex = BatchExecutor::new(self.kernel, channels);
+        let mut terms = vec![Vec::new(); l * n_out];
+        let mut sample = vec![0.0; self.inputs.len()];
+        for a in counted.start.saturating_sub(self.warmup)..counted.end {
+            for (x, s) in sample.iter_mut().zip(&self.inputs) {
+                *x = s[a];
             }
-        }
-    }
-    (0..l)
-        .map(|lane| {
-            // The reference folds output-major, then activation: keep
-            // that exact order so the sum is bitwise identical.
-            let mut sum = 0.0;
-            for (o, b) in base.iter().enumerate() {
-                let p = &pert[lane * n_out + o];
-                for (x, y) in b.iter().zip(p) {
-                    let d = (y - x) / DELTA;
-                    sum += d * d;
+            ex.step(&sample);
+            if a < counted.start {
+                continue;
+            }
+            let outs = ex.outputs();
+            for (o, &bo) in ex.outputs_base().iter().enumerate() {
+                for (lane, &y) in outs[o * l..(o + 1) * l].iter().enumerate() {
+                    let h = y - bo;
+                    // `NaN != 0.0`, so non-finite differences are kept.
+                    if h != 0.0 {
+                        let d = h / PARAM_DELTA;
+                        terms[lane * n_out + o].push(d * d);
+                    }
                 }
             }
-            sum / n as f64
-        })
-        .collect()
+        }
+        terms
+    }
+
+    /// One sensitivity per source from the spans' terms (in span order),
+    /// folded output-major, then activation, like the reference.
+    fn fold(&self, spans: &[SpanTerms]) -> Vec<f64> {
+        let n_out = self.kernel.outputs().len();
+        (0..self.srcs.len())
+            .map(|lane| {
+                let mut sum = 0.0;
+                for o in 0..n_out {
+                    for terms in spans {
+                        for &t in &terms[lane * n_out + o] {
+                            sum += t;
+                        }
+                    }
+                }
+                sum / self.n as f64
+            })
+            .collect()
+    }
 }
 
 /// Lazily extended zero-input reference trajectory. With zero inputs an
@@ -855,6 +979,38 @@ kernel iir1 {
             ..GainOptions::default()
         };
         assert_batched_matches_reference(&k, &tight);
+    }
+
+    #[test]
+    fn coefficient_sweep_splits_only_when_it_pays() {
+        let k = parse_kernel(FIR4).unwrap();
+        let cone = ConeIndex::build(&k);
+        let lives: Option<Vec<u32>> = k.exprs().map(|(e, _)| cone.life(e)).collect();
+        let srcs = vec![find_param_load(&k)];
+        let opts = GainOptions::default();
+        // Lifetimes finite, warm-up (4) far below a third of 1 024: each
+        // span replays 344 activations, 4 of them warm-up after the first.
+        let sweep = CoefSweep::plan(&k, &srcs, &opts, lives.as_deref(), 3);
+        assert_eq!(sweep.warmup, 4);
+        assert_eq!(sweep.spans, vec![0..344, 344..684, 684..1024]);
+        // 8 activations: later spans of 1 or 2 would count no more than
+        // the 4-activation warm-up, so the sweep stays whole.
+        let short = GainOptions {
+            param_activations: 8,
+            ..opts
+        };
+        let sweep = CoefSweep::plan(&k, &srcs, &short, lives.as_deref(), 3);
+        assert_eq!(sweep.spans, vec![0..8]);
+        // An unbounded lifetime (feedback) never splits.
+        let sweep = CoefSweep::plan(&k, &srcs, &opts, None, 3);
+        assert_eq!(sweep.spans, vec![0..1024]);
+    }
+
+    fn find_param_load(k: &Kernel) -> ExprId {
+        k.exprs()
+            .find(|(_, n)| matches!(n, ExprNode::LoadParam(..)))
+            .map(|(e, _)| e)
+            .unwrap()
     }
 
     #[test]

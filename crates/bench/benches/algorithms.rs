@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the individual algorithm stages: accuracy
-//! evaluation (`EVALACC`), noise-gain analysis, SLP candidate rounds,
+//! evaluation (`EVALACC`), noise-gain analysis, the whole front end
+//! (ranges + gains), SLP candidate rounds,
 //! Tabu WLO, the joint WLO-SLP search (greedy, and exact with modulo
 //! scheduling) and the VLIW list scheduler.
 //!
@@ -14,7 +15,7 @@ use slpwlo_driver::Optimizer;
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
-use slpwlo_kernels::{complex_fir32, conv3x3, fir64, matvec16x16};
+use slpwlo_kernels::{complex_fir32, conv3x3, fir64, iir10, matvec16x16};
 use slpwlo_slp::{extract_plain_with, BenefitKind, PassCtx, Round};
 use slpwlo_targets::{st240, xentium, CycleCache, SchedKind};
 
@@ -28,6 +29,12 @@ fn main() {
     m.bench("gain_analysis_conv3x3", || {
         AnalyticalEvaluator::with_defaults(&conv3x3())
     });
+    // The whole front end (ranges + gains) on the two kernels whose
+    // costs the conv3x3 bench never sees: MATVEC's 64-lane coefficient
+    // sweep, and IIR's simulation-range fallback (interval iteration
+    // diverges on feedback).
+    m.bench("prepare_matvec16x16", || prepare(matvec16x16()));
+    m.bench("prepare_iir10", || prepare(iir10()));
 
     let kernel = conv3x3();
     let target = xentium();

@@ -18,12 +18,16 @@
 //! still reach an output (`None` when feedback makes it unbounded).
 //! Delay-line state bounds the carry (`ShiftIn` into a length-`n` array
 //! is readable for at most `n` further activations), a live-across
-//! variable carries one activation per hop, and plain `Store` arrays or
-//! dependence cycles make the bound infinite.
+//! variable carries one activation per hop, and dependence cycles or
+//! plain `Store` arrays make the bound infinite — except for arrays every
+//! activation rewrites in full (top-level constant-index stores) before
+//! any load, whose stored values die within their own activation.
 //!
 //! Gain analysis uses lifetimes to batch impulse lanes of similar
-//! lifetime together and to retire lanes whose response is provably
-//! dead.
+//! lifetime together, to retire lanes whose response is provably
+//! dead, and — when every lifetime is finite — to split the
+//! coefficient-sensitivity sweep into activation spans whose warm-up is
+//! the largest lifetime.
 
 use crate::kernel::{ExprNode, Kernel, Stmt};
 use crate::types::{ExprId, VarId};
@@ -178,7 +182,9 @@ impl ConeIndex {
         // A `ShiftIn` into a length-`len` line is observable for at most
         // `len` activations (a load placed before the shift still sees the
         // value during the activation that expels it); a plain `Store`
-        // persists until overwritten, which this analysis does not bound.
+        // persists until overwritten, which this analysis bounds only for
+        // arrays every activation rewrites before loading them.
+        let rewritten = rewritten_arrays(kernel);
         let mut loads_of: Vec<Vec<u32>> = vec![Vec::new(); kernel.arrays().len()];
         for (id, node) in kernel.exprs() {
             if let ExprNode::LoadArray(a, _) = node {
@@ -197,8 +203,9 @@ impl ConeIndex {
                 for &l in &loads_of[a.index()] {
                     succ[e.index()].push((l, 0));
                 }
-                // The written value can outlive any static bound.
-                if !loads_of[a.index()].is_empty() {
+                // The written value can outlive any static bound, unless
+                // the next activation rewrites it before any load.
+                if !loads_of[a.index()].is_empty() && !rewritten[a.index()] {
                     unbounded_edge[e.index()] = true;
                 }
             }
@@ -225,6 +232,61 @@ impl ConeIndex {
     pub fn life(&self, e: ExprId) -> Option<u32> {
         self.life[e.index()]
     }
+}
+
+/// Per array: does every activation overwrite all of its elements before
+/// any statement loads it? True for an array no `ShiftIn` writes whose
+/// every element is stored by a top-level constant-index `Store` ahead of
+/// the first statement that loads the array (a staging buffer, such as
+/// a matrix-vector kernel's input vector). A value stored into such an
+/// array is dead before the next activation's first load, so it is
+/// observable only within the activation that stores it.
+fn rewritten_arrays(kernel: &Kernel) -> Vec<bool> {
+    fn for_each_load(kernel: &Kernel, e: ExprId, f: &mut impl FnMut(usize)) {
+        match kernel.expr(e) {
+            ExprNode::LoadArray(a, _) => f(a.index()),
+            n => {
+                for op in n.operands() {
+                    for_each_load(kernel, op, f);
+                }
+            }
+        }
+    }
+
+    let arrays = kernel.arrays();
+    let mut ok = vec![true; arrays.len()];
+    let mut covered: Vec<Vec<bool>> = arrays.iter().map(|a| vec![false; a.len]).collect();
+    let mut missing: Vec<usize> = arrays.iter().map(|a| a.len).collect();
+    // Statements in program order; only top-level stores add coverage, so
+    // checking a loop body's loads at its position is checking the loop.
+    kernel.visit_stmts(&mut |s, loops| {
+        let root = match s {
+            Stmt::Assign(_, e)
+            | Stmt::Store(_, _, e)
+            | Stmt::ShiftIn(_, e)
+            | Stmt::Output(_, e) => *e,
+            Stmt::For { .. } => return,
+        };
+        // A statement's loads execute before its own store.
+        for_each_load(kernel, root, &mut |a| ok[a] &= missing[a] == 0);
+        match s {
+            Stmt::ShiftIn(a, _) => ok[a.index()] = false,
+            Stmt::Store(a, ix, _) if loops.is_empty() => {
+                if let Some(c) = ix.as_constant() {
+                    let a = a.index();
+                    let elem = c.rem_euclid(arrays[a].len as i64) as usize;
+                    if !covered[a][elem] {
+                        covered[a][elem] = true;
+                        missing[a] -= 1;
+                    }
+                }
+            }
+            _ => {}
+        }
+    });
+    (0..arrays.len())
+        .map(|a| ok[a] && missing[a] == 0)
+        .collect()
 }
 
 /// Longest-delay-to-output over the (possibly cyclic) influence graph.
@@ -461,6 +523,73 @@ kernel st {
         let cone = ConeIndex::build(&k);
         let mul = find(&k, |n| matches!(n, ExprNode::Bin(BinOp::Mul, _, _)));
         assert_eq!(cone.life(mul), None, "plain stores persist unbounded");
+    }
+
+    #[test]
+    fn rewritten_staging_arrays_have_finite_lifetimes() {
+        // The matrix-vector shape: the input vector is staged into `xv`
+        // by top-level constant-index stores before the row loops read
+        // it, so each activation overwrites every element before any
+        // load and a staged value dies within its own activation.
+        let src = r#"
+kernel mv {
+    input x0 range [-1, 1];
+    input x1 range [-1, 1];
+    output y0;
+    output y1;
+    param a[4] = { 0.5, 0.25, -0.125, 0.0625 };
+    array xv[2];
+    var acc;
+    xv[0] = x0;
+    xv[1] = x1;
+    acc = 0.0;
+    for i in 0..2 {
+        acc = acc + a[i] * xv[i];
+    }
+    y0 = acc;
+    acc = 0.0;
+    for i in 0..2 {
+        acc = acc + a[i + 2] * xv[i];
+    }
+    y1 = acc;
+}
+"#;
+        let k = parse_kernel(src).unwrap();
+        let cone = ConeIndex::build(&k);
+        for (e, _) in k.exprs() {
+            assert!(cone.life(e).is_some(), "{e:?} must have a finite lifetime");
+        }
+        let reads: Vec<ExprId> = k
+            .exprs()
+            .filter(|(_, n)| matches!(n, ExprNode::ReadInput(_)))
+            .map(|(e, _)| e)
+            .collect();
+        assert_eq!(reads.len(), 2);
+        for e in reads {
+            assert_eq!(cone.life(e), Some(0), "input read {e:?}");
+        }
+    }
+
+    #[test]
+    fn load_before_rewrite_stays_unbounded() {
+        // `a[0]` is loaded before the top-level store that rewrites it,
+        // so the load sees the previous activation's value — and, through
+        // it, every earlier one.
+        let src = r#"
+kernel pre {
+    input x range [-1, 1];
+    output y;
+    array a[1];
+    var t;
+    y = 2.0 * a[0];
+    t = 0.5 * x;
+    a[0] = t;
+}
+"#;
+        let k = parse_kernel(src).unwrap();
+        let cone = ConeIndex::build(&k);
+        let input = find(&k, |n| matches!(n, ExprNode::ReadInput(_)));
+        assert_eq!(cone.life(input), None);
     }
 
     #[test]

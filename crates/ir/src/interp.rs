@@ -1,12 +1,19 @@
-//! Generic kernel interpreter over pluggable value semantics.
+//! Kernel execution over pluggable value semantics, by tape replay.
 //!
-//! The same execution engine drives three different clients:
+//! Control flow is static, so a kernel compiles once into a linear
+//! **tape**: loops unrolled, array indices, parameter values and
+//! per-expression execution-instance ids resolved at build time. Two
+//! replayers share that one tape builder:
 //!
-//! * the floating-point reference ([`FloatSem`]),
-//! * quantization-noise **gain analysis** (a perturbing semantics defined in
-//!   `slpwlo-accuracy`),
-//! * **bit-accurate fixed-point simulation** (a fixed-point semantics, also
-//!   in `slpwlo-accuracy`).
+//! * [`Executor`] replays it on a scalar value stack under a
+//!   [`Semantics`], which drives three different clients:
+//!   * the floating-point reference ([`FloatSem`]),
+//!   * range analysis (interval and recording semantics defined in
+//!     `slpwlo-fixedpoint`),
+//!   * **bit-accurate fixed-point simulation** and the per-impulse
+//!     reference of gain analysis (semantics in `slpwlo-accuracy`);
+//! * [`BatchExecutor`] replays it lane-parallel in `f64`, one lane per
+//!   impulse channel, with its own fusions layered on top of the tape.
 //!
 //! A [`Semantics`] receives every expression-node evaluation together with
 //! an [`ExecCtx`] identifying *which dynamic execution instance* of the node
@@ -129,19 +136,26 @@ impl Semantics for FloatSem {
 }
 
 /// Executes a kernel over a workload of activations.
+///
+/// The kernel is compiled once, in [`new`](Self::new), into the linear
+/// tape both executors replay (see [`BatchExecutor`]): loops are
+/// unrolled, and array indices, parameter values and execution-instance
+/// ids are resolved at build time. [`step`](Self::step) replays it on a
+/// value stack, calling every [`Semantics`] hook in tree-walk order —
+/// operands before their node, statement roots before their `store` —
+/// with the [`ExecCtx`] a recursive walk of the statement tree would
+/// pass.
 #[derive(Debug)]
 pub struct Executor<'k, S: Semantics> {
     kernel: &'k Kernel,
     sem: S,
+    tape: Tape,
     arrays: Vec<Vec<S::Value>>,
     vars: Vec<S::Value>,
     outputs: Vec<S::Value>,
-    /// Per-expression execution counters for the current activation, using
-    /// an epoch scheme to avoid clearing between activations.
-    exec_counts: Vec<(u32, u32)>,
-    epoch: u32,
+    /// Evaluation value stack (empty between activations).
+    stack: Vec<S::Value>,
     activation: u32,
-    loop_env: HashMap<LoopId, i64>,
 }
 
 impl<'k, S: Semantics> Executor<'k, S> {
@@ -157,16 +171,16 @@ impl<'k, S: Semantics> Executor<'k, S> {
             .collect();
         let vars = (0..kernel.vars().len()).map(|_| sem.zero()).collect();
         let outputs = (0..kernel.outputs().len()).map(|_| sem.zero()).collect();
+        let tape = build_tape(kernel);
         Executor {
             kernel,
             sem,
+            stack: Vec::with_capacity(tape.max_stack),
+            tape,
             arrays,
             vars,
             outputs,
-            exec_counts: vec![(0, 0); kernel.expr_count()],
-            epoch: 0,
             activation: 0,
-            loop_env: HashMap::new(),
         }
     }
 
@@ -229,9 +243,66 @@ impl<'k, S: Semantics> Executor<'k, S> {
     /// Executes a single activation with the given input values and returns
     /// the output values as `f64`.
     pub fn step(&mut self, input_vals: &[f64]) -> Vec<f64> {
-        self.epoch = self.epoch.wrapping_add(1);
-        let body: &[Stmt] = self.kernel.body();
-        self.exec_stmts(body, input_vals);
+        let Executor {
+            sem,
+            tape,
+            arrays,
+            vars,
+            outputs,
+            stack,
+            activation,
+            ..
+        } = self;
+        let activation = *activation;
+        let pop = |stack: &mut Vec<S::Value>| stack.pop().expect("tape stack underflow");
+        for en in &tape.entries {
+            let e = ExprId(en.expr);
+            let ctx = ExecCtx {
+                activation,
+                exec: en.exec,
+            };
+            match en.op {
+                TapeOp::Const(v) => stack.push(sem.constant(ctx, e, v)),
+                TapeOp::ReadVar(v) => stack.push(sem.var_use(ctx, e, vars[v as usize])),
+                TapeOp::ReadInput(i) => {
+                    stack.push(sem.input(ctx, e, InputId(i), input_vals[i as usize]));
+                }
+                TapeOp::LoadParam(raw, site) => {
+                    let (p, idx) = tape.param_sites[site as usize];
+                    stack.push(sem.param(ctx, e, p, idx, raw));
+                }
+                TapeOp::LoadArray(a, elem) => {
+                    stack.push(sem.load(ctx, e, arrays[a as usize][elem as usize]));
+                }
+                TapeOp::Neg => {
+                    let a = pop(stack);
+                    stack.push(sem.un(ctx, e, UnOp::Neg, a));
+                }
+                TapeOp::Bin(op) => {
+                    let b = pop(stack);
+                    let a = pop(stack);
+                    stack.push(sem.bin(ctx, e, op, a, b));
+                }
+                TapeOp::AssignVar(v) => vars[v as usize] = pop(stack),
+                TapeOp::StoreArr(a, elem) => {
+                    let v = pop(stack);
+                    arrays[a as usize][elem as usize] = sem.store(ArrayId(a), v);
+                }
+                TapeOp::ShiftInArr(a) => {
+                    let v = pop(stack);
+                    let v = sem.store(ArrayId(a), v);
+                    let arr = &mut arrays[a as usize];
+                    if !arr.is_empty() {
+                        arr.rotate_right(1);
+                        arr[0] = v;
+                    }
+                }
+                TapeOp::SetOut(o) => outputs[o as usize] = pop(stack),
+                TapeOp::BinAssign(..) | TapeOp::AccumVar(..) => {
+                    unreachable!("fused entries exist only on batch tapes")
+                }
+            }
+        }
         let res = self.outputs.iter().map(|&v| self.sem.to_f64(v)).collect();
         self.activation += 1;
         res
@@ -248,112 +319,6 @@ impl<'k, S: Semantics> Executor<'k, S> {
             *v = self.sem.zero();
         }
         self.activation = 0;
-    }
-
-    fn exec_stmts(&mut self, stmts: &[Stmt], input_vals: &[f64]) {
-        for s in stmts {
-            match s {
-                Stmt::Assign(v, e) => {
-                    let val = self.eval(*e, input_vals);
-                    self.vars[v.index()] = val;
-                }
-                Stmt::Store(a, ix, e) => {
-                    let val = self.eval(*e, input_vals);
-                    let val = self.sem.store(*a, val);
-                    let idx = self.resolve_index(ix, a.index());
-                    self.arrays[a.index()][idx] = val;
-                }
-                Stmt::ShiftIn(a, e) => {
-                    let val = self.eval(*e, input_vals);
-                    let val = self.sem.store(*a, val);
-                    let arr = &mut self.arrays[a.index()];
-                    for i in (1..arr.len()).rev() {
-                        arr[i] = arr[i - 1];
-                    }
-                    arr[0] = val;
-                }
-                Stmt::Output(idx, e) => {
-                    let val = self.eval(*e, input_vals);
-                    self.outputs[*idx] = val;
-                }
-                Stmt::For { var, count, body } => {
-                    for trip in 0..*count {
-                        self.loop_env.insert(*var, trip as i64);
-                        self.exec_stmts(body, input_vals);
-                    }
-                    self.loop_env.remove(var);
-                }
-            }
-        }
-    }
-
-    fn ctx(&mut self, e: ExprId) -> ExecCtx {
-        let slot = &mut self.exec_counts[e.index()];
-        if slot.0 != self.epoch {
-            *slot = (self.epoch, 0);
-        }
-        let exec = slot.1;
-        slot.1 += 1;
-        ExecCtx {
-            activation: self.activation,
-            exec,
-        }
-    }
-
-    fn index_env(&self, ix: &crate::types::IndexExpr) -> i64 {
-        ix.eval(&|l| self.loop_env.get(&l).copied().unwrap_or(0))
-    }
-
-    fn resolve_index(&self, ix: &crate::types::IndexExpr, array: usize) -> usize {
-        let len = self.arrays[array].len() as i64;
-        self.index_env(ix).rem_euclid(len) as usize
-    }
-
-    fn eval(&mut self, e: ExprId, input_vals: &[f64]) -> S::Value {
-        let kernel = self.kernel;
-        match kernel.expr(e) {
-            ExprNode::Const(v) => {
-                let v = *v;
-                let ctx = self.ctx(e);
-                self.sem.constant(ctx, e, v)
-            }
-            ExprNode::ReadVar(v) => {
-                let val = self.vars[v.index()];
-                let ctx = self.ctx(e);
-                self.sem.var_use(ctx, e, val)
-            }
-            ExprNode::ReadInput(i) => {
-                let i = *i;
-                let ctx = self.ctx(e);
-                self.sem.input(ctx, e, i, input_vals[i.index()])
-            }
-            ExprNode::LoadParam(p, ix) => {
-                let p = *p;
-                let idx = self.index_env(ix);
-                let raw = kernel.param_value(p, idx);
-                let ctx = self.ctx(e);
-                self.sem.param(ctx, e, p, idx, raw)
-            }
-            ExprNode::LoadArray(a, ix) => {
-                let idx = self.resolve_index(ix, a.index());
-                let stored = self.arrays[a.index()][idx];
-                let ctx = self.ctx(e);
-                self.sem.load(ctx, e, stored)
-            }
-            ExprNode::Unary(op, a) => {
-                let (op, a) = (*op, *a);
-                let av = self.eval(a, input_vals);
-                let ctx = self.ctx(e);
-                self.sem.un(ctx, e, op, av)
-            }
-            ExprNode::Bin(op, a, b) => {
-                let (op, a, b) = (*op, *a, *b);
-                let av = self.eval(a, input_vals);
-                let bv = self.eval(b, input_vals);
-                let ctx = self.ctx(e);
-                self.sem.bin(ctx, e, op, av, bv)
-            }
-        }
     }
 }
 
@@ -378,15 +343,15 @@ pub struct ImpulseChannel {
 /// of state per [`ImpulseChannel`], in structure-of-arrays layout
 /// (`state[elem * lanes + lane]`).
 ///
-/// The kernel is compiled once into a linear **tape** — control flow is
-/// static, so loops unroll into a fixed entry sequence with array
-/// indices, parameter values and execution-instance ids resolved at
-/// build time. Each [`step`](Self::step) replays the tape: per-node
-/// arithmetic runs lane by lane on contiguous `f64` rows of a value
-/// stack, performing exactly the floating-point operation sequence of a
-/// solo [`Executor`] run under an impulse-injecting semantics. Per-lane
-/// results are therefore **bitwise identical** to solo runs, at a
-/// fraction of the interpreter overhead.
+/// The kernel is compiled once into the same linear **tape** the scalar
+/// [`Executor`] replays, with each `v = a ⊕ b` assignment fused into
+/// one entry that computes straight into the variable's state row. Each
+/// [`step`](Self::step) replays the tape: per-node arithmetic runs lane
+/// by lane on contiguous `f64` rows of a value stack, performing exactly
+/// the floating-point operation sequence of a solo [`Executor`] run
+/// under an impulse-injecting semantics. Per-lane results are therefore
+/// **bitwise identical** to solo runs, at a fraction of the per-lane
+/// dispatch cost.
 ///
 /// A lane's values can deviate from the impulse-free baseline only where
 /// an impulse was injected and only downstream of it — its source's
@@ -447,7 +412,7 @@ struct TapeEntry {
     /// Execution instance of `expr` within one activation.
     exec: u32,
     /// Some channel targets `expr` (kept in sync with the live channel
-    /// set, so the common no-impulse entry skips the lookup).
+    /// set, so the common no-impulse entry skips the lookup; batch only).
     poke: bool,
 }
 
@@ -456,18 +421,19 @@ enum TapeOp {
     Const(f64),
     ReadVar(u32),
     ReadInput(u32),
-    /// Parameter value, resolved at tape-build time.
-    LoadParam(f64),
+    /// Parameter value, resolved at tape-build time, and the entry's
+    /// site in [`Tape::param_sites`].
+    LoadParam(f64, u32),
     /// Array and element index, resolved at tape-build time.
     LoadArray(u32, u32),
     Neg,
     Bin(BinOp),
-    /// Fused `Bin` + `AssignVar`: the result row is computed straight
-    /// into the variable's state row.
+    /// Batch fusion of `Bin` + `AssignVar`: the result row is computed
+    /// straight into the variable's state row.
     BinAssign(BinOp, u32),
-    /// Fused `v = op(ReadVar(v), b)` (the accumulator pattern): operand
-    /// `a` is the variable's own state row, updated in place — the read
-    /// copy disappears entirely.
+    /// Batch fusion of `v = op(ReadVar(v), b)` (the accumulator pattern):
+    /// operand `a` is the variable's own state row, updated in place —
+    /// the read copy disappears entirely.
     AccumVar(BinOp, u32),
     AssignVar(u32),
     StoreArr(u32, u32),
@@ -475,129 +441,97 @@ enum TapeOp {
     SetOut(u32),
 }
 
+#[derive(Debug)]
 struct Tape {
     entries: Vec<TapeEntry>,
+    /// `(table, unwrapped index)` of every `LoadParam` entry, for the
+    /// scalar [`Semantics::param`] hook.
+    param_sites: Vec<(ParamId, i64)>,
     max_stack: usize,
 }
 
 /// Flattens the kernel into a tape: loops are unrolled, indices and
 /// parameter values resolved, and per-expression execution-instance ids
-/// assigned exactly as the epoch counters of a solo run would.
+/// assigned in tree-walk order — the `exec` a recursive walk counting
+/// each node's evaluations within one activation would see.
 ///
-/// `poked[e]` flags expressions some impulse channel targets; fusions
-/// that would drop an expression's tape entry are suppressed for them
-/// (the entry is where the impulse is injected).
-fn build_tape(kernel: &Kernel, poked: &[bool]) -> Tape {
+/// Each statement is its root's tree in post-order (operands before the
+/// node) followed by one state entry, so a statement's entries start
+/// right after the previous statement's state entry.
+fn build_tape(kernel: &Kernel) -> Tape {
     struct B<'a> {
         kernel: &'a Kernel,
-        poked: &'a [bool],
         env: HashMap<LoopId, i64>,
         counts: Vec<u32>,
-        entries: Vec<TapeEntry>,
+        tape: Tape,
         sp: usize,
-        max_sp: usize,
     }
     impl B<'_> {
         fn index(&self, ix: &crate::types::IndexExpr) -> i64 {
             ix.eval(&|l| self.env.get(&l).copied().unwrap_or(0))
         }
-        fn value(&mut self, op: TapeOp, e: ExprId, pushes: bool) {
-            let exec = self.counts[e.index()];
-            self.counts[e.index()] += 1;
-            self.entries.push(TapeEntry {
+        fn elem(&self, a: ArrayId, ix: &crate::types::IndexExpr) -> u32 {
+            let len = self.kernel.arrays()[a.index()].len as i64;
+            self.index(ix).rem_euclid(len) as u32
+        }
+        fn push(&mut self, op: TapeOp, e: ExprId, exec: u32, pushes: isize) {
+            self.tape.entries.push(TapeEntry {
                 op,
                 expr: e.index() as u32,
                 exec,
                 poke: false,
             });
-            if pushes {
-                self.sp += 1;
-                self.max_sp = self.max_sp.max(self.sp);
-            }
+            self.sp = self.sp.wrapping_add_signed(pushes);
+            self.tape.max_stack = self.tape.max_stack.max(self.sp);
+        }
+        /// A value entry: `pushes` is the net stack effect.
+        fn value(&mut self, op: TapeOp, e: ExprId, pushes: isize) {
+            let exec = self.counts[e.index()];
+            self.counts[e.index()] += 1;
+            self.push(op, e, exec, pushes);
         }
         fn tree(&mut self, e: ExprId) {
             match self.kernel.expr(e) {
-                ExprNode::Const(v) => self.value(TapeOp::Const(*v), e, true),
-                ExprNode::ReadVar(v) => self.value(TapeOp::ReadVar(v.index() as u32), e, true),
-                ExprNode::ReadInput(i) => self.value(TapeOp::ReadInput(i.index() as u32), e, true),
+                ExprNode::Const(v) => self.value(TapeOp::Const(*v), e, 1),
+                ExprNode::ReadVar(v) => self.value(TapeOp::ReadVar(v.index() as u32), e, 1),
+                ExprNode::ReadInput(i) => self.value(TapeOp::ReadInput(i.index() as u32), e, 1),
                 ExprNode::LoadParam(p, ix) => {
-                    let raw = self.kernel.param_value(*p, self.index(ix));
-                    self.value(TapeOp::LoadParam(raw), e, true);
+                    let idx = self.index(ix);
+                    let raw = self.kernel.param_value(*p, idx);
+                    let site = self.tape.param_sites.len() as u32;
+                    self.tape.param_sites.push((*p, idx));
+                    self.value(TapeOp::LoadParam(raw, site), e, 1);
                 }
                 ExprNode::LoadArray(a, ix) => {
-                    let len = self.kernel.arrays()[a.index()].len as i64;
-                    let idx = self.index(ix).rem_euclid(len) as u32;
-                    self.value(TapeOp::LoadArray(a.index() as u32, idx), e, true);
+                    let elem = self.elem(*a, ix);
+                    self.value(TapeOp::LoadArray(a.index() as u32, elem), e, 1);
                 }
                 ExprNode::Unary(UnOp::Neg, a) => {
-                    let a = *a;
-                    self.tree(a);
-                    self.value(TapeOp::Neg, e, false);
+                    self.tree(*a);
+                    self.value(TapeOp::Neg, e, 0);
                 }
                 ExprNode::Bin(op, a, b) => {
                     let (op, a, b) = (*op, *a, *b);
                     self.tree(a);
                     self.tree(b);
-                    self.value(TapeOp::Bin(op), e, false);
-                    self.sp -= 1;
+                    self.value(TapeOp::Bin(op), e, -1);
                 }
             }
         }
         fn root(&mut self, op: TapeOp, e: ExprId) {
-            self.entries.push(TapeEntry {
-                op,
-                expr: e.index() as u32,
-                exec: 0,
-                poke: false,
-            });
-            self.sp -= 1;
+            self.tree(e);
+            self.push(op, e, 0, -1);
         }
         fn stmts(&mut self, stmts: &[Stmt]) {
             for s in stmts {
                 match s {
-                    Stmt::Assign(v, e) => {
-                        // Accumulator fusion: `v = op(v, b)` evaluates in
-                        // place on the variable's state row, skipping the
-                        // read copy. The read's tape entry disappears, so
-                        // only fuse when no impulse targets it (variable
-                        // reads never produce noise, so in practice
-                        // always).
-                        if let ExprNode::Bin(op, a, bx) = self.kernel.expr(*e) {
-                            if let ExprNode::ReadVar(av) = self.kernel.expr(*a) {
-                                if av == v && !self.poked[a.index()] {
-                                    let (op, bx) = (*op, *bx);
-                                    self.tree(bx);
-                                    self.value(TapeOp::AccumVar(op, v.index() as u32), *e, false);
-                                    self.sp -= 1;
-                                    continue;
-                                }
-                            }
-                        }
-                        self.tree(*e);
-                        // Peephole: a binary root writes its result row
-                        // straight into the variable state.
-                        let last = self.entries.last_mut().expect("tree emits entries");
-                        if let TapeOp::Bin(op) = last.op {
-                            last.op = TapeOp::BinAssign(op, v.index() as u32);
-                            self.sp -= 1;
-                        } else {
-                            self.root(TapeOp::AssignVar(v.index() as u32), *e);
-                        }
-                    }
+                    Stmt::Assign(v, e) => self.root(TapeOp::AssignVar(v.index() as u32), *e),
                     Stmt::Store(a, ix, e) => {
-                        let len = self.kernel.arrays()[a.index()].len as i64;
-                        let idx = self.index(ix).rem_euclid(len) as u32;
-                        self.tree(*e);
-                        self.root(TapeOp::StoreArr(a.index() as u32, idx), *e);
+                        let elem = self.elem(*a, ix);
+                        self.root(TapeOp::StoreArr(a.index() as u32, elem), *e);
                     }
-                    Stmt::ShiftIn(a, e) => {
-                        self.tree(*e);
-                        self.root(TapeOp::ShiftInArr(a.index() as u32), *e);
-                    }
-                    Stmt::Output(o, e) => {
-                        self.tree(*e);
-                        self.root(TapeOp::SetOut(*o as u32), *e);
-                    }
+                    Stmt::ShiftIn(a, e) => self.root(TapeOp::ShiftInArr(a.index() as u32), *e),
+                    Stmt::Output(o, e) => self.root(TapeOp::SetOut(*o as u32), *e),
                     Stmt::For { var, count, body } => {
                         for trip in 0..*count {
                             self.env.insert(*var, trip as i64);
@@ -611,19 +545,64 @@ fn build_tape(kernel: &Kernel, poked: &[bool]) -> Tape {
     }
     let mut b = B {
         kernel,
-        poked,
         env: HashMap::new(),
         counts: vec![0; kernel.expr_count()],
-        entries: Vec::new(),
+        tape: Tape {
+            entries: Vec::new(),
+            param_sites: Vec::new(),
+            max_stack: 0,
+        },
         sp: 0,
-        max_sp: 0,
     };
     b.stmts(kernel.body());
     debug_assert_eq!(b.sp, 0);
-    Tape {
-        entries: b.entries,
-        max_stack: b.max_sp,
+    b.tape
+}
+
+/// The batch executor's layer over [`build_tape`]: fuses each
+/// `v = op(a, b)` statement into one entry that computes straight into
+/// the variable's state row — [`TapeOp::AccumVar`] when `a` is a read of
+/// `v` itself (the accumulator pattern; the read's entry disappears),
+/// [`TapeOp::BinAssign`] otherwise.
+///
+/// `poked[e]` flags expressions some impulse channel targets: an entry
+/// that carries an impulse must stay, so a poked accumulator read is
+/// never fused away (variable reads never produce noise, so in practice
+/// it always fuses).
+fn fuse_assignments(kernel: &Kernel, entries: Vec<TapeEntry>, poked: &[bool]) -> Vec<TapeEntry> {
+    let mut out: Vec<TapeEntry> = Vec::with_capacity(entries.len());
+    // Index in `out` where the current statement's entries begin.
+    let mut stmt_start = 0;
+    for en in entries {
+        if let TapeOp::AssignVar(v) = en.op {
+            let last = out.len() - 1;
+            if let (TapeOp::Bin(op), ExprNode::Bin(_, a, _)) =
+                (out[last].op, kernel.expr(ExprId(en.expr)))
+            {
+                let accum = matches!(kernel.expr(*a), ExprNode::ReadVar(av) if av.index() as u32 == v)
+                    && !poked[a.index()];
+                if accum {
+                    out[last].op = TapeOp::AccumVar(op, v);
+                    // `a` is a leaf, so its entry opens the statement.
+                    debug_assert_eq!(out[stmt_start].expr, a.index() as u32);
+                    out.remove(stmt_start);
+                } else {
+                    out[last].op = TapeOp::BinAssign(op, v);
+                }
+                stmt_start = out.len();
+                continue;
+            }
+        }
+        let state = matches!(
+            en.op,
+            TapeOp::AssignVar(_) | TapeOp::StoreArr(..) | TapeOp::ShiftInArr(_) | TapeOp::SetOut(_)
+        );
+        out.push(en);
+        if state {
+            stmt_start = out.len();
+        }
     }
+    out
 }
 
 /// Applies a binary operation lane-wise over the union span of the two
@@ -791,7 +770,7 @@ impl<'k> BatchExecutor<'k> {
         for ch in &channels {
             poked[ch.target.index()] = true;
         }
-        let tape = build_tape(kernel, &poked);
+        let tape = build_tape(kernel);
         let mut ex = BatchExecutor {
             kernel: std::marker::PhantomData,
             channels,
@@ -815,7 +794,7 @@ impl<'k> BatchExecutor<'k> {
             stack: vec![0.0; tape.max_stack * l],
             base_stack: vec![0.0; tape.max_stack],
             slot_hull: vec![(0, 0); tape.max_stack],
-            tape: tape.entries,
+            tape: fuse_assignments(kernel, tape.entries, &poked),
             by_expr: vec![Vec::new(); kernel.expr_count()],
             activation: 0,
         };
@@ -909,11 +888,11 @@ impl<'k> BatchExecutor<'k> {
             let en = self.tape[ti];
             let eix = en.expr as usize;
             match en.op {
-                TapeOp::Const(_) | TapeOp::ReadInput(_) | TapeOp::LoadParam(_) => {
+                TapeOp::Const(_) | TapeOp::ReadInput(_) | TapeOp::LoadParam(..) => {
                     let v = match en.op {
                         TapeOp::Const(c) => c,
                         TapeOp::ReadInput(i) => input_vals[i as usize],
-                        TapeOp::LoadParam(r) => r,
+                        TapeOp::LoadParam(r, _) => r,
                         _ => unreachable!(),
                     };
                     bstack[sp] = v;
@@ -1209,6 +1188,76 @@ mod tests {
     use crate::builder::KernelBuilder;
     use crate::types::IndexExpr;
 
+    /// The hook sequence of two activations of the
+    /// `exec_counter_distinguishes_loop_trips` kernel.
+    const HOOK_LOG: &[&str] = &[
+        "zero",
+        "zero",
+        "zero",
+        "zero",
+        "zero",
+        "input 0@0.0",
+        "store a0",
+        "const 1@0.0",
+        "var 2@0.0",
+        "param[0] 3@0.0",
+        "load 4@0.0",
+        "bin 5@0.0",
+        "bin 6@0.0",
+        "var 2@0.1",
+        "param[1] 3@0.1",
+        "load 4@0.1",
+        "bin 5@0.1",
+        "bin 6@0.1",
+        "var 7@0.0",
+        "store a1",
+        "var 2@0.2",
+        "param[0] 3@0.2",
+        "load 4@0.2",
+        "bin 5@0.2",
+        "bin 6@0.2",
+        "var 2@0.3",
+        "param[1] 3@0.3",
+        "load 4@0.3",
+        "bin 5@0.3",
+        "bin 6@0.3",
+        "var 7@0.1",
+        "store a1",
+        "var 8@0.0",
+        "load 9@0.0",
+        "un 10@0.0",
+        "input 0@1.0",
+        "store a0",
+        "const 1@1.0",
+        "var 2@1.0",
+        "param[0] 3@1.0",
+        "load 4@1.0",
+        "bin 5@1.0",
+        "bin 6@1.0",
+        "var 2@1.1",
+        "param[1] 3@1.1",
+        "load 4@1.1",
+        "bin 5@1.1",
+        "bin 6@1.1",
+        "var 7@1.0",
+        "store a1",
+        "var 2@1.2",
+        "param[0] 3@1.2",
+        "load 4@1.2",
+        "bin 5@1.2",
+        "bin 6@1.2",
+        "var 2@1.3",
+        "param[1] 3@1.3",
+        "load 4@1.3",
+        "bin 5@1.3",
+        "bin 6@1.3",
+        "var 7@1.1",
+        "store a1",
+        "var 8@1.0",
+        "load 9@1.0",
+        "un 10@1.0",
+    ];
+
     /// y[n] = 0.5*x[n] + 0.25*x[n-1]
     fn two_tap() -> Kernel {
         let mut b = KernelBuilder::new("t");
@@ -1247,68 +1296,114 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Records every [`Semantics`] hook call as
+    /// `hook expr@activation.exec` (`store` logs the array, `zero` no
+    /// operand), evaluating like [`FloatSem`].
+    #[derive(Default)]
+    struct Recording {
+        log: Vec<String>,
+    }
+
+    impl Recording {
+        fn rec(&mut self, hook: &str, c: ExecCtx, e: ExprId) {
+            self.log
+                .push(format!("{hook} {}@{}.{}", e.index(), c.activation, c.exec));
+        }
+    }
+
+    impl Semantics for Recording {
+        type Value = f64;
+        fn zero(&mut self) -> f64 {
+            self.log.push("zero".to_string());
+            0.0
+        }
+        fn constant(&mut self, c: ExecCtx, e: ExprId, v: f64) -> f64 {
+            self.rec("const", c, e);
+            v
+        }
+        fn input(&mut self, c: ExecCtx, e: ExprId, _i: InputId, raw: f64) -> f64 {
+            self.rec("input", c, e);
+            raw
+        }
+        fn param(&mut self, c: ExecCtx, e: ExprId, _p: ParamId, idx: i64, raw: f64) -> f64 {
+            self.rec(&format!("param[{idx}]"), c, e);
+            raw
+        }
+        fn load(&mut self, c: ExecCtx, e: ExprId, stored: f64) -> f64 {
+            self.rec("load", c, e);
+            stored
+        }
+        fn var_use(&mut self, c: ExecCtx, e: ExprId, v: f64) -> f64 {
+            self.rec("var", c, e);
+            v
+        }
+        fn un(&mut self, c: ExecCtx, e: ExprId, _op: UnOp, a: f64) -> f64 {
+            self.rec("un", c, e);
+            -a
+        }
+        fn bin(&mut self, c: ExecCtx, e: ExprId, op: BinOp, a: f64, b: f64) -> f64 {
+            self.rec("bin", c, e);
+            match op {
+                BinOp::Add => a + b,
+                BinOp::Sub => a - b,
+                BinOp::Mul => a * b,
+            }
+        }
+        fn store(&mut self, array: ArrayId, v: f64) -> f64 {
+            self.log.push(format!("store a{}", array.index()));
+            v
+        }
+        fn to_f64(&self, v: f64) -> f64 {
+            v
+        }
+    }
+
     #[test]
     fn exec_counter_distinguishes_loop_trips() {
-        // Count executions of the loop-body add across one activation.
-        #[derive(Default)]
-        struct Counting {
-            max_exec: u32,
-        }
-        impl Semantics for Counting {
-            type Value = f64;
-            fn zero(&mut self) -> f64 {
-                0.0
-            }
-            fn constant(&mut self, _c: ExecCtx, _e: ExprId, v: f64) -> f64 {
-                v
-            }
-            fn input(&mut self, _c: ExecCtx, _e: ExprId, _i: InputId, raw: f64) -> f64 {
-                raw
-            }
-            fn param(&mut self, _c: ExecCtx, _e: ExprId, _p: ParamId, _i: i64, raw: f64) -> f64 {
-                raw
-            }
-            fn load(&mut self, _c: ExecCtx, _e: ExprId, stored: f64) -> f64 {
-                stored
-            }
-            fn un(&mut self, _c: ExecCtx, _e: ExprId, _op: UnOp, a: f64) -> f64 {
-                -a
-            }
-            fn bin(&mut self, c: ExecCtx, _e: ExprId, op: BinOp, a: f64, b: f64) -> f64 {
-                if matches!(op, BinOp::Add) {
-                    self.max_exec = self.max_exec.max(c.exec);
-                }
-                match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                }
-            }
-            fn to_f64(&self, v: f64) -> f64 {
-                v
-            }
-        }
-
+        // Nested loops around an accumulator, a `Store`, a `ShiftIn`, a
+        // parameter load and two outputs: every hook must fire in
+        // tree-walk order with per-activation execution counters.
+        //
+        //   shiftin dl <- x; acc = 0.0;
+        //   for i in 0..2 { for j in 0..2 { acc = acc + c[j] * dl[i]; }
+        //                   st[i] = acc; }
+        //   y0 = acc; y1 = -st[1];
         let mut b = KernelBuilder::new("loop");
         let x = b.input("x", -1.0, 1.0);
-        let y = b.output("y");
+        let y0 = b.output("y0");
+        let y1 = b.output("y1");
+        let c = b.param("c", vec![0.5, 0.25]);
+        let dl = b.array("dl", 2);
+        let st = b.array("st", 2);
         let acc = b.var("acc");
+        let xv = b.read_input(x);
+        b.shift_in(dl, xv);
         let z = b.constf(0.0);
         b.assign(acc, z);
-        let i = b.begin_for(5);
+        let i = b.begin_for(2);
+        let j = b.begin_for(2);
         let av = b.read_var(acc);
-        let xv = b.read_input(x);
-        let s = b.add(av, xv);
+        let cv = b.load_param_ix(c, IndexExpr::affine(j, 1, 0));
+        let dv = b.load_ix(dl, IndexExpr::affine(i, 1, 0));
+        let m = b.mul(cv, dv);
+        let s = b.add(av, m);
         b.assign(acc, s);
+        b.end_for(j);
+        let r = b.read_var(acc);
+        b.store_ix(st, IndexExpr::affine(i, 1, 0), r);
         b.end_for(i);
         let r = b.read_var(acc);
-        b.set_output(y, r);
+        b.set_output(y0, r);
+        let l = b.load(st, 1);
+        let n = b.neg(l);
+        b.set_output(y1, n);
         let k = b.finish();
 
-        let mut ex = Executor::new(&k, Counting::default());
-        let out = ex.run(&[vec![2.0]]);
-        assert_eq!(out[0], vec![10.0]);
-        assert_eq!(ex.semantics().max_exec, 4, "five executions, max index 4");
+        let mut ex = Executor::new(&k, Recording::default());
+        let out = ex.run(&[vec![2.0, 4.0]]);
+        assert_eq!(out, vec![vec![1.5, 4.5], vec![-1.5, -4.5]]);
+        let log = &ex.semantics().log;
+        assert_eq!(log.as_slice(), HOOK_LOG);
     }
 
     #[test]

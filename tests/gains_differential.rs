@@ -143,3 +143,33 @@ fn generated_corpus_batched_gains_match_reference_bitwise() {
     }
     assert!(checked >= 48, "corpus slice too thin: {checked}/64 built");
 }
+
+/// A float baseline that overflows within the 128 coefficient
+/// activations: `yline` grows by 1e10 per activation, reaches `inf`, and
+/// the coefficient sweep's `(perturbed - baseline)` differences turn
+/// `NaN`. Pins the coefficient sweep's non-finite path, where a lane
+/// equal to its baseline still contributes a `NaN` term.
+#[test]
+fn overflowing_baseline_batched_gains_match_reference_bitwise() {
+    let src = r#"
+kernel blowup {
+    input x range [-1, 1];
+    output y;
+    param c[2] = { 0.5, 1e10 };
+    array yline[1];
+    var t;
+    t = c[0] * x + c[1] * yline[0];
+    shiftin yline <- t;
+    y = t;
+}
+"#;
+    let k = slpwlo::ir::parser::parse_kernel(src).expect("kernel parses");
+    let gains = measure_gains_reference(&k, &opts(1));
+    assert!(
+        gains.iter().any(|(_, (_, g2))| g2.is_nan()),
+        "the overflow must reach a coefficient G2"
+    );
+    for threads in [1, 3] {
+        assert_bitwise_identical(&k, "blowup", threads);
+    }
+}
