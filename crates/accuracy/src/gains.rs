@@ -20,20 +20,26 @@ use slpwlo_ir::{ExprNode, Kernel, Stmt};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// The impulse measurement stops once the tail energy of a chunk falls
+/// below this fraction of the total energy.
+const TAIL_EPSILON: f64 = 1e-12;
+
+/// RNG seed of the coefficient-sensitivity measurement.
+const PARAM_SEED: u64 = 0x9A1A5;
+
 /// Options for the gain measurement.
+///
+/// The activation counts stay settable because the per-impulse oracle
+/// [`measure_gains_reference`] is affordable only on shortened sweeps;
+/// `threads` because results must not depend on it.
 #[derive(Debug, Clone, Copy)]
 pub struct GainOptions {
     /// Minimum number of activations to simulate after the impulse.
     pub min_activations: usize,
     /// Hard cap on simulated activations (bounds IIR tail measurement).
     pub max_activations: usize,
-    /// The measurement stops once the tail energy of a chunk falls below
-    /// this fraction of the total energy.
-    pub tail_epsilon: f64,
     /// Activations for the stochastic coefficient-sensitivity measurement.
     pub param_activations: usize,
-    /// RNG seed for the coefficient-sensitivity measurement.
-    pub param_seed: u64,
     /// Worker threads (`0` = one per available core) for both sweeps:
     /// the impulse-source batches and the coefficient-sensitivity sweep
     /// run as jobs of one pool, and the coefficient sweep splits into up
@@ -47,9 +53,7 @@ impl Default for GainOptions {
         GainOptions {
             min_activations: 64,
             max_activations: 8192,
-            tail_epsilon: 1e-12,
             param_activations: 1024,
-            param_seed: 0x9A1A5,
             threads: 0,
         }
     }
@@ -168,7 +172,7 @@ pub fn expr_executions(kernel: &Kernel) -> Vec<u64> {
 ///
 /// Impulses are propagated in batches — one [`BatchExecutor`] sweep
 /// carries a lane of deviation state per pending (source × execution
-/// instance) impulse, the lanes retiring early on the `tail_epsilon`
+/// instance) impulse, the lanes retiring early on the `TAIL_EPSILON`
 /// criterion. Each value is computed only over its deviation hull (the
 /// lanes an impulse has actually reached), and lanes retire as soon as
 /// their deviation lifetime has provably elapsed (see [`ConeIndex`]).
@@ -456,7 +460,7 @@ fn run_impulse_batch(
         let l = ex.lanes();
         let mut keep = Vec::with_capacity(l);
         for (lane, &id) in ex.channel_ids().iter().enumerate() {
-            let surviving = chunk[lane] > opts.tail_epsilon * s2[id].max(1e-300);
+            let surviving = chunk[lane] > TAIL_EPSILON * s2[id].max(1e-300);
             let statically_dead = life_by_id
                 .as_ref()
                 .is_some_and(|lives| (lives[id] as usize) < m && !kernel.outputs().is_empty());
@@ -527,7 +531,7 @@ fn param_input_matrix(kernel: &Kernel, opts: &GainOptions) -> Vec<Vec<f64>> {
     use rand::{Rng, SeedableRng};
     let n = opts.param_activations.max(1);
     let decls: Vec<(f64, f64)> = kernel.inputs().iter().map(|i| (i.lo, i.hi)).collect();
-    let mut rng = StdRng::seed_from_u64(opts.param_seed);
+    let mut rng = StdRng::seed_from_u64(PARAM_SEED);
     decls
         .iter()
         .map(|&(lo, hi)| {
@@ -763,7 +767,7 @@ fn impulse_response_sums(
             break;
         }
         // Stop when the response has died out.
-        if chunk_energy <= opts.tail_epsilon * s2.max(1e-300) {
+        if chunk_energy <= TAIL_EPSILON * s2.max(1e-300) {
             break;
         }
     }

@@ -292,7 +292,7 @@ fn key_space(key: SpecKey) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_ir::Kernel;
 
@@ -314,9 +314,9 @@ kernel fir4 {
 
     fn setup() -> (Kernel, FixedPointSpec, AnalyticalEvaluator) {
         let k = parse_kernel(FIR4).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let spec = FixedPointSpec::from_ranges(&k, &r, 32);
-        let eval = AnalyticalEvaluator::with_defaults(&k);
+        let eval = AnalyticalEvaluator::new(&k);
         (k, spec, eval)
     }
 

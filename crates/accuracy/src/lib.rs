@@ -38,3 +38,12 @@ pub use gains::{GainOptions, NoiseGains};
 pub use incremental::IncrementalEvaluator;
 pub use model::{AccuracyEvaluator, AnalyticalEvaluator, EvalOptions};
 pub use simulate::{measure_noise, simulate_fixed, NoiseMeasurement};
+
+use slpwlo_fixedpoint::quantize::{OverflowMode, QuantizeMode};
+
+/// Quantization mode of the signal path, in the analytical model and the
+/// bit-accurate simulator alike: the paper assumes truncation.
+const SIGNAL_QUANTIZE: QuantizeMode = QuantizeMode::Truncate;
+
+/// Overflow handling of the bit-accurate simulator's signal path.
+const SIGNAL_OVERFLOW: OverflowMode = OverflowMode::Saturate;

@@ -15,6 +15,7 @@
 //!   array's storage grid, folded into the producing node's source.
 
 use crate::gains::{measure_gains_with, GainOptions, NoiseGains};
+use crate::SIGNAL_QUANTIZE;
 use slpwlo_fixedpoint::quantize::{noise_stats, QuantizeMode};
 use slpwlo_fixedpoint::spec::{FixedPointSpec, SpecKey};
 use slpwlo_ir::cone::{var_flow, ConeIndex};
@@ -22,15 +23,14 @@ use slpwlo_ir::types::{ArrayId, BinOp, ExprId, ParamId, UnOp};
 use slpwlo_ir::{ExprNode, Kernel, Stmt};
 use std::collections::HashMap;
 
-/// Options for the analytical evaluator.
+/// Field-less stand-in for the evaluator settings: the signal path
+/// quantizes by truncation and gains are measured under default
+/// [`GainOptions`].
+///
+/// Kept only because the `perfbench` benchmark passes
+/// `EvalOptions::default()` to [`AnalyticalEvaluator::new_with_cone`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct EvalOptions {
-    /// Quantization mode of the signal path (the paper assumes
-    /// truncation).
-    pub mode: QuantizeMode,
-    /// Gain-measurement options.
-    pub gains: GainOptions,
-}
+pub struct EvalOptions {}
 
 /// Oracle deciding whether a specification meets an accuracy constraint.
 ///
@@ -151,31 +151,23 @@ enum SourceKind {
 pub struct AnalyticalEvaluator {
     gains: NoiseGains,
     sources: Vec<Source>,
-    mode: QuantizeMode,
 }
 
 impl AnalyticalEvaluator {
     /// Builds the evaluator for a kernel: measures noise gains (the
     /// expensive, once-per-kernel part) and resolves operand grids.
-    pub fn new(kernel: &Kernel, opts: &EvalOptions) -> Self {
-        Self::new_with_cone(kernel, opts, None)
+    pub fn new(kernel: &Kernel) -> Self {
+        Self::new_with_cone(kernel, &EvalOptions {}, None)
     }
 
     /// [`new`](Self::new) against a caller-provided [`ConeIndex`], so a
-    /// caller that already built one does not pay for it twice.
-    pub fn new_with_cone(kernel: &Kernel, opts: &EvalOptions, cone: Option<&ConeIndex>) -> Self {
-        let gains = measure_gains_with(kernel, &opts.gains, cone);
-        let sources = enumerate_sources(kernel);
+    /// caller that already built one does not pay for it twice. The
+    /// options are ignored.
+    pub fn new_with_cone(kernel: &Kernel, _opts: &EvalOptions, cone: Option<&ConeIndex>) -> Self {
         AnalyticalEvaluator {
-            gains,
-            sources,
-            mode: opts.mode,
+            gains: measure_gains_with(kernel, &GainOptions::default(), cone),
+            sources: enumerate_sources(kernel),
         }
-    }
-
-    /// Builds the evaluator with default options.
-    pub fn with_defaults(kernel: &Kernel) -> Self {
-        Self::new(kernel, &EvalOptions::default())
     }
 
     /// Linear output noise power for a specification.
@@ -217,7 +209,7 @@ impl AnalyticalEvaluator {
         let mut bias = 0.0;
         let mut var = 0.0;
         let mut push = |q_in: f64, q_out: f64| {
-            let (m, v) = noise_stats(q_in.min(q_out), q_out, self.mode);
+            let (m, v) = noise_stats(q_in.min(q_out), q_out, SIGNAL_QUANTIZE);
             bias += m * g1;
             var += v * g2;
         };
@@ -399,7 +391,7 @@ fn push_unique(v: &mut Vec<Deliver>, d: Deliver) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_ir::parser::parse_kernel;
 
     const FIR4: &str = r#"
@@ -420,9 +412,9 @@ kernel fir4 {
 
     fn setup(src: &str, wl: i32) -> (Kernel, FixedPointSpec, AnalyticalEvaluator) {
         let k = parse_kernel(src).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let spec = FixedPointSpec::from_ranges(&k, &r, wl);
-        let eval = AnalyticalEvaluator::with_defaults(&k);
+        let eval = AnalyticalEvaluator::new(&k);
         (k, spec, eval)
     }
 

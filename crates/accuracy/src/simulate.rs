@@ -8,6 +8,7 @@
 //! double-precision reference yields the measured output noise power used
 //! to validate the analytical model.
 
+use crate::{SIGNAL_OVERFLOW, SIGNAL_QUANTIZE};
 use slpwlo_fixedpoint::quantize::{OverflowMode, QuantizeMode};
 use slpwlo_fixedpoint::spec::{FixedPointSpec, SpecKey};
 use slpwlo_fixedpoint::{FxValue, QFormat};
@@ -19,19 +20,13 @@ use slpwlo_ir::Kernel;
 #[derive(Debug, Clone)]
 pub struct FixedSem<'s> {
     spec: &'s FixedPointSpec,
-    mode: QuantizeMode,
-    ovf: OverflowMode,
 }
 
 impl<'s> FixedSem<'s> {
-    /// Creates the semantics with the paper's defaults (truncation,
+    /// Creates the semantics with the paper's signal path (truncation,
     /// saturation).
     pub fn new(spec: &'s FixedPointSpec) -> Self {
-        FixedSem {
-            spec,
-            mode: QuantizeMode::Truncate,
-            ovf: OverflowMode::Saturate,
-        }
+        FixedSem { spec }
     }
 
     fn fmt(&self, e: ExprId) -> QFormat {
@@ -48,17 +43,17 @@ impl Semantics for FixedSem<'_> {
 
     fn constant(&mut self, _c: ExecCtx, e: ExprId, v: f64) -> FxValue {
         // Literals are rounded once at compile time.
-        FxValue::from_f64(v, self.fmt(e), QuantizeMode::Round, self.ovf)
+        FxValue::from_f64(v, self.fmt(e), QuantizeMode::Round, SIGNAL_OVERFLOW)
     }
 
     fn input(&mut self, _c: ExecCtx, e: ExprId, _i: InputId, raw: f64) -> FxValue {
-        FxValue::from_f64(raw, self.fmt(e), self.mode, self.ovf)
+        FxValue::from_f64(raw, self.fmt(e), SIGNAL_QUANTIZE, SIGNAL_OVERFLOW)
     }
 
     fn param(&mut self, _c: ExecCtx, _e: ExprId, p: ParamId, _idx: i64, raw: f64) -> FxValue {
         // Coefficient tables are rounded once at compile time.
         let fmt = self.spec.format(SpecKey::Param(p));
-        FxValue::from_f64(raw, fmt, QuantizeMode::Round, self.ovf)
+        FxValue::from_f64(raw, fmt, QuantizeMode::Round, SIGNAL_OVERFLOW)
     }
 
     fn load(&mut self, _c: ExecCtx, _e: ExprId, stored: FxValue) -> FxValue {
@@ -67,14 +62,14 @@ impl Semantics for FixedSem<'_> {
 
     fn un(&mut self, _c: ExecCtx, e: ExprId, op: UnOp, a: FxValue) -> FxValue {
         match op {
-            UnOp::Neg => a.neg(self.fmt(e), self.mode, self.ovf),
+            UnOp::Neg => a.neg(self.fmt(e), SIGNAL_QUANTIZE, SIGNAL_OVERFLOW),
         }
     }
 
     fn bin(&mut self, _c: ExecCtx, e: ExprId, op: BinOp, a: FxValue, b: FxValue) -> FxValue {
         let out = self.fmt(e);
         match op {
-            BinOp::Mul => a.mul(b, out, self.mode, self.ovf),
+            BinOp::Mul => a.mul(b, out, SIGNAL_QUANTIZE, SIGNAL_OVERFLOW),
             BinOp::Add | BinOp::Sub => {
                 // Pre-align each operand to the result grid, keeping its
                 // own integer bits (a narrow result IWL must clamp only
@@ -89,17 +84,17 @@ impl Semantics for FixedSem<'_> {
                     |iwl: i32, fwl: i32| QFormat::new(iwl.clamp(1 - fwl, 62 - fwl), fwl);
                 let aa = a.requantize(
                     pre_align(a.format().iwl, out.fwl),
-                    self.mode,
+                    SIGNAL_QUANTIZE,
                     OverflowMode::Saturate,
                 );
                 let bb = b.requantize(
                     pre_align(b.format().iwl, out.fwl),
-                    self.mode,
+                    SIGNAL_QUANTIZE,
                     OverflowMode::Saturate,
                 );
                 match op {
-                    BinOp::Add => aa.add(bb, out, self.mode, self.ovf),
-                    BinOp::Sub => aa.sub(bb, out, self.mode, self.ovf),
+                    BinOp::Add => aa.add(bb, out, SIGNAL_QUANTIZE, SIGNAL_OVERFLOW),
+                    BinOp::Sub => aa.sub(bb, out, SIGNAL_QUANTIZE, SIGNAL_OVERFLOW),
                     BinOp::Mul => unreachable!(),
                 }
             }
@@ -107,7 +102,11 @@ impl Semantics for FixedSem<'_> {
     }
 
     fn store(&mut self, array: ArrayId, v: FxValue) -> FxValue {
-        v.requantize(self.spec.format(SpecKey::Array(array)), self.mode, self.ovf)
+        v.requantize(
+            self.spec.format(SpecKey::Array(array)),
+            SIGNAL_QUANTIZE,
+            SIGNAL_OVERFLOW,
+        )
     }
 
     fn to_f64(&self, v: FxValue) -> f64 {
@@ -179,7 +178,7 @@ mod tests {
     use crate::model::{AccuracyEvaluator, AnalyticalEvaluator};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_ir::parser::parse_kernel;
 
     const FIR8: &str = r#"
@@ -205,7 +204,7 @@ kernel fir8 {
 
     fn setup(wl: i32) -> (Kernel, FixedPointSpec) {
         let k = parse_kernel(FIR8).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let spec = FixedPointSpec::from_ranges(&k, &r, wl);
         (k, spec)
     }
@@ -226,7 +225,7 @@ kernel ma {
 }
 "#;
         let k = parse_kernel(src).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let spec = FixedPointSpec::from_ranges(&k, &r, 32);
         let xs: Vec<f64> = (0..64).map(|i| ((i % 16) as f64 - 8.0) / 8.0).collect();
         let m = measure_noise(&k, &spec, &[xs]);
@@ -259,7 +258,7 @@ kernel ma {
         let xs = white_noise(8192, 42);
         for wl in [12, 16, 20, 24] {
             let (k, spec) = setup(wl);
-            let eval = AnalyticalEvaluator::with_defaults(&k);
+            let eval = AnalyticalEvaluator::new(&k);
             let predicted = eval.noise_db(&spec);
             let measured = measure_noise(&k, &spec, std::slice::from_ref(&xs)).db;
             let delta = (predicted - measured).abs();

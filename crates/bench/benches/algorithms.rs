@@ -27,7 +27,7 @@ fn main() {
     m.bench("evalacc_fir64", || prep.eval.noise_db(&spec));
 
     m.bench("gain_analysis_conv3x3", || {
-        AnalyticalEvaluator::with_defaults(&conv3x3())
+        AnalyticalEvaluator::new(&conv3x3())
     });
     // The whole front end (ranges + gains) on the two kernels whose
     // costs the conv3x3 bench never sees: MATVEC's 64-lane coefficient

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo bench -p slpwlo-bench --bench fig6_float`
 
-use slpwlo_bench::harness::{optimizer_for, sweep, PointOptions};
+use slpwlo_bench::harness::{optimizer_for, sweep};
 use slpwlo_bench::{report, Micro};
 use slpwlo_driver::{Error, FlowKind};
 use slpwlo_kernels::paper_benchmarks;
@@ -17,12 +17,7 @@ fn print_reproduction() -> Result<(), Error> {
     let targets = vec![xentium(), st240()];
     let mut all = Vec::new();
     for bench in paper_benchmarks() {
-        all.extend(sweep(
-            &bench,
-            &targets,
-            &constraints,
-            &PointOptions::default(),
-        )?);
+        all.extend(sweep(&bench, &targets, &constraints)?);
     }
     all.sort_by(|a, b| a.target.cmp(&b.target).then(a.bench.cmp(&b.bench)));
     println!("\n--- Figure 6 reproduction ---");
@@ -34,7 +29,7 @@ fn main() -> Result<(), Error> {
     print_reproduction()?;
     let mut m = Micro::for_bench("fig6");
     for bench in paper_benchmarks() {
-        let float = optimizer_for(&bench, &PointOptions::default())?
+        let float = optimizer_for(&bench)?
             .target(xentium())
             .flow(FlowKind::Float);
         m.bench(

@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo run --release -p slpwlo-bench --bin table1 [--csv]`
 
-use slpwlo_bench::harness::{sweep, PointOptions};
+use slpwlo_bench::harness::sweep;
 use slpwlo_bench::report;
 use slpwlo_driver::Error;
 use slpwlo_kernels::paper_benchmarks;
@@ -19,8 +19,8 @@ fn main() -> Result<(), Error> {
     let targets = vec![xentium(), st240(), vex(4)];
     let fir = paper_benchmarks().remove(0);
     assert_eq!(fir.name, "FIR");
-    let pts = sweep(&fir, &targets, &constraints, &PointOptions::default())?;
-    let deep_pts = sweep(&fir, &targets, &deep, &PointOptions::default())?;
+    let pts = sweep(&fir, &targets, &constraints)?;
+    let deep_pts = sweep(&fir, &targets, &deep)?;
     if csv {
         let mut all = pts;
         all.extend(deep_pts);

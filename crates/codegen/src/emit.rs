@@ -267,7 +267,7 @@ fn used_results(block: &MachineBlock) -> Vec<bool> {
         }
     };
     for op in &block.ops {
-        for o in kind_operands(&op.kind) {
+        for o in op.kind.operands() {
             mark(o);
         }
     }
@@ -275,30 +275,6 @@ fn used_results(block: &MachineBlock) -> Vec<bool> {
         mark(def);
     }
     used
-}
-
-/// The value operands a kind consumes.
-pub(crate) fn kind_operands(kind: &MopKind) -> Vec<&Operand> {
-    match kind {
-        MopKind::Bin { a, b, .. } | MopKind::VBin { a, b, .. } => vec![a, b],
-        MopKind::Un { src, .. }
-        | MopKind::VUn { src, .. }
-        | MopKind::Requant { src, .. }
-        | MopKind::VRequant { src, .. }
-        | MopKind::Copy { src }
-        | MopKind::Splat { src, .. }
-        | MopKind::Extract { src, .. }
-        | MopKind::Store { src, .. }
-        | MopKind::VStore { src, .. }
-        | MopKind::ShiftIn { src, .. }
-        | MopKind::Output { src, .. } => vec![src],
-        MopKind::Pack { lanes } => lanes.iter().collect(),
-        MopKind::ReadInput { .. }
-        | MopKind::Load { .. }
-        | MopKind::VLoad { .. }
-        | MopKind::Nop
-        | MopKind::Opaque => Vec::new(),
-    }
 }
 
 /// Variables the program actually touches (reads as live-ins or
@@ -314,7 +290,7 @@ fn touched_vars(prog: &MachineProgram) -> Vec<bool> {
             }
         }
         for op in &b.ops {
-            for o in kind_operands(&op.kind) {
+            for o in op.kind.operands() {
                 if let Operand::Var(v) = o {
                     touched[v.index()] = true;
                 }

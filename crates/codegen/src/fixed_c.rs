@@ -42,7 +42,7 @@ pub fn emit_fixed_c(program: &MachineProgram) -> Result<String, CodegenError> {
 mod tests {
     use super::*;
     use slpwlo_core::lower_scalar;
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_fixedpoint::FixedPointSpec;
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_targets::xentium;
@@ -65,7 +65,7 @@ kernel f {
 
     fn emit(wl: i32) -> String {
         let k = parse_kernel(SRC).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let spec = FixedPointSpec::from_ranges(&k, &r, wl);
         emit_fixed_c(&lower_scalar(&k, &spec, &xentium())).unwrap()
     }
@@ -147,7 +147,7 @@ kernel f {
         // A non-positive storage width must surface as a structured
         // error instead of silently emitting int8_t.
         let k = parse_kernel(SRC).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let mut spec = FixedPointSpec::from_ranges(&k, &r, 16);
         spec.set_format(
             slpwlo_fixedpoint::SpecKey::Array(slpwlo_ir::ArrayId(0)),

@@ -45,7 +45,7 @@ pub fn emit_simd_c(program: &MachineProgram, target_name: &str) -> Result<String
 mod tests {
     use super::*;
     use slpwlo_core::{extract_on_spec, lower_fixed, MachineProgram, PassCtx, SchedKind};
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_fixedpoint::FixedPointSpec;
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_slp::BenefitKind;
@@ -72,7 +72,7 @@ kernel f {
         // this tiny kernel (it does not), so the flow layer is bypassed.
         let kernel = parse_kernel(src).unwrap();
         let target = xentium();
-        let ranges = determine_ranges(&kernel, &RangeOptions::default());
+        let ranges = determine_ranges(&kernel);
         let spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
         let costs = CycleCache::new(&target);
         let mut ctx = PassCtx::new(costs, BenefitKind::default(), SchedKind::List, false);

@@ -19,8 +19,8 @@ use crate::nodes::{value_format, value_wl};
 use crate::sched::{block_activation_cycles_cached, cycles_per_activation_cached};
 use crate::tabu::{tabu_wlo, TabuOptions};
 use crate::wlo_slp::wlo_slp;
-use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, EvalOptions, IncrementalEvaluator};
-use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions, Ranges};
+use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, IncrementalEvaluator};
+use slpwlo_fixedpoint::range::{determine_ranges, Ranges};
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::{collect_blocks, Block};
 use slpwlo_ir::dfg::{Dfg, NodeId};
@@ -44,11 +44,11 @@ pub struct Prepared {
     pub eval: AnalyticalEvaluator,
 }
 
-/// Runs the shared front end: range analysis and accuracy-model
-/// construction under default [`RangeOptions`] and [`EvalOptions`].
+/// Runs the shared front end: range analysis ([`determine_ranges`]) and
+/// accuracy-model construction ([`AnalyticalEvaluator::new`]).
 pub fn prepare(kernel: Kernel) -> Prepared {
-    let ranges = determine_ranges(&kernel, &RangeOptions::default());
-    let eval = AnalyticalEvaluator::new(&kernel, &EvalOptions::default());
+    let ranges = determine_ranges(&kernel);
+    let eval = AnalyticalEvaluator::new(&kernel);
     Prepared {
         kernel,
         ranges,

@@ -320,7 +320,7 @@ fn cap(spec: &mut FixedPointSpec, key: SpecKey, m: i32) {
 mod tests {
     use super::*;
     use slpwlo_accuracy::AnalyticalEvaluator;
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_ir::types::ArrayId;
@@ -351,9 +351,9 @@ kernel f {
 
     fn setup() -> (Kernel, Dfg, FixedPointSpec, AnalyticalEvaluator) {
         let k = parse_kernel(SRC).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let spec = FixedPointSpec::from_ranges(&k, &r, 32);
-        let eval = AnalyticalEvaluator::with_defaults(&k);
+        let eval = AnalyticalEvaluator::new(&k);
         let blocks = collect_blocks(&k);
         let dfg = Dfg::from_stmts(&k, &blocks[0].stmts);
         (k, dfg, spec, eval)

@@ -229,6 +229,32 @@ pub enum MopKind {
     Opaque,
 }
 
+impl MopKind {
+    /// The value operands the operation consumes, in field order.
+    pub fn operands(&self) -> Vec<&Operand> {
+        match self {
+            MopKind::ReadInput { .. }
+            | MopKind::Load { .. }
+            | MopKind::VLoad { .. }
+            | MopKind::Nop
+            | MopKind::Opaque => Vec::new(),
+            MopKind::Store { src, .. }
+            | MopKind::ShiftIn { src, .. }
+            | MopKind::Output { src, .. }
+            | MopKind::Un { src, .. }
+            | MopKind::Requant { src, .. }
+            | MopKind::Copy { src }
+            | MopKind::VStore { src, .. }
+            | MopKind::VUn { src, .. }
+            | MopKind::VRequant { src, .. }
+            | MopKind::Splat { src, .. }
+            | MopKind::Extract { src, .. } => vec![src],
+            MopKind::Bin { a, b, .. } | MopKind::VBin { a, b, .. } => vec![a, b],
+            MopKind::Pack { lanes } => lanes.iter().collect(),
+        }
+    }
+}
+
 /// One machine operation with its dependence predecessors.
 #[derive(Debug, Clone)]
 pub struct Mop {
@@ -1809,7 +1835,7 @@ fn lower_float_block(dfg: &Dfg) -> Vec<Mop> {
 mod tests {
     use super::*;
     use slpwlo_accuracy::AnalyticalEvaluator;
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_targets::xentium;
 
@@ -1831,8 +1857,8 @@ kernel fir8 {
 
     fn lowered(db: f64) -> (MachineProgram, MachineProgram) {
         let k = parse_kernel(FIR8).unwrap();
-        let ranges = determine_ranges(&k, &RangeOptions::default());
-        let eval = AnalyticalEvaluator::with_defaults(&k);
+        let ranges = determine_ranges(&k);
+        let eval = AnalyticalEvaluator::new(&k);
         let target = xentium();
         let res = crate::wlo_slp_sched(
             &k,
@@ -2049,7 +2075,7 @@ mod fig2_tests {
     //! The fig. 2 scaling paths: uniform lane amounts vectorize into one
     //! shift; mismatched amounts pay unpack/shift/repack.
     use super::*;
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_fixedpoint::QFormat;
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::parser::parse_kernel;
@@ -2078,7 +2104,7 @@ kernel f {
 }
 "#;
         let k = parse_kernel(src).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let spec = FixedPointSpec::from_ranges(&k, &r, 32);
         let blocks = collect_blocks(&k);
         let block = blocks.into_iter().next().unwrap();

@@ -38,7 +38,7 @@ pub fn value_wl(spec: &FixedPointSpec, dfg: &Dfg, n: NodeId) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::parser::parse_kernel;
 
@@ -57,7 +57,7 @@ kernel k {
 }
 "#;
         let k = parse_kernel(src).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let spec = slpwlo_fixedpoint::FixedPointSpec::from_ranges(&k, &r, 32);
         let blocks = collect_blocks(&k);
         let dfg = Dfg::from_stmts(&k, &blocks[0].stmts);

@@ -246,7 +246,7 @@ fn shrink(spec: &mut FixedPointSpec, key: SpecKey, delta: i32) {
 mod tests {
     use super::*;
     use slpwlo_accuracy::AnalyticalEvaluator;
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_fixedpoint::QFormat;
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::parser::parse_kernel;
@@ -275,9 +275,9 @@ kernel f {
 
     fn setup() -> (Kernel, Dfg, FixedPointSpec, AnalyticalEvaluator) {
         let k = parse_kernel(SRC).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let spec = FixedPointSpec::from_ranges(&k, &r, 32);
-        let eval = AnalyticalEvaluator::with_defaults(&k);
+        let eval = AnalyticalEvaluator::new(&k);
         let blocks = collect_blocks(&k);
         let dfg = Dfg::from_stmts(&k, &blocks[0].stmts);
         (k, dfg, spec, eval)
@@ -422,7 +422,7 @@ mod consumer_side_tests {
     //! formats (all lanes then shift by the max amount).
     use super::*;
     use slpwlo_accuracy::AnalyticalEvaluator;
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_fixedpoint::QFormat;
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::parser::parse_kernel;
@@ -448,9 +448,9 @@ kernel f {
 }
 "#;
         let k = parse_kernel(src).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let mut spec = FixedPointSpec::from_ranges(&k, &r, 32);
-        let eval = AnalyticalEvaluator::with_defaults(&k);
+        let eval = AnalyticalEvaluator::new(&k);
         let blocks = collect_blocks(&k);
         let dfg = Dfg::from_block(&k, &blocks[0]);
         let loads: Vec<NodeId> = dfg

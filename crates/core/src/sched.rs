@@ -307,31 +307,6 @@ pub fn total_cycles_cached(
 
 // --- loop-carried dependences -------------------------------------------
 
-/// Value operands of an operation (the scheduler's own walk — the
-/// verifier deliberately re-derives this independently).
-fn value_operands(kind: &MopKind) -> Vec<&Operand> {
-    match kind {
-        MopKind::ReadInput { .. }
-        | MopKind::Load { .. }
-        | MopKind::VLoad { .. }
-        | MopKind::Nop
-        | MopKind::Opaque => Vec::new(),
-        MopKind::Store { src, .. }
-        | MopKind::ShiftIn { src, .. }
-        | MopKind::Output { src, .. }
-        | MopKind::Un { src, .. }
-        | MopKind::Requant { src, .. }
-        | MopKind::Copy { src }
-        | MopKind::VStore { src, .. }
-        | MopKind::VUn { src, .. }
-        | MopKind::VRequant { src, .. }
-        | MopKind::Splat { src, .. }
-        | MopKind::Extract { src, .. } => vec![src],
-        MopKind::Bin { a, b, .. } | MopKind::VBin { a, b, .. } => vec![a, b],
-        MopKind::Pack { lanes } => lanes.iter().collect(),
-    }
-}
-
 /// Arrays an operation touches, as `(array index, writes)`. `ShiftIn`
 /// rewrites the whole array; loads/stores touch one element but are
 /// treated whole-array here (the carried-dependence analysis does not
@@ -370,7 +345,9 @@ pub fn loop_carried_deps(block: &MachineBlock) -> Vec<(usize, usize)> {
     for (v, def) in &block.var_defs {
         let Operand::Op(j) = def else { continue };
         for (i, op) in block.ops.iter().enumerate() {
-            let reads = value_operands(&op.kind)
+            let reads = op
+                .kind
+                .operands()
                 .into_iter()
                 .any(|o| matches!(o, Operand::Var(r) if r == v));
             if reads {
@@ -456,9 +433,10 @@ pub fn modulo_bounds_cached(costs: &CycleCache<'_>, block: &MachineBlock) -> Opt
         return None;
     }
     let op_costs: Vec<OpCost> = block.ops.iter().map(|op| costs.cost(op.query)).collect();
+    let carried = loop_carried_deps(block);
     Some((
         res_mii(costs.target(), &op_costs),
-        rec_mii(block, &op_costs),
+        rec_mii(block, &op_costs, &carried),
     ))
 }
 
@@ -487,8 +465,8 @@ fn res_mii(target: &TargetModel, op_costs: &[OpCost]) -> u64 {
     mii.max((total + target.loop_overhead_ops as u64).div_ceil(width))
 }
 
-fn rec_mii(block: &MachineBlock, op_costs: &[OpCost]) -> u64 {
-    let carried = loop_carried_deps(block);
+/// RecMII of `block` given its [`loop_carried_deps`] `carried`.
+fn rec_mii(block: &MachineBlock, op_costs: &[OpCost], carried: &[(usize, usize)]) -> u64 {
     if carried.is_empty() {
         return 1;
     }
@@ -499,7 +477,7 @@ fn rec_mii(block: &MachineBlock, op_costs: &[OpCost]) -> u64 {
             edges.push((p, i, op_costs[p].latency as u64, 0));
         }
     }
-    for &(from, to) in &carried {
+    for &(from, to) in carried {
         edges.push((from, to, op_costs[from].latency as u64, 1));
     }
     let n = block.ops.len();
@@ -630,9 +608,9 @@ struct ModuloSearch<'a, 't> {
     ops: &'a [crate::lower::Mop],
     op_costs: &'a [OpCost],
     /// Distance-1 predecessors with `from < to` (lower-bound the EST).
-    carried_in: Vec<Vec<usize>>,
+    carried_in: &'a [Vec<usize>],
     /// Distance-1 successors with `to ≤ from` (checked after placement).
-    carried_back: Vec<Vec<usize>>,
+    carried_back: &'a [Vec<usize>],
     table: ModuloTable<'t>,
     start: Vec<u64>,
     finish: Vec<u64>,
@@ -757,11 +735,11 @@ pub fn modulo_attempt_cached(
     let overhead = loop_overhead(target);
     let list_total = (list.makespan + overhead) * block.trip;
     let op_costs: Vec<OpCost> = block.ops.iter().map(|op| costs.cost(op.query)).collect();
-    let mii = res_mii(target, &op_costs).max(rec_mii(block, &op_costs));
+    let carried = loop_carried_deps(block);
+    let mii = res_mii(target, &op_costs).max(rec_mii(block, &op_costs, &carried));
     // An II at or past the list schedule's per-iteration cost cannot
     // win: the steady state alone would already match sequential issue.
     let ii_cap = list.makespan + overhead;
-    let carried = loop_carried_deps(block);
     let n = block.ops.len();
     let mut carried_in: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut carried_back: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -785,8 +763,8 @@ pub fn modulo_attempt_cached(
         let mut search = ModuloSearch {
             ops: &block.ops,
             op_costs: &op_costs,
-            carried_in: carried_in.clone(),
-            carried_back: carried_back.clone(),
+            carried_in: &carried_in,
+            carried_back: &carried_back,
             table,
             start: vec![0; n],
             finish: vec![0; n],

@@ -17,30 +17,27 @@ use slpwlo_accuracy::AccuracyEvaluator;
 use slpwlo_fixedpoint::{FixedPointSpec, SpecKey};
 use slpwlo_ir::{ExprNode, Kernel};
 
-/// Options for the Tabu search.
-#[derive(Debug, Clone, Copy)]
-pub struct TabuOptions {
-    /// Maximum search iterations.
-    pub max_iters: usize,
-    /// Tabu tenure: iterations during which a key just moved may not
-    /// move again, in either direction.
-    pub tenure: usize,
-    /// Iterations without improvement before giving up.
-    pub patience: usize,
-    /// Seed for deterministic diversification.
-    pub seed: u64,
-}
+/// Maximum search iterations.
+const MAX_ITERS: usize = 400;
 
-impl Default for TabuOptions {
-    fn default() -> Self {
-        TabuOptions {
-            max_iters: 400,
-            tenure: 8,
-            patience: 60,
-            seed: 0x7AB0,
-        }
-    }
-}
+/// Tabu tenure: iterations during which a key just moved may not move
+/// again, in either direction.
+const TENURE: usize = 8;
+
+/// Iterations without improvement before giving up.
+const PATIENCE: usize = 60;
+
+/// Seed of the neighbourhood shuffle (deterministic diversification).
+const SEED: u64 = 0x7AB0;
+
+/// Field-less stand-in for the Tabu settings, which are now the
+/// constants of this module.
+///
+/// Kept only because the `perfbench` benchmark passes
+/// `TabuOptions::default()` to [`tabu_wlo`] and
+/// [`wlo_first_flow_checked`](crate::flow::wlo_first_flow_checked).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TabuOptions {}
 
 /// The Menard-style optimistic cost of a specification: execution-count
 /// weighted `wl / max_wl` over all operation expressions.
@@ -76,26 +73,19 @@ fn weight_cost(weight: u64, max_wl: i32) -> f64 {
 /// Moves shrink or widen one node's word length one step along the
 /// supported set (e.g. 32 -> 16 -> 8). Each iteration takes the cheapest
 /// feasible move, even an uphill one, among the keys that are not tabu; a
-/// moved key stays tabu for [`TabuOptions::tenure`] iterations, with no
-/// aspiration override. Returns the cost of the best specification
-/// visited, which `spec` is left at.
+/// moved key stays tabu for 8 iterations, with no aspiration override.
+/// The search stops after 400 iterations or 60 without improvement.
+/// Returns the cost of the best specification visited, which `spec` is
+/// left at. The options are ignored.
 pub fn tabu_wlo(
     kernel: &Kernel,
     spec: &mut FixedPointSpec,
     eval: &dyn AccuracyEvaluator,
     constraint_db: f64,
     supported_wls: &[i32],
-    opts: &TabuOptions,
+    _opts: &TabuOptions,
 ) -> f64 {
-    tabu_search(
-        kernel,
-        spec,
-        eval,
-        constraint_db,
-        supported_wls,
-        opts,
-        |_, _| {},
-    )
+    tabu_search(kernel, spec, eval, constraint_db, supported_wls, |_, _| {})
 }
 
 /// [`tabu_wlo`], calling `on_move` with the spec and its maintained cost
@@ -106,7 +96,6 @@ fn tabu_search(
     eval: &dyn AccuracyEvaluator,
     constraint_db: f64,
     supported_wls: &[i32],
-    opts: &TabuOptions,
     mut on_move: impl FnMut(&FixedPointSpec, f64),
 ) -> f64 {
     let execs = expr_executions(kernel);
@@ -123,7 +112,7 @@ fn tabu_search(
     let max_wl = spec.max_wl();
     let mut wls: Vec<i32> = supported_wls.to_vec();
     wls.sort_unstable();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
 
     // Best-so-far bookkeeping works on explicit assignments.
     let snapshot =
@@ -148,9 +137,9 @@ fn tabu_search(
     // incremental evaluator re-walks only that key's noise sources.
     eval.begin(spec);
 
-    for iter in 0..opts.max_iters {
+    for iter in 0..MAX_ITERS {
         // Enumerate neighbour moves: one key one step down or up. A key
-        // moved within the last `tenure` iterations is skipped outright;
+        // moved within the last `TENURE` iterations is skipped outright;
         // there is no aspiration override.
         let mut best_move: Option<(usize, i32, u64, f64)> = None;
         order.clear();
@@ -187,7 +176,7 @@ fn tabu_search(
                 apply_move(spec, eval, keys[ki], wl);
                 cur_weight = weight;
                 on_move(spec, cost);
-                tabu_until[ki] = iter + opts.tenure;
+                tabu_until[ki] = iter + TENURE;
                 if cost < best_cost {
                     best_cost = cost;
                     best_snap = snapshot(spec);
@@ -198,7 +187,7 @@ fn tabu_search(
             }
             None => stall += 1,
         }
-        if stall > opts.patience {
+        if stall > PATIENCE {
             break;
         }
     }
@@ -229,7 +218,7 @@ fn neighbours(wls: &[i32], cur: i32) -> impl Iterator<Item = i32> + '_ {
 mod tests {
     use super::*;
     use slpwlo_accuracy::AnalyticalEvaluator;
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_ir::parser::parse_kernel;
 
     const SRC: &str = r#"
@@ -249,9 +238,9 @@ kernel f {
 
     fn setup() -> (Kernel, FixedPointSpec, AnalyticalEvaluator) {
         let k = parse_kernel(SRC).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let spec = FixedPointSpec::from_ranges(&k, &r, 32);
-        let eval = AnalyticalEvaluator::with_defaults(&k);
+        let eval = AnalyticalEvaluator::new(&k);
         (k, spec, eval)
     }
 
@@ -366,7 +355,6 @@ kernel f {
                     &eval,
                     -40.0,
                     &target.scalar_wls,
-                    &TabuOptions::default(),
                     |spec, cost| {
                         moves += 1;
                         let walk = menard_cost(&prep.kernel, spec, &execs);

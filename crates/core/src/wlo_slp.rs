@@ -150,7 +150,7 @@ pub(crate) fn wlo_slp(
 mod tests {
     use super::*;
     use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator};
-    use slpwlo_fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_targets::{vex, xentium};
 
@@ -172,8 +172,8 @@ kernel fir8 {
 
     fn run(db: f64, target: &slpwlo_targets::TargetModel) -> (WloSlpResult, AnalyticalEvaluator) {
         let k = parse_kernel(FIR8).unwrap();
-        let ranges = determine_ranges(&k, &RangeOptions::default());
-        let eval = AnalyticalEvaluator::with_defaults(&k);
+        let ranges = determine_ranges(&k);
+        let eval = AnalyticalEvaluator::new(&k);
         let res = wlo_slp_sched(
             &k,
             target,

@@ -46,7 +46,8 @@ pub enum Error {
         /// The best (lowest) noise the target can reach (dB).
         floor_db: f64,
     },
-    /// A flow name did not match any registered flow.
+    /// A flow was asked to run a [`FlowKind`](crate::FlowKind) it does
+    /// not implement (raised by custom flows; no built-in flow does).
     UnknownFlow(String),
     /// Writing a generated artifact to disk failed.
     Export {
@@ -83,12 +84,7 @@ impl fmt::Display for Error {
                 "constraint {constraint_db} dB is unsatisfiable for flow `{flow}`: \
                  the target's maximum word length bottoms out at {floor_db:.1} dB"
             ),
-            Error::UnknownFlow(name) => {
-                write!(
-                    f,
-                    "unknown flow `{name}` (built-in flows: wlo-slp, wlo-first, float)"
-                )
-            }
+            Error::UnknownFlow(name) => write!(f, "flow `{name}` is not implemented here"),
             Error::Export { path, source } => {
                 write!(f, "failed to export `{}`: {source}", path.display())
             }

@@ -29,7 +29,8 @@ pub struct FlowContext<'a> {
     /// The output-noise bound in dB; `None` for flows that do not
     /// quantize (the float baseline).
     pub constraint_db: Option<f64>,
-    /// Options for Tabu-search based flows.
+    /// Field-less; kept only because the `perfbench` benchmark passes it
+    /// to [`wlo_first_flow_checked`].
     pub tabu: &'a TabuOptions,
     /// SLP candidate-pricing strategy for flows that extract groups.
     pub benefit: BenefitKind,
@@ -77,7 +78,7 @@ pub struct FlowOutput {
 /// constraints — the driver pre-checks feasibility and expects flows to
 /// return structured errors for anything else.
 pub trait CompilationFlow {
-    /// Stable machine-readable name (also the registry key).
+    /// Stable machine-readable name.
     fn name(&self) -> &'static str;
 
     /// `true` when the flow quantizes and therefore needs a noise
@@ -103,31 +104,13 @@ pub enum FlowKind {
 }
 
 impl FlowKind {
-    /// All built-in flows.
-    pub fn all() -> [FlowKind; 3] {
-        [FlowKind::WloSlp, FlowKind::WloFirst, FlowKind::Float]
-    }
-
-    /// The registry key of this flow.
+    /// The stable machine-readable name of this flow.
     pub fn name(self) -> &'static str {
         match self {
             FlowKind::WloSlp => "wlo-slp",
             FlowKind::WloFirst => "wlo-first",
             FlowKind::Float => "float",
         }
-    }
-
-    /// Looks a built-in flow up by its registry key.
-    pub fn from_name(name: &str) -> Result<FlowKind, Error> {
-        FlowKind::all()
-            .into_iter()
-            .find(|k| k.name() == name)
-            .ok_or_else(|| Error::UnknownFlow(name.to_string()))
-    }
-
-    /// Instantiates the strategy object for this kind.
-    pub fn instantiate(self) -> Box<dyn CompilationFlow + Send + Sync> {
-        Box::new(self)
     }
 }
 
@@ -220,25 +203,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_round_trips() {
-        for kind in FlowKind::all() {
-            assert_eq!(FlowKind::from_name(kind.name()).unwrap(), kind);
-            assert_eq!(kind.instantiate().name(), kind.name());
-        }
-    }
-
-    #[test]
-    fn unknown_flow_is_a_typed_error() {
-        match FlowKind::from_name("superopt") {
-            Err(Error::UnknownFlow(n)) => assert_eq!(n, "superopt"),
-            other => panic!("expected UnknownFlow, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn only_float_skips_the_constraint() {
-        assert!(FlowKind::WloSlp.instantiate().needs_constraint());
-        assert!(FlowKind::WloFirst.instantiate().needs_constraint());
-        assert!(!FlowKind::Float.instantiate().needs_constraint());
+        assert!(FlowKind::WloSlp.needs_constraint());
+        assert!(FlowKind::WloFirst.needs_constraint());
+        assert!(!FlowKind::Float.needs_constraint());
     }
 }

@@ -1,7 +1,7 @@
 //! Unified driver API for the `slpwlo` tool-chain.
 //!
 //! This crate is the public face of the workspace: a builder-pattern
-//! [`Optimizer`] that runs any registered [`CompilationFlow`] — the
+//! [`Optimizer`] that runs any [`CompilationFlow`] — the
 //! paper's joint `WLO-SLP` flow, the `WLO-First` baseline, or the
 //! floating-point original — on a kernel and returns a unified
 //! [`Report`] (fixed-point specification, SIMD and scalar machine

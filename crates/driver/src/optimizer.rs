@@ -42,7 +42,6 @@ pub struct Optimizer {
     target: TargetModel,
     constraint_db: Option<f64>,
     flow: Box<dyn CompilationFlow + Send + Sync>,
-    tabu: TabuOptions,
     benefit: BenefitKind,
     sched: SchedKind,
     verify: VerifyLevel,
@@ -98,8 +97,7 @@ impl Optimizer {
             prep: prepare(kernel),
             target: xentium(),
             constraint_db: None,
-            flow: FlowKind::WloSlp.instantiate(),
-            tabu: TabuOptions::default(),
+            flow: Box::new(FlowKind::WloSlp),
             benefit: BenefitKind::default(),
             sched: SchedKind::default(),
             verify: VerifyLevel::default(),
@@ -125,25 +123,13 @@ impl Optimizer {
 
     /// Selects a built-in flow (default: [`FlowKind::WloSlp`]).
     pub fn flow(mut self, kind: FlowKind) -> Self {
-        self.flow = kind.instantiate();
+        self.flow = Box::new(kind);
         self
-    }
-
-    /// Selects a built-in flow by its registry name (`"wlo-slp"`,
-    /// `"wlo-first"`, `"float"`).
-    pub fn flow_named(self, name: &str) -> Result<Self, Error> {
-        Ok(self.flow(FlowKind::from_name(name)?))
     }
 
     /// Installs a custom [`CompilationFlow`] strategy.
     pub fn custom_flow(mut self, flow: Box<dyn CompilationFlow + Send + Sync>) -> Self {
         self.flow = flow;
-        self
-    }
-
-    /// Sets Tabu-search options for flows that use them.
-    pub fn tabu(mut self, tabu: TabuOptions) -> Self {
-        self.tabu = tabu;
         self
     }
 
@@ -268,7 +254,7 @@ impl Optimizer {
             prep: &self.prep,
             target: &self.target,
             constraint_db,
-            tabu: &self.tabu,
+            tabu: &TabuOptions {},
             benefit: self.benefit,
             sched: self.sched,
             verify: self.verify,

@@ -36,32 +36,29 @@ pub enum RangeMethod {
     },
 }
 
-/// Options controlling [`determine_ranges`].
-#[derive(Debug, Clone, Copy)]
-pub struct RangeOptions {
-    /// Maximum interval sweeps before declaring divergence.
-    pub max_sweeps: usize,
-    /// Magnitude at which interval iteration is declared divergent.
-    pub divergence_bound: f64,
-    /// Activations for the simulation fallback.
-    pub sim_activations: usize,
-    /// RNG seed for the simulation fallback.
-    pub seed: u64,
-    /// Safety margin for simulated ranges (>= 1).
-    pub margin: f64,
-}
+/// Maximum interval sweeps before declaring divergence.
+const MAX_SWEEPS: usize = 512;
 
-impl Default for RangeOptions {
-    fn default() -> Self {
-        RangeOptions {
-            max_sweeps: 512,
-            divergence_bound: 1e9,
-            sim_activations: 4096,
-            seed: 0x5EED_2017,
-            margin: 1.25,
-        }
-    }
-}
+/// Magnitude at which interval iteration is declared divergent; the
+/// simulation fallback clamps its measurements to it.
+pub const DIVERGENCE_BOUND: f64 = 1e9;
+
+/// Activations of the simulation fallback.
+const SIM_ACTIVATIONS: usize = 4096;
+
+/// RNG seed of the simulation fallback.
+const SIM_SEED: u64 = 0x5EED_2017;
+
+/// Safety margin (>= 1) applied to simulated magnitudes.
+pub const SIM_MARGIN: f64 = 1.25;
+
+/// Field-less stand-in for the range settings, which are now the
+/// constants above.
+///
+/// Kept only because the `perfbench` benchmark passes
+/// `RangeOptions::default()` to [`RangeAnalysis::new`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RangeOptions {}
 
 /// Value ranges for every site of a kernel.
 #[derive(Debug, Clone)]
@@ -91,10 +88,10 @@ impl Ranges {
 
 /// Determines value ranges: interval propagation first, simulation
 /// fallback on divergence.
-pub fn determine_ranges(kernel: &Kernel, opts: &RangeOptions) -> Ranges {
-    match interval_ranges(kernel, opts) {
+pub fn determine_ranges(kernel: &Kernel) -> Ranges {
+    match interval_ranges(kernel) {
         Some(r) => r,
-        None => simulate_ranges(kernel, opts),
+        None => simulate_ranges(kernel),
     }
 }
 
@@ -104,21 +101,21 @@ pub fn determine_ranges(kernel: &Kernel, opts: &RangeOptions) -> Ranges {
 type SweepState = (Vec<Option<Interval>>, Vec<Vec<Interval>>, Vec<Interval>);
 
 /// Pure interval propagation; `None` when no fix-point is reached within
-/// `opts.max_sweeps` or magnitudes exceed `opts.divergence_bound`.
-pub fn interval_ranges(kernel: &Kernel, opts: &RangeOptions) -> Option<Ranges> {
+/// 512 sweeps or magnitudes exceed [`DIVERGENCE_BOUND`].
+pub fn interval_ranges(kernel: &Kernel) -> Option<Ranges> {
     let sem = IntervalSem::new(kernel);
     let mut ex = Executor::new(kernel, sem);
     let inputs: Vec<f64> = vec![0.0; kernel.inputs().len()];
     let mut prev: Option<SweepState> = None;
     let mut stable = 0;
-    for _ in 0..opts.max_sweeps {
+    for _ in 0..MAX_SWEEPS {
         let _ = ex.step(&inputs);
         let sem = ex.semantics();
         if sem
             .exprs
             .iter()
             .flatten()
-            .any(|iv| iv.magnitude() > opts.divergence_bound)
+            .any(|iv| iv.magnitude() > DIVERGENCE_BOUND)
         {
             return None;
         }
@@ -159,13 +156,13 @@ pub fn interval_ranges(kernel: &Kernel, opts: &RangeOptions) -> Option<Ranges> {
 }
 
 /// Simulation-based range measurement with safety margin.
-pub fn simulate_ranges(kernel: &Kernel, opts: &RangeOptions) -> Ranges {
+fn simulate_ranges(kernel: &Kernel) -> Ranges {
     let sem = RecordSem::new(kernel);
     let mut ex = Executor::new(kernel, sem);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(SIM_SEED);
     let decls: Vec<(f64, f64)> = kernel.inputs().iter().map(|i| (i.lo, i.hi)).collect();
     let mut sample = vec![0.0; decls.len()];
-    for _ in 0..opts.sim_activations {
+    for _ in 0..SIM_ACTIVATIONS {
         for (s, &(lo, hi)) in sample.iter_mut().zip(&decls) {
             *s = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
         }
@@ -181,10 +178,10 @@ pub fn simulate_ranges(kernel: &Kernel, opts: &RangeOptions) -> Ranges {
             // constraint unsatisfiable — a clean, reportable outcome
             // instead of a panic in spec construction.
             let clamped = Interval::new(
-                iv.lo.clamp(-opts.divergence_bound, opts.divergence_bound),
-                iv.hi.clamp(-opts.divergence_bound, opts.divergence_bound),
+                iv.lo.clamp(-DIVERGENCE_BOUND, DIVERGENCE_BOUND),
+                iv.hi.clamp(-DIVERGENCE_BOUND, DIVERGENCE_BOUND),
             );
-            clamped.inflate(opts.margin).union(Interval::zero())
+            clamped.inflate(SIM_MARGIN).union(Interval::zero())
         })
     };
     Ranges {
@@ -196,8 +193,8 @@ pub fn simulate_ranges(kernel: &Kernel, opts: &RangeOptions) -> Ranges {
             .collect(),
         params: param_ranges(kernel),
         method: RangeMethod::Simulation {
-            activations: opts.sim_activations,
-            margin: opts.margin,
+            activations: SIM_ACTIVATIONS,
+            margin: SIM_MARGIN,
         },
     }
 }
@@ -223,9 +220,9 @@ fn param_ranges(kernel: &Kernel) -> Vec<Interval> {
 pub struct RangeAnalysis(Ranges);
 
 impl RangeAnalysis {
-    /// Runs [`determine_ranges`].
-    pub fn new(kernel: &Kernel, opts: &RangeOptions) -> Self {
-        RangeAnalysis(determine_ranges(kernel, opts))
+    /// Runs [`determine_ranges`]; the options are ignored.
+    pub fn new(kernel: &Kernel, _opts: &RangeOptions) -> Self {
+        RangeAnalysis(determine_ranges(kernel))
     }
 
     /// The ranges.
@@ -473,7 +470,7 @@ kernel iir1 {
     #[test]
     fn fir_converges_with_interval() {
         let k = parse_kernel(FIR4).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         assert_eq!(r.method, RangeMethod::Interval);
         // Output range: sum of 4 taps of 0.25 * [-1,1] = [-1, 1].
         let out_range = r.arrays[0];
@@ -491,7 +488,7 @@ kernel iir1 {
     #[test]
     fn contractive_feedback_converges_with_interval() {
         let k = parse_kernel(IIR1).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         assert_eq!(r.method, RangeMethod::Interval);
         // Steady-state bound of y = 0.5x + 0.9 y is |y| <= 0.5/(1-0.9) = 5.
         let ymax = r.arrays[0].magnitude();
@@ -504,7 +501,7 @@ kernel iir1 {
     #[test]
     fn resonant_feedback_falls_back_to_simulation() {
         let k = parse_kernel(IIR2).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         assert!(matches!(r.method, RangeMethod::Simulation { .. }));
         // The filter is stable: simulated ranges must be finite and above
         // the input range (resonance gain > 1 for 0.1/(1 - 1.6 + 0.8) = 0.5
@@ -518,15 +515,15 @@ kernel iir1 {
     #[test]
     fn simulation_is_deterministic() {
         let k = parse_kernel(IIR2).unwrap();
-        let a = simulate_ranges(&k, &RangeOptions::default());
-        let b = simulate_ranges(&k, &RangeOptions::default());
+        let a = simulate_ranges(&k);
+        let b = simulate_ranges(&k);
         assert_eq!(a.arrays[0], b.arrays[0]);
     }
 
     #[test]
     fn param_ranges_cover_table() {
         let k = parse_kernel(FIR4).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         assert!(r.params[0].encloses(Interval::new(0.0, 0.25)));
     }
 
@@ -537,7 +534,7 @@ kernel iir1 {
             "kernel k { input x range [-1,1]; output y; var a; for i in 0..4 unroll 2 { a = x; } y = a; }",
         );
         let k = k.unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         assert!(
             r.exprs.iter().any(|e| e.is_none()),
             "expected dead arena nodes"

@@ -191,12 +191,12 @@ impl FixedPointSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::range::{determine_ranges, RangeOptions};
+    use crate::range::determine_ranges;
     use slpwlo_ir::parser::parse_kernel;
 
     fn spec_for(src: &str) -> (Kernel, FixedPointSpec) {
         let k = parse_kernel(src).unwrap();
-        let r = determine_ranges(&k, &RangeOptions::default());
+        let r = determine_ranges(&k);
         let s = FixedPointSpec::from_ranges(&k, &r, 32);
         (k, s)
     }

@@ -743,6 +743,90 @@ kernel fir8 {
         (res.simd, res.scalar)
     }
 
+    /// The checker's operand walk and the compiler's
+    /// [`MopKind::operands`] are kept apart on purpose; they must still
+    /// agree on every variant, operand order included.
+    #[test]
+    fn operand_walk_matches_the_compilers() {
+        use slpwlo_ir::types::{ArrayId, BinOp, IndexExpr, InputId, VarId};
+        let (to, op) = (QFormat::new(2, 14), BinOp::Sub);
+        let loc = Loc::Array(ArrayId(0), IndexExpr::constant(0));
+        let locs = vec![loc.clone(); 2];
+        let (a, b) = (Operand::Op(0), Operand::Var(VarId(1)));
+        let src = || a.clone();
+        let kinds = [
+            MopKind::ReadInput {
+                input: InputId(0),
+                to,
+            },
+            MopKind::Load { loc: loc.clone() },
+            MopKind::Store {
+                loc,
+                src: src(),
+                to,
+            },
+            MopKind::ShiftIn {
+                array: ArrayId(0),
+                src: src(),
+                to,
+            },
+            MopKind::Output {
+                index: 0,
+                src: src(),
+            },
+            MopKind::Bin {
+                op,
+                a: a.clone(),
+                b: b.clone(),
+                to: Some(to),
+            },
+            MopKind::Un { src: src(), to },
+            MopKind::Requant { src: src(), to },
+            MopKind::Copy { src: src() },
+            MopKind::Nop,
+            MopKind::VLoad { locs: locs.clone() },
+            MopKind::VStore {
+                locs,
+                src: src(),
+                to,
+            },
+            MopKind::VBin {
+                op,
+                a: b.clone(),
+                b: a.clone(),
+                to: None,
+            },
+            MopKind::VUn {
+                src: src(),
+                to: vec![to; 2],
+            },
+            MopKind::VRequant {
+                src: src(),
+                to: vec![to; 2],
+                negate: true,
+            },
+            MopKind::Pack {
+                lanes: vec![b.clone(), src(), Operand::Op(2)],
+            },
+            MopKind::Splat {
+                src: b.clone(),
+                lanes: 2,
+            },
+            MopKind::Extract {
+                src: src(),
+                lane: 1,
+                negate: false,
+                to: None,
+            },
+            MopKind::Opaque,
+        ];
+        let variants: HashSet<_> = kinds.iter().map(std::mem::discriminant).collect();
+        assert_eq!(variants.len(), 19, "one op of every variant");
+        for kind in &kinds {
+            assert_eq!(kind_operands(kind), kind.operands(), "{kind:?}");
+        }
+    }
+
     #[test]
     fn accepts_flow_lowerings() {
         for target in [xentium(), st240()] {

@@ -22,7 +22,7 @@
 //!   bound, which is a modelling choice, not an invariant break.
 
 use crate::{Invariant, Pass, VerifyError};
-use slpwlo_fixedpoint::range::{interval_ranges, RangeMethod, RangeOptions, Ranges};
+use slpwlo_fixedpoint::range::{interval_ranges, RangeMethod, Ranges};
 use slpwlo_fixedpoint::spec::SpecKey;
 use slpwlo_fixedpoint::{FixedPointSpec, Interval, QFormat};
 use slpwlo_ir::Kernel;
@@ -102,7 +102,7 @@ fn verify_range_enclosure(kernel: &Kernel, ranges: &Ranges) -> Result<(), Verify
         // static fixpoint to compare against.
         return Ok(());
     }
-    let Some(derived) = interval_ranges(kernel, &RangeOptions::default()) else {
+    let Some(derived) = interval_ranges(kernel) else {
         return Err(err(
             kernel,
             Invariant::RangeDrift,
@@ -168,7 +168,7 @@ kernel f {
     #[test]
     fn accepts_freshly_derived_specs_at_every_wl() {
         let k = fir();
-        let ranges = determine_ranges(&k, &RangeOptions::default());
+        let ranges = determine_ranges(&k);
         for wl in [8, 12, 16, 24, 32] {
             let spec = FixedPointSpec::from_ranges(&k, &ranges, wl);
             verify_spec(&k, &ranges, &spec, true).unwrap();
@@ -178,7 +178,7 @@ kernel f {
     #[test]
     fn kills_a_shrunk_iwl() {
         let k = fir();
-        let ranges = determine_ranges(&k, &RangeOptions::default());
+        let ranges = determine_ranges(&k);
         let mut spec = FixedPointSpec::from_ranges(&k, &ranges, 16);
         let key = spec
             .optimizable_keys(&k)
@@ -198,7 +198,7 @@ kernel f {
     #[test]
     fn kills_a_zero_word_length() {
         let k = fir();
-        let ranges = determine_ranges(&k, &RangeOptions::default());
+        let ranges = determine_ranges(&k);
         let mut spec = FixedPointSpec::from_ranges(&k, &ranges, 16);
         let key = spec.optimizable_keys(&k)[0];
         let fmt = spec.format(key);

@@ -69,13 +69,13 @@ fn wlo_first_specs_validate_bit_accurately() -> Result<(), Error> {
 #[test]
 fn model_tracks_simulation_across_wl() {
     use slpwlo::accuracy::AccuracyEvaluator;
-    use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
+    use slpwlo::fixedpoint::range::determine_ranges;
     use slpwlo::fixedpoint::FixedPointSpec;
     // Uniform word lengths on FIR-64: predicted vs measured within the
     // margin at each width.
     let bench = &paper_benchmarks()[0];
-    let ranges = determine_ranges(&bench.kernel, &RangeOptions::default());
-    let eval = slpwlo::accuracy::AnalyticalEvaluator::with_defaults(&bench.kernel);
+    let ranges = determine_ranges(&bench.kernel);
+    let eval = slpwlo::accuracy::AnalyticalEvaluator::new(&bench.kernel);
     let workload = Workload::white(1, 4096, 0x11);
     for wl in [12, 16, 24] {
         let spec = FixedPointSpec::from_ranges(&bench.kernel, &ranges, wl);

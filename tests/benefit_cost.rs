@@ -14,7 +14,7 @@
 
 use slpwlo::core::nodes::value_wl;
 use slpwlo::core::{cycles_per_activation_cached, extract_on_spec, lower_fixed, lower_scalar};
-use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
+use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::Dfg;
@@ -29,7 +29,7 @@ fn cycles_model_never_loses_to_scalar_on_vex1() {
     let target = vex(1);
     let costs = CycleCache::new(&target);
     for bench in all_benchmarks() {
-        let ranges = determine_ranges(&bench.kernel, &RangeOptions::default());
+        let ranges = determine_ranges(&bench.kernel);
         for wl in [12, 16, 24, 32] {
             let spec = FixedPointSpec::from_ranges(&bench.kernel, &ranges, wl);
             let blocks = extract_on_spec(
@@ -111,7 +111,7 @@ fn slots_and_cycles_agree_on_a_unit_cost_machine() {
     let target = unit_cost_target();
     let mut agreeing = 0usize;
     for bench in all_benchmarks() {
-        let ranges = determine_ranges(&bench.kernel, &RangeOptions::default());
+        let ranges = determine_ranges(&bench.kernel);
         let spec = FixedPointSpec::from_ranges(&bench.kernel, &ranges, 16);
         let mut per_kind = Vec::new();
         for kind in [BenefitKind::Slots, BenefitKind::Cycles] {

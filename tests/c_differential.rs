@@ -16,7 +16,7 @@ use common::{assert_bit_identical, cc_available, compile_and_run, simd_program};
 use slpwlo::accuracy::simulate::simulate_fixed;
 use slpwlo::codegen::{emit_fixed_c, emit_intrinsics_header, emit_simd_c};
 use slpwlo::core::{lower_scalar, prepare, wlo_slp_flow_checked, BenefitKind, MachineProgram};
-use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
+use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::{FixedPointSpec, QFormat, SpecKey};
 use slpwlo::ir::parser::parse_kernel;
 use slpwlo::ir::{ExprNode, Kernel};
@@ -71,7 +71,7 @@ fn compiled_c_matches_simulation_on_uniform_specs() {
     ];
     let target = xentium();
     for (kernel, workload) in &benches {
-        let ranges = determine_ranges(kernel, &RangeOptions::default());
+        let ranges = determine_ranges(kernel);
         for wl in [12, 16, 24, 32] {
             let spec = FixedPointSpec::from_ranges(kernel, &ranges, wl);
             let scalar = lower_scalar(kernel, &spec, &target);
@@ -143,7 +143,7 @@ kernel negshift {
 }
 "#;
     let kernel = parse_kernel(src).unwrap();
-    let ranges = determine_ranges(&kernel, &RangeOptions::default());
+    let ranges = determine_ranges(&kernel);
     let mut spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
     // Make the multiply coarse and the addition fine: the add's operand
     // alignment becomes a left shift, applied to negative products.
@@ -208,7 +208,7 @@ fn out_of_range_indices_wrap_like_the_reference() {
     b.set_output(y, r);
     let kernel = b.finish();
 
-    let ranges = determine_ranges(&kernel, &RangeOptions::default());
+    let ranges = determine_ranges(&kernel);
     let spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
     let scalar = lower_scalar(&kernel, &spec, &xentium());
     let c = emit_fixed_c(&scalar).expect("emits");

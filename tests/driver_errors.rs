@@ -165,15 +165,6 @@ fn invalid_builder_configuration_is_typed() -> Result<(), Error> {
         "{err}"
     );
 
-    // Unknown flow names.
-    let err = Optimizer::for_source(GOOD)?
-        .flow_named("hyperopt")
-        .unwrap_err();
-    match err {
-        Error::UnknownFlow(name) => assert_eq!(name, "hyperopt"),
-        other => panic!("expected UnknownFlow, got {other:?}"),
-    }
-
     // Sweeping the float flow (which ignores constraints) is refused.
     let err = Optimizer::for_source(GOOD)?
         .flow(FlowKind::Float)

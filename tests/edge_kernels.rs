@@ -10,7 +10,7 @@ use common::simd_program;
 use slpwlo::accuracy::simulate::simulate_fixed;
 use slpwlo::codegen::{emit_fixed_c, emit_simd_c};
 use slpwlo::core::lower_scalar;
-use slpwlo::fixedpoint::range::{determine_ranges, RangeMethod, RangeOptions};
+use slpwlo::fixedpoint::range::{determine_ranges, RangeMethod, DIVERGENCE_BOUND, SIM_MARGIN};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::builder::KernelBuilder;
 use slpwlo::ir::types::IndexExpr;
@@ -23,7 +23,7 @@ use slpwlo::targets::{vex, xentium, TargetModel};
 /// bitwise, and both C backends emit successfully.
 fn assert_whole_chain(kernel: &Kernel, wl: i32) {
     let workload = Workload::white(kernel.inputs().len(), 48, 0xED6E ^ wl as u64);
-    let ranges = determine_ranges(kernel, &RangeOptions::default());
+    let ranges = determine_ranges(kernel);
     let spec = FixedPointSpec::from_ranges(kernel, &ranges, wl);
     let reference = simulate_fixed(kernel, &spec, &workload.inputs);
     for target in [xentium(), vex(4)] {
@@ -233,7 +233,7 @@ fn delay_line_propagation_ranges_are_sound() {
     let s = b.add(r, xv);
     b.set_output(y, s);
     let k = b.finish();
-    let ranges = determine_ranges(&k, &RangeOptions::default());
+    let ranges = determine_ranges(&k);
     assert_eq!(ranges.method, RangeMethod::Interval);
     // The load's range must cover the stored constant once the line has
     // filled (four activations in).
@@ -368,8 +368,7 @@ kernel gk224 {
 }
 "#;
     let k = slpwlo::ir::parser::parse_kernel(src).unwrap();
-    let opts = RangeOptions::default();
-    let ranges = determine_ranges(&k, &opts);
+    let ranges = determine_ranges(&k);
     assert!(
         matches!(ranges.method, RangeMethod::Simulation { .. }),
         "divergent feedback must fall back to simulated ranges"
@@ -380,7 +379,7 @@ kernel gk224 {
             "clamped measurement must be finite, got {iv:?}"
         );
         assert!(
-            iv.magnitude() <= opts.divergence_bound * opts.margin.max(1.0),
+            iv.magnitude() <= DIVERGENCE_BOUND * SIM_MARGIN,
             "clamp must bound the measurement: {iv:?}"
         );
     }
@@ -406,8 +405,7 @@ kernel gknan {
 }
 "#;
     let k = slpwlo::ir::parser::parse_kernel(src).unwrap();
-    let opts = RangeOptions::default();
-    let ranges = determine_ranges(&k, &opts);
+    let ranges = determine_ranges(&k);
     for iv in ranges.exprs.iter().flatten().chain(&ranges.arrays) {
         assert!(
             iv.lo.is_finite() && iv.hi.is_finite(),
@@ -437,7 +435,7 @@ fn benchmark_range_methods() {
     let expected_names: Vec<_> = expected.iter().map(|&(n, _)| n).collect();
     assert_eq!(names, expected_names, "every benchmark has an expectation");
     for (bench, (_, interval)) in benches.iter().zip(expected) {
-        let method = determine_ranges(&bench.kernel, &RangeOptions::default()).method;
+        let method = determine_ranges(&bench.kernel).method;
         if interval {
             assert_eq!(method, RangeMethod::Interval, "{}", bench.name);
         } else {

@@ -15,7 +15,7 @@ use slpwlo::accuracy::simulate::simulate_fixed;
 use slpwlo::core::{lower_scalar, prepare, wlo_first_flow_checked};
 use slpwlo::core::{wlo_slp_flow_checked, BenefitKind, PassArtifact};
 use slpwlo::core::{SchedKind, TabuOptions};
-use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
+use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::Kernel;
 use slpwlo::kernels::{conv3x3, fir64, iir10, Workload};
@@ -48,7 +48,7 @@ fn assert_bit_identical(label: &str, reference: &[Vec<f64>], got: &[Vec<f64>]) {
 #[test]
 fn interpreter_matches_simulate_fixed_on_uniform_specs() {
     for (kernel, workload) in benchmarks() {
-        let ranges = determine_ranges(&kernel, &RangeOptions::default());
+        let ranges = determine_ranges(&kernel);
         for wl in [12, 16, 24, 32] {
             let spec = FixedPointSpec::from_ranges(&kernel, &ranges, wl);
             let reference = simulate_fixed(&kernel, &spec, &workload.inputs);
@@ -113,7 +113,7 @@ fn simd_and_scalar_programs_agree_with_each_other() {
     // Vectorization must be semantics-preserving: both lowerings of the
     // same spec produce identical streams.
     let (kernel, workload) = benchmarks().remove(0);
-    let ranges = determine_ranges(&kernel, &RangeOptions::default());
+    let ranges = determine_ranges(&kernel);
     let spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
     let target = xentium();
     let scalar = execute_fixed(&lower_scalar(&kernel, &spec, &target), &workload.inputs).unwrap();

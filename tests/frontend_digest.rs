@@ -22,7 +22,6 @@
 
 use slpwlo::accuracy::gains::measure_gains;
 use slpwlo::accuracy::GainOptions;
-use slpwlo::fixedpoint::range::RangeOptions;
 use slpwlo::fixedpoint::{determine_ranges, Interval, RangeMethod};
 use slpwlo::gen::KernelGen;
 use slpwlo::ir::Kernel;
@@ -50,7 +49,7 @@ impl Fnv {
 }
 
 fn ranges_digest(kernel: &Kernel) -> u64 {
-    let r = determine_ranges(kernel, &RangeOptions::default());
+    let r = determine_ranges(kernel);
     let mut h = Fnv::new();
     match r.method {
         RangeMethod::Interval => h.u64(0),

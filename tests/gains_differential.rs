@@ -24,7 +24,6 @@ fn opts(threads: usize) -> GainOptions {
         max_activations: 256,
         param_activations: 128,
         threads,
-        ..GainOptions::default()
     }
 }
 

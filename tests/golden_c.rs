@@ -18,7 +18,7 @@ use slpwlo::codegen::{emit_fixed_c, emit_simd_c};
 use slpwlo::core::{
     lower_scalar, prepare, wlo_slp_flow_checked, BenefitKind, FlowResult, Prepared,
 };
-use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
+use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::parser::parse_kernel;
 use slpwlo::kernels::dot_product256;
@@ -96,7 +96,7 @@ fn fir8_simd_c_matches_golden() {
 /// exercise the loop/table emission paths instead).
 fn dot256_setup() -> (slpwlo::ir::Kernel, FixedPointSpec) {
     let kernel = dot_product256();
-    let ranges = determine_ranges(&kernel, &RangeOptions::default());
+    let ranges = determine_ranges(&kernel);
     let spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
     (kernel, spec)
 }

@@ -37,7 +37,7 @@ fn random_walk(
     steps: usize,
     seed: u64,
 ) {
-    let ranges = slpwlo::fixedpoint::range::determine_ranges(kernel, &Default::default());
+    let ranges = slpwlo::fixedpoint::range::determine_ranges(kernel);
     let mut spec = FixedPointSpec::from_ranges(kernel, &ranges, 32);
     let keys = spec.optimizable_keys(kernel);
     let inc = IncrementalEvaluator::with_spec(eval, &spec);
@@ -119,7 +119,7 @@ fn incremental_matches_full_after_deep_nested_rollbacks() {
     // open several journal levels, trial at the innermost, unwind.
     let bench = paper_benchmarks().remove(0);
     let prep = prepare(bench.kernel);
-    let ranges = slpwlo::fixedpoint::range::determine_ranges(&prep.kernel, &Default::default());
+    let ranges = slpwlo::fixedpoint::range::determine_ranges(&prep.kernel);
     let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &ranges, 32);
     let keys = spec.optimizable_keys(&prep.kernel);
     let inc = IncrementalEvaluator::with_spec(&prep.eval, &spec);

@@ -45,7 +45,7 @@ use slpwlo::accuracy::simulate::simulate_fixed;
 use slpwlo::accuracy::{AccuracyEvaluator, AnalyticalEvaluator, IncrementalEvaluator};
 use slpwlo::codegen::{emit_fixed_c, emit_intrinsics_header, emit_simd_c};
 use slpwlo::core::{lower_scalar, MachineProgram};
-use slpwlo::fixedpoint::range::{determine_ranges, RangeMethod, RangeOptions, Ranges};
+use slpwlo::fixedpoint::range::{determine_ranges, RangeMethod, Ranges};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::gen::{shrink, KernelGen, Plan};
 use slpwlo::ir::interp::{ExecCtx, Executor, Semantics};
@@ -212,7 +212,7 @@ fn check_incremental_agreement(
     seed: u64,
     steps: usize,
 ) -> Result<(), String> {
-    let eval = AnalyticalEvaluator::with_defaults(kernel);
+    let eval = AnalyticalEvaluator::new(kernel);
     let mut spec = FixedPointSpec::from_ranges(kernel, ranges, 32);
     let keys = spec.optimizable_keys(kernel);
     if keys.is_empty() {
@@ -374,7 +374,7 @@ fn check_kernel(kernel: &Kernel, seed: u64, cc: CcStage, tag: &str) -> Result<()
     verify_kernel(kernel).map_err(|e| format!("kernel verification failed: {e}"))?;
     check_round_trip(kernel)?;
     let workload = Workload::white(kernel.inputs().len(), FUZZ_ACTIVATIONS, seed ^ 0xF00D);
-    let ranges = determine_ranges(kernel, &RangeOptions::default());
+    let ranges = determine_ranges(kernel);
     check_range_soundness(kernel, &ranges, &workload)?;
     check_incremental_agreement(kernel, &ranges, seed, 30)?;
     check_exec_differential(kernel, &ranges, &workload, cc, tag)
@@ -508,7 +508,7 @@ fn fuzz_benchmark_kernels() {
         let result = catching(|| {
             verify_kernel(&kernel).map_err(|e| format!("kernel verification failed: {e}"))?;
             check_round_trip(&kernel)?;
-            let ranges = determine_ranges(&kernel, &RangeOptions::default());
+            let ranges = determine_ranges(&kernel);
             check_range_soundness(&kernel, &ranges, &workload)?;
             check_incremental_agreement(&kernel, &ranges, seed, 20)?;
             check_exec_differential(&kernel, &ranges, &workload, cc, bench.name)

@@ -5,7 +5,7 @@
 //! deterministic parameter grids instead — every case that runs in CI is
 //! reproducible by construction.
 
-use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
+use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::builder::KernelBuilder;
 use slpwlo::ir::interp::{Executor, FloatSem};
@@ -97,7 +97,7 @@ fn fixed_error_bounded_by_format_budget() {
             .map(|i| (((i as u64 * 97 + seed) % 1000) as f64 / 1000.0) / taps as f64)
             .collect();
         let (k, _) = random_fir(taps, coeffs);
-        let ranges = determine_ranges(&k, &RangeOptions::default());
+        let ranges = determine_ranges(&k);
         let spec = FixedPointSpec::from_ranges(&k, &ranges, wl);
         let xs: Vec<f64> = (0..64)
             .map(|i| ((i as u64 * 7919 + seed) % 2001) as f64 / 1000.0 - 1.0)

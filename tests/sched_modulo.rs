@@ -26,7 +26,7 @@ use slpwlo::core::{
     loop_carried_deps, lower_scalar, modulo_bounds_cached, schedule_block_cached, MachineProgram,
     SchedKind,
 };
-use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
+use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::gen::KernelGen;
 use slpwlo::ir::Kernel;
@@ -50,7 +50,7 @@ fn corpus() -> Vec<u64> {
 
 /// Both lowerings of one kernel at one word length.
 fn lowerings(kernel: &Kernel, wl: i32, target: &TargetModel) -> [MachineProgram; 2] {
-    let ranges = determine_ranges(kernel, &RangeOptions::default());
+    let ranges = determine_ranges(kernel);
     let spec = FixedPointSpec::from_ranges(kernel, &ranges, wl);
     [
         simd_program(kernel, &spec, target),
@@ -166,7 +166,7 @@ kernel lastval {
 "#,
     )
     .expect("dependence-free kernel parses");
-    let ranges = determine_ranges(&kernel, &RangeOptions::default());
+    let ranges = determine_ranges(&kernel);
     let spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
     let mut pipelined = 0usize;
     for target in [xentium(), vex(4), vex(1)] {

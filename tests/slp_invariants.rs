@@ -25,7 +25,7 @@ mod common;
 
 use common::plain_ctx;
 use slpwlo::core::{extract_on_spec, lower_fixed, lower_scalar, total_cycles_cached, PassCtx};
-use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
+use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::gen::KernelGen;
 use slpwlo::ir::blocks::collect_blocks;
@@ -40,7 +40,7 @@ const SEEDS: u64 = 48;
 fn selected_packs_respect_structural_invariants() {
     for seed in 0..SEEDS {
         let kernel = KernelGen::with_seed(seed).gen();
-        let ranges = determine_ranges(&kernel, &RangeOptions::default());
+        let ranges = determine_ranges(&kernel);
         for target in [xentium(), vex(4)] {
             for wl in [8, 16] {
                 let spec = FixedPointSpec::from_ranges(&kernel, &ranges, wl);
@@ -124,7 +124,7 @@ fn vectorization_benefit_holds_against_the_scalar_baseline() {
     let mut total_scalar = 0u64;
     for seed in 0..SEEDS {
         let kernel = KernelGen::with_seed(seed).gen();
-        let ranges = determine_ranges(&kernel, &RangeOptions::default());
+        let ranges = determine_ranges(&kernel);
         for target in [xentium(), vex(4)] {
             let spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
             let blocks = extract_on_spec(&kernel, &spec, &mut plain_ctx(&target));

@@ -21,7 +21,7 @@ use common::plain_ctx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slpwlo::core::{extract_on_spec, lower_scalar, MachineProgram, MopKind};
-use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
+use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::{FixedPointSpec, QFormat};
 use slpwlo::ir::builder::KernelBuilder;
 use slpwlo::ir::{Dfg, NodeId};
@@ -103,7 +103,7 @@ fn benchmark_kernels_are_clean() {
 #[test]
 fn spec_mutations_kill_the_spec_checker() {
     for (bi, bench) in all_benchmarks().into_iter().enumerate() {
-        let ranges = determine_ranges(&bench.kernel, &RangeOptions::default());
+        let ranges = determine_ranges(&bench.kernel);
         let spec = FixedPointSpec::from_ranges(&bench.kernel, &ranges, WL);
         verify_spec(&bench.kernel, &ranges, &spec, true)
             .unwrap_or_else(|e| panic!("{}: clean spec rejected: {e}", bench.name));
@@ -144,7 +144,7 @@ fn block_groupings(
     bench: &slpwlo::kernels::Benchmark,
     target: &TargetModel,
 ) -> Vec<(Dfg, Vec<SimdGroup>)> {
-    let ranges = determine_ranges(&bench.kernel, &RangeOptions::default());
+    let ranges = determine_ranges(&bench.kernel);
     let spec = FixedPointSpec::from_ranges(&bench.kernel, &ranges, WL);
     extract_on_spec(&bench.kernel, &spec, &mut plain_ctx(target))
         .into_iter()
@@ -320,7 +320,7 @@ fn lowerings(
     bench: &slpwlo::kernels::Benchmark,
     target: &TargetModel,
 ) -> (MachineProgram, MachineProgram) {
-    let ranges = determine_ranges(&bench.kernel, &RangeOptions::default());
+    let ranges = determine_ranges(&bench.kernel);
     let spec = FixedPointSpec::from_ranges(&bench.kernel, &ranges, WL);
     let simd = common::simd_program(&bench.kernel, &spec, target);
     let scalar = lower_scalar(&bench.kernel, &spec, target);
