@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the individual algorithm stages: accuracy
 //! evaluation (`EVALACC`), noise-gain analysis, the whole front end
 //! (ranges + gains), SLP candidate rounds,
-//! Tabu WLO, the joint WLO-SLP search (greedy, and exact with modulo
-//! scheduling) and the VLIW list scheduler.
+//! Tabu WLO, the joint WLO-SLP search (greedy on CFIR and BIQUAD, and
+//! exact with modulo scheduling on CFIR) and the VLIW list scheduler.
 //!
 //! Run with: `cargo bench -p slpwlo-bench --bench algorithms`
 
@@ -15,7 +15,7 @@ use slpwlo_driver::Optimizer;
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
-use slpwlo_kernels::{complex_fir32, conv3x3, fir64, iir10, matvec16x16};
+use slpwlo_kernels::{biquad_cascade4, complex_fir32, conv3x3, fir64, iir10, matvec16x16};
 use slpwlo_slp::{extract_plain_with, BenefitKind, PassCtx, Round};
 use slpwlo_targets::{st240, xentium, CycleCache, SchedKind};
 
@@ -82,6 +82,20 @@ fn main() {
             &IncrementalEvaluator::new(&cfir.eval),
             -40.0,
             &cfir.ranges,
+            BenefitKind::default(),
+            SchedKind::List,
+        )
+    });
+    // BIQUAD's joint search, the other Fig. 4 point that asks over ten
+    // thousand pairwise accuracy-conflict questions per run.
+    let biquad = prepare(biquad_cascade4());
+    m.bench("wlo_slp_biquad", || {
+        wlo_slp_sched(
+            &biquad.kernel,
+            &target,
+            &IncrementalEvaluator::new(&biquad.eval),
+            -40.0,
+            &biquad.ranges,
             BenefitKind::default(),
             SchedKind::List,
         )

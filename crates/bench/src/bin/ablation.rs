@@ -57,10 +57,13 @@ use slpwlo_targets::{all_targets, st240, vex, xentium, CycleCache, TargetModel};
 struct NoConflictHooks<'a>(AccuracyHooks<'a>);
 
 impl SelectHooks for NoConflictHooks<'_> {
-    fn validate(&mut self, view: &CandidateView) -> bool {
-        self.0.validate(view)
+    fn begin_screen(&mut self, views: &[CandidateView]) {
+        self.0.begin_screen(views);
     }
-    fn accuracy_conflict(&mut self, _a: &CandidateView, _b: &CandidateView) -> bool {
+    fn validate(&mut self, idx: usize, view: &CandidateView) -> bool {
+        self.0.validate(idx, view)
+    }
+    fn accuracy_conflict(&mut self, _i: usize, _j: usize) -> bool {
         false
     }
     fn on_select(&mut self, view: &CandidateView) -> bool {
@@ -550,10 +553,12 @@ mod tests {
                     && inner.current_fwl(n) == outer.current_fwl(n)
             })
         };
-        for a in &views {
-            assert_eq!(inner.validate(a), outer.validate(a));
-            for b in &views {
-                assert!(!outer.accuracy_conflict(a, b));
+        inner.begin_screen(&views);
+        outer.begin_screen(&views);
+        for (i, v) in views.iter().enumerate() {
+            assert_eq!(inner.validate(i, v), outer.validate(i, v));
+            for j in (i + 1)..views.len() {
+                assert!(!outer.accuracy_conflict(i, j));
             }
         }
         let wls = |hooks: &NoConflictHooks| -> Vec<_> {

@@ -81,7 +81,7 @@ pub fn extract_on_spec(
         dfg: &'a Dfg,
     }
     impl SelectHooks for FrozenSpecHooks<'_> {
-        fn validate(&mut self, view: &CandidateView) -> bool {
+        fn validate(&mut self, _idx: usize, view: &CandidateView) -> bool {
             view.fits_frozen_wls(self.target, |e| value_wl(self.spec, self.dfg, e))
         }
         fn current_wl(&self, node: NodeId) -> Option<i32> {

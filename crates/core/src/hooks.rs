@@ -15,22 +15,33 @@
 //!   pairwise conflicts cannot rule this out), the selection is vetoed and
 //!   rolled back.
 //!
-//! Validation and conflict answers are memoized in a `TrialMemo`: many
-//! candidates and candidate pairs shrink exactly the same keys to the same
-//! word lengths, and rounds re-ask the same questions while the spec has
-//! not moved.
+//! Validation and conflict questions are screening: the spec does not
+//! move between a round's `begin_screen` and its first selection. So
+//! `begin_screen` derives each candidate's `SETMAXWL` write set once, as
+//! the sorted list of `(key, wl)` codes it would leave against the
+//! round-entry spec, and a pair's write set is the key-wise merge of its
+//! two lists (where both write a key, the narrower word length wins:
+//! `SETMAXWL` only narrows). Answers are memoized in a `TrialMemo` keyed
+//! by those write sets — many candidates and candidate pairs shrink
+//! exactly the same keys to the same word lengths, and rounds re-ask the
+//! same questions while the spec has not moved — so a memo hit touches
+//! neither the spec nor its journal. Only a miss decodes the write set
+//! into spec writes for one evaluator trial, then rolls them back.
 
 use crate::nodes::{node_key, value_format, value_wl};
 use slpwlo_accuracy::AccuracyEvaluator;
 use slpwlo_fixedpoint::{FixedPointSpec, SpecKey};
 use slpwlo_ir::dfg::{Dfg, NodeId, NodeKind};
-use slpwlo_slp::{resolved_operands, CandidateView, SelectHooks, SimdGroup};
+use slpwlo_ir::types::{ArrayId, ExprId, ParamId};
+use slpwlo_slp::{resolve_producer, CandidateView, SelectHooks, SimdGroup};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Answers of accuracy trials against one committed specification, keyed
 /// by the trial's write set: the written keys with their final word
-/// lengths, sorted and deduplicated.
+/// lengths as [`write_code`]s, sorted, one per key.
 ///
 /// `SETMAXWL` only ever narrows a key while preserving its integer word
 /// length, and output noise depends on nothing but the formats, so two
@@ -40,9 +51,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Debug, Default)]
 pub(crate) struct TrialMemo {
     answers: HashMap<Box<[u64]>, bool, BuildHasherDefault<WordHasher>>,
-    /// The write set of the trial being looked up, one
-    /// [`write_code`] per written key.
-    writes: Vec<u64>,
 }
 
 impl TrialMemo {
@@ -51,38 +59,83 @@ impl TrialMemo {
         self.answers.clear();
     }
 
-    /// Loads the write set of the trial open since `mark`.
-    fn load(&mut self, spec: &FixedPointSpec, mark: usize) {
-        self.writes.clear();
-        self.writes.extend(
-            spec.changed_since(mark)
-                .map(|key| write_code(key, spec.wl(key))),
-        );
-        self.writes.sort_unstable();
-        self.writes.dedup();
+    fn get(&self, writes: &[u64]) -> Option<bool> {
+        self.answers.get(writes).copied()
     }
 
-    fn get(&self) -> Option<bool> {
-        self.answers.get(&self.writes[..]).copied()
-    }
-
-    fn insert(&mut self, meets: bool) {
-        self.answers.insert(self.writes.as_slice().into(), meets);
+    fn insert(&mut self, writes: &[u64], meets: bool) {
+        self.answers.insert(writes.into(), meets);
     }
 }
+
+/// Bits of a write code's word-length field.
+const WL_BITS: u32 = 16;
 
 /// A code for "`key` has word length `wl`": key space, 32-bit key index
 /// and 16-bit word length in disjoint bit fields, so sorting the codes
 /// orders writes by key (the key type deliberately does not implement
-/// `Ord`).
+/// `Ord`), and codes of one key order by word length.
+///
+/// # Panics
+///
+/// Panics when `wl` is outside `1..=u16::MAX`: a truncated word length
+/// would decode into a different spec write.
 fn write_code(key: SpecKey, wl: i32) -> u64 {
     let (space, idx) = match key {
         SpecKey::Expr(e) => (0, e.0),
         SpecKey::Array(a) => (1, a.0),
         SpecKey::Param(p) => (2, p.0),
     };
-    debug_assert!((1..=i32::from(u16::MAX)).contains(&wl), "word length {wl}");
-    (space << 48) | (u64::from(idx) << 16) | u64::from(wl as u16)
+    let wl = u16::try_from(wl)
+        .ok()
+        .filter(|&wl| wl > 0)
+        .unwrap_or_else(|| panic!("word length {wl} has no write code"));
+    (space << (32 + WL_BITS)) | (u64::from(idx) << WL_BITS) | u64::from(wl)
+}
+
+/// The write a [`write_code`] stands for.
+fn decode_write(code: u64) -> (SpecKey, i32) {
+    let idx = (code >> WL_BITS) as u32;
+    let key = match code >> (32 + WL_BITS) {
+        0 => SpecKey::Expr(ExprId(idx)),
+        1 => SpecKey::Array(ArrayId(idx)),
+        2 => SpecKey::Param(ParamId(idx)),
+        space => unreachable!("key space {space}"),
+    };
+    (key, i32::from(code as u16))
+}
+
+/// The key part of a write code (everything but the word length).
+fn code_key(code: u64) -> u64 {
+    code >> WL_BITS
+}
+
+/// The write set of two `SETMAXWL`s applied in turn, from their own
+/// write sets against the same spec: the sorted union by key, keeping
+/// the narrower word length where both write a key (the second cap finds
+/// the first's width, and writes only if it narrows further).
+fn merge_writes(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match code_key(a[i]).cmp(&code_key(b[j])) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push(a[i].min(b[j]));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 /// A multiply-rotate hasher for the memo's machine-word keys, which the
@@ -91,8 +144,14 @@ fn write_code(key: SpecKey, wl: i32) -> u64 {
 struct WordHasher(u64);
 
 impl Hasher for WordHasher {
+    /// A `[u64]` key arrives here as one byte slice: fold it a word at a
+    /// time.
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_ne_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
             self.write_u64(u64::from(b));
         }
     }
@@ -110,6 +169,58 @@ impl Hasher for WordHasher {
     }
 }
 
+/// The `SETMAXWL` write sets of one round's candidates against the
+/// round-entry spec.
+#[derive(Debug, Default)]
+struct Screen {
+    /// Every candidate's sorted, deduplicated write codes, concatenated.
+    codes: Vec<u64>,
+    /// Where each candidate's codes end in `codes`.
+    ends: Vec<usize>,
+    /// Scratch: one candidate's codes while [`Screen::begin`] sorts
+    /// them, then the merged write set of the pair being screened.
+    scratch: Vec<u64>,
+}
+
+impl Screen {
+    /// Derives the write set of every view's `SETMAXWL` against `spec`.
+    fn begin(&mut self, spec: &FixedPointSpec, dfg: &Dfg, views: &[CandidateView]) {
+        self.codes.clear();
+        self.ends.clear();
+        for view in views {
+            let m = view.elem_wl;
+            self.scratch.clear();
+            max_wl_keys(dfg, &view.group, |key| {
+                if spec.wl(key) > m {
+                    self.scratch.push(write_code(key, m));
+                }
+            });
+            self.scratch.sort_unstable();
+            self.scratch.dedup();
+            self.codes.extend_from_slice(&self.scratch);
+            self.ends.push(self.codes.len());
+        }
+    }
+
+    /// Where candidate `i`'s write set sits in `codes`.
+    fn span(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        start..self.ends[i]
+    }
+
+    /// Candidate `i`'s write set.
+    fn writes(&self, i: usize) -> &[u64] {
+        &self.codes[self.span(i)]
+    }
+
+    /// The write set of candidates `i` and `j` selected together.
+    fn pair(&mut self, i: usize, j: usize) -> &[u64] {
+        let (a, b) = (self.span(i), self.span(j));
+        merge_writes(&self.codes[a], &self.codes[b], &mut self.scratch);
+        &self.scratch
+    }
+}
+
 /// Selection hooks enforcing the accuracy constraint.
 pub struct AccuracyHooks<'a> {
     dfg: &'a Dfg,
@@ -124,6 +235,8 @@ pub struct AccuracyHooks<'a> {
     saved: Option<FixedPointSpec>,
     /// Validation and conflict answers against the committed spec.
     memo: TrialMemo,
+    /// The write sets of the round being screened.
+    screen: Screen,
 }
 
 impl<'a> AccuracyHooks<'a> {
@@ -143,6 +256,7 @@ impl<'a> AccuracyHooks<'a> {
             constraint_db,
             saved: None,
             memo: TrialMemo::default(),
+            screen: Screen::default(),
         }
     }
 
@@ -164,37 +278,62 @@ impl<'a> AccuracyHooks<'a> {
         self.eval.trial_meets(self.spec, mark, self.constraint_db)
     }
 
-    /// A trial whose writes are then discarded, answered from the memo
-    /// when an equal write set was tried against the same spec before.
-    fn probe(&mut self, mark: usize) -> bool {
-        self.memo.load(self.spec, mark);
-        let hit = self.memo.get();
-        #[cfg(test)]
-        if let Some(ok) = hit {
-            audit::hit(self.spec, ok);
+    /// Whether the spec with `writes` applied meets the constraint,
+    /// answered from the memo when an equal write set was tried against
+    /// the same spec before, and otherwise by a trial whose writes are
+    /// then discarded.
+    fn probe(&mut self, writes: &[u64]) -> bool {
+        if let Some(ok) = self.memo.get(writes) {
+            #[cfg(test)]
+            self.audit_hit(writes, ok);
+            return ok;
         }
-        let ok = hit.unwrap_or_else(|| self.trial_meets(mark));
+        let mark = self.spec.mark();
+        apply_writes(self.spec, writes);
+        let ok = self.trial_meets(mark);
         self.spec.rollback(mark);
-        if hit.is_none() {
-            self.eval.rollback_trial();
-            self.memo.insert(ok);
-        }
+        self.eval.rollback_trial();
+        self.memo.insert(writes, ok);
         ok
+    }
+
+    /// Shows the audit observer a memo hit with its writes applied.
+    #[cfg(test)]
+    fn audit_hit(&mut self, writes: &[u64], ok: bool) {
+        let mark = self.spec.mark();
+        apply_writes(self.spec, writes);
+        audit::hit(self.spec, ok);
+        self.spec.rollback(mark);
+    }
+}
+
+/// Writes every coded word length into the spec (journaled).
+fn apply_writes(spec: &mut FixedPointSpec, writes: &[u64]) {
+    for &code in writes {
+        let (key, wl) = decode_write(code);
+        spec.set_wl(key, wl);
     }
 }
 
 impl SelectHooks for AccuracyHooks<'_> {
-    fn validate(&mut self, view: &CandidateView) -> bool {
-        let mark = self.spec.mark();
-        set_max_wl(self.spec, self.dfg, &view.group, view.elem_wl);
-        self.probe(mark)
+    /// Derives every candidate's `SETMAXWL` write set against the
+    /// round-entry spec, which screening leaves unchanged.
+    fn begin_screen(&mut self, views: &[CandidateView]) {
+        self.screen.begin(self.spec, self.dfg, views);
     }
 
-    fn accuracy_conflict(&mut self, a: &CandidateView, b: &CandidateView) -> bool {
-        let mark = self.spec.mark();
-        set_max_wl(self.spec, self.dfg, &a.group, a.elem_wl);
-        set_max_wl(self.spec, self.dfg, &b.group, b.elem_wl);
-        !self.probe(mark)
+    fn validate(&mut self, idx: usize, _view: &CandidateView) -> bool {
+        let screen = std::mem::take(&mut self.screen);
+        let ok = self.probe(screen.writes(idx));
+        self.screen = screen;
+        ok
+    }
+
+    fn accuracy_conflict(&mut self, i: usize, j: usize) -> bool {
+        let mut screen = std::mem::take(&mut self.screen);
+        let ok = self.probe(screen.pair(i, j));
+        self.screen = screen;
+        !ok
     }
 
     fn on_select(&mut self, view: &CandidateView) -> bool {
@@ -288,31 +427,29 @@ pub(crate) mod audit {
 /// must narrow too. For truncation chains this is equivalent to
 /// narrowing at pack time, applied conservatively to all consumers.
 pub fn set_max_wl(spec: &mut FixedPointSpec, dfg: &Dfg, group: &SimdGroup, m: i32) {
+    max_wl_keys(dfg, group, |key| {
+        if spec.wl(key) > m {
+            spec.set_wl(key, m);
+        }
+    });
+}
+
+/// Calls `f` on every key `SETMAXWL` caps for `group`, in cap order: each
+/// element's own key, then, for operations and stores, the key of each
+/// operand's producer. A key may come more than once.
+fn max_wl_keys(dfg: &Dfg, group: &SimdGroup, mut f: impl FnMut(SpecKey)) {
     for &e in &group.elems {
         let node = dfg.node(e);
         if let Some(key) = node_key(dfg, e) {
-            cap(spec, key, m);
+            f(key);
         }
-        match &node.kind {
-            NodeKind::Bin(_) | NodeKind::Un(_) | NodeKind::StoreArray(..) => {
-                for op in resolved_operands(dfg, e) {
-                    cap_node(spec, dfg, op, m);
+        if let NodeKind::Bin(_) | NodeKind::Un(_) | NodeKind::StoreArray(..) = node.kind {
+            for &op in &node.operands {
+                if let Some(key) = node_key(dfg, resolve_producer(dfg, op)) {
+                    f(key);
                 }
             }
-            _ => {}
         }
-    }
-}
-
-fn cap_node(spec: &mut FixedPointSpec, dfg: &Dfg, n: NodeId, m: i32) {
-    if let Some(key) = node_key(dfg, n) {
-        cap(spec, key, m);
-    }
-}
-
-fn cap(spec: &mut FixedPointSpec, key: SpecKey, m: i32) {
-    if spec.wl(key) > m {
-        spec.set_wl(key, m);
     }
 }
 
@@ -323,7 +460,6 @@ mod tests {
     use slpwlo_fixedpoint::range::determine_ranges;
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::parser::parse_kernel;
-    use slpwlo_ir::types::ArrayId;
     use slpwlo_ir::Kernel;
     use slpwlo_slp::{extract_rounds, mem_status, BenefitKind, PassCtx};
     use slpwlo_targets::{xentium, CycleCache, SchedKind, TargetModel};
@@ -434,6 +570,173 @@ kernel f {
                 eval.meets(&spec, db),
                 "constraint {db} dB violated: got {}",
                 eval.noise_db(&spec)
+            );
+        }
+    }
+
+    #[test]
+    fn write_codes_round_trip_every_key_space() {
+        let keys = [
+            SpecKey::Expr(ExprId(0)),
+            SpecKey::Expr(ExprId(u32::MAX)),
+            SpecKey::Array(ArrayId(7)),
+            SpecKey::Array(ArrayId(u32::MAX)),
+            SpecKey::Param(ParamId(0)),
+            SpecKey::Param(ParamId(u32::MAX)),
+        ];
+        let wls = [1, 8, 16, 32, i32::from(u16::MAX)];
+        let mut codes = Vec::new();
+        for key in keys {
+            for wl in wls {
+                let code = write_code(key, wl);
+                assert_eq!(decode_write(code), (key, wl), "{code:#x}");
+                codes.push(code);
+            }
+        }
+        // Codes sort by key space, then key index, then word length: the
+        // order the keys and word lengths are listed in above.
+        assert!(codes.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "word length 0 has no write code")]
+    fn zero_word_length_has_no_write_code() {
+        write_code(SpecKey::Expr(ExprId(3)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "word length 65536 has no write code")]
+    fn overwide_word_length_has_no_write_code() {
+        write_code(SpecKey::Param(ParamId(3)), 1 << 16);
+    }
+
+    /// The screened write sets are exactly the codes `SETMAXWL` leaves
+    /// in the journal: a candidate's own list against `set_max_wl` alone,
+    /// and the merge of two lists against `set_max_wl` for both, for
+    /// every validated, structurally compatible pair of every round of
+    /// every block, over the suite on three targets. The rounds advance
+    /// by real accuracy-aware selections, so later rounds screen against
+    /// narrowed specs.
+    #[test]
+    fn merged_pair_writes_equal_applied_set_max_wl() {
+        use crate::flow::prepare;
+        use slpwlo_ir::blocks::blocks_by_priority;
+        use slpwlo_kernels::all_benchmarks;
+        use slpwlo_slp::conflict::conflicts;
+        use slpwlo_slp::{absorb_selected, run_selection, Round};
+        use slpwlo_targets::{st240, vex};
+
+        const DB: f64 = -40.0;
+        fn applied(spec: &mut FixedPointSpec, dfg: &Dfg, views: &[&CandidateView]) -> Vec<u64> {
+            let mark = spec.mark();
+            for v in views {
+                set_max_wl(spec, dfg, &v.group, v.elem_wl);
+            }
+            let mut codes: Vec<u64> = spec
+                .changed_since(mark)
+                .map(|key| write_code(key, spec.wl(key)))
+                .collect();
+            spec.rollback(mark);
+            codes.sort_unstable();
+            codes.dedup();
+            codes
+        }
+        let mut pairs = 0usize;
+        for bench in all_benchmarks() {
+            let prep = prepare(bench.kernel);
+            for target in [xentium(), st240(), vex(4)] {
+                let mut spec =
+                    FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
+                let mut ctx = joint(&target);
+                for block in blocks_by_priority(&prep.kernel) {
+                    let dfg = Dfg::from_block(&prep.kernel, &block);
+                    let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &prep.eval, DB);
+                    let mut groups: Vec<SimdGroup> = Vec::new();
+                    loop {
+                        let round = Round::new(&dfg, &target, &groups);
+                        let n = round.candidates.len();
+                        let views: Vec<CandidateView> =
+                            (0..n).map(|i| round.view(&target, i)).collect();
+                        hooks.begin_screen(&views);
+                        let mut alive = Vec::with_capacity(n);
+                        for (i, v) in views.iter().enumerate() {
+                            let want = applied(hooks.spec, &dfg, &[v]);
+                            assert_eq!(hooks.screen.writes(i), want, "{}: {}", bench.name, v.group);
+                            alive.push(hooks.validate(i, v));
+                        }
+                        for i in 0..n {
+                            for j in (i + 1)..n {
+                                if !(alive[i] && alive[j]) || conflicts(&round, i, j) {
+                                    continue;
+                                }
+                                let (a, b) = (&views[i], &views[j]);
+                                let want = applied(hooks.spec, &dfg, &[a, b]);
+                                assert_eq!(
+                                    hooks.screen.pair(i, j),
+                                    want,
+                                    "{} on {}: {} with {}",
+                                    bench.name,
+                                    target.name,
+                                    a.group,
+                                    b.group
+                                );
+                                pairs += 1;
+                            }
+                        }
+                        let selected = run_selection(&mut ctx, &dfg, &round, &groups, &mut hooks);
+                        if selected.is_empty() {
+                            break;
+                        }
+                        absorb_selected(&mut groups, selected);
+                    }
+                }
+            }
+        }
+        assert!(pairs > 0, "no compatible pair screened");
+    }
+
+    /// Two candidates capping shared keys at different widths (the
+    /// coefficient table and the delay line both multiplies read): the
+    /// merged write set keeps the narrower cap, as `SETMAXWL` applied in
+    /// either order leaves it.
+    #[test]
+    fn merged_writes_keep_the_narrower_cap_of_a_shared_key() {
+        let (_, dfg, mut spec, _) = setup();
+        let muls: Vec<NodeId> = dfg
+            .iter()
+            .filter(|(_, n)| matches!(n.kind, NodeKind::Bin(slpwlo_ir::BinOp::Mul)))
+            .map(|(i, _)| i)
+            .collect();
+        let view = |elems: Vec<NodeId>, elem_wl| CandidateView {
+            lanes: elems.len() as u32,
+            group: SimdGroup { elems },
+            elem_wl,
+        };
+        let views = [
+            view(vec![muls[0], muls[1]], 16),
+            view(vec![muls[2], muls[3]], 8),
+        ];
+        let mut screen = Screen::default();
+        screen.begin(&spec, &dfg, &views);
+        let merged = screen.pair(0, 1).to_vec();
+        for (first, second) in [(0, 1), (1, 0)] {
+            let mark = spec.mark();
+            for v in [&views[first], &views[second]] {
+                set_max_wl(&mut spec, &dfg, &v.group, v.elem_wl);
+            }
+            let mut want: Vec<u64> = spec
+                .changed_since(mark)
+                .map(|key| write_code(key, spec.wl(key)))
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            spec.rollback(mark);
+            assert_eq!(merged, want);
+        }
+        for key in [SpecKey::Array(ArrayId(0)), SpecKey::Param(ParamId(0))] {
+            assert!(
+                merged.contains(&write_code(key, 8)),
+                "{key} not capped at 8"
             );
         }
     }

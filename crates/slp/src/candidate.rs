@@ -75,6 +75,14 @@ pub struct Round {
     /// candidate consumes this group's lanes in order?") from a scan over
     /// all candidates into one lookup.
     consumers: HashMap<Vec<NodeId>, Vec<usize>>,
+    /// Words per node bitset (`dfg.len().div_ceil(64)`).
+    words: usize,
+    /// Per candidate, the bitset of its merged group's nodes (`words`
+    /// words at `idx * words`).
+    members: Vec<u64>,
+    /// Per candidate, the union of its lanes' [`Dfg::reach_row`]s: every
+    /// node the merged group reaches.
+    reach: Vec<u64>,
 }
 
 impl Round {
@@ -132,6 +140,19 @@ impl Round {
                 }
             }
         }
+        let words = dfg.len().div_ceil(64);
+        let mut members = vec![0u64; merged.len() * words];
+        let mut reach = vec![0u64; merged.len() * words];
+        for (ci, m) in merged.iter().enumerate() {
+            let span = ci * words..(ci + 1) * words;
+            let (mem, rch) = (&mut members[span.clone()], &mut reach[span]);
+            for &e in &m.elems {
+                mem[e.index() / 64] |= 1 << (e.index() % 64);
+                for (r, row) in rch.iter_mut().zip(dfg.reach_row(e)) {
+                    *r |= row;
+                }
+            }
+        }
         Round {
             items,
             candidates,
@@ -141,6 +162,9 @@ impl Round {
             resolved_ops,
             has_users,
             consumers,
+            words,
+            members,
+            reach,
         }
     }
 
@@ -172,6 +196,16 @@ impl Round {
     /// materialized once at round construction.
     pub fn merged(&self, idx: usize) -> &SimdGroup {
         &self.merged[idx]
+    }
+
+    /// The node bitset of candidate `idx`'s merged group.
+    pub(crate) fn member_bits(&self, idx: usize) -> &[u64] {
+        &self.members[idx * self.words..(idx + 1) * self.words]
+    }
+
+    /// The bitset of every node candidate `idx`'s merged group reaches.
+    pub(crate) fn reach_bits(&self, idx: usize) -> &[u64] {
+        &self.reach[idx * self.words..(idx + 1) * self.words]
     }
 
     /// Precomputed `resolved_operands` of a node.

@@ -2,34 +2,55 @@
 //!
 //! Two candidates conflict when they cannot both be realised:
 //!
-//! * they **share an item** (an operation can live in only one SIMD
-//!   group), or
+//! * they **share an item** or, through different items, a node (an
+//!   operation can live in only one SIMD group), or
 //! * they have a **cyclic dependency**: realising both would create a
 //!   cycle between the two SIMD instructions (each group reaches the
 //!   other).
+//!
+//! Selection asks this of every pair of live candidates in a round, so
+//! [`conflicts`] answers from two bitsets per candidate that [`Round`]
+//! builds once: the merged group's nodes, and the union of their DFG
+//! reachability rows. A pair then costs a few word-wise ANDs instead of a
+//! lanes × lanes walk of `Dfg::reaches` in each direction.
 //!
 //! The paper adds a third, *accuracy* conflict on top of these; that check
 //! lives in `slpwlo-core` and is injected through the selection hooks.
 
 use crate::candidate::Round;
-use crate::group::group_reaches;
-use slpwlo_ir::dfg::Dfg;
 
 /// Tests whether candidates `i` and `j` structurally conflict.
-pub fn conflicts(dfg: &Dfg, round: &Round, i: usize, j: usize) -> bool {
+pub fn conflicts(round: &Round, i: usize, j: usize) -> bool {
     let a = round.candidates[i];
     let b = round.candidates[j];
     // Shared item.
     if a.left == b.left || a.left == b.right || a.right == b.left || a.right == b.right {
         return true;
     }
-    // Overlapping elements through different items (possible in extension
-    // rounds where one node sits in a prior group).
+    let meets = |x: &[u64], y: &[u64]| x.iter().zip(y).any(|(x, y)| x & y != 0);
+    let (ma, mb) = (round.member_bits(i), round.member_bits(j));
+    // Overlapping elements through different items (impossible while the
+    // prior groups are disjoint, as `extract_rounds` keeps them, but
+    // `Round::new` takes any prior set), or a cyclic dependency: both
+    // groups reach each other.
+    meets(ma, mb) || (meets(round.reach_bits(i), mb) && meets(round.reach_bits(j), ma))
+}
+
+/// The walk [`conflicts`] replaced: shared items, then lane-by-lane
+/// overlap and reachability between the merged groups. The differential
+/// oracle of the tests.
+#[cfg(test)]
+pub(crate) fn conflicts_walk(dfg: &slpwlo_ir::dfg::Dfg, round: &Round, i: usize, j: usize) -> bool {
+    use crate::group::group_reaches;
+    let a = round.candidates[i];
+    let b = round.candidates[j];
+    if a.left == b.left || a.left == b.right || a.right == b.left || a.right == b.right {
+        return true;
+    }
     let (ga, gb) = (round.merged(i), round.merged(j));
     if ga.overlaps(gb) {
         return true;
     }
-    // Cyclic dependency: both groups reach each other.
     group_reaches(dfg, ga, gb) && group_reaches(dfg, gb, ga)
 }
 
@@ -38,6 +59,7 @@ mod tests {
     use super::*;
     use crate::candidate::Round;
     use slpwlo_ir::blocks::collect_blocks;
+    use slpwlo_ir::dfg::Dfg;
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_targets::xentium;
 
@@ -156,12 +178,79 @@ kernel sh {
                     || ca.right == cb.left
                     || ca.right == cb.right;
                 if shares {
-                    assert!(
-                        conflicts(&dfg, &round, a, b),
-                        "sharing candidates must conflict"
-                    );
+                    assert!(conflicts(&round, a, b), "sharing candidates must conflict");
                 }
             }
         }
+    }
+
+    /// The bitset [`conflicts`] agrees with the walk it replaced on every
+    /// pair of every round: every block of every suite kernel on all four
+    /// targets and of 16 generated kernels on alternating 2- and 4-lane
+    /// targets, round by round as greedy extraction widens the groups
+    /// (so extension rounds are covered).
+    #[test]
+    fn bitset_conflicts_match_the_walk() {
+        use crate::select::{absorb_selected, run_selection};
+        use crate::{BenefitKind, NoHooks, PassCtx, SimdGroup};
+        use slpwlo_ir::Kernel;
+        use slpwlo_targets::{all_targets, vex, TargetModel};
+
+        let mut cases: Vec<(Kernel, TargetModel)> = Vec::new();
+        for bench in slpwlo_kernels::all_benchmarks() {
+            for target in all_targets() {
+                cases.push((bench.kernel.clone(), target));
+            }
+        }
+        let mut gen = slpwlo_gen::KernelGen::with_seed(0x5eed);
+        for ki in 0..16 {
+            let target = if ki % 2 == 0 { xentium() } else { vex(4) };
+            cases.push((gen.gen(), target));
+        }
+        let (mut pairs, mut shared, mut cyclic) = (0usize, 0, 0);
+        for (kernel, target) in &cases {
+            let mut ctx = PassCtx::plain(target, BenefitKind::Cycles);
+            for block in collect_blocks(kernel) {
+                let dfg = Dfg::from_block(kernel, &block);
+                let mut prior: Vec<SimdGroup> = Vec::new();
+                loop {
+                    let round = Round::new(&dfg, target, &prior);
+                    let n = round.candidates.len();
+                    for i in 0..n {
+                        for j in (i + 1)..n {
+                            let want = conflicts_walk(&dfg, &round, i, j);
+                            assert_eq!(
+                                conflicts(&round, i, j),
+                                want,
+                                "{} on {}: {} vs {}",
+                                kernel.name(),
+                                target.name,
+                                round.merged(i),
+                                round.merged(j)
+                            );
+                            pairs += 1;
+                            let (a, b) = (round.candidates[i], round.candidates[j]);
+                            if a.left == b.left
+                                || a.left == b.right
+                                || a.right == b.left
+                                || a.right == b.right
+                            {
+                                shared += 1;
+                            } else if want {
+                                cyclic += 1;
+                            }
+                        }
+                    }
+                    let chosen = run_selection(&mut ctx, &dfg, &round, &prior, &mut NoHooks);
+                    if chosen.is_empty() {
+                        break;
+                    }
+                    absorb_selected(&mut prior, chosen);
+                }
+            }
+        }
+        assert!(pairs > shared + cyclic, "no compatible pair drawn");
+        assert!(shared > 0, "no shared-item pair drawn");
+        assert!(cyclic > 0, "no cyclic pair drawn");
     }
 }

@@ -123,7 +123,10 @@ pub fn fully_independent(dfg: &Dfg, a: &SimdGroup, b: &SimdGroup) -> bool {
 }
 
 /// Returns `true` if some element of `from` reaches some element of `to`.
-pub fn group_reaches(dfg: &Dfg, from: &SimdGroup, to: &SimdGroup) -> bool {
+/// Selection answers this from per-candidate bitsets
+/// (`conflict::conflicts`); the walk is the tests' oracle.
+#[cfg(test)]
+pub(crate) fn group_reaches(dfg: &Dfg, from: &SimdGroup, to: &SimdGroup) -> bool {
     from.elems
         .iter()
         .any(|&x| to.elems.iter().any(|&y| dfg.reaches(x, y)))

@@ -35,7 +35,7 @@ pub use benefit::{BenefitKind, BenefitModel, CostedBenefit};
 pub use candidate::{Candidate, CandidateView, Round};
 pub use ctx::PassCtx;
 pub use group::{
-    closes_cycle, effective_users, fully_independent, group_reaches, mem_status, resolve_producer,
+    closes_cycle, effective_users, fully_independent, mem_status, resolve_producer,
     resolved_operands, MemStatus, SimdGroup,
 };
 pub use optimal::{exhaustive_best, set_value, SelectStats, EXHAUSTIVE_LIMIT};

@@ -141,7 +141,7 @@ pub fn exhaustive_best(
             .collect();
         for (a, &i) in subset.iter().enumerate() {
             for &j in &subset[a + 1..] {
-                if conflicts(dfg, round, i, j) {
+                if conflicts(round, i, j) {
                     continue 'subset;
                 }
             }
@@ -817,7 +817,7 @@ kernel f {
                 let mut conf: Vec<(usize, usize)> = Vec::new();
                 for i in 0..n {
                     for j in (i + 1)..n {
-                        if conflicts(&dfg, &round, i, j) {
+                        if conflicts(&round, i, j) {
                             conf.push((i, j));
                         }
                     }

@@ -7,11 +7,15 @@
 //! exact selector's statistics. [`SelectHooks`] let `slpwlo-core`
 //! inject the paper's accuracy-awareness:
 //!
+//! * [`SelectHooks::begin_screen`] — hands over the round's candidate
+//!   views once, before any validation or conflict question, so the
+//!   hooks can derive per-candidate state (the accuracy hooks' `SETMAXWL`
+//!   write sets) a single time per round;
 //! * [`SelectHooks::validate`] — "eliminate candidates violating the
 //!   constraint" (fig. 1c lines 6–12);
 //! * [`SelectHooks::accuracy_conflict`] — the additional conflicts of
 //!   lines 16–22 (two candidates that cannot *coexist* within the noise
-//!   budget);
+//!   budget), asked by candidate index;
 //! * [`SelectHooks::on_select`] — `SETMAXWL` on the chosen group, with the
 //!   option to veto a selection whose cumulative effect would break the
 //!   constraint (a strict guard the paper implies through its conflict
@@ -40,18 +44,38 @@ use slpwlo_ir::dfg::{Dfg, NodeId};
 /// with no cleanup pass of its own. `slpwlo-core`'s `AccuracyHooks`
 /// realises each probe as one `SETMAXWL` trial against the evaluator's
 /// incremental trial/commit/rollback protocol.
+///
+/// **Screening contract.** Every round opens with one
+/// [`begin_screen`](Self::begin_screen) over the round's views. The
+/// [`validate`](Self::validate) and
+/// [`accuracy_conflict`](Self::accuracy_conflict) calls that follow
+/// address candidates by their index in that slice, and all of them come
+/// before the round's first [`on_select`](Self::on_select). So whatever
+/// `begin_screen` derives from the hooks' state holds for the whole
+/// screening: validation and conflict probes resolve their speculative
+/// writes before returning, and nothing commits until a selection.
 pub trait SelectHooks {
+    /// Called once per round with every candidate's view, before any
+    /// [`validate`](Self::validate) or
+    /// [`accuracy_conflict`](Self::accuracy_conflict) call of the round.
+    fn begin_screen(&mut self, views: &[CandidateView]) {
+        let _ = views;
+    }
+
     /// Candidate admission check, called once per candidate before
-    /// conflict analysis. Return `false` to discard the candidate.
-    fn validate(&mut self, view: &CandidateView) -> bool {
-        let _ = view;
+    /// conflict analysis; `view` is the `idx`-th view of the last
+    /// [`begin_screen`](Self::begin_screen). Return `false` to discard
+    /// the candidate.
+    fn validate(&mut self, idx: usize, view: &CandidateView) -> bool {
+        let _ = (idx, view);
         true
     }
 
-    /// Extra (non-structural) conflict between two candidates. Called
-    /// only for structurally compatible pairs.
-    fn accuracy_conflict(&mut self, a: &CandidateView, b: &CandidateView) -> bool {
-        let _ = (a, b);
+    /// Extra (non-structural) conflict between candidates `i` and `j` of
+    /// the last [`begin_screen`](Self::begin_screen). Called only for
+    /// validated, structurally compatible pairs, with `i < j`.
+    fn accuracy_conflict(&mut self, i: usize, j: usize) -> bool {
+        let _ = (i, j);
         false
     }
 
@@ -138,19 +162,19 @@ pub fn run_selection(
     let views: Vec<CandidateView> = (0..n).map(|i| round.view(ctx.target, i)).collect();
 
     // Candidate validation (fig. 1c lines 4-12).
-    let alive: Vec<bool> = views.iter().map(|v| hooks.validate(v)).collect();
+    hooks.begin_screen(&views);
+    let alive: Vec<bool> = views
+        .iter()
+        .enumerate()
+        .map(|(i, v)| hooks.validate(i, v))
+        .collect();
 
     // Conflict detection (fig. 1c lines 13-25).
+    let live: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
     let mut conf: Vec<(usize, usize)> = Vec::new();
-    for i in 0..n {
-        if !alive[i] {
-            continue;
-        }
-        for j in (i + 1)..n {
-            if !alive[j] {
-                continue;
-            }
-            if conflicts(dfg, round, i, j) || hooks.accuracy_conflict(&views[i], &views[j]) {
+    for (k, &i) in live.iter().enumerate() {
+        for &j in &live[k + 1..] {
+            if conflicts(round, i, j) || hooks.accuracy_conflict(i, j) {
                 conf.push((i, j));
             }
         }
@@ -402,7 +426,7 @@ pub fn extract_plain_with(
         wl_of: &'a dyn Fn(NodeId) -> i32,
     }
     impl SelectHooks for FixedWlHooks<'_> {
-        fn validate(&mut self, view: &CandidateView) -> bool {
+        fn validate(&mut self, _idx: usize, view: &CandidateView) -> bool {
             view.fits_frozen_wls(self.target, self.wl_of)
         }
 
@@ -647,7 +671,7 @@ kernel f {
             dfg: &'d Dfg,
         }
         impl SelectHooks for NoAdds<'_> {
-            fn validate(&mut self, view: &CandidateView) -> bool {
+            fn validate(&mut self, _idx: usize, view: &CandidateView) -> bool {
                 !matches!(
                     view.group.kind(self.dfg),
                     NodeKind::Bin(slpwlo_ir::BinOp::Add)

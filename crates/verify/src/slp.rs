@@ -416,7 +416,7 @@ kernel cy {
             target: &'a TargetModel,
         }
         impl SelectHooks for FixedWl<'_> {
-            fn validate(&mut self, view: &CandidateView) -> bool {
+            fn validate(&mut self, _idx: usize, view: &CandidateView) -> bool {
                 match self.target.container_wl(16) {
                     Some(c) => c <= view.elem_wl,
                     None => false,

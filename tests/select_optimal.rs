@@ -195,7 +195,7 @@ fn committed_rounds_agree_with_exhaustive_enumeration() {
         target: &'a TargetModel,
     }
     impl SelectHooks for FixedWl<'_> {
-        fn validate(&mut self, view: &CandidateView) -> bool {
+        fn validate(&mut self, _idx: usize, view: &CandidateView) -> bool {
             view.group
                 .elems
                 .iter()
