@@ -16,7 +16,7 @@ use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_kernels::{biquad_cascade4, complex_fir32, conv3x3, fir64, iir10, matvec16x16};
-use slpwlo_slp::{extract_plain_with, BenefitKind, PassCtx, Round};
+use slpwlo_slp::{extract_rounds, BenefitKind, FrozenWls, PassCtx, Round};
 use slpwlo_targets::{st240, xentium, CycleCache, SchedKind};
 
 fn main() {
@@ -44,7 +44,12 @@ fn main() {
     m.bench("slp_extract_plain_conv3x3", || {
         let costs = CycleCache::new(&target);
         let mut ctx = PassCtx::new(costs, BenefitKind::default(), SchedKind::List, false);
-        extract_plain_with(&mut ctx, &dfg, &|_| 16)
+        let mut hooks = FrozenWls {
+            target: &target,
+            wl: &|_| 16,
+            fwl: None,
+        };
+        extract_rounds(&mut ctx, &dfg, &mut hooks)
     });
 
     m.bench("tabu_wlo_fir64", || {

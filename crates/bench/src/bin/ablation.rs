@@ -45,43 +45,10 @@ use slpwlo_driver::{
 };
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
-use slpwlo_ir::dfg::{Dfg, NodeId};
+use slpwlo_ir::dfg::Dfg;
 use slpwlo_kernels::{all_benchmarks, paper_benchmarks, Benchmark};
-use slpwlo_slp::{
-    extract_rounds, BenefitModel, CandidateView, PassCtx, Round, SelectHooks, SelectStats,
-};
+use slpwlo_slp::{extract_rounds, BenefitModel, PassCtx, Round, SelectStats};
 use slpwlo_targets::{all_targets, st240, vex, xentium, CycleCache, TargetModel};
-
-/// Accuracy hooks with the pairwise conflict detection disabled; every
-/// other hook answers as the wrapped hooks do.
-struct NoConflictHooks<'a>(AccuracyHooks<'a>);
-
-impl SelectHooks for NoConflictHooks<'_> {
-    fn begin_screen(&mut self, views: &[CandidateView]) {
-        self.0.begin_screen(views);
-    }
-    fn validate(&mut self, idx: usize, view: &CandidateView) -> bool {
-        self.0.validate(idx, view)
-    }
-    fn accuracy_conflict(&mut self, _i: usize, _j: usize) -> bool {
-        false
-    }
-    fn on_select(&mut self, view: &CandidateView) -> bool {
-        self.0.on_select(view)
-    }
-    fn current_wl(&self, node: NodeId) -> Option<i32> {
-        self.0.current_wl(node)
-    }
-    fn current_fwl(&self, node: NodeId) -> Option<i32> {
-        self.0.current_fwl(node)
-    }
-    fn checkpoint(&mut self) {
-        self.0.checkpoint();
-    }
-    fn restore(&mut self) {
-        self.0.restore();
-    }
-}
 
 /// Which ingredient the ablated joint flow drops.
 #[derive(Clone, Copy, PartialEq)]
@@ -115,11 +82,10 @@ impl CompilationFlow for AblatedWloSlp {
         for block in blocks_by_priority(&prep.kernel) {
             let dfg = Dfg::from_block(&prep.kernel, &block);
             let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &prep.eval, db);
-            let groups = if self.0 == Ablate::AccConflicts {
-                extract_rounds(&mut pass, &dfg, &mut NoConflictHooks(hooks))
-            } else {
-                extract_rounds(&mut pass, &dfg, &mut hooks)
-            };
+            if self.0 == Ablate::AccConflicts {
+                hooks = hooks.without_pair_conflicts();
+            }
+            let groups = extract_rounds(&mut pass, &dfg, &mut hooks);
             if self.0 != Ablate::Scalopt {
                 let _ = scaling_optimize(&mut spec, &dfg, &groups, &prep.eval, db, target);
             }
@@ -528,57 +494,36 @@ fn main() -> Result<(), Error> {
 mod tests {
     use super::*;
 
-    /// The wrapper must differ from the accuracy hooks it wraps in
-    /// exactly one answer: it never reports an accuracy conflict.
+    /// The `no-acc-conflicts` ablation's reports, pinned: an FNV-1a
+    /// digest over each point's group count, predicted-noise bits and
+    /// scheduled SIMD cycles, for the paper kernels on XENTIUM and ST240
+    /// at -40, -60 and -84 dB. At -84 dB the dropped pair conflicts
+    /// change IIR's XENTIUM selection (4 groups instead of 3), so the
+    /// digest also tells the ablation from the full accuracy hooks.
     #[test]
-    fn no_conflict_hooks_forward_everything_but_conflicts() {
-        let bench = paper_benchmarks().remove(0);
-        let prep = prepare(bench.kernel);
-        let target = xentium();
-        let block = blocks_by_priority(&prep.kernel).remove(0);
-        let dfg = Dfg::from_block(&prep.kernel, &block);
-        let round = Round::new(&dfg, &target, &[]);
-        let views: Vec<CandidateView> = (0..round.candidates.len())
-            .map(|i| round.view(&target, i))
-            .collect();
-        assert!(views.len() >= 2, "the hot block must offer candidates");
-        let seed = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
-        let (mut inner_spec, mut outer_spec) = (seed.clone(), seed);
-        let db = -60.0;
-        let mut inner = AccuracyHooks::new(&dfg, &mut inner_spec, &prep.eval, db);
-        let mut outer = NoConflictHooks(AccuracyHooks::new(&dfg, &mut outer_spec, &prep.eval, db));
-        let same_oracle = |inner: &AccuracyHooks, outer: &NoConflictHooks| {
-            dfg.iter().all(|(n, _)| {
-                inner.current_wl(n) == outer.current_wl(n)
-                    && inner.current_fwl(n) == outer.current_fwl(n)
-            })
+    fn no_acc_conflicts_reports_are_pinned() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
         };
-        inner.begin_screen(&views);
-        outer.begin_screen(&views);
-        for (i, v) in views.iter().enumerate() {
-            assert_eq!(inner.validate(i, v), outer.validate(i, v));
-            for j in (i + 1)..views.len() {
-                assert!(!outer.accuracy_conflict(i, j));
+        for bench in paper_benchmarks() {
+            for target in [xentium(), st240()] {
+                for db in [-40.0, -60.0, -84.0] {
+                    let r = Optimizer::for_kernel(bench.kernel.clone())
+                        .expect("suite kernel")
+                        .target(target.clone())
+                        .constraint_db(db)
+                        .custom_flow(Box::new(AblatedWloSlp(Ablate::AccConflicts)))
+                        .run()
+                        .expect("feasible point");
+                    fold(r.group_count as u64);
+                    fold(r.noise_db.map_or(0, f64::to_bits));
+                    fold(r.cycles_simd);
+                }
             }
         }
-        let wls = |hooks: &NoConflictHooks| -> Vec<_> {
-            dfg.iter().map(|(n, _)| hooks.current_wl(n)).collect()
-        };
-        let before = wls(&outer);
-        inner.checkpoint();
-        outer.checkpoint();
-        for v in &views {
-            assert_eq!(inner.on_select(v), outer.on_select(v));
-            assert!(same_oracle(&inner, &outer));
-        }
-        assert_ne!(
-            wls(&outer),
-            before,
-            "some selection must shrink a word length"
-        );
-        inner.restore();
-        outer.restore();
-        assert!(same_oracle(&inner, &outer));
-        assert_eq!(wls(&outer), before, "restore must undo the selections");
+        assert_eq!(h, 0x4093_a993_e2cc_341e, "digest {h:#018x}");
     }
 }

@@ -23,11 +23,9 @@ use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, IncrementalEvaluat
 use slpwlo_fixedpoint::range::{determine_ranges, Ranges};
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::{collect_blocks, Block};
-use slpwlo_ir::dfg::{Dfg, NodeId};
+use slpwlo_ir::dfg::Dfg;
 use slpwlo_ir::Kernel;
-use slpwlo_slp::{
-    extract_rounds, BenefitKind, CandidateView, PassCtx, SelectHooks, SelectStats, SimdGroup,
-};
+use slpwlo_slp::{extract_rounds, BenefitKind, FrozenWls, PassCtx, SelectStats, SimdGroup};
 use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
 
 /// A kernel with its once-per-kernel analyses (ranges, noise gains).
@@ -60,46 +58,32 @@ pub fn prepare(kernel: Kernel) -> Prepared {
 type BlockGroups = (Block, Dfg, Vec<SimdGroup>);
 
 /// Plain (accuracy-unaware) SLP extraction over a frozen specification,
-/// block by block — the `WLO-First` back half's extraction. The spec
-/// supplies word lengths for candidate validation *and* the full format
-/// context (`current_wl`/`current_fwl`) the cycle-priced benefit model
-/// reads. The context supplies the target, the pricing strategy and the
-/// scheduler the candidates are priced under (the benefit model relaxes
-/// its latency hedge when iterations will overlap); the flow leaves its
-/// `equalize` unset, as no scaling equalization follows, so mismatched
-/// scalings keep their fig. 2 price. The exact selector's search
-/// statistics accumulate into `ctx.stats` (untouched under the greedy
-/// kinds).
+/// block by block — the `WLO-First` back half's extraction: the
+/// [`FrozenWls`] policy over the spec's word lengths, which decide
+/// candidate validation, and its fractional word lengths, which the
+/// cycle-priced benefit model reads too. The context supplies the
+/// target, the pricing strategy and the scheduler the candidates are
+/// priced under (the benefit model relaxes its latency hedge when
+/// iterations will overlap); the flow leaves its `equalize` unset, as
+/// no scaling equalization follows, so mismatched scalings keep their
+/// fig. 2 price. The exact selector's search statistics accumulate into
+/// `ctx.stats` (untouched under the greedy kinds).
 pub fn extract_on_spec(
     kernel: &Kernel,
     spec: &FixedPointSpec,
     ctx: &mut PassCtx<'_>,
 ) -> Vec<BlockGroups> {
-    struct FrozenSpecHooks<'a> {
-        target: &'a TargetModel,
-        spec: &'a FixedPointSpec,
-        dfg: &'a Dfg,
-    }
-    impl SelectHooks for FrozenSpecHooks<'_> {
-        fn validate(&mut self, _idx: usize, view: &CandidateView) -> bool {
-            view.fits_frozen_wls(self.target, |e| value_wl(self.spec, self.dfg, e))
-        }
-        fn current_wl(&self, node: NodeId) -> Option<i32> {
-            Some(value_wl(self.spec, self.dfg, node))
-        }
-        fn current_fwl(&self, node: NodeId) -> Option<i32> {
-            Some(value_format(self.spec, self.dfg, node).fwl)
-        }
-    }
     let target = ctx.target;
     collect_blocks(kernel)
         .into_iter()
         .map(|b| {
             let dfg = Dfg::from_block(kernel, &b);
-            let mut hooks = FrozenSpecHooks {
+            let wl = |n| value_wl(spec, &dfg, n);
+            let fwl = |n| value_format(spec, &dfg, n).fwl;
+            let mut hooks = FrozenWls {
                 target,
-                spec,
-                dfg: &dfg,
+                wl: &wl,
+                fwl: Some(&fwl),
             };
             let groups = extract_rounds(ctx, &dfg, &mut hooks);
             (b, dfg, groups)

@@ -16,8 +16,8 @@
 //!   rolled back.
 //!
 //! Validation and conflict questions are screening: the spec does not
-//! move between a round's `begin_screen` and its first selection. So
-//! `begin_screen` derives each candidate's `SETMAXWL` write set once, as
+//! move between a round's `screen` and its first selection. So `screen`
+//! derives each candidate's `SETMAXWL` write set once, as
 //! the sorted list of `(key, wl)` codes it would leave against the
 //! round-entry spec, and a pair's write set is the key-wise merge of its
 //! two lists (where both write a key, the narrower word length wins:
@@ -237,6 +237,8 @@ pub struct AccuracyHooks<'a> {
     memo: TrialMemo,
     /// The write sets of the round being screened.
     screen: Screen,
+    /// Whether pairs are screened for accuracy conflicts.
+    pair_conflicts: bool,
 }
 
 impl<'a> AccuracyHooks<'a> {
@@ -257,7 +259,16 @@ impl<'a> AccuracyHooks<'a> {
             saved: None,
             memo: TrialMemo::default(),
             screen: Screen::default(),
+            pair_conflicts: true,
         }
+    }
+
+    /// The hooks without the pairwise accuracy conflicts (fig. 1c lines
+    /// 16–22): [`SelectHooks::accuracy_conflict`] answers `false` without
+    /// a trial, and every other answer is unchanged.
+    pub fn without_pair_conflicts(mut self) -> Self {
+        self.pair_conflicts = false;
+        self
     }
 
     /// Continues from `memo`, whose answers must hold for this spec and
@@ -317,19 +328,22 @@ fn apply_writes(spec: &mut FixedPointSpec, writes: &[u64]) {
 
 impl SelectHooks for AccuracyHooks<'_> {
     /// Derives every candidate's `SETMAXWL` write set against the
-    /// round-entry spec, which screening leaves unchanged.
-    fn begin_screen(&mut self, views: &[CandidateView]) {
-        self.screen.begin(self.spec, self.dfg, views);
-    }
-
-    fn validate(&mut self, idx: usize, _view: &CandidateView) -> bool {
-        let screen = std::mem::take(&mut self.screen);
-        let ok = self.probe(screen.writes(idx));
+    /// round-entry spec, which screening leaves unchanged, and admits the
+    /// candidates whose write set alone meets the constraint.
+    fn screen(&mut self, views: &[CandidateView]) -> Vec<bool> {
+        let mut screen = std::mem::take(&mut self.screen);
+        screen.begin(self.spec, self.dfg, views);
+        let alive = (0..views.len())
+            .map(|i| self.probe(screen.writes(i)))
+            .collect();
         self.screen = screen;
-        ok
+        alive
     }
 
     fn accuracy_conflict(&mut self, i: usize, j: usize) -> bool {
+        if !self.pair_conflicts {
+            return false;
+        }
         let mut screen = std::mem::take(&mut self.screen);
         let ok = self.probe(screen.pair(i, j));
         self.screen = screen;
@@ -388,8 +402,36 @@ impl SelectHooks for AccuracyHooks<'_> {
 /// Test-only observer of memo hits.
 #[cfg(test)]
 pub(crate) mod audit {
+    use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator};
     use slpwlo_fixedpoint::FixedPointSpec;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
+
+    /// Answers every trial with a fresh full recompute and counts the
+    /// trials that reach it.
+    pub(crate) struct CountingEvaluator<'a> {
+        inner: &'a AnalyticalEvaluator,
+        pub(crate) trials: Cell<usize>,
+    }
+
+    impl<'a> CountingEvaluator<'a> {
+        pub(crate) fn new(inner: &'a AnalyticalEvaluator) -> Self {
+            CountingEvaluator {
+                inner,
+                trials: Cell::new(0),
+            }
+        }
+    }
+
+    impl AccuracyEvaluator for CountingEvaluator<'_> {
+        fn noise_db(&self, spec: &FixedPointSpec) -> f64 {
+            self.inner.noise_db(spec)
+        }
+
+        fn trial_noise_db(&self, spec: &FixedPointSpec, _mark: usize) -> f64 {
+            self.trials.set(self.trials.get() + 1);
+            self.inner.noise_db(spec)
+        }
+    }
 
     type Observer = Box<dyn FnMut(&FixedPointSpec, bool)>;
 
@@ -657,12 +699,10 @@ kernel f {
                         let n = round.candidates.len();
                         let views: Vec<CandidateView> =
                             (0..n).map(|i| round.view(&target, i)).collect();
-                        hooks.begin_screen(&views);
-                        let mut alive = Vec::with_capacity(n);
+                        let alive = hooks.screen(&views);
                         for (i, v) in views.iter().enumerate() {
                             let want = applied(hooks.spec, &dfg, &[v]);
                             assert_eq!(hooks.screen.writes(i), want, "{}: {}", bench.name, v.group);
-                            alive.push(hooks.validate(i, v));
                         }
                         for i in 0..n {
                             for j in (i + 1)..n {
@@ -693,6 +733,51 @@ kernel f {
             }
         }
         assert!(pairs > 0, "no compatible pair screened");
+    }
+
+    /// With the pair switch off, screening runs exactly the default
+    /// hooks' validation trials and admits the same candidates, and no
+    /// pair question runs a trial or reports a conflict. IIR's hot block
+    /// on XENTIUM at -84 dB, where the default hooks' pair questions run
+    /// trials and find conflicts.
+    #[test]
+    fn pair_switch_off_screens_without_conflict_trials() {
+        use crate::flow::prepare;
+        use audit::CountingEvaluator;
+        use slpwlo_ir::blocks::blocks_by_priority;
+        use slpwlo_kernels::iir10;
+        use slpwlo_slp::Round;
+
+        let prep = prepare(iir10());
+        let target = xentium();
+        let dfg = Dfg::from_block(&prep.kernel, &blocks_by_priority(&prep.kernel)[0]);
+        let round = Round::new(&dfg, &target, &[]);
+        let views: Vec<CandidateView> = (0..round.candidates.len())
+            .map(|i| round.view(&target, i))
+            .collect();
+        let seed = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
+        // Validation trials, validation answers, then trials and conflicts
+        // after a conflict question for every admitted pair.
+        let screen = |pair_conflicts: bool| {
+            let (mut spec, eval) = (seed.clone(), CountingEvaluator::new(&prep.eval));
+            let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &eval, -84.0);
+            if !pair_conflicts {
+                hooks = hooks.without_pair_conflicts();
+            }
+            let alive = hooks.screen(&views);
+            let validation = eval.trials.get();
+            let mut conflicts = 0;
+            for j in 0..views.len() {
+                for i in (0..j).filter(|&i| alive[i] && alive[j]) {
+                    conflicts += usize::from(hooks.accuracy_conflict(i, j));
+                }
+            }
+            (validation, alive, eval.trials.get(), conflicts)
+        };
+        let (on, off) = (screen(true), screen(false));
+        assert!(on.2 > on.0 && on.3 > 0, "pair questions must run trials");
+        assert_eq!((off.0, &off.1), (on.0, &on.1), "validation differs");
+        assert_eq!((off.2, off.3), (off.0, 0), "a pair question ran a trial");
     }
 
     /// Two candidates capping shared keys at different widths (the

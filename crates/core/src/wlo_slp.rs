@@ -249,28 +249,10 @@ kernel fir8 {
         assert!(max_x <= 2);
     }
 
-    /// Answers every trial with a fresh full recompute and counts the
-    /// trials that reach it.
-    struct CountingEvaluator<'a> {
-        inner: &'a AnalyticalEvaluator,
-        trials: std::cell::Cell<usize>,
-    }
-
-    impl AccuracyEvaluator for CountingEvaluator<'_> {
-        fn noise_db(&self, spec: &FixedPointSpec) -> f64 {
-            self.inner.noise_db(spec)
-        }
-
-        fn trial_noise_db(&self, spec: &FixedPointSpec, _mark: usize) -> f64 {
-            self.trials.set(self.trials.get() + 1);
-            self.inner.noise_db(spec)
-        }
-    }
-
     #[test]
     fn memoized_answers_equal_fresh_trials() {
         use crate::flow::prepare;
-        use crate::hooks::audit;
+        use crate::hooks::audit::{self, CountingEvaluator};
         use slpwlo_kernels::all_benchmarks;
         use slpwlo_targets::st240;
         use std::cell::Cell;
@@ -290,10 +272,7 @@ kernel fir8 {
                         assert_eq!(prep.eval.meets(spec, DB), ok, "{ctx}: stale memo answer");
                     }
                 };
-                let eval = CountingEvaluator {
-                    inner: &prep.eval,
-                    trials: Cell::new(0),
-                };
+                let eval = CountingEvaluator::new(&prep.eval);
                 let res = audit::observe(observer, || {
                     wlo_slp_sched(
                         &prep.kernel,

@@ -50,13 +50,19 @@ use crate::types::{ArrayId, ExprId, IndexExpr, InputId, LoopId, ParamId, VarId};
 use crate::unroll::unroll;
 use std::collections::HashMap;
 
+/// The deepest nesting of parentheses, unary minus and loops the parser
+/// accepts. Recursive descent spends stack per level, so a deeper input
+/// fails with a parse error instead of overflowing the stack.
+pub const MAX_NESTING: u32 = 256;
+
 /// Parses a kernel from DSL text and applies `unroll` annotations.
 ///
 /// # Errors
 ///
 /// Returns [`IrError::Parse`] with line/column information on syntax
-/// errors, and other [`IrError`] variants for semantic problems (duplicate
-/// or unknown names).
+/// errors and on nesting deeper than [`MAX_NESTING`], and other
+/// [`IrError`] variants for semantic problems (duplicate or unknown
+/// names).
 pub fn parse_kernel(src: &str) -> Result<Kernel, IrError> {
     let tokens = lex(src)?;
     let mut p = Parser::new(tokens);
@@ -292,6 +298,8 @@ struct Parser {
     vars: HashMap<String, VarId>,
     loops: Vec<(String, LoopId)>,
     unrolls: Vec<(LoopId, u32)>,
+    /// Open parentheses, unary minuses and loop bodies.
+    depth: u32,
 }
 
 impl Parser {
@@ -306,7 +314,19 @@ impl Parser {
             vars: HashMap::new(),
             loops: Vec::new(),
             unrolls: Vec::new(),
+            depth: 0,
         }
+    }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T, IrError>) -> Result<T, IrError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn err(&self, msg: impl Into<String>) -> IrError {
@@ -541,9 +561,12 @@ impl Parser {
             self.expect(Tok::LBrace, "`{`")?;
             let l = b.begin_for(hi as u32);
             self.loops.push((n, l));
-            while self.peek() != Some(&Tok::RBrace) {
-                self.stmt(b)?;
-            }
+            self.nested(|p| {
+                while p.peek() != Some(&Tok::RBrace) {
+                    p.stmt(b)?;
+                }
+                Ok(())
+            })?;
             self.expect(Tok::RBrace, "`}`")?;
             self.loops.pop();
             b.end_for(l);
@@ -614,12 +637,12 @@ impl Parser {
         match self.peek().cloned() {
             Some(Tok::Minus) => {
                 self.pos += 1;
-                let inner = self.factor(b)?;
+                let inner = self.nested(|p| p.factor(b))?;
                 Ok(b.neg(inner))
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let e = self.expr(b)?;
+                let e = self.nested(|p| p.expr(b))?;
                 self.expect(Tok::RParen, "`)`")?;
                 Ok(e)
             }

@@ -87,11 +87,6 @@ impl BinOp {
             BinOp::Mul => "*",
         }
     }
-
-    /// Returns `true` for operations that commute (`a op b == b op a`).
-    pub fn is_commutative(self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Mul)
-    }
 }
 
 impl fmt::Display for BinOp {
@@ -332,9 +327,6 @@ mod tests {
 
     #[test]
     fn binop_properties() {
-        assert!(BinOp::Add.is_commutative());
-        assert!(BinOp::Mul.is_commutative());
-        assert!(!BinOp::Sub.is_commutative());
         assert_eq!(format!("{}", BinOp::Sub), "-");
     }
 

@@ -13,15 +13,17 @@
 //!   the packing/unpacking cost it incurs;
 //! * the iterative **selection loop**, which reads one flow leg's
 //!   [`PassCtx`] (target, price cache, benefit kind, scheduler,
-//!   equalization flag, accumulated [`SelectStats`]) and calls pluggable
-//!   [`SelectHooks`], through which `slpwlo-core` injects the paper's
-//!   accuracy-awareness (candidate validation, accuracy conflicts,
-//!   `SETMAXWL` on selection) and the evolving spec's word lengths;
+//!   equalization flag, accumulated [`SelectStats`]) and calls one
+//!   [`SelectHooks`] policy, which screens candidates, answers the
+//!   non-structural conflicts and holds the word lengths candidates are
+//!   priced at. `slpwlo-core`'s accuracy hooks inject the paper's
+//!   accuracy-awareness through it (candidate validation, accuracy
+//!   conflicts, `SETMAXWL` on selection);
 //! * an **exact per-round selector** ([`BenefitKind::Optimal`], module
 //!   [`optimal`]): branch-and-bound over the cycle prices with a greedy
 //!   incumbent and deterministic budget fallback;
-//! * a plain accuracy-*unaware* extraction ([`select::extract_plain_with`]) used
-//!   by the `WLO-First` baseline flow.
+//! * the frozen-word-length policy [`FrozenWls`]: plain accuracy-*unaware*
+//!   extraction, used by the `WLO-First` baseline flow.
 
 pub mod benefit;
 pub mod candidate;
@@ -39,6 +41,6 @@ pub use group::{
     resolved_operands, MemStatus, SimdGroup,
 };
 pub use optimal::{exhaustive_best, set_value, SelectStats, EXHAUSTIVE_LIMIT};
-pub use select::{
-    absorb_selected, extract_plain_with, extract_rounds, run_selection, NoHooks, SelectHooks,
-};
+#[cfg(test)]
+pub use select::NoHooks;
+pub use select::{absorb_selected, extract_rounds, run_selection, FrozenWls, SelectHooks};

@@ -48,7 +48,7 @@ use crate::candidate::Round;
 use crate::conflict::conflicts;
 use crate::ctx::PassCtx;
 use crate::group::{closes_cycle, SimdGroup};
-use crate::select::{greedy_loop, hook_model, Screened, SelectHooks};
+use crate::select::{accept, greedy_loop, hook_model, Screened, SelectHooks};
 use slpwlo_ir::dfg::Dfg;
 
 /// Value-comparison slack: two selections within this are considered
@@ -591,20 +591,13 @@ fn replay(
     chosen: &[usize],
     strict: bool,
 ) -> Option<Vec<SimdGroup>> {
-    let views = &screened.views;
     let mut selected: Vec<SimdGroup> = screened.prior.to_vec();
-    let mut new_groups: Vec<SimdGroup> = Vec::new();
     for &i in chosen {
-        if closes_cycle(screened.dfg, &selected, &views[i].group) || !hooks.on_select(&views[i]) {
-            if strict {
-                return None;
-            }
-            continue;
+        if !accept(screened, i, &mut selected, hooks) && strict {
+            return None;
         }
-        selected.push(views[i].group.clone());
-        new_groups.push(views[i].group.clone());
     }
-    Some(new_groups)
+    Some(selected.split_off(screened.prior.len()))
 }
 
 #[cfg(test)]

@@ -4,15 +4,14 @@
 //! A selection reads two things besides the round. The flow leg's
 //! [`PassCtx`] holds what is fixed for the leg (target, price cache,
 //! pricing strategy, scheduler, equalization flag) and collects the
-//! exact selector's statistics. [`SelectHooks`] let `slpwlo-core`
-//! inject the paper's accuracy-awareness:
+//! exact selector's statistics. A [`SelectHooks`] policy decides which
+//! packs are admissible and which pairs conflict, and holds the word
+//! lengths candidates are priced at. `slpwlo-core`'s accuracy hooks
+//! inject the paper's accuracy-awareness through it:
 //!
-//! * [`SelectHooks::begin_screen`] — hands over the round's candidate
-//!   views once, before any validation or conflict question, so the
-//!   hooks can derive per-candidate state (the accuracy hooks' `SETMAXWL`
-//!   write sets) a single time per round;
-//! * [`SelectHooks::validate`] — "eliminate candidates violating the
-//!   constraint" (fig. 1c lines 6–12);
+//! * [`SelectHooks::screen`] — "eliminate candidates violating the
+//!   constraint" (fig. 1c lines 6–12), once per round over every
+//!   candidate's view;
 //! * [`SelectHooks::accuracy_conflict`] — the additional conflicts of
 //!   lines 16–22 (two candidates that cannot *coexist* within the noise
 //!   budget), asked by candidate index;
@@ -23,7 +22,8 @@
 //!
 //! The hooks also answer the evolving spec's word lengths, which the
 //! cycle-priced model reads, and checkpoint/restore their state for the
-//! exact selector's speculative greedy probe.
+//! exact selector's speculative greedy probe. [`FrozenWls`] is the
+//! policy of fixed word lengths (the `WLO-First` baseline's extraction).
 
 use crate::benefit::{BenefitKind, BenefitModel, CostedBenefit};
 use crate::candidate::{CandidateView, Round};
@@ -32,6 +32,7 @@ use crate::ctx::PassCtx;
 use crate::group::{closes_cycle, SimdGroup};
 use crate::optimal::run_selection_optimal;
 use slpwlo_ir::dfg::{Dfg, NodeId};
+use slpwlo_targets::TargetModel;
 
 /// Hooks through which accuracy awareness (or any other policy) is
 /// injected into the selection loop.
@@ -40,40 +41,28 @@ use slpwlo_ir::dfg::{Dfg, NodeId};
 /// that mutate shared state (the fixed-point spec, an incremental
 /// accuracy evaluator's caches) must leave it resolved — committed or
 /// rolled back — before returning, because the loop interleaves
-/// `validate`, `accuracy_conflict` and `on_select` calls in benefit order
-/// with no cleanup pass of its own. `slpwlo-core`'s `AccuracyHooks`
-/// realises each probe as one `SETMAXWL` trial against the evaluator's
+/// `accuracy_conflict` and `on_select` calls in benefit order with no
+/// cleanup pass of its own. `slpwlo-core`'s `AccuracyHooks` realises
+/// each probe as one `SETMAXWL` trial against the evaluator's
 /// incremental trial/commit/rollback protocol.
 ///
 /// **Screening contract.** Every round opens with one
-/// [`begin_screen`](Self::begin_screen) over the round's views. The
-/// [`validate`](Self::validate) and
+/// [`screen`](Self::screen) over the round's views. The
 /// [`accuracy_conflict`](Self::accuracy_conflict) calls that follow
-/// address candidates by their index in that slice, and all of them come
-/// before the round's first [`on_select`](Self::on_select). So whatever
-/// `begin_screen` derives from the hooks' state holds for the whole
-/// screening: validation and conflict probes resolve their speculative
-/// writes before returning, and nothing commits until a selection.
+/// address candidates by their index in that slice and all come before
+/// the round's first [`on_select`](Self::on_select), so whatever
+/// `screen` derives from the hooks' state holds for all of them.
 pub trait SelectHooks {
-    /// Called once per round with every candidate's view, before any
-    /// [`validate`](Self::validate) or
-    /// [`accuracy_conflict`](Self::accuracy_conflict) call of the round.
-    fn begin_screen(&mut self, views: &[CandidateView]) {
-        let _ = views;
-    }
-
-    /// Candidate admission check, called once per candidate before
-    /// conflict analysis; `view` is the `idx`-th view of the last
-    /// [`begin_screen`](Self::begin_screen). Return `false` to discard
-    /// the candidate.
-    fn validate(&mut self, idx: usize, view: &CandidateView) -> bool {
-        let _ = (idx, view);
-        true
+    /// Candidate validation, called once per round with every
+    /// candidate's view before any other call of the round: `false` at
+    /// index `i` discards candidate `i`.
+    fn screen(&mut self, views: &[CandidateView]) -> Vec<bool> {
+        vec![true; views.len()]
     }
 
     /// Extra (non-structural) conflict between candidates `i` and `j` of
-    /// the last [`begin_screen`](Self::begin_screen). Called only for
-    /// validated, structurally compatible pairs, with `i < j`.
+    /// the last [`screen`](Self::screen). Called only for validated,
+    /// structurally compatible pairs, with `i < j`.
     fn accuracy_conflict(&mut self, i: usize, j: usize) -> bool {
         let _ = (i, j);
         false
@@ -122,10 +111,44 @@ pub trait SelectHooks {
 }
 
 /// Policy-free hooks: plain structural SLP.
+#[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoHooks;
 
+#[cfg(test)]
 impl SelectHooks for NoHooks {}
+
+/// Plain, accuracy-*unaware* selection on frozen word lengths (the
+/// `WLO-First` baseline): a candidate is admissible iff every element's
+/// word length fits the sub-word the target grants the group
+/// ([`CandidateView::fits_frozen_wls`]), and the cycle-priced benefit
+/// model reads the frozen word lengths.
+pub struct FrozenWls<'a> {
+    /// The target granting each candidate its sub-word width.
+    pub target: &'a TargetModel,
+    /// Every node's word length.
+    pub wl: &'a dyn Fn(NodeId) -> i32,
+    /// Every node's fractional word length, when known; `None` prices
+    /// scalings as uniform.
+    pub fwl: Option<&'a dyn Fn(NodeId) -> i32>,
+}
+
+impl SelectHooks for FrozenWls<'_> {
+    fn screen(&mut self, views: &[CandidateView]) -> Vec<bool> {
+        views
+            .iter()
+            .map(|v| v.fits_frozen_wls(self.target, self.wl))
+            .collect()
+    }
+
+    fn current_wl(&self, node: NodeId) -> Option<i32> {
+        Some((self.wl)(node))
+    }
+
+    fn current_fwl(&self, node: NodeId) -> Option<i32> {
+        self.fwl.map(|fwl| fwl(node))
+    }
+}
 
 /// One round after candidate validation (fig. 1c lines 4–12) and
 /// conflict detection (lines 13–25): what both selectors start from.
@@ -162,12 +185,7 @@ pub fn run_selection(
     let views: Vec<CandidateView> = (0..n).map(|i| round.view(ctx.target, i)).collect();
 
     // Candidate validation (fig. 1c lines 4-12).
-    hooks.begin_screen(&views);
-    let alive: Vec<bool> = views
-        .iter()
-        .enumerate()
-        .map(|(i, v)| hooks.validate(i, v))
-        .collect();
+    let alive = hooks.screen(&views);
 
     // Conflict detection (fig. 1c lines 13-25).
     let live: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
@@ -230,7 +248,6 @@ pub(crate) fn greedy_loop(
     let (round, conf) = (screened.round, &screened.conf);
     let mut alive = screened.alive.clone();
     let mut selected: Vec<SimdGroup> = screened.prior.to_vec();
-    let mut new_groups: Vec<SimdGroup> = Vec::new();
     let mut chosen: Vec<usize> = Vec::new();
 
     // Main loop: while conflicts remain among live candidates, pick the
@@ -244,14 +261,8 @@ pub(crate) fn greedy_loop(
         let Some(best) = best else {
             break;
         };
-        let accepted = try_select(
-            screened,
-            best,
-            &mut alive,
-            &mut selected,
-            &mut new_groups,
-            hooks,
-        );
+        alive[best] = false;
+        let accepted = accept(screened, best, &mut selected, hooks);
         if accepted {
             chosen.push(best);
         }
@@ -259,13 +270,13 @@ pub(crate) fn greedy_loop(
             // Conflict-free tail (paper: loop ends when conflicts are
             // resolved; remaining compatible candidates are selected in
             // benefit order, still subject to the selection hook).
-            // Killing against `new_groups` alone suffices: a candidate
-            // overlapping a `selected_so_far` group necessarily contains
-            // it wholly as one of its two items (prior-round nodes only
-            // enter candidates through their group's item), which is a
-            // legal widening that `absorb_selected` resolves — see
-            // `overlap_with_prior_groups_implies_containment`.
-            kill_overlapping(round, &mut alive, &new_groups);
+            // Killing against this round's groups alone suffices: a
+            // candidate overlapping a `selected_so_far` group necessarily
+            // contains it wholly as one of its two items (prior-round
+            // nodes only enter candidates through their group's item),
+            // which is a legal widening that `absorb_selected` resolves —
+            // see `overlap_with_prior_groups_implies_containment`.
+            kill_overlapping(round, &mut alive, &selected[screened.prior.len()..]);
         } else if accepted {
             // Eliminate candidates in conflict with the selection.
             for &(i, j) in conf {
@@ -278,37 +289,32 @@ pub(crate) fn greedy_loop(
         }
     }
     GreedyOutcome {
-        groups: new_groups,
+        groups: selected.split_off(screened.prior.len()),
         chosen,
     }
 }
 
-fn try_select(
+/// The accept step both selectors share: candidate `idx` joins
+/// `selected` (the prior groups plus this round's) unless its group
+/// closes a dependency cycle with them or the hooks veto it. The
+/// structural guard runs before any hook side effect: a group that would
+/// close a cycle with the groups already selected (this round or earlier
+/// ones) can never be realised as one SIMD instruction, and pairwise
+/// candidate conflicts cannot see these multi-group cycles.
+pub(crate) fn accept(
     screened: &Screened<'_>,
     idx: usize,
-    alive: &mut [bool],
     selected: &mut Vec<SimdGroup>,
-    new_groups: &mut Vec<SimdGroup>,
     hooks: &mut dyn SelectHooks,
 ) -> bool {
-    alive[idx] = false;
     let view = &screened.views[idx];
-    // Structural guard before any hook side effects: a group that would
-    // close a dependency cycle with the groups already selected (this
-    // round or earlier ones) can never be realised as one SIMD
-    // instruction — pairwise candidate conflicts cannot see these
-    // multi-group cycles.
-    if closes_cycle(screened.dfg, selected, &view.group) {
+    if closes_cycle(screened.dfg, selected, &view.group) || !hooks.on_select(view) {
         return false;
     }
-    if hooks.on_select(view) {
-        selected.push(view.group.clone());
-        new_groups.push(view.group.clone());
-        true
-    } else {
-        false
-    }
+    selected.push(view.group.clone());
+    true
 }
+
 /// Kills candidates overlapping any already-formed group (used in the
 /// conflict-free tail, where shared-item conflicts are gone but overlaps
 /// with fresh selections must still be respected).
@@ -412,32 +418,6 @@ pub fn absorb_selected(groups: &mut Vec<SimdGroup>, selected: Vec<SimdGroup>) {
     groups.extend(selected);
 }
 
-/// Plain, accuracy-*unaware* SLP extraction for the `WLO-First` baseline:
-/// word lengths are already fixed, so a candidate is admissible iff every
-/// element's word length fits the sub-word the target grants the group.
-/// The frozen word lengths also feed the cycle-priced benefit model.
-pub fn extract_plain_with(
-    ctx: &mut PassCtx<'_>,
-    dfg: &Dfg,
-    wl_of: &dyn Fn(NodeId) -> i32,
-) -> Vec<SimdGroup> {
-    struct FixedWlHooks<'a> {
-        target: &'a slpwlo_targets::TargetModel,
-        wl_of: &'a dyn Fn(NodeId) -> i32,
-    }
-    impl SelectHooks for FixedWlHooks<'_> {
-        fn validate(&mut self, _idx: usize, view: &CandidateView) -> bool {
-            view.fits_frozen_wls(self.target, self.wl_of)
-        }
-
-        fn current_wl(&self, node: NodeId) -> Option<i32> {
-            Some((self.wl_of)(node))
-        }
-    }
-    let target = ctx.target;
-    extract_rounds(ctx, dfg, &mut FixedWlHooks { target, wl_of })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,11 +448,16 @@ kernel f {
         (k, dfg)
     }
 
-    fn plain(dfg: &Dfg, target: &TargetModel, wl_of: &dyn Fn(NodeId) -> i32) -> Vec<SimdGroup> {
-        extract_plain_with(
+    fn plain(dfg: &Dfg, target: &TargetModel, wl: &dyn Fn(NodeId) -> i32) -> Vec<SimdGroup> {
+        let mut hooks = FrozenWls {
+            target,
+            wl,
+            fwl: None,
+        };
+        extract_rounds(
             &mut PassCtx::plain(target, BenefitKind::default()),
             dfg,
-            wl_of,
+            &mut hooks,
         )
     }
 
@@ -671,11 +656,13 @@ kernel f {
             dfg: &'d Dfg,
         }
         impl SelectHooks for NoAdds<'_> {
-            fn validate(&mut self, _idx: usize, view: &CandidateView) -> bool {
-                !matches!(
-                    view.group.kind(self.dfg),
-                    NodeKind::Bin(slpwlo_ir::BinOp::Add)
-                )
+            fn screen(&mut self, views: &[CandidateView]) -> Vec<bool> {
+                views
+                    .iter()
+                    .map(|v| {
+                        !matches!(v.group.kind(self.dfg), NodeKind::Bin(slpwlo_ir::BinOp::Add))
+                    })
+                    .collect()
             }
         }
         let (_, dfg) = fir4_block();

@@ -204,7 +204,7 @@ fn first_cyclic_group(dfg: &Dfg, groups: &[SimdGroup]) -> Option<usize> {
 /// so `Ok(())` means "checked or too big", never "silently wrong".
 ///
 /// This check is sound only for selections driven by the *same* fixed
-/// oracle (e.g. `extract_plain_with`-style hooks); under evolving-spec hooks
+/// oracle (e.g. [`slpwlo_slp::FrozenWls`] over `wl`); under evolving-spec hooks
 /// the selector legitimately prices against intermediate states the
 /// verifier cannot see.
 pub fn verify_optimal_selection(
@@ -410,22 +410,7 @@ kernel cy {
 
     #[test]
     fn optimal_selection_spot_check_accepts_exact_and_rejects_empty() {
-        use slpwlo_slp::{run_selection, CandidateView, SelectHooks};
-        // Frozen 16-bit word lengths, mirroring `extract_plain_with`'s hooks.
-        struct FixedWl<'a> {
-            target: &'a TargetModel,
-        }
-        impl SelectHooks for FixedWl<'_> {
-            fn validate(&mut self, _idx: usize, view: &CandidateView) -> bool {
-                match self.target.container_wl(16) {
-                    Some(c) => c <= view.elem_wl,
-                    None => false,
-                }
-            }
-            fn current_wl(&self, _n: NodeId) -> Option<i32> {
-                Some(16)
-            }
-        }
+        use slpwlo_slp::{run_selection, FrozenWls};
         let k = parse_kernel(
             r#"
 kernel g {
@@ -454,13 +439,12 @@ kernel g {
             SchedKind::List,
             false,
         );
-        let chosen = run_selection(
-            &mut ctx,
-            &dfg,
-            &round,
-            &[],
-            &mut FixedWl { target: &target },
-        );
+        let mut hooks = FrozenWls {
+            target: &target,
+            wl: &wl,
+            fwl: None,
+        };
+        let chosen = run_selection(&mut ctx, &dfg, &round, &[], &mut hooks);
         assert!(!chosen.is_empty(), "ST240 must pack this round");
         verify_optimal_selection(&dfg, &target, &[], &chosen, &wl, 20, "t").unwrap();
         // An empty selection on a profitable round is provably below the

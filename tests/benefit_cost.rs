@@ -19,7 +19,7 @@ use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::Dfg;
 use slpwlo::kernels::all_benchmarks;
-use slpwlo::slp::{extract_plain_with, BenefitKind, PassCtx};
+use slpwlo::slp::{extract_rounds, BenefitKind, FrozenWls, PassCtx};
 use slpwlo::targets::{vex, CycleCache, FuSet, OpQuery, SchedKind, SimdConfig, TargetModel};
 
 /// (a) VEX-1: whatever the cycle-priced model admits must never schedule
@@ -122,8 +122,12 @@ fn slots_and_cycles_agree_on_a_unit_cost_machine() {
                     let groups = {
                         let mut ctx =
                             PassCtx::new(CycleCache::new(&target), kind, SchedKind::List, false);
-                        let (spec_ref, dfg_ref) = (&spec, &dfg);
-                        extract_plain_with(&mut ctx, &dfg, &move |n| value_wl(spec_ref, dfg_ref, n))
+                        let mut hooks = FrozenWls {
+                            target: &target,
+                            wl: &|n| value_wl(&spec, &dfg, n),
+                            fwl: None,
+                        };
+                        extract_rounds(&mut ctx, &dfg, &mut hooks)
                     };
                     (b, dfg, groups)
                 })

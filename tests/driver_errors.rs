@@ -50,6 +50,31 @@ fn parse_errors_carry_location_and_chain() {
     assert!(err.source().is_some());
 }
 
+/// Nesting past the parser's cap is a typed parse error, not a stack
+/// overflow (20 000 levels aborted the process before the cap), while a
+/// kernel nested exactly to the cap still compiles end to end.
+#[test]
+fn deep_nesting_is_capped_with_a_parse_error() -> Result<(), Error> {
+    use slpwlo::ir::parser::MAX_NESTING;
+    let nested = |depth: usize| {
+        format!(
+            "kernel deep {{ input x range [-1, 1]; output y; y = {}x{}; }}",
+            "(".repeat(depth),
+            " + x)".repeat(depth)
+        )
+    };
+    for depth in [MAX_NESTING as usize + 1, 20_000] {
+        match Optimizer::for_source(&nested(depth)) {
+            Err(Error::Parse(e)) => assert!(e.to_string().contains("nesting"), "{e}"),
+            Err(other) => panic!("{depth} levels: expected Parse, got {other:?}"),
+            Ok(_) => panic!("{depth} levels must not parse"),
+        }
+    }
+    let at_cap = Optimizer::for_source(&nested(MAX_NESTING as usize))?;
+    at_cap.target(xentium()).constraint_db(-40.0).run()?;
+    Ok(())
+}
+
 #[test]
 fn invalid_input_range_is_typed() {
     use slpwlo::ir::IrError;

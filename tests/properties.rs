@@ -117,8 +117,7 @@ fn fixed_error_bounded_by_format_budget() {
 }
 
 /// SLP extraction on a random block never packs dependent nodes and
-/// never reuses a node across groups (checked inside extract_plain_with's own
-/// assertions plus here over group structure).
+/// never reuses a node across groups.
 #[test]
 fn extraction_respects_structure() {
     for taps in [4u32, 5, 7, 8, 11, 12, 15] {
@@ -133,7 +132,12 @@ fn extraction_respects_structure() {
                 let costs = slpwlo::targets::CycleCache::new(&target);
                 let kind = BenefitKind::default();
                 let mut ctx = PassCtx::new(costs, kind, slpwlo::targets::SchedKind::List, false);
-                let groups = slpwlo::slp::extract_plain_with(&mut ctx, &dfg, &|_| wl);
+                let mut hooks = slpwlo::slp::FrozenWls {
+                    target: &target,
+                    wl: &|_| wl,
+                    fwl: None,
+                };
+                let groups = slpwlo::slp::extract_rounds(&mut ctx, &dfg, &mut hooks);
                 let mut seen = std::collections::HashSet::new();
                 for g in &groups {
                     for (i, &a) in g.elems.iter().enumerate() {

@@ -185,29 +185,9 @@ fn zero_budget_is_bitwise_greedy() {
 fn committed_rounds_agree_with_exhaustive_enumeration() {
     use slpwlo::ir::blocks::collect_blocks;
     use slpwlo::ir::dfg::{Dfg, NodeId};
-    use slpwlo::slp::{
-        absorb_selected, run_selection, CandidateView, PassCtx, Round, SelectHooks, SimdGroup,
-    };
-    use slpwlo::targets::{CycleCache, TargetModel};
+    use slpwlo::slp::{absorb_selected, run_selection, FrozenWls, PassCtx, Round, SimdGroup};
+    use slpwlo::targets::CycleCache;
     use slpwlo::verify::verify_optimal_selection;
-
-    struct FixedWl<'a> {
-        target: &'a TargetModel,
-    }
-    impl SelectHooks for FixedWl<'_> {
-        fn validate(&mut self, _idx: usize, view: &CandidateView) -> bool {
-            view.group
-                .elems
-                .iter()
-                .all(|_| match self.target.container_wl(16) {
-                    Some(c) => c <= view.elem_wl,
-                    None => false,
-                })
-        }
-        fn current_wl(&self, _n: NodeId) -> Option<i32> {
-            Some(16)
-        }
-    }
 
     let wl = |_: NodeId| 16;
     let mut verified_rounds = 0usize;
@@ -227,7 +207,11 @@ fn committed_rounds_agree_with_exhaustive_enumeration() {
                             matches!(target.container_wl(16), Some(c) if c <= view.elem_wl)
                         })
                         .count();
-                    let mut hooks = FixedWl { target: &target };
+                    let mut hooks = FrozenWls {
+                        target: &target,
+                        wl: &wl,
+                        fwl: None,
+                    };
                     let chosen = run_selection(&mut ctx, &dfg, &round, &groups, &mut hooks);
                     verify_optimal_selection(&dfg, &target, &groups, &chosen, &wl, 14, bench.name)
                         .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name, target.name));
