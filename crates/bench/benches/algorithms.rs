@@ -2,12 +2,15 @@
 //! evaluation (`EVALACC`), noise-gain analysis, the whole front end
 //! (ranges + gains), SLP candidate rounds,
 //! Tabu WLO, the joint WLO-SLP search (greedy on CFIR and BIQUAD, and
-//! exact with modulo scheduling on CFIR) and the VLIW list scheduler.
+//! exact with modulo scheduling on CFIR), the VLIW list scheduler and
+//! whole kernel-to-report runs (greedy with list scheduling on FIR and
+//! CONV, exact with modulo scheduling on MATVEC).
 //!
 //! Run with: `cargo bench -p slpwlo-bench --bench algorithms`
 
 use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, IncrementalEvaluator};
 use slpwlo_bench::Micro;
+use slpwlo_core::nodes::{value_format, value_wl};
 use slpwlo_core::{
     cycles_per_activation_cached, lower_scalar, prepare, tabu_wlo, wlo_slp_sched, TabuOptions,
 };
@@ -17,7 +20,7 @@ use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_kernels::{biquad_cascade4, complex_fir32, conv3x3, fir64, iir10, matvec16x16};
 use slpwlo_slp::{extract_rounds, BenefitKind, FrozenWls, PassCtx, Round};
-use slpwlo_targets::{st240, xentium, CycleCache, SchedKind};
+use slpwlo_targets::{st240, vex, xentium, CycleCache, SchedKind};
 
 fn main() {
     let mut m = Micro::for_bench("algorithms");
@@ -36,18 +39,35 @@ fn main() {
     m.bench("prepare_matvec16x16", || prepare(matvec16x16()));
     m.bench("prepare_iir10", || prepare(iir10()));
 
-    let kernel = conv3x3();
+    let conv = prepare(conv3x3());
     let target = xentium();
-    let blocks = blocks_by_priority(&kernel);
-    let dfg = Dfg::from_block(&kernel, &blocks[0]);
+    let blocks = blocks_by_priority(&conv.kernel);
+    let dfg = Dfg::from_block(&conv.kernel, &blocks[0]);
     m.bench("slp_round_conv3x3", || Round::new(&dfg, &target, &[]));
+    // Selection on frozen word lengths as WLO-First runs it
+    // (`extract_on_spec`): word lengths and scalings read per node from
+    // the Tabu specification. At -50 dB this block keeps 4 packs of
+    // mixed widths; at -40 dB mismatched scalings leave it none, and the
+    // bench would time screening alone.
+    let mut frozen = FixedPointSpec::from_ranges(&conv.kernel, &conv.ranges, 32);
+    let eval = IncrementalEvaluator::new(&conv.eval);
+    tabu_wlo(
+        &conv.kernel,
+        &mut frozen,
+        &eval,
+        -50.0,
+        &target.scalar_wls,
+        &TabuOptions::default(),
+    );
+    let wl = |n| value_wl(&frozen, &dfg, n);
+    let fwl = |n| value_format(&frozen, &dfg, n).fwl;
     m.bench("slp_extract_plain_conv3x3", || {
         let costs = CycleCache::new(&target);
         let mut ctx = PassCtx::new(costs, BenefitKind::default(), SchedKind::List, false);
         let mut hooks = FrozenWls {
             target: &target,
-            wl: &|_| 16,
-            fwl: None,
+            wl: &wl,
+            fwl: Some(&fwl),
         };
         extract_rounds(&mut ctx, &dfg, &mut hooks)
     });
@@ -144,6 +164,19 @@ fn main() {
             .expect("valid kernel")
             .target(xentium())
             .constraint_db(-40.0)
+            .run()
+            .expect("e2e optimize")
+    });
+    // The maximum-quality compile end to end: exact selection's two
+    // portfolio legs with modulo scheduling, where the scheduler guards
+    // and the final pricing, not the search, set the pace.
+    m.bench("optimize_e2e_matvec_exact_modulo", || {
+        Optimizer::for_kernel(matvec16x16())
+            .expect("valid kernel")
+            .target(vex(1))
+            .constraint_db(-40.0)
+            .benefit_kind(BenefitKind::optimal())
+            .sched_kind(SchedKind::modulo())
             .run()
             .expect("e2e optimize")
     });

@@ -14,9 +14,9 @@
 //!   word-length-proportional cost model, followed by plain
 //!   accuracy-unaware SLP extraction on the frozen specification.
 
-use crate::lower::{lower_fixed, lower_scalar, MachineProgram};
+use crate::lower::{lower_fixed, MachineProgram};
 use crate::nodes::{value_format, value_wl};
-use crate::sched::{block_activation_cycles_cached, cycles_per_activation_cached};
+use crate::sched::BlockPrices;
 use crate::tabu::{tabu_wlo, TabuOptions};
 use crate::wlo_slp::wlo_slp;
 use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, IncrementalEvaluator};
@@ -157,21 +157,24 @@ pub enum PassArtifact<'a> {
 }
 
 /// The scheduler guard: the benefit model is a per-candidate estimate;
-/// the leg's scheduler (`ctx.sched`, priced through `ctx.costs`) is the
-/// arbiter. Every block's selected groups are kept only if the block's
-/// vectorized form actually schedules faster than dropping them under
-/// the final specification — otherwise the word-length decisions stand
-/// (the spec is untouched) but the packs are discarded. Blocks schedule
-/// independently, so the per-block greedy is exact; the returned program
-/// is the cheapest keep/drop assignment and never slower than the
-/// all-scalar lowering of the same spec.
+/// the leg's scheduler (`ctx.sched`, priced through `ctx.costs` and the
+/// flow's block memo `prices`) is the arbiter. Every block's selected
+/// groups are kept only if the block's vectorized form actually
+/// schedules faster than dropping them under the final specification —
+/// otherwise the word-length decisions stand (the spec is untouched) but
+/// the packs are discarded. Blocks schedule independently, so the
+/// per-block greedy is exact; the returned SIMD program is the cheapest
+/// keep/drop assignment and never slower than the all-scalar lowering of
+/// the same spec, which is returned beside it: the group-free lowering
+/// the guard compares against *is* that program.
 fn prune_unprofitable_groups<E>(
     kernel: &Kernel,
     spec: &FixedPointSpec,
     ctx: &PassCtx<'_>,
+    prices: &mut BlockPrices<'_>,
     blocks: &mut [BlockGroups],
     check: &mut Check<'_, E>,
-) -> Result<MachineProgram, E> {
+) -> Result<(MachineProgram, MachineProgram), E> {
     let (target, sched, costs) = (ctx.target, ctx.sched, &ctx.costs);
     fn candidate<'a>(
         p: &'a MachineProgram,
@@ -199,7 +202,7 @@ fn prune_unprofitable_groups<E>(
     );
     check(candidate(&full, target, sched))?;
     if blocks.iter().all(|(_, _, g)| g.is_empty()) {
-        return Ok(full);
+        return Ok((full.clone(), full));
     }
     let bare: Vec<_> = blocks
         .iter()
@@ -216,20 +219,20 @@ fn prune_unprofitable_groups<E>(
         // its schedule (ties keep the vector form). Trip-weighted
         // activation cycles, so pipelined steady states are compared on
         // the same footing as sequential iteration costs.
-        if block_activation_cycles_cached(costs, &none.blocks[i], sched)
-            < block_activation_cycles_cached(costs, &full.blocks[i], sched)
+        if prices.block_cycles(costs, &none.blocks[i], sched)
+            < prices.block_cycles(costs, &full.blocks[i], sched)
         {
             groups.clear();
             pruned = true;
         }
     }
     if !pruned {
-        return Ok(full);
+        return Ok((full, none));
     }
     if blocks.iter().all(|(_, _, g)| g.is_empty()) {
-        return Ok(none);
+        return Ok((none.clone(), none));
     }
-    Ok(lower_fixed(kernel, spec, target, blocks))
+    Ok((lower_fixed(kernel, spec, target, blocks), none))
 }
 
 /// Outcome of one flow on one kernel/target/constraint point.
@@ -272,21 +275,27 @@ type Searched = (FixedPointSpec, Vec<BlockGroups>);
 /// bumps `select.portfolio_fallbacks`; the exact leg's search statistics
 /// are carried either way. `ctx` is the first leg's context; the greedy
 /// leg gets a fresh one differing only in its benefit kind.
+///
+/// One block-price memo serves both legs' scheduler guards and the
+/// comparison, so under modulo scheduling each distinct block is
+/// searched once per flow call: the comparison's programs are made of
+/// blocks the guards already priced.
 fn run_legs<E>(
     prep: &Prepared,
     mut ctx: PassCtx<'_>,
     check: &mut Check<'_, E>,
     search: &mut Search<'_, E>,
 ) -> Result<FlowResult, E> {
-    let exact = run_leg(prep, &mut ctx, check, search)?;
+    let mut prices = BlockPrices::new(ctx.target);
+    let exact = run_leg(prep, &mut ctx, &mut prices, check, search)?;
     if !matches!(ctx.benefit, BenefitKind::Optimal { .. }) {
         return Ok(exact);
     }
     let costs = CycleCache::new(ctx.target);
     let mut greedy_ctx = PassCtx::new(costs, BenefitKind::Cycles, ctx.sched, ctx.equalize);
-    let greedy = run_leg(prep, &mut greedy_ctx, check, search)?;
-    let exact_cycles = cycles_per_activation_cached(&ctx.costs, &exact.simd, ctx.sched);
-    let greedy_cycles = cycles_per_activation_cached(&ctx.costs, &greedy.simd, ctx.sched);
+    let greedy = run_leg(prep, &mut greedy_ctx, &mut prices, check, search)?;
+    let exact_cycles = prices.program_cycles(&ctx.costs, &exact.simd, ctx.sched);
+    let greedy_cycles = prices.program_cycles(&ctx.costs, &greedy.simd, ctx.sched);
     if greedy_cycles < exact_cycles {
         let mut select = exact.select;
         select.portfolio_fallbacks += 1;
@@ -302,6 +311,7 @@ fn run_legs<E>(
 fn run_leg<E>(
     prep: &Prepared,
     ctx: &mut PassCtx<'_>,
+    prices: &mut BlockPrices<'_>,
     check: &mut Check<'_, E>,
     search: &mut Search<'_, E>,
 ) -> Result<FlowResult, E> {
@@ -311,7 +321,8 @@ fn run_leg<E>(
     let (spec, mut blocks) = search(ctx, check)?;
     let (target, sched) = (ctx.target, ctx.sched);
     check_groups(&blocks, target, false, check)?;
-    let simd = prune_unprofitable_groups(&prep.kernel, &spec, ctx, &mut blocks, check)?;
+    let (simd, scalar) =
+        prune_unprofitable_groups(&prep.kernel, &spec, ctx, prices, &mut blocks, check)?;
     check_groups(&blocks, target, true, check)?;
     check(PassArtifact::Program {
         program: &simd,
@@ -320,7 +331,6 @@ fn run_leg<E>(
         sched,
     })?;
     let group_count = blocks.iter().map(|(_, _, g)| g.len()).sum();
-    let scalar = lower_scalar(&prep.kernel, &spec, target);
     check(PassArtifact::Program {
         program: &scalar,
         target,
@@ -527,6 +537,56 @@ kernel fir8 {
         let (a1, a2) = (run(), run());
         assert_eq!(a1.group_count, a2.group_count);
         assert_eq!(a1.simd.ops_per_activation(), a2.simd.ops_per_activation());
+    }
+
+    #[test]
+    fn guard_scalar_program_is_lower_scalar() {
+        // The scalar program a leg returns is the guard's group-free
+        // lowering (or its only lowering, when nothing was selected);
+        // it must be exactly the standalone all-scalar lowering.
+        use crate::lower::lower_scalar;
+        use slpwlo_targets::{st240, vex};
+        let tabu = TabuOptions::default();
+        let (benefit, sched) = (BenefitKind::default(), SchedKind::List);
+        let ok = &mut |_: PassArtifact<'_>| Ok::<(), Infallible>(());
+        for bench in slpwlo_kernels::all_benchmarks() {
+            let prep = prepare(bench.kernel);
+            for target in [st240(), vex(1), vex(4), xentium()] {
+                let joint = wlo_slp_flow_checked(&prep, &target, -40.0, benefit, sched, ok);
+                let first =
+                    wlo_first_flow_checked(&prep, &target, -40.0, &tabu, benefit, sched, ok);
+                for (flow, res) in [("WLO-SLP", joint), ("WLO-First", first)] {
+                    let res = res.unwrap();
+                    let fresh = lower_scalar(&prep.kernel, &res.spec, &target);
+                    assert_eq!(
+                        format!("{:?}", res.scalar),
+                        format!("{fresh:?}"),
+                        "{} on {} under {flow}",
+                        bench.name,
+                        target.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_modulo_flow_search_count_is_pinned() {
+        // A work counter, not a result: MATVEC on VEX-1 with exact
+        // selection and modulo scheduling. Both legs' guards and the
+        // portfolio comparison price their blocks through one memo, so
+        // each distinct block runs one II search; pricing every
+        // comparison afresh took 94 searches.
+        use crate::sched::searches;
+        let prep = prepare(slpwlo_kernels::matvec16x16());
+        let target = slpwlo_targets::vex(1);
+        let (benefit, sched) = (BenefitKind::optimal(), SchedKind::modulo());
+        let ok = &mut |_: PassArtifact<'_>| Ok::<(), Infallible>(());
+        let (res, count) = searches::during(|| {
+            wlo_slp_flow_checked(&prep, &target, -40.0, benefit, sched, ok).unwrap()
+        });
+        assert!(res.group_count > 0);
+        assert_eq!(count, 11);
     }
 
     /// The pass-artifact order, one token per artifact: the variant,

@@ -47,7 +47,7 @@ pub use scalopt::scaling_optimize;
 pub use sched::{
     block_activation_cycles_cached, cycles_per_activation_cached, loop_carried_deps,
     modulo_attempt_cached, modulo_bounds_cached, schedule_block_cached, total_cycles_cached,
-    ModuloAttempt, ModuloSchedule, Schedule,
+    BlockPrices, ModuloAttempt, ModuloSchedule, Schedule,
 };
 pub use slpwlo_slp::{BenefitKind, PassCtx, SelectStats};
 pub use slpwlo_targets::SchedKind;

@@ -26,7 +26,8 @@
 //! after every iteration as they do under sequential issue.
 
 use crate::lower::{Loc, MachineBlock, MachineProgram, MopKind, Operand};
-use slpwlo_targets::{CycleCache, OpClass, OpCost, SchedKind, TargetModel};
+use slpwlo_targets::{CycleCache, OpClass, OpCost, OpQuery, SchedKind, TargetModel};
+use std::collections::HashMap;
 
 /// The pipelined overlay of a modulo schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,6 +304,108 @@ pub fn total_cycles_cached(
     kind: SchedKind,
 ) -> u64 {
     cycles_per_activation_cached(costs, program, kind) * activations
+}
+
+// --- block-price memo ------------------------------------------------------
+
+/// Everything the schedulers read from a block besides the target: two
+/// blocks with equal keys get the same schedule under the same target.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct BlockKey {
+    /// The scheduler kind, modulo budget included.
+    kind: SchedKind,
+    trip: u64,
+    in_loop: bool,
+    /// Each op's cost query, in block order.
+    queries: Vec<OpQuery>,
+    /// Each op's predecessor count followed by its predecessors.
+    preds: Vec<usize>,
+    /// The block's [`loop_carried_deps`]: the only part of the op kinds
+    /// and variable definitions a scheduler reads.
+    carried: Vec<(usize, usize)>,
+}
+
+impl BlockKey {
+    fn of(block: &MachineBlock, kind: SchedKind) -> Self {
+        let mut preds = Vec::with_capacity(2 * block.ops.len());
+        for op in &block.ops {
+            preds.push(op.preds.len());
+            preds.extend_from_slice(&op.preds);
+        }
+        BlockKey {
+            kind,
+            trip: block.trip,
+            in_loop: block.in_loop,
+            queries: block.ops.iter().map(|op| op.query).collect(),
+            preds,
+            carried: loop_carried_deps(block),
+        }
+    }
+}
+
+/// A memo of trip-weighted block prices
+/// ([`block_activation_cycles_cached`]) over one target, so a block
+/// priced again — the same block in another lowering, another leg's
+/// program or a later comparison — costs a lookup instead of a second
+/// modulo search.
+///
+/// Only [`SchedKind::Modulo`] prices are memoized: a list schedule costs
+/// about as much as building the key, so list pricing passes straight
+/// through. Entries are keyed by everything the schedulers read from a
+/// block (the scheduler kind with its budget, `trip`, `in_loop`, each
+/// op's query and predecessors, and the [`loop_carried_deps`]) and the
+/// whole key is compared on a hit, so a hash collision can never change
+/// a price; every price equals the unmemoized one bit for bit.
+#[derive(Debug)]
+pub struct BlockPrices<'t> {
+    target: &'t TargetModel,
+    prices: HashMap<BlockKey, u64>,
+}
+
+impl<'t> BlockPrices<'t> {
+    /// An empty memo for blocks scheduled against `target`.
+    pub fn new(target: &'t TargetModel) -> Self {
+        BlockPrices {
+            target,
+            prices: HashMap::new(),
+        }
+    }
+
+    /// [`block_activation_cycles_cached`], memoized under
+    /// [`SchedKind::Modulo`]. `costs` must price `target`'s ops.
+    pub fn block_cycles(
+        &mut self,
+        costs: &CycleCache<'_>,
+        block: &MachineBlock,
+        kind: SchedKind,
+    ) -> u64 {
+        debug_assert!(
+            std::ptr::eq(costs.target(), self.target),
+            "a block-price memo serves one target"
+        );
+        if kind == SchedKind::List {
+            return block_activation_cycles_cached(costs, block, kind);
+        }
+        *self
+            .prices
+            .entry(BlockKey::of(block, kind))
+            .or_insert_with(|| block_activation_cycles_cached(costs, block, kind))
+    }
+
+    /// [`cycles_per_activation_cached`], memoized block by block under
+    /// [`SchedKind::Modulo`].
+    pub fn program_cycles(
+        &mut self,
+        costs: &CycleCache<'_>,
+        program: &MachineProgram,
+        kind: SchedKind,
+    ) -> u64 {
+        program
+            .blocks
+            .iter()
+            .map(|b| self.block_cycles(costs, b, kind))
+            .sum()
+    }
 }
 
 // --- loop-carried dependences -------------------------------------------
@@ -731,6 +834,8 @@ pub fn modulo_attempt_cached(
     if !pipelinable(costs, block) {
         return ModuloAttempt::Ineligible;
     }
+    #[cfg(test)]
+    searches::count();
     let list = list_schedule_cached(costs, block);
     let overhead = loop_overhead(target);
     let list_total = (list.makespan + overhead) * block.trip;
@@ -806,6 +911,29 @@ pub fn modulo_attempt_cached(
         ModuloAttempt::BudgetExhausted
     } else {
         ModuloAttempt::NotProfitable
+    }
+}
+
+/// A per-thread count of modulo searches (eligible
+/// [`modulo_attempt_cached`] calls), so tests can pin the scheduling
+/// work a flow does.
+#[cfg(test)]
+pub(crate) mod searches {
+    use std::cell::Cell;
+
+    thread_local! {
+        static COUNT: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count() {
+        COUNT.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Searches run on this thread by `f`.
+    pub(crate) fn during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = COUNT.with(Cell::get);
+        let out = f();
+        (out, COUNT.with(Cell::get) - before)
     }
 }
 
@@ -1143,6 +1271,71 @@ mod tests {
         for (_, used) in issue {
             assert!(used < target.issue_width); // room for the overhead op
         }
+    }
+
+    #[test]
+    fn block_prices_key_on_what_the_schedulers_read() {
+        use crate::lower::MopKind;
+        use slpwlo_fixedpoint::QFormat;
+        use slpwlo_ir::types::{ArrayId, VarId};
+        use slpwlo_ir::{BinOp, IndexExpr};
+        let target = vex(1);
+        let costs = CycleCache::new(&target);
+        let fmt = QFormat::new(1, 14);
+        let v = VarId(0);
+        // `v = (v + a[ix]) + imm`, with `v` committed from op `def`.
+        let make = |ix: i64, imm: i64, def: usize| {
+            let add = |a, b| MopKind::Bin {
+                op: BinOp::Add,
+                a,
+                b,
+                to: Some(fmt),
+            };
+            let ops = vec![
+                Mop {
+                    query: OpQuery::Load(16),
+                    preds: vec![],
+                    kind: MopKind::Load {
+                        loc: Loc::Array(ArrayId(0), IndexExpr::constant(ix)),
+                    },
+                },
+                Mop {
+                    query: OpQuery::Add(16),
+                    preds: vec![0],
+                    kind: add(Operand::Var(v), Operand::Op(0)),
+                },
+                Mop {
+                    query: OpQuery::Add(16),
+                    preds: vec![1],
+                    kind: add(Operand::Op(1), Operand::Imm { raw: imm, fmt }),
+                },
+            ];
+            let mut b = block_t(ops, 16, true);
+            b.var_defs.push((v, Operand::Op(def)));
+            b
+        };
+        let modulo = SchedKind::modulo();
+        let mut prices = BlockPrices::new(&target);
+        let mut price = |b: &MachineBlock, kind| {
+            let memo = prices.block_cycles(&costs, b, kind);
+            let fresh = block_activation_cycles_cached(&CycleCache::new(&target), b, kind);
+            assert_eq!(memo, fresh);
+            prices.prices.len()
+        };
+        let base = make(0, 1, 2);
+        assert_eq!(price(&base, modulo), 1);
+        // Index expressions and constants are not scheduler inputs.
+        assert_eq!(price(&make(5, 1, 2), modulo), 1);
+        assert_eq!(price(&make(0, 7, 2), modulo), 1);
+        // Committing `v` from another op moves the carried dependence.
+        let moved = make(0, 1, 1);
+        assert_ne!(loop_carried_deps(&moved), loop_carried_deps(&base));
+        assert_eq!(price(&moved, modulo), 2);
+        // The modulo budget is part of the key; list prices are never
+        // stored.
+        assert_eq!(price(&base, SchedKind::Modulo { budget: 1 }), 3);
+        assert_eq!(price(&base, SchedKind::List), 3);
+        assert_eq!(price(&base, modulo), 3);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::error::Error;
 use crate::flow::{CompilationFlow, FlowContext, FlowKind};
 use crate::report::Report;
 use slpwlo_accuracy::AccuracyEvaluator;
-use slpwlo_core::{prepare, total_cycles_cached, BenefitKind, Prepared, TabuOptions};
+use slpwlo_core::{prepare, BenefitKind, BlockPrices, Prepared, TabuOptions};
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::parser::parse_kernel;
 use slpwlo_ir::Kernel;
@@ -260,10 +260,25 @@ impl Optimizer {
             verify: self.verify,
         };
         let out = flow.run(&ctx)?;
-        // One shared price cache for all four cycle counts; the list
-        // counts ride along so pipelined reports can show what software
-        // pipelining bought without a second run.
+        // One shared price cache and block memo for all four cycle
+        // counts: under modulo scheduling, a block repeated within a
+        // program or shared by the SIMD and scalar programs runs one II
+        // search. The list counts ride along so pipelined reports can
+        // show what software pipelining bought without a second run
+        // (under list scheduling they are the same two counts).
         let costs = CycleCache::new(&self.target);
+        let mut prices = BlockPrices::new(&self.target);
+        let mut cycles =
+            |program, sched| prices.program_cycles(&costs, program, sched) * self.activations;
+        let cycles_simd = cycles(&out.program, self.sched);
+        let cycles_scalar = cycles(&out.scalar, self.sched);
+        let (cycles_simd_list, cycles_scalar_list) = match self.sched {
+            SchedKind::List => (cycles_simd, cycles_scalar),
+            SchedKind::Modulo { .. } => (
+                cycles(&out.program, SchedKind::List),
+                cycles(&out.scalar, SchedKind::List),
+            ),
+        };
         Ok(Report {
             kernel_name: self.prep.kernel.name().to_string(),
             flow: flow.name().to_string(),
@@ -272,20 +287,10 @@ impl Optimizer {
             constraint_db,
             spec: out.spec,
             sched: self.sched,
-            cycles_simd: total_cycles_cached(&costs, &out.program, self.activations, self.sched),
-            cycles_scalar: total_cycles_cached(&costs, &out.scalar, self.activations, self.sched),
-            cycles_simd_list: total_cycles_cached(
-                &costs,
-                &out.program,
-                self.activations,
-                SchedKind::List,
-            ),
-            cycles_scalar_list: total_cycles_cached(
-                &costs,
-                &out.scalar,
-                self.activations,
-                SchedKind::List,
-            ),
+            cycles_simd,
+            cycles_scalar,
+            cycles_simd_list,
+            cycles_scalar_list,
             simd: out.program,
             scalar: out.scalar,
             group_count: out.group_count,

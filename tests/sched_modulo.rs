@@ -17,21 +17,26 @@
 //!    in `slpwlo-verify` agrees with the scheduler across the corpus;
 //! 4. **audit rejection** — a hand-shifted steady state (the whole
 //!    issue log folded onto one residue) must *fail* the modulo audit:
-//!    acceptance is only meaningful if illegal overlaps die.
+//!    acceptance is only meaningful if illegal overlaps die;
+//! 5. **memo transparency** — over the suite × {ST240, VEX-1, VEX-4,
+//!    XENTIUM}, every block a modulo-scheduled exact flow's scheduler
+//!    guards and portfolio comparison price gets the same price from one
+//!    shared `BlockPrices` memo as from a fresh cache.
 
 mod common;
 
 use common::simd_program;
 use slpwlo::core::{
-    loop_carried_deps, lower_scalar, modulo_bounds_cached, schedule_block_cached, MachineProgram,
-    SchedKind,
+    block_activation_cycles_cached, loop_carried_deps, lower_scalar, modulo_bounds_cached, prepare,
+    schedule_block_cached, wlo_first_flow_checked, wlo_slp_flow_checked, BenefitKind, BlockPrices,
+    MachineProgram, PassArtifact, ProgramRole, SchedKind, TabuOptions,
 };
 use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::gen::KernelGen;
 use slpwlo::ir::Kernel;
 use slpwlo::kernels::all_benchmarks;
-use slpwlo::targets::{vex, xentium, CycleCache, TargetModel};
+use slpwlo::targets::{st240, vex, xentium, CycleCache, TargetModel};
 use slpwlo::verify::{audit_block_schedule, verify_program_sched};
 
 const WLS: [i32; 4] = [12, 16, 24, 32];
@@ -239,4 +244,58 @@ fn verifier_rejects_a_hand_shifted_steady_state() {
         }
     });
     assert!(rejections > 0, "no illegal steady state was ever probed");
+}
+
+/// The flows' block memo is transparent: replaying, in flow order, every
+/// program the scheduler guards compare (`Candidate`) and the portfolio
+/// comparison prices (`Simd`) through one shared memo gives each block
+/// exactly its fresh-cache price, and later programs do hit the memo.
+#[test]
+fn memoized_block_prices_equal_fresh_prices() {
+    let sched = SchedKind::modulo();
+    let tabu = TabuOptions::default();
+    let mut hits = 0usize;
+    for bench in all_benchmarks() {
+        let prep = prepare(bench.kernel);
+        for target in [st240(), vex(1), vex(4), xentium()] {
+            for joint in [true, false] {
+                let mut priced: Vec<MachineProgram> = Vec::new();
+                let record = &mut |a: PassArtifact<'_>| {
+                    if let PassArtifact::Program { program, role, .. } = a {
+                        if matches!(role, ProgramRole::Candidate | ProgramRole::Simd) {
+                            priced.push(program.clone());
+                        }
+                    }
+                    Ok::<(), std::convert::Infallible>(())
+                };
+                let benefit = BenefitKind::optimal();
+                if joint {
+                    wlo_slp_flow_checked(&prep, &target, -40.0, benefit, sched, record).unwrap();
+                } else {
+                    let (t, b) = (&target, benefit);
+                    wlo_first_flow_checked(&prep, t, -40.0, &tabu, b, sched, record).unwrap();
+                }
+                let costs = CycleCache::new(&target);
+                let mut prices = BlockPrices::new(&target);
+                let mut seen = std::collections::HashSet::new();
+                for program in &priced {
+                    for (b, block) in program.blocks.iter().enumerate() {
+                        let memo = prices.block_cycles(&costs, block, sched);
+                        let fresh =
+                            block_activation_cycles_cached(&CycleCache::new(&target), block, sched);
+                        assert_eq!(
+                            memo, fresh,
+                            "{} on {} (joint: {joint}) blk{b}: memoized price drifted",
+                            bench.name, target.name
+                        );
+                        let shape = format!("{:?}", (block.trip, block.in_loop, &block.ops));
+                        if !seen.insert(shape) {
+                            hits += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(hits > 0, "no block was ever priced twice");
 }
