@@ -2,9 +2,10 @@
 //! evaluation (`EVALACC`), noise-gain analysis, the whole front end
 //! (ranges + gains), SLP candidate rounds,
 //! Tabu WLO, the joint WLO-SLP search (greedy on CFIR and BIQUAD, and
-//! exact with modulo scheduling on CFIR), the VLIW list scheduler and
-//! whole kernel-to-report runs (greedy with list scheduling on FIR and
-//! CONV, exact with modulo scheduling on MATVEC).
+//! exact with modulo scheduling on CFIR), the VLIW list scheduler, one
+//! modulo-scheduling attempt on MATVEC, and whole kernel-to-report runs
+//! (greedy with list scheduling on FIR and CONV, exact with modulo
+//! scheduling on MATVEC).
 //!
 //! Run with: `cargo bench -p slpwlo-bench --bench algorithms`
 
@@ -12,7 +13,8 @@ use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, IncrementalEvaluat
 use slpwlo_bench::Micro;
 use slpwlo_core::nodes::{value_format, value_wl};
 use slpwlo_core::{
-    cycles_per_activation_cached, lower_scalar, prepare, tabu_wlo, wlo_slp_sched, TabuOptions,
+    cycles_per_activation_cached, lower_scalar, modulo_attempt_cached, modulo_bounds_cached,
+    prepare, tabu_wlo, wlo_slp_sched, TabuOptions,
 };
 use slpwlo_driver::Optimizer;
 use slpwlo_fixedpoint::FixedPointSpec;
@@ -144,6 +146,24 @@ fn main() {
     let prog = lower_scalar(&prep.kernel, &spec, &target);
     m.bench("vliw_schedule_fir64", || {
         cycles_per_activation_cached(&CycleCache::new(&target), &prog, SchedKind::List)
+    });
+    // One modulo attempt (the whole II search) on the largest pipelinable
+    // block of MATVEC's scalar lowering for single-issue VEX: a 25-op row
+    // whose search spends its whole trial budget near the resource bound.
+    // The price cache is built outside the timed closure, as a flow
+    // shares one across blocks.
+    let vex1 = vex(1);
+    let vex1_costs = CycleCache::new(&vex1);
+    let matvec_spec = FixedPointSpec::from_ranges(&matvec.kernel, &matvec.ranges, 16);
+    let matvec_prog = lower_scalar(&matvec.kernel, &matvec_spec, &vex1);
+    let hottest = matvec_prog
+        .blocks
+        .iter()
+        .filter(|b| modulo_bounds_cached(&vex1_costs, b).is_some())
+        .max_by_key(|b| b.ops.len())
+        .expect("MATVEC has a pipelinable loop");
+    m.bench("modulo_attempt_matvec_vex1", || {
+        modulo_attempt_cached(&vex1_costs, hottest, SchedKind::DEFAULT_BUDGET)
     });
 
     // True end-to-end runs: kernel in, optimized report out — range

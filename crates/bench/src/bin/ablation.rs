@@ -6,7 +6,14 @@
 //! * `no-acc-conflicts` — candidate validation only, without the
 //!   pairwise accuracy-conflict detection (fig. 1c lines 16-22): the
 //!   selection may paint itself into a corner and lose groups at the
-//!   `on_select` guard;
+//!   `on_select` guard.
+//!
+//!   Both ablations run one accuracy-aware extraction per block, with
+//!   no scheduler guard, so each is compared against `reference`: the
+//!   same ablation flow with nothing removed, which differs from each
+//!   ablated column in exactly the named ingredient. The `wlo-slp`
+//!   column is the real, guarded joint flow, printed for context only;
+//!   its gap to the ablated columns mixes the guard with the ingredient;
 //! * **benefit models** — `BenefitKind::Slots` (target-blind issue-slot
 //!   counting) vs `BenefitKind::Cycles` (candidates priced through
 //!   `TargetModel::cost`) across the full 8-benchmark suite and all four
@@ -50,9 +57,11 @@ use slpwlo_kernels::{all_benchmarks, paper_benchmarks, Benchmark};
 use slpwlo_slp::{extract_rounds, BenefitModel, PassCtx, Round, SelectStats};
 use slpwlo_targets::{all_targets, st240, vex, xentium, CycleCache, TargetModel};
 
-/// Which ingredient the ablated joint flow drops.
+/// Which ingredient the ablated joint flow drops; `Nothing` is the
+/// reference every ablation is compared against.
 #[derive(Clone, Copy, PartialEq)]
 enum Ablate {
+    Nothing,
     Scalopt,
     AccConflicts,
 }
@@ -64,6 +73,7 @@ struct AblatedWloSlp(Ablate);
 impl CompilationFlow for AblatedWloSlp {
     fn name(&self) -> &'static str {
         match self.0 {
+            Ablate::Nothing => "wlo-slp/reference",
             Ablate::Scalopt => "wlo-slp/no-scalopt",
             Ablate::AccConflicts => "wlo-slp/no-acc-conflicts",
         }
@@ -458,8 +468,10 @@ fn optimal_study() -> Result<(), Error> {
 fn main() -> Result<(), Error> {
     let target = xentium();
     println!(
-        "Ablation on {} (SIMD cycles, N=2048; lower is better)\n{:<8} {:>6} {:>12} {:>12} {:>16}",
-        target.name, "bench", "dB", "full", "no-scalopt", "no-acc-conflicts"
+        "Ablation on {} (SIMD cycles, N=2048; lower is better; ablations \
+         differ from `reference` in one ingredient, `wlo-slp` is the guarded flow)\n\
+         {:<8} {:>6} {:>16} {:>16} {:>12} {:>16}",
+        target.name, "bench", "dB", "wlo-slp", "reference", "no-scalopt", "no-acc-conflicts"
     );
     for bench in paper_benchmarks() {
         let mut opt = Optimizer::for_kernel(bench.kernel.clone())?
@@ -468,17 +480,21 @@ fn main() -> Result<(), Error> {
         for db in [-20.0, -50.0, -80.0] {
             opt = opt.constraint_db(db);
             opt = opt.flow(FlowKind::WloSlp);
-            let full = opt.run()?;
+            let flow = opt.run()?;
+            opt = opt.custom_flow(Box::new(AblatedWloSlp(Ablate::Nothing)));
+            let reference = opt.run()?;
             opt = opt.custom_flow(Box::new(AblatedWloSlp(Ablate::Scalopt)));
             let nos = opt.run()?;
             opt = opt.custom_flow(Box::new(AblatedWloSlp(Ablate::AccConflicts)));
             let noc = opt.run()?;
             println!(
-                "{:<8} {:>6.0} {:>9} g={:<3} {:>12} {:>13} g={:<3}",
+                "{:<8} {:>6.0} {:>10} g={:<3} {:>10} g={:<3} {:>12} {:>10} g={:<3}",
                 bench.name,
                 db,
-                full.cycles_simd,
-                full.group_count,
+                flow.cycles_simd,
+                flow.group_count,
+                reference.cycles_simd,
+                reference.group_count,
                 nos.cycles_simd,
                 noc.cycles_simd,
                 noc.group_count

@@ -18,12 +18,20 @@
 //!   no profitable II — falls back to the list schedule, so pricing is
 //!   always defined.
 //!
+//! Both book slots in one reservation table, whose rows count the issue
+//! slots and each unit class's slots taken in a cycle: flat, one row per
+//! cycle, for list scheduling; folded modulo the II for modulo
+//! scheduling. One greedy routine spreads an op's unit slots over it for
+//! both.
+//!
 //! A pipelined block's trip-weighted cost is
 //! `prologue + ii·(trip−1) + epilogue` (fill, steady state, drain) plus
 //! the loop-control overhead charged **once**: in the steady state the
 //! loop-control ops share issue slots with the overlapped iterations (the
-//! modulo reservation table pre-reserves them), instead of serializing
-//! after every iteration as they do under sequential issue.
+//! folded table pre-reserves them), instead of serializing after every
+//! iteration as they do under sequential issue. One function prices
+//! every schedule, so the modulo search's profitability test and the
+//! block price cannot disagree.
 
 use crate::lower::{Loc, MachineBlock, MachineProgram, MopKind, Operand};
 use slpwlo_targets::{CycleCache, OpClass, OpCost, OpQuery, SchedKind, TargetModel};
@@ -65,96 +73,172 @@ pub struct Schedule {
     pub modulo: Option<ModuloSchedule>,
 }
 
-/// Resource usage tracker with growable per-cycle counters.
-struct Resources<'t> {
-    target: &'t TargetModel,
-    issue: Vec<u32>,
-    alu: Vec<u32>,
-    mul: Vec<u32>,
-    mem: Vec<u32>,
-    shift: Vec<u32>,
-    fpu: Vec<u32>,
-    /// Cycles fully blocked by a serializing operation.
-    blocked: Vec<bool>,
+/// Every functional-unit class.
+const CLASSES: [OpClass; 5] = [
+    OpClass::Alu,
+    OpClass::Mul,
+    OpClass::Mem,
+    OpClass::Shift,
+    OpClass::Fpu,
+];
+
+/// The issue-slot column of a reservation-table row.
+const WIDTH: usize = 0;
+
+/// The column of a reservation-table row counting `class`'s unit slots.
+fn col(class: OpClass) -> usize {
+    1 + class as usize
 }
 
-impl<'t> Resources<'t> {
-    fn new(target: &'t TargetModel) -> Self {
-        Resources {
-            target,
-            issue: Vec::new(),
-            alu: Vec::new(),
-            mul: Vec::new(),
-            mem: Vec::new(),
-            shift: Vec::new(),
-            fpu: Vec::new(),
-            blocked: Vec::new(),
+/// Per-cycle reservation table of both schedulers: each row counts the
+/// issue slots and the unit slots of every [`OpClass`] taken in one cycle.
+///
+/// A flat table (`FOLDED = false`, list scheduling) has one row per
+/// absolute cycle and grows on demand. A folded table (`FOLDED = true`,
+/// modulo scheduling) has one row per residue modulo the II, so every
+/// copy of an iteration started `ii` cycles apart books the same rows.
+struct Table<const FOLDED: bool> {
+    /// Per-row capacities: the issue width, then each class's units.
+    cap: [u32; 6],
+    /// The folding period; unused by a flat table.
+    ii: u64,
+    rows: Vec<[u32; 6]>,
+}
+
+impl<const FOLDED: bool> Table<FOLDED> {
+    fn new(target: &TargetModel, ii: u64) -> Self {
+        let mut cap = [target.issue_width; 6];
+        for class in CLASSES {
+            cap[col(class)] = target.units.of(class);
+        }
+        let rows = if FOLDED { ii as usize } else { 0 };
+        Table {
+            cap,
+            ii,
+            rows: vec![[0; 6]; rows],
         }
     }
 
-    fn grow(&mut self, cycle: usize) {
-        let need = cycle + 1;
-        if self.issue.len() < need {
-            self.issue.resize(need, 0);
-            self.alu.resize(need, 0);
-            self.mul.resize(need, 0);
-            self.mem.resize(need, 0);
-            self.shift.resize(need, 0);
-            self.fpu.resize(need, 0);
-            self.blocked.resize(need, false);
+    /// The row of the cycle after row `r`'s.
+    fn next(&self, r: usize) -> usize {
+        if FOLDED && r + 1 == self.rows.len() {
+            0
+        } else {
+            r + 1
         }
     }
 
-    fn class_used(&mut self, class: OpClass, cycle: usize) -> &mut u32 {
-        match class {
-            OpClass::Alu => &mut self.alu[cycle],
-            OpClass::Mul => &mut self.mul[cycle],
-            OpClass::Mem => &mut self.mem[cycle],
-            OpClass::Shift => &mut self.shift[cycle],
-            OpClass::Fpu => &mut self.fpu[cycle],
+    /// Free issue+unit slots of `class` in row `r`.
+    fn free(&self, class: OpClass, r: usize) -> u32 {
+        // A flat table has not grown to rows nothing has booked yet.
+        let used = if FOLDED {
+            self.rows[r]
+        } else {
+            self.rows.get(r).copied().unwrap_or([0; 6])
+        };
+        let c = col(class);
+        (self.cap[c].saturating_sub(used[c])).min(self.cap[WIDTH].saturating_sub(used[WIDTH]))
+    }
+
+    fn take(&mut self, class: OpClass, r: usize, n: u32) {
+        if !FOLDED && r >= self.rows.len() {
+            self.rows.resize(r + 1, [0; 6]);
         }
+        let row = &mut self.rows[r];
+        row[col(class)] += n;
+        row[WIDTH] += n;
+        debug_assert!(row[WIDTH] <= self.cap[WIDTH]);
     }
 
-    /// Free issue+unit slots of `class` at `cycle`.
-    fn free_slots(&mut self, class: OpClass, cycle: usize) -> u32 {
-        self.grow(cycle);
-        if self.blocked[cycle] {
-            return 0;
-        }
-        let cap = self.target.units.of(class);
-        let width = self.target.issue_width;
-        let used_class = *self.class_used(class, cycle);
-        let used_issue = self.issue[cycle];
-        (cap.saturating_sub(used_class)).min(width.saturating_sub(used_issue))
-    }
-
-    fn take(&mut self, class: OpClass, cycle: usize, n: u32) {
-        self.grow(cycle);
-        *self.class_used(class, cycle) += n;
-        self.issue[cycle] += n;
-        debug_assert!(self.issue[cycle] <= self.target.issue_width);
-    }
-
-    /// Finds the earliest window of `len` completely idle cycles starting
-    /// at or after `from`, and blocks it (soft-float call).
-    fn take_serialized(&mut self, from: u64, len: u64) -> u64 {
-        let mut t = from;
-        'outer: loop {
-            let mut c = t;
-            while c < t + len {
-                self.grow(c as usize);
-                if self.issue[c as usize] > 0 || self.blocked[c as usize] {
-                    t = c + 1;
-                    continue 'outer;
+    /// Places op `op`'s `slots` unit issues of `class` greedily from cycle
+    /// `from` (in row `from_row`), which must have a free slot of `class`,
+    /// logging each cycle's share in `issues`, and returns the last cycle
+    /// used — `None` when a folded table has no free slot of `class` at
+    /// any residue (the slots taken so far stay booked and logged for the
+    /// caller to roll back).
+    fn spread(
+        &mut self,
+        op: usize,
+        class: OpClass,
+        slots: u32,
+        (from, from_row): (u64, usize),
+        issues: &mut Vec<(usize, u64, u32)>,
+    ) -> Option<u64> {
+        let mut remaining = slots;
+        let (mut cur, mut r) = (from, from_row);
+        let mut zero_run = 0u64;
+        while remaining > 0 {
+            let free = self.free(class, r);
+            if free == 0 {
+                zero_run += 1;
+                if FOLDED && zero_run >= self.ii {
+                    return None;
                 }
-                c += 1;
+                (cur, r) = (cur + 1, self.next(r));
+                continue;
             }
-            for c in t..t + len {
-                self.blocked[c as usize] = true;
-                self.issue[c as usize] = self.target.issue_width;
+            zero_run = 0;
+            let take = free.min(remaining);
+            self.take(class, r, take);
+            issues.push((op, cur, take));
+            remaining -= take;
+            if remaining > 0 {
+                (cur, r) = (cur + 1, self.next(r));
             }
-            return t;
         }
+        Some(cur)
+    }
+}
+
+impl Table<false> {
+    /// Finds the earliest window of `len` completely idle cycles starting
+    /// at or after `from`, and books every issue slot in it (soft-float
+    /// call), which leaves no slot of any class free there.
+    fn take_serialized(&mut self, from: u64, len: u64) -> u64 {
+        let busy = |c: u64| self.rows.get(c as usize).is_some_and(|r| r[WIDTH] > 0);
+        let mut t = from;
+        while let Some(c) = (t..t + len).find(|&c| busy(c)) {
+            t = c + 1;
+        }
+        let end = (t + len) as usize;
+        if self.rows.len() < end {
+            self.rows.resize(end, [0; 6]);
+        }
+        for row in &mut self.rows[t as usize..end] {
+            row[WIDTH] = self.cap[WIDTH];
+        }
+        t
+    }
+}
+
+impl Table<true> {
+    /// The row of absolute cycle `cycle`.
+    fn row(&self, cycle: u64) -> usize {
+        (cycle % self.ii) as usize
+    }
+
+    fn untake(&mut self, class: OpClass, cycle: u64, n: u32) {
+        let r = self.row(cycle);
+        self.rows[r][col(class)] -= n;
+        self.rows[r][WIDTH] -= n;
+    }
+
+    /// Pre-reserves the loop-control ops as issue-only slots, spread over
+    /// the least-used residues. Returns `false` when they cannot fit (the
+    /// II is infeasible).
+    fn reserve_overhead(&mut self, ops: u32) -> bool {
+        for _ in 0..ops {
+            let row = self
+                .rows
+                .iter_mut()
+                .min_by_key(|row| row[WIDTH])
+                .expect("II is at least 1");
+            if row[WIDTH] >= self.cap[WIDTH] {
+                return false;
+            }
+            row[WIDTH] += 1;
+        }
+        true
     }
 }
 
@@ -192,7 +276,7 @@ fn list_schedule_cached(costs: &CycleCache<'_>, block: &MachineBlock) -> Schedul
     let n = block.ops.len();
     let mut start = vec![0u64; n];
     let mut finish = vec![0u64; n];
-    let mut res = Resources::new(target);
+    let mut table = Table::<false>::new(target, 0);
     let mut makespan = 0u64;
     let mut issues = Vec::new();
 
@@ -200,38 +284,22 @@ fn list_schedule_cached(costs: &CycleCache<'_>, block: &MachineBlock) -> Schedul
         let est = op.preds.iter().map(|&p| finish[p]).max().unwrap_or(0);
         let cost = costs.cost(op.query);
         if cost.serialize {
-            let t = res.take_serialized(est, cost.latency as u64);
+            let t = table.take_serialized(est, cost.latency as u64);
             start[i] = t;
             finish[i] = t + cost.latency as u64;
             for c in t..finish[i] {
                 issues.push((i, c, target.issue_width));
             }
         } else {
-            // Place `slots` unit issues greedily from the earliest cycle
-            // with capacity.
-            let mut remaining = cost.slots;
             let mut t = est;
-            // Find first cycle with any capacity.
-            while res.free_slots(cost.class, t as usize) == 0 {
+            while table.free(cost.class, t as usize) == 0 {
                 t += 1;
             }
             start[i] = t;
-            let mut cur = t;
-            while remaining > 0 {
-                let free = res.free_slots(cost.class, cur as usize);
-                if free == 0 {
-                    cur += 1;
-                    continue;
-                }
-                let take = free.min(remaining);
-                res.take(cost.class, cur as usize, take);
-                issues.push((i, cur, take));
-                remaining -= take;
-                if remaining > 0 {
-                    cur += 1;
-                }
-            }
-            finish[i] = cur + cost.latency as u64;
+            let last = table
+                .spread(i, cost.class, cost.slots, (t, t as usize), &mut issues)
+                .expect("a flat table always frees up");
+            finish[i] = last + cost.latency as u64;
         }
         makespan = makespan.max(finish[i]);
     }
@@ -255,21 +323,29 @@ fn loop_overhead(target: &TargetModel) -> u64 {
 /// List-scheduled blocks pay `(makespan + overhead) · trip`. Pipelined
 /// blocks pay `overhead + prologue + ii·(trip−1) + epilogue`: iterations
 /// overlap at the initiation interval, and the loop-control overhead is
-/// charged once (its ops are folded into the steady state by the modulo
-/// reservation table) instead of per iteration.
+/// charged once (the folded reservation table issues its ops in the
+/// steady state) instead of per iteration.
 pub fn block_activation_cycles_cached(
     costs: &CycleCache<'_>,
     block: &MachineBlock,
     kind: SchedKind,
 ) -> u64 {
-    let sched = schedule_block_cached(costs, block, kind);
+    activation_cycles(
+        costs.target(),
+        block,
+        &schedule_block_cached(costs, block, kind),
+    )
+}
+
+/// The trip-weighted price of `sched`, one of `block`'s schedules: the
+/// formula both [`block_activation_cycles_cached`] and the modulo
+/// attempt's profitability test use.
+fn activation_cycles(target: &TargetModel, block: &MachineBlock, sched: &Schedule) -> u64 {
     match sched.modulo {
-        Some(m) => {
-            loop_overhead(costs.target()) + m.prologue + m.ii * (block.trip - 1) + m.epilogue
-        }
+        Some(m) => loop_overhead(target) + m.prologue + m.ii * (block.trip - 1) + m.epilogue,
         None => {
             let overhead = if block.in_loop {
-                loop_overhead(costs.target())
+                loop_overhead(target)
             } else {
                 0
             };
@@ -546,13 +622,7 @@ pub fn modulo_bounds_cached(costs: &CycleCache<'_>, block: &MachineBlock) -> Opt
 fn res_mii(target: &TargetModel, op_costs: &[OpCost]) -> u64 {
     let mut mii = 1u64;
     let mut total = 0u64;
-    for class in [
-        OpClass::Alu,
-        OpClass::Mul,
-        OpClass::Mem,
-        OpClass::Shift,
-        OpClass::Fpu,
-    ] {
+    for class in CLASSES {
         let slots: u64 = op_costs
             .iter()
             .filter(|c| c.class == class)
@@ -622,84 +692,6 @@ fn rec_mii(block: &MachineBlock, op_costs: &[OpCost], carried: &[(usize, usize)]
     lo
 }
 
-/// Per-residue reservation table of one candidate II.
-struct ModuloTable<'t> {
-    target: &'t TargetModel,
-    ii: u64,
-    issue: Vec<u32>,
-    alu: Vec<u32>,
-    mul: Vec<u32>,
-    mem: Vec<u32>,
-    shift: Vec<u32>,
-    fpu: Vec<u32>,
-}
-
-impl<'t> ModuloTable<'t> {
-    fn new(target: &'t TargetModel, ii: u64) -> Self {
-        let n = ii as usize;
-        ModuloTable {
-            target,
-            ii,
-            issue: vec![0; n],
-            alu: vec![0; n],
-            mul: vec![0; n],
-            mem: vec![0; n],
-            shift: vec![0; n],
-            fpu: vec![0; n],
-        }
-    }
-
-    fn class_used(&mut self, class: OpClass, r: usize) -> &mut u32 {
-        match class {
-            OpClass::Alu => &mut self.alu[r],
-            OpClass::Mul => &mut self.mul[r],
-            OpClass::Mem => &mut self.mem[r],
-            OpClass::Shift => &mut self.shift[r],
-            OpClass::Fpu => &mut self.fpu[r],
-        }
-    }
-
-    /// Free issue+unit slots of `class` at absolute `cycle`, with usage
-    /// folded modulo the II.
-    fn free_slots(&mut self, class: OpClass, cycle: u64) -> u32 {
-        let r = (cycle % self.ii) as usize;
-        let cap = self.target.units.of(class);
-        let width = self.target.issue_width;
-        let used_class = *self.class_used(class, r);
-        let used_issue = self.issue[r];
-        (cap.saturating_sub(used_class)).min(width.saturating_sub(used_issue))
-    }
-
-    fn take(&mut self, class: OpClass, cycle: u64, n: u32) {
-        let r = (cycle % self.ii) as usize;
-        *self.class_used(class, r) += n;
-        self.issue[r] += n;
-        debug_assert!(self.issue[r] <= self.target.issue_width);
-    }
-
-    fn untake(&mut self, class: OpClass, cycle: u64, n: u32) {
-        let r = (cycle % self.ii) as usize;
-        *self.class_used(class, r) -= n;
-        self.issue[r] -= n;
-    }
-
-    /// Pre-reserves the loop-control ops as issue-only slots, spread over
-    /// the least-used residues. Returns `false` when they cannot fit (the
-    /// II is infeasible).
-    fn reserve_overhead(&mut self) -> bool {
-        for _ in 0..self.target.loop_overhead_ops {
-            let r = (0..self.issue.len())
-                .min_by_key(|&r| self.issue[r])
-                .expect("II is at least 1");
-            if self.issue[r] >= self.target.issue_width {
-                return false;
-            }
-            self.issue[r] += 1;
-        }
-        true
-    }
-}
-
 /// What ended a branch-and-bound descent.
 enum Descent {
     Placed,
@@ -707,21 +699,21 @@ enum Descent {
     OutOfBudget,
 }
 
-struct ModuloSearch<'a, 't> {
+struct ModuloSearch<'a> {
     ops: &'a [crate::lower::Mop],
     op_costs: &'a [OpCost],
     /// Distance-1 predecessors with `from < to` (lower-bound the EST).
     carried_in: &'a [Vec<usize>],
     /// Distance-1 successors with `to ≤ from` (checked after placement).
     carried_back: &'a [Vec<usize>],
-    table: ModuloTable<'t>,
+    table: Table<true>,
     start: Vec<u64>,
     finish: Vec<u64>,
     issues: Vec<(usize, u64, u32)>,
     budget: &'a mut u64,
 }
 
-impl ModuloSearch<'_, '_> {
+impl ModuloSearch<'_> {
     /// Places op `i` and recursively everything after it.
     fn place(&mut self, i: usize) -> Descent {
         if i == self.ops.len() {
@@ -744,64 +736,41 @@ impl ModuloSearch<'_, '_> {
         // Only `ii` start cycles are distinct modulo the II; requiring
         // the first slot to land at `t` itself keeps the windows
         // disjoint.
+        let mut r = self.table.row(est);
         for t in est..est + ii {
             if *self.budget == 0 {
                 return Descent::OutOfBudget;
             }
             *self.budget -= 1;
-            if self.table.free_slots(cost.class, t) == 0 {
-                continue;
-            }
-            // Greedy slot spread from `t`, as in the list scheduler but
-            // against the folded table.
-            let placed_at = self.issues.len();
-            let mut remaining = cost.slots;
-            let mut cur = t;
-            let mut zero_run = 0u64;
-            let mut ok = true;
-            while remaining > 0 {
-                let free = self.table.free_slots(cost.class, cur);
-                if free == 0 {
-                    zero_run += 1;
-                    if zero_run >= ii {
-                        // Every residue is saturated for this class.
-                        ok = false;
-                        break;
-                    }
-                    cur += 1;
-                    continue;
-                }
-                zero_run = 0;
-                let take = free.min(remaining);
-                self.table.take(cost.class, cur, take);
-                self.issues.push((i, cur, take));
-                remaining -= take;
-                if remaining > 0 {
-                    cur += 1;
-                }
-            }
-            if ok {
-                self.start[i] = t;
-                self.finish[i] = cur + cost.latency as u64;
-                // Loop-carried edges back to already-placed ops: the
-                // next iteration's copy of `k` must not need this
-                // result before it exists.
-                let legal = self.carried_back[i]
-                    .iter()
-                    .all(|&k| self.finish[i] <= self.start[k] + ii);
-                if legal {
-                    match self.place(i + 1) {
-                        Descent::Placed => return Descent::Placed,
-                        Descent::OutOfBudget => return Descent::OutOfBudget,
-                        Descent::Failed => {}
+            if self.table.free(cost.class, r) > 0 {
+                let placed_at = self.issues.len();
+                if let Some(last) =
+                    self.table
+                        .spread(i, cost.class, cost.slots, (t, r), &mut self.issues)
+                {
+                    self.start[i] = t;
+                    self.finish[i] = last + cost.latency as u64;
+                    // Loop-carried edges back to already-placed ops: the
+                    // next iteration's copy of `k` must not need this
+                    // result before it exists.
+                    let legal = self.carried_back[i]
+                        .iter()
+                        .all(|&k| self.finish[i] <= self.start[k] + ii);
+                    if legal {
+                        match self.place(i + 1) {
+                            Descent::Placed => return Descent::Placed,
+                            Descent::OutOfBudget => return Descent::OutOfBudget,
+                            Descent::Failed => {}
+                        }
                     }
                 }
+                for &(op, cycle, n) in &self.issues[placed_at..] {
+                    debug_assert_eq!(op, i);
+                    self.table.untake(cost.class, cycle, n);
+                }
+                self.issues.truncate(placed_at);
             }
-            for &(op, cycle, n) in &self.issues[placed_at..] {
-                debug_assert_eq!(op, i);
-                self.table.untake(cost.class, cycle, n);
-            }
-            self.issues.truncate(placed_at);
+            r = self.table.next(r);
         }
         Descent::Failed
     }
@@ -837,14 +806,13 @@ pub fn modulo_attempt_cached(
     #[cfg(test)]
     searches::count();
     let list = list_schedule_cached(costs, block);
-    let overhead = loop_overhead(target);
-    let list_total = (list.makespan + overhead) * block.trip;
+    let list_total = activation_cycles(target, block, &list);
     let op_costs: Vec<OpCost> = block.ops.iter().map(|op| costs.cost(op.query)).collect();
     let carried = loop_carried_deps(block);
     let mii = res_mii(target, &op_costs).max(rec_mii(block, &op_costs, &carried));
     // An II at or past the list schedule's per-iteration cost cannot
     // win: the steady state alone would already match sequential issue.
-    let ii_cap = list.makespan + overhead;
+    let ii_cap = list.makespan + loop_overhead(target);
     let n = block.ops.len();
     let mut carried_in: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut carried_back: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -859,8 +827,8 @@ pub fn modulo_attempt_cached(
     let mut step = 1u64;
     let mut ii = mii;
     while ii < ii_cap {
-        let mut table = ModuloTable::new(target, ii);
-        if !table.reserve_overhead() {
+        let mut table = Table::<true>::new(target, ii);
+        if !table.reserve_overhead(target.loop_overhead_ops) {
             ii += step;
             continue;
         }
@@ -888,12 +856,7 @@ pub fn modulo_attempt_cached(
             Descent::Placed => {
                 let makespan = search.finish.iter().copied().max().unwrap_or(0);
                 let prologue = makespan.saturating_sub(ii);
-                let epilogue = makespan - prologue;
-                let total = overhead + prologue + ii * (block.trip - 1) + epilogue;
-                if total >= list_total {
-                    return ModuloAttempt::NotProfitable;
-                }
-                return ModuloAttempt::Pipelined(Schedule {
+                let pipelined = Schedule {
                     start: search.start,
                     finish: search.finish,
                     makespan,
@@ -901,9 +864,13 @@ pub fn modulo_attempt_cached(
                     modulo: Some(ModuloSchedule {
                         ii,
                         prologue,
-                        epilogue,
+                        epilogue: makespan - prologue,
                     }),
-                });
+                };
+                if activation_cycles(target, block, &pipelined) >= list_total {
+                    return ModuloAttempt::NotProfitable;
+                }
+                return ModuloAttempt::Pipelined(pipelined);
             }
         }
     }

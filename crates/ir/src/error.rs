@@ -44,6 +44,16 @@ pub enum IrError {
         /// Source-level name of the declaration.
         name: String,
     },
+    /// A parameter table or state array has more than
+    /// [`MAX_TABLE_LEN`](crate::kernel::MAX_TABLE_LEN) elements.
+    TableTooLong {
+        /// `"param"` or `"array"`.
+        kind: &'static str,
+        /// Source-level name of the declaration.
+        name: String,
+        /// The declared number of elements.
+        len: usize,
+    },
     /// A loop was opened with a trip count of zero.
     ZeroTripLoop,
     /// Loops were closed out of nesting order (or with none open).
@@ -75,6 +85,11 @@ impl fmt::Display for IrError {
             IrError::EmptyTable { kind, name } => {
                 write!(f, "{kind} `{name}` must have at least one element")
             }
+            IrError::TableTooLong { kind, name, len } => write!(
+                f,
+                "{kind} `{name}` has {len} elements, more than the {} allowed",
+                crate::kernel::MAX_TABLE_LEN
+            ),
             IrError::ZeroTripLoop => write!(f, "loop trip count must be positive"),
             IrError::LoopNesting(msg) => write!(f, "loop nesting violation: {msg}"),
             IrError::OutputOutOfRange { index, count } => {

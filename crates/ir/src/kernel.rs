@@ -8,6 +8,12 @@
 
 use crate::types::{ArrayId, BinOp, ExprId, IndexExpr, InputId, LoopId, ParamId, UnOp, VarId};
 
+/// The most elements a parameter table or state array may have, checked
+/// by [`Kernel::validate`] before any pass allocates per element. The
+/// suite's largest table has 256 elements and `slpwlo-gen`'s (seeds
+/// 0–1999) has 8.
+pub const MAX_TABLE_LEN: usize = 1 << 16;
+
 /// A per-activation scalar input with its user-annotated value range.
 ///
 /// The range plays the role of the paper's pragma annotations and seeds
@@ -238,10 +244,11 @@ impl Kernel {
     /// Validates arena invariants; used by tests and after transformations.
     ///
     /// Checks that every input's declared value range is usable (finite,
-    /// `lo <= hi`), that every declared output is assigned somewhere in
-    /// the body, that every expression id referenced by the statement
-    /// tree is in-bounds, and that no expression node is used as an
-    /// operand or statement root more than once (single-use arena
+    /// `lo <= hi`), that no parameter table or state array is longer than
+    /// [`MAX_TABLE_LEN`], that every declared output is assigned
+    /// somewhere in the body, that every expression id referenced by the
+    /// statement tree is in-bounds, and that no expression node is used
+    /// as an operand or statement root more than once (single-use arena
     /// discipline).
     pub fn validate(&self) -> Result<(), crate::error::IrError> {
         use crate::error::IrError;
@@ -252,6 +259,18 @@ impl Kernel {
                     range: format!("[{}, {}]", input.lo, input.hi),
                 });
             }
+        }
+        let params = self
+            .params
+            .iter()
+            .map(|p| ("param", &p.name, p.values.len()));
+        let arrays = self.arrays.iter().map(|a| ("array", &a.name, a.len));
+        if let Some((kind, name, len)) = params.chain(arrays).find(|t| t.2 > MAX_TABLE_LEN) {
+            return Err(IrError::TableTooLong {
+                kind,
+                name: name.clone(),
+                len,
+            });
         }
         let mut output_set = vec![false; self.outputs.len()];
         self.visit_stmts(&mut |s, _| {

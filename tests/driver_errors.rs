@@ -75,6 +75,49 @@ fn deep_nesting_is_capped_with_a_parse_error() -> Result<(), Error> {
     Ok(())
 }
 
+/// A parameter table or state array longer than the cap is a typed
+/// error before any pass allocates per element (`array dl[3000000000]`
+/// aborted on a 48 GB allocation before the cap), while an array exactly
+/// at the cap still compiles end to end. The parser validates the
+/// kernels it builds, so text input reports the cap as a parse error;
+/// builder input reports it from `try_finish`.
+#[test]
+fn huge_tables_are_capped_with_a_typed_error() -> Result<(), Error> {
+    use slpwlo::ir::kernel::MAX_TABLE_LEN;
+    use slpwlo::ir::IrError;
+    let with_array = |len: usize| {
+        format!(
+            "kernel big {{ input x range [-1, 1]; output y; array dl[{len}]; \
+             dl[0] = x; y = dl[0]; }}"
+        )
+    };
+    for len in [MAX_TABLE_LEN + 1, 3_000_000_000] {
+        match Optimizer::for_source(&with_array(len)) {
+            Err(Error::Parse(IrError::TableTooLong { kind, len: got, .. })) => {
+                assert_eq!((kind, got), ("array", len));
+            }
+            Err(other) => panic!("{len} elements: expected TableTooLong, got {other:?}"),
+            Ok(_) => panic!("{len} elements must be rejected"),
+        }
+    }
+    let mut b = KernelBuilder::new("wide");
+    let x = b.input("x", -1.0, 1.0);
+    let y = b.output("y");
+    b.try_param("c", vec![0.5; MAX_TABLE_LEN + 1])
+        .expect("the builder defers the cap to validation");
+    let xv = b.read_input(x);
+    b.set_output(y, xv);
+    match b.try_finish() {
+        Err(IrError::TableTooLong { kind, len, .. }) => {
+            assert_eq!((kind, len), ("param", MAX_TABLE_LEN + 1));
+        }
+        other => panic!("expected TableTooLong, got {other:?}"),
+    }
+    let at_cap = Optimizer::for_source(&with_array(MAX_TABLE_LEN))?;
+    at_cap.target(xentium()).constraint_db(-40.0).run()?;
+    Ok(())
+}
+
 #[test]
 fn invalid_input_range_is_typed() {
     use slpwlo::ir::IrError;

@@ -21,15 +21,21 @@
 //! 5. **memo transparency** — over the suite × {ST240, VEX-1, VEX-4,
 //!    XENTIUM}, every block a modulo-scheduled exact flow's scheduler
 //!    guards and portfolio comparison price gets the same price from one
-//!    shared `BlockPrices` memo as from a fresh cache.
+//!    shared `BlockPrices` memo as from a fresh cache;
+//! 6. **schedules pinned across commits** — an FNV-1a digest over every
+//!    block schedule of the float, scalar and SIMD programs of the suite
+//!    on {ST240, VEX-1, VEX-4, XENTIUM} under both `SchedKind`s must
+//!    equal a recorded constant, so a scheduler refactor is checked
+//!    against the previous commit, not only against itself.
 
 mod common;
 
 use common::simd_program;
 use slpwlo::core::{
-    block_activation_cycles_cached, loop_carried_deps, lower_scalar, modulo_bounds_cached, prepare,
-    schedule_block_cached, wlo_first_flow_checked, wlo_slp_flow_checked, BenefitKind, BlockPrices,
-    MachineProgram, PassArtifact, ProgramRole, SchedKind, TabuOptions,
+    block_activation_cycles_cached, loop_carried_deps, lower_float, lower_scalar,
+    modulo_bounds_cached, prepare, schedule_block_cached, wlo_first_flow_checked,
+    wlo_slp_flow_checked, BenefitKind, BlockPrices, MachineProgram, PassArtifact, ProgramRole,
+    SchedKind, TabuOptions,
 };
 use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
@@ -298,4 +304,74 @@ fn memoized_block_prices_equal_fresh_prices() {
         }
     }
     assert!(hits > 0, "no block was ever priced twice");
+}
+
+/// 64-bit FNV-1a with the standard offset basis and prime.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Per-target schedule digests recorded before the two schedulers'
+/// reservation tables were merged. Soft-float programs on XENTIUM and
+/// VEX are the only inputs that reach the serializing placement path.
+const SCHEDULE_DIGESTS: [(&str, u64); 4] = [
+    ("ST240", 0x76cf68992a2a2ecf),
+    ("VEX-1", 0x221b51e4ec409be8),
+    ("VEX-4", 0x03244c5c60d0501a),
+    ("XENTIUM", 0xce686d6cc7180676),
+];
+
+/// Every block schedule — starts, finishes, makespan, issue log and the
+/// modulo overlay — of the suite's float, scalar (wl 16) and SIMD (wl 16)
+/// programs, under both scheduler kinds, hashes to its recorded digest.
+#[test]
+fn block_schedules_match_their_recorded_digests() {
+    let mut got = Vec::new();
+    for target in [st240(), vex(1), vex(4), xentium()] {
+        let costs = CycleCache::new(&target);
+        let mut h = Fnv::new();
+        for bench in all_benchmarks() {
+            let [simd, scalar] = lowerings(&bench.kernel, 16, &target);
+            for program in [&lower_float(&bench.kernel), &scalar, &simd] {
+                for block in &program.blocks {
+                    for kind in [SchedKind::List, SchedKind::modulo()] {
+                        let s = schedule_block_cached(&costs, block, kind);
+                        s.start.iter().chain(&s.finish).for_each(|&c| h.u64(c));
+                        h.u64(s.makespan);
+                        for &(op, cycle, slots) in &s.issues {
+                            h.u64(op as u64);
+                            h.u64(cycle);
+                            h.u64(u64::from(slots));
+                        }
+                        let m = s.modulo.map_or([0; 3], |m| [m.ii, m.prologue, m.epilogue]);
+                        m.iter().for_each(|&v| h.u64(v));
+                    }
+                }
+            }
+        }
+        got.push((target.name.clone(), h.0));
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    let want: Vec<(String, u64)> = SCHEDULE_DIGESTS
+        .iter()
+        .map(|&(n, d)| (n.to_string(), d))
+        .collect();
+    assert_eq!(
+        got, want,
+        "schedule digests moved; recorded table:\n{table}"
+    );
 }
