@@ -13,8 +13,8 @@ use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, IncrementalEvaluat
 use slpwlo_bench::Micro;
 use slpwlo_core::nodes::{value_format, value_wl};
 use slpwlo_core::{
-    cycles_per_activation_cached, lower_scalar, modulo_attempt_cached, modulo_bounds_cached,
-    prepare, tabu_wlo, wlo_slp_sched, TabuOptions,
+    lower_scalar, modulo_attempt_cached, modulo_bounds, prepare, tabu_wlo, wlo_slp_sched,
+    BlockPrices, TabuOptions,
 };
 use slpwlo_driver::Optimizer;
 use slpwlo_fixedpoint::FixedPointSpec;
@@ -64,8 +64,7 @@ fn main() {
     let wl = |n| value_wl(&frozen, &dfg, n);
     let fwl = |n| value_format(&frozen, &dfg, n).fwl;
     m.bench("slp_extract_plain_conv3x3", || {
-        let costs = CycleCache::new(&target);
-        let mut ctx = PassCtx::new(costs, BenefitKind::default(), SchedKind::List, false);
+        let mut ctx = PassCtx::new(&target, BenefitKind::default(), SchedKind::List, false);
         let mut hooks = FrozenWls {
             target: &target,
             wl: &wl,
@@ -145,7 +144,7 @@ fn main() {
 
     let prog = lower_scalar(&prep.kernel, &spec, &target);
     m.bench("vliw_schedule_fir64", || {
-        cycles_per_activation_cached(&CycleCache::new(&target), &prog, SchedKind::List)
+        BlockPrices::new(&target).program_cycles(&prog, SchedKind::List)
     });
     // One modulo attempt (the whole II search) on the largest pipelinable
     // block of MATVEC's scalar lowering for single-issue VEX: a 25-op row
@@ -159,7 +158,7 @@ fn main() {
     let hottest = matvec_prog
         .blocks
         .iter()
-        .filter(|b| modulo_bounds_cached(&vex1_costs, b).is_some())
+        .filter(|b| modulo_bounds(&vex1_costs, b).is_some())
         .max_by_key(|b| b.ops.len())
         .expect("MATVEC has a pipelinable loop");
     m.bench("modulo_attempt_matvec_vex1", || {

@@ -43,8 +43,8 @@
 use slpwlo_bench::micro::{Micro, MicroOptions};
 use slpwlo_core::hooks::AccuracyHooks;
 use slpwlo_core::{
-    cycles_per_activation_cached, lower_fixed, lower_scalar, modulo_attempt_cached,
-    modulo_bounds_cached, prepare, scaling_optimize, ModuloAttempt, SchedKind,
+    lower_fixed, lower_scalar, modulo_attempt_cached, modulo_bounds, prepare, scaling_optimize,
+    BlockPrices, ModuloAttempt, SchedKind,
 };
 use slpwlo_driver::{
     required_constraint, BenefitKind, CompilationFlow, Error, FlowContext, FlowKind, FlowOutput,
@@ -86,8 +86,7 @@ impl CompilationFlow for AblatedWloSlp {
         let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
         // The joint flow's selection context, equalization included, so
         // each ablation removes exactly one ingredient.
-        let costs = CycleCache::new(target);
-        let mut pass = PassCtx::new(costs, BenefitKind::default(), SchedKind::List, true);
+        let mut pass = PassCtx::new(target, BenefitKind::default(), SchedKind::List, true);
         let mut per_block = Vec::new();
         for block in blocks_by_priority(&prep.kernel) {
             let dfg = Dfg::from_block(&prep.kernel, &block);
@@ -149,8 +148,7 @@ fn benefit_model_study() -> Result<(), Error> {
                     || report = Some(opt.run().expect("feasible point")),
                 );
                 let report = report.expect("bench ran at least once");
-                let costs = CycleCache::new(&target);
-                let cpa = cycles_per_activation_cached(&costs, &report.simd, SchedKind::List);
+                let cpa = BlockPrices::new(&target).program_cycles(&report.simd, SchedKind::List);
                 micro.metric(
                     &format!("cpa/{}/{}/{kind}", bench.name, target.name),
                     cpa as f64,
@@ -192,7 +190,7 @@ fn pricing_overhead(micro: &mut Micro, bench: &Benchmark, target: &TargetModel) 
         // Selection prices a whole leg through its context's one cache;
         // mirror that here so the sweep prices through a warmed cache,
         // not cold target folds.
-        let ctx = PassCtx::new(CycleCache::new(target), kind, SchedKind::List, false);
+        let ctx = PassCtx::new(target, kind, SchedKind::List, false);
         medians[k] = micro.bench(
             &format!("price/{}/{}/{kind}", bench.name, target.name),
             || {
@@ -274,7 +272,7 @@ fn sched_study() -> Result<(), Error> {
                     .flow(FlowKind::WloSlp)
                     .sched_kind(sched)
                     .run()?;
-                cpa[k] = cycles_per_activation_cached(&costs, &report.simd, sched);
+                cpa[k] = BlockPrices::new(&target).program_cycles(&report.simd, sched);
                 groups[k] = report.group_count;
                 micro.metric(
                     &format!("sched_cpa/{}/{}/{label}", bench.name, target.name),
@@ -285,15 +283,16 @@ fn sched_study() -> Result<(), Error> {
                     groups[k] as f64,
                 );
                 // Pricing-time leg: how long the scheduler itself takes
-                // on the finished program (the modulo side re-runs the
-                // branch-and-bound search every call).
+                // on the finished program. Each call prices through a
+                // fresh pricer, so the modulo side re-runs the
+                // branch-and-bound search instead of hitting a memo.
                 micro.bench(
                     &format!("sched_price/{}/{}/{label}", bench.name, target.name),
-                    || cycles_per_activation_cached(&costs, &report.simd, sched),
+                    || BlockPrices::new(&target).program_cycles(&report.simd, sched),
                 );
                 if let SchedKind::Modulo { budget } = sched {
                     for block in &report.simd.blocks {
-                        if modulo_bounds_cached(&costs, block).is_none() {
+                        if modulo_bounds(&costs, block).is_none() {
                             continue;
                         }
                         eligible += 1;
@@ -408,8 +407,7 @@ fn optimal_study() -> Result<(), Error> {
                     || report = Some(opt.run().expect("feasible point")),
                 );
                 let report = report.expect("bench ran at least once");
-                let costs = CycleCache::new(&target);
-                cpa[k] = cycles_per_activation_cached(&costs, &report.simd, SchedKind::List);
+                cpa[k] = BlockPrices::new(&target).program_cycles(&report.simd, SchedKind::List);
                 micro.metric(
                     &format!("optimal_cpa/{}/{}/{label}", bench.name, target.name),
                     cpa[k] as f64,

@@ -49,7 +49,7 @@ mod tests {
     use slpwlo_fixedpoint::FixedPointSpec;
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_slp::BenefitKind;
-    use slpwlo_targets::{xentium, CycleCache};
+    use slpwlo_targets::xentium;
 
     fn program() -> MachineProgram {
         let src = r#"
@@ -74,8 +74,7 @@ kernel f {
         let target = xentium();
         let ranges = determine_ranges(&kernel);
         let spec = FixedPointSpec::from_ranges(&kernel, &ranges, 16);
-        let costs = CycleCache::new(&target);
-        let mut ctx = PassCtx::new(costs, BenefitKind::default(), SchedKind::List, false);
+        let mut ctx = PassCtx::new(&target, BenefitKind::default(), SchedKind::List, false);
         let blocks = extract_on_spec(&kernel, &spec, &mut ctx);
         lower_fixed(&kernel, &spec, &target, &blocks)
     }

@@ -26,7 +26,7 @@ use slpwlo_ir::blocks::{collect_blocks, Block};
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_ir::Kernel;
 use slpwlo_slp::{extract_rounds, BenefitKind, FrozenWls, PassCtx, SelectStats, SimdGroup};
-use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
+use slpwlo_targets::{SchedKind, TargetModel};
 
 /// A kernel with its once-per-kernel analyses (ranges, noise gains).
 ///
@@ -157,10 +157,10 @@ pub enum PassArtifact<'a> {
 }
 
 /// The scheduler guard: the benefit model is a per-candidate estimate;
-/// the leg's scheduler (`ctx.sched`, priced through `ctx.costs` and the
-/// flow's block memo `prices`) is the arbiter. Every block's selected
-/// groups are kept only if the block's vectorized form actually
-/// schedules faster than dropping them under the final specification —
+/// the leg's scheduler (`ctx.sched`, priced through the flow's block
+/// pricer `prices`) is the arbiter. Every block's selected groups are
+/// kept only if the block's vectorized form actually schedules faster
+/// than dropping them under the final specification —
 /// otherwise the word-length decisions stand (the spec is untouched) but
 /// the packs are discarded. Blocks schedule independently, so the
 /// per-block greedy is exact; the returned SIMD program is the cheapest
@@ -175,7 +175,7 @@ fn prune_unprofitable_groups<E>(
     blocks: &mut [BlockGroups],
     check: &mut Check<'_, E>,
 ) -> Result<(MachineProgram, MachineProgram), E> {
-    let (target, sched, costs) = (ctx.target, ctx.sched, &ctx.costs);
+    let (target, sched) = (ctx.target, ctx.sched);
     fn candidate<'a>(
         p: &'a MachineProgram,
         target: &'a TargetModel,
@@ -219,8 +219,7 @@ fn prune_unprofitable_groups<E>(
         // its schedule (ties keep the vector form). Trip-weighted
         // activation cycles, so pipelined steady states are compared on
         // the same footing as sequential iteration costs.
-        if prices.block_cycles(costs, &none.blocks[i], sched)
-            < prices.block_cycles(costs, &full.blocks[i], sched)
+        if prices.block_cycles(&none.blocks[i], sched) < prices.block_cycles(&full.blocks[i], sched)
         {
             groups.clear();
             pruned = true;
@@ -276,7 +275,7 @@ type Searched = (FixedPointSpec, Vec<BlockGroups>);
 /// are carried either way. `ctx` is the first leg's context; the greedy
 /// leg gets a fresh one differing only in its benefit kind.
 ///
-/// One block-price memo serves both legs' scheduler guards and the
+/// One block pricer serves both legs' scheduler guards and the
 /// comparison, so under modulo scheduling each distinct block is
 /// searched once per flow call: the comparison's programs are made of
 /// blocks the guards already priced.
@@ -291,11 +290,10 @@ fn run_legs<E>(
     if !matches!(ctx.benefit, BenefitKind::Optimal { .. }) {
         return Ok(exact);
     }
-    let costs = CycleCache::new(ctx.target);
-    let mut greedy_ctx = PassCtx::new(costs, BenefitKind::Cycles, ctx.sched, ctx.equalize);
+    let mut greedy_ctx = PassCtx::new(ctx.target, BenefitKind::Cycles, ctx.sched, ctx.equalize);
     let greedy = run_leg(prep, &mut greedy_ctx, &mut prices, check, search)?;
-    let exact_cycles = prices.program_cycles(&ctx.costs, &exact.simd, ctx.sched);
-    let greedy_cycles = prices.program_cycles(&ctx.costs, &greedy.simd, ctx.sched);
+    let exact_cycles = prices.program_cycles(&exact.simd, ctx.sched);
+    let greedy_cycles = prices.program_cycles(&greedy.simd, ctx.sched);
     if greedy_cycles < exact_cycles {
         let mut select = exact.select;
         select.portfolio_fallbacks += 1;
@@ -394,7 +392,7 @@ pub fn wlo_slp_flow_checked<E>(
     sched: SchedKind,
     check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
 ) -> Result<FlowResult, E> {
-    let ctx = PassCtx::new(CycleCache::new(target), benefit, sched, true);
+    let ctx = PassCtx::new(target, benefit, sched, true);
     run_legs(prep, ctx, check, &mut |ctx, check| {
         let eval = IncrementalEvaluator::new(&prep.eval);
         let res = wlo_slp(ctx, &prep.kernel, &eval, constraint_db, &prep.ranges);
@@ -425,7 +423,7 @@ pub fn wlo_first_flow_checked<E>(
     sched: SchedKind,
     check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
 ) -> Result<FlowResult, E> {
-    let ctx = PassCtx::new(CycleCache::new(target), benefit, sched, false);
+    let ctx = PassCtx::new(target, benefit, sched, false);
     run_legs(prep, ctx, check, &mut |ctx, check| {
         let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
         let mut spec_artifact = |spec: &FixedPointSpec, is_final| {
@@ -450,7 +448,7 @@ pub fn wlo_first_flow_checked<E>(
 mod tests {
     use super::*;
     use slpwlo_ir::parser::parse_kernel;
-    use slpwlo_targets::{xentium, CycleCache};
+    use slpwlo_targets::xentium;
     use std::convert::Infallible;
 
     const FIR8: &str = r#"
@@ -486,7 +484,6 @@ kernel fir8 {
 
     #[test]
     fn wlo_slp_packs_where_it_pays_and_never_where_it_loses() {
-        use crate::sched::cycles_per_activation_cached;
         let prep = prepare(parse_kernel(FIR8).unwrap());
         let run = |target: &TargetModel| {
             let res = wlo_slp_flow_checked(
@@ -498,9 +495,9 @@ kernel fir8 {
                 &mut |_| Ok::<(), Infallible>(()),
             )
             .unwrap();
-            let costs = CycleCache::new(target);
-            let simd = cycles_per_activation_cached(&costs, &res.simd, SchedKind::List);
-            let scalar = cycles_per_activation_cached(&costs, &res.scalar, SchedKind::List);
+            let mut prices = BlockPrices::new(target);
+            let simd = prices.program_cycles(&res.simd, SchedKind::List);
+            let scalar = prices.program_cycles(&res.scalar, SchedKind::List);
             (res.group_count, simd, scalar)
         };
         // ST240's single memory port makes FIR's vector loads genuinely
@@ -576,7 +573,9 @@ kernel fir8 {
         // selection and modulo scheduling. Both legs' guards and the
         // portfolio comparison price their blocks through one memo, so
         // each distinct block runs one II search; pricing every
-        // comparison afresh took 94 searches.
+        // comparison afresh took 94 searches. The driver's report then
+        // prices the returned SIMD and scalar programs through a fresh
+        // pricer of its own, which runs 6 more.
         use crate::sched::searches;
         let prep = prepare(slpwlo_kernels::matvec16x16());
         let target = slpwlo_targets::vex(1);
@@ -587,6 +586,11 @@ kernel fir8 {
         });
         assert!(res.group_count > 0);
         assert_eq!(count, 11);
+        let (_, count) = searches::during(|| {
+            let mut prices = BlockPrices::new(&target);
+            prices.program_cycles(&res.simd, sched) + prices.program_cycles(&res.scalar, sched)
+        });
+        assert_eq!(count, 6);
     }
 
     /// The pass-artifact order, one token per artifact: the variant,

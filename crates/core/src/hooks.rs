@@ -468,7 +468,7 @@ pub(crate) mod audit {
 /// operand producers (arrays, coefficient tables, feeding operations)
 /// must narrow too. For truncation chains this is equivalent to
 /// narrowing at pack time, applied conservatively to all consumers.
-pub fn set_max_wl(spec: &mut FixedPointSpec, dfg: &Dfg, group: &SimdGroup, m: i32) {
+fn set_max_wl(spec: &mut FixedPointSpec, dfg: &Dfg, group: &SimdGroup, m: i32) {
     max_wl_keys(dfg, group, |key| {
         if spec.wl(key) > m {
             spec.set_wl(key, m);
@@ -504,7 +504,7 @@ mod tests {
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_ir::Kernel;
     use slpwlo_slp::{extract_rounds, mem_status, BenefitKind, PassCtx};
-    use slpwlo_targets::{xentium, CycleCache, SchedKind, TargetModel};
+    use slpwlo_targets::{xentium, SchedKind, TargetModel};
 
     const SRC: &str = r#"
 kernel f {
@@ -523,8 +523,7 @@ kernel f {
 
     /// The joint flow's context: scaling equalization follows.
     fn joint(target: &TargetModel) -> PassCtx<'_> {
-        let costs = CycleCache::new(target);
-        PassCtx::new(costs, BenefitKind::default(), SchedKind::List, true)
+        PassCtx::new(target, BenefitKind::default(), SchedKind::List, true)
     }
 
     fn setup() -> (Kernel, Dfg, FixedPointSpec, AnalyticalEvaluator) {

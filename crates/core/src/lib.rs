@@ -39,14 +39,13 @@ pub use flow::{
 };
 pub use hooks::AccuracyHooks;
 pub use lower::{
-    align_fmt, block_result_fmts, broadcast_lane, ix_bounds, loop_forest, lower_fixed, lower_float,
-    lower_scalar, operand_fmts, product_fmt, quantize_const, result_fmt, ArrayDecl, Loc, LoopNest,
-    MachineBlock, MachineProgram, Mop, MopKind, Operand, ParamDecl, ProgramStorage, VarDecl,
+    block_result_fmts, broadcast_lane, ix_bounds, loop_forest, lower_fixed, lower_float,
+    lower_scalar, operand_fmts, product_fmt, result_fmt, ArrayDecl, Loc, LoopNest, MachineBlock,
+    MachineProgram, Mop, MopKind, Operand, ParamDecl, ProgramStorage, VarDecl,
 };
 pub use scalopt::scaling_optimize;
 pub use sched::{
-    block_activation_cycles_cached, cycles_per_activation_cached, loop_carried_deps,
-    modulo_attempt_cached, modulo_bounds_cached, schedule_block_cached, total_cycles_cached,
+    loop_carried_deps, modulo_attempt_cached, modulo_bounds, schedule_block, total_cycles_cached,
     BlockPrices, ModuloAttempt, ModuloSchedule, Schedule,
 };
 pub use slpwlo_slp::{BenefitKind, PassCtx, SelectStats};

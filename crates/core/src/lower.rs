@@ -384,7 +384,7 @@ impl MachineProgram {
 /// land here, where saturation is unreachable for any value a lowered
 /// program produces (pre-alignment before an addition never overflows —
 /// truncation cannot grow a value's magnitude).
-pub fn align_fmt(fwl: i32) -> QFormat {
+fn align_fmt(fwl: i32) -> QFormat {
     QFormat::new(62 - fwl, fwl)
 }
 
@@ -690,7 +690,7 @@ pub fn lower_float(kernel: &Kernel) -> MachineProgram {
 
 /// Quantizes a coefficient/constant at compile time: round-half-up with
 /// saturation, exactly as the bit-accurate simulation does.
-pub fn quantize_const(v: f64, fmt: QFormat) -> i64 {
+fn quantize_const(v: f64, fmt: QFormat) -> i64 {
     FxValue::from_f64(v, fmt, QuantizeMode::Round, OverflowMode::Saturate).raw()
 }
 
@@ -1096,6 +1096,38 @@ impl<'a> FixedLowerer<'a> {
         defs
     }
 
+    /// The shared front of a scalar array write `n` (a store or a
+    /// delay-line push) into array `a`: the value requantized to the
+    /// array's format where it differs, as `(container word length,
+    /// dependences, operand, array format)` for the final store.
+    fn requant_to_array(&mut self, n: NodeId, a: ArrayId) -> (i32, Vec<usize>, Operand, QFormat) {
+        let o = self.dfg.node(n).operands[0];
+        let src = self.scalar_value(o);
+        let opnd = self.operand_of(o);
+        let arr_fmt = self.spec.format(SpecKey::Array(a));
+        let wl = self
+            .target
+            .container_wl(arr_fmt.wl().clamp(1, self.target.datapath))
+            .unwrap_or(self.target.datapath);
+        let s = self.fwl_of(o) - arr_fmt.fwl;
+        let (val, opnd) = if s != 0 && !is_exact(self.dfg, o) {
+            let sh = self.push(
+                OpQuery::Shift(wl),
+                src.into_iter().collect(),
+                MopKind::Requant {
+                    src: opnd,
+                    to: arr_fmt,
+                },
+            );
+            (Some(sh), Operand::Op(sh))
+        } else {
+            (src, opnd)
+        };
+        let mut deps: Vec<usize> = val.into_iter().collect();
+        deps.extend(self.mem_deps(n));
+        (wl, deps, opnd, arr_fmt)
+    }
+
     fn emit_scalar(&mut self, n: NodeId) {
         let kind = self.dfg.node(n).kind.clone();
         match kind {
@@ -1245,76 +1277,16 @@ impl<'a> FixedLowerer<'a> {
                 self.main_op.insert(n, idx);
             }
             NodeKind::StoreArray(a, ref ix) => {
-                let o = self.dfg.node(n).operands[0];
-                let src = self.scalar_value(o);
-                let opnd = self.operand_of(o);
-                let arr_fmt = self.spec.format(SpecKey::Array(a));
-                let wl = self
-                    .target
-                    .container_wl(arr_fmt.wl().clamp(1, self.target.datapath))
-                    .unwrap_or(self.target.datapath);
-                let s = self.fwl_of(o) - arr_fmt.fwl;
-                let (val, opnd) = if s != 0 && !is_exact(self.dfg, o) {
-                    let sh = self.push(
-                        OpQuery::Shift(wl),
-                        src.into_iter().collect(),
-                        MopKind::Requant {
-                            src: opnd,
-                            to: arr_fmt,
-                        },
-                    );
-                    (Some(sh), Operand::Op(sh))
-                } else {
-                    (src, opnd)
-                };
-                let mut deps: Vec<usize> = val.into_iter().collect();
-                deps.extend(self.mem_deps(n));
-                let idx = self.push(
-                    OpQuery::Store(wl),
-                    deps,
-                    MopKind::Store {
-                        loc: Loc::Array(a, ix.clone()),
-                        src: opnd,
-                        to: arr_fmt,
-                    },
-                );
+                let (wl, deps, src, to) = self.requant_to_array(n, a);
+                let loc = Loc::Array(a, ix.clone());
+                let idx = self.push(OpQuery::Store(wl), deps, MopKind::Store { loc, src, to });
                 self.main_op.insert(n, idx);
             }
-            NodeKind::ShiftIn(a) => {
-                let o = self.dfg.node(n).operands[0];
-                let src = self.scalar_value(o);
-                let opnd = self.operand_of(o);
-                let arr_fmt = self.spec.format(SpecKey::Array(a));
-                let wl = self
-                    .target
-                    .container_wl(arr_fmt.wl().clamp(1, self.target.datapath))
-                    .unwrap_or(self.target.datapath);
-                let s = self.fwl_of(o) - arr_fmt.fwl;
-                let (val, opnd) = if s != 0 && !is_exact(self.dfg, o) {
-                    let sh = self.push(
-                        OpQuery::Shift(wl),
-                        src.into_iter().collect(),
-                        MopKind::Requant {
-                            src: opnd,
-                            to: arr_fmt,
-                        },
-                    );
-                    (Some(sh), Operand::Op(sh))
-                } else {
-                    (src, opnd)
-                };
-                let mut deps: Vec<usize> = val.into_iter().collect();
-                deps.extend(self.mem_deps(n));
+            NodeKind::ShiftIn(array) => {
+                let (wl, deps, src, to) = self.requant_to_array(n, array);
                 // Circular buffer: one store plus one pointer update.
-                let st = self.push(
-                    OpQuery::Store(wl),
-                    deps,
-                    MopKind::ShiftIn {
-                        array: a,
-                        src: opnd,
-                        to: arr_fmt,
-                    },
-                );
+                let kind = MopKind::ShiftIn { array, src, to };
+                let st = self.push(OpQuery::Store(wl), deps, kind);
                 let _ptr = self.push(OpQuery::Add(32), vec![], MopKind::Nop);
                 self.main_op.insert(n, st);
             }

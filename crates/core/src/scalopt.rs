@@ -69,7 +69,7 @@ fn fig2_penalty_cycles(target: &TargetModel, lanes: u32) -> f64 {
 }
 
 /// Enumerates the superword reuses among `groups`.
-pub fn superword_reuses(dfg: &Dfg, groups: &[SimdGroup]) -> Vec<Reuse> {
+fn superword_reuses(dfg: &Dfg, groups: &[SimdGroup]) -> Vec<Reuse> {
     let mut out = Vec::new();
     for (pi, p) in groups.iter().enumerate() {
         for (ci, c) in groups.iter().enumerate() {
@@ -101,7 +101,7 @@ pub fn superword_reuses(dfg: &Dfg, groups: &[SimdGroup]) -> Vec<Reuse> {
 }
 
 /// Per-lane right-shift amounts for a reuse (positive = right shift).
-pub fn scaling_amounts(
+fn scaling_amounts(
     spec: &FixedPointSpec,
     dfg: &Dfg,
     producer: &SimdGroup,

@@ -242,36 +242,32 @@ impl Table<true> {
     }
 }
 
-/// Schedules one block, pricing ops through a shared [`CycleCache`] and
-/// dispatching on `kind`.
+/// Schedules one block, pricing ops through `costs` and dispatching on
+/// `kind`.
 ///
 /// A block of `n` machine ops asks for at most a handful of distinct
-/// `(op kind, word length)` costs; callers that schedule many blocks (or
-/// the same program under many group subsets, as group pruning does)
+/// `(op kind, word length)` costs; callers that schedule many blocks
 /// should thread one cache through every call so each distinct query is
-/// folded once.
+/// folded once. Callers that want a block's *price* rather than its
+/// schedule go through [`BlockPrices`].
 ///
 /// Under [`SchedKind::Modulo`], a pipelined schedule (with
 /// [`Schedule::modulo`] set) is returned only when the block is
 /// pipelinable *and* the search finds an II that strictly beats the list
 /// schedule's trip-weighted cost within the trial budget; every other
 /// outcome returns the list schedule unchanged.
-pub fn schedule_block_cached(
-    costs: &CycleCache<'_>,
-    block: &MachineBlock,
-    kind: SchedKind,
-) -> Schedule {
+pub fn schedule_block(costs: &CycleCache<'_>, block: &MachineBlock, kind: SchedKind) -> Schedule {
     match kind {
-        SchedKind::List => list_schedule_cached(costs, block),
+        SchedKind::List => list_schedule(costs, block),
         SchedKind::Modulo { budget } => match modulo_attempt_cached(costs, block, budget) {
             ModuloAttempt::Pipelined(s) => s,
-            _ => list_schedule_cached(costs, block),
+            _ => list_schedule(costs, block),
         },
     }
 }
 
 /// The resource-constrained list scheduler (sequential issue).
-fn list_schedule_cached(costs: &CycleCache<'_>, block: &MachineBlock) -> Schedule {
+fn list_schedule(costs: &CycleCache<'_>, block: &MachineBlock) -> Schedule {
     let target = costs.target();
     let n = block.ops.len();
     let mut start = vec![0u64; n];
@@ -318,28 +314,15 @@ fn loop_overhead(target: &TargetModel) -> u64 {
     (target.loop_overhead_ops.div_ceil(w) as u64) + 1
 }
 
-/// Trip-weighted cycles one kernel activation spends in `block`.
+/// The trip-weighted price of `sched`, one of `block`'s schedules: the
+/// cycles one kernel activation spends in the block, and the formula
+/// both [`BlockPrices`] and the modulo attempt's profitability test use.
 ///
 /// List-scheduled blocks pay `(makespan + overhead) · trip`. Pipelined
 /// blocks pay `overhead + prologue + ii·(trip−1) + epilogue`: iterations
 /// overlap at the initiation interval, and the loop-control overhead is
 /// charged once (the folded reservation table issues its ops in the
 /// steady state) instead of per iteration.
-pub fn block_activation_cycles_cached(
-    costs: &CycleCache<'_>,
-    block: &MachineBlock,
-    kind: SchedKind,
-) -> u64 {
-    activation_cycles(
-        costs.target(),
-        block,
-        &schedule_block_cached(costs, block, kind),
-    )
-}
-
-/// The trip-weighted price of `sched`, one of `block`'s schedules: the
-/// formula both [`block_activation_cycles_cached`] and the modulo
-/// attempt's profitability test use.
 fn activation_cycles(target: &TargetModel, block: &MachineBlock, sched: &Schedule) -> u64 {
     match sched.modulo {
         Some(m) => loop_overhead(target) + m.prologue + m.ii * (block.trip - 1) + m.epilogue,
@@ -354,32 +337,28 @@ fn activation_cycles(target: &TargetModel, block: &MachineBlock, sched: &Schedul
     }
 }
 
-/// Cycles for one kernel activation (all blocks, trip-weighted), pricing
-/// ops through a shared [`CycleCache`] and dispatching on `kind`.
-pub fn cycles_per_activation_cached(
-    costs: &CycleCache<'_>,
-    program: &MachineProgram,
-    kind: SchedKind,
-) -> u64 {
-    program
-        .blocks
-        .iter()
-        .map(|b| block_activation_cycles_cached(costs, b, kind))
-        .sum()
+/// The trip-weighted price of `block` under `kind`, unmemoized.
+fn block_price(costs: &CycleCache<'_>, block: &MachineBlock, kind: SchedKind) -> u64 {
+    activation_cycles(costs.target(), block, &schedule_block(costs, block, kind))
 }
 
 /// Total cycles for a workload of `activations` kernel activations,
-/// pricing ops through a shared [`CycleCache`] and dispatching on `kind`
-/// — callers reporting several workloads (or both scheduler kinds) over
-/// one target should share a cache instead of re-folding the same op
-/// costs per call.
+/// pricing ops through `costs` and dispatching on `kind`.
+///
+/// A shim for `perfbench`, which imports it: the library prices through
+/// [`BlockPrices`], which gives the same count bit for bit.
 pub fn total_cycles_cached(
     costs: &CycleCache<'_>,
     program: &MachineProgram,
     activations: u64,
     kind: SchedKind,
 ) -> u64 {
-    cycles_per_activation_cached(costs, program, kind) * activations
+    program
+        .blocks
+        .iter()
+        .map(|b| block_price(costs, b, kind))
+        .sum::<u64>()
+        * activations
 }
 
 // --- block-price memo ------------------------------------------------------
@@ -419,11 +398,15 @@ impl BlockKey {
     }
 }
 
-/// A memo of trip-weighted block prices
-/// ([`block_activation_cycles_cached`]) over one target, so a block
-/// priced again — the same block in another lowering, another leg's
-/// program or a later comparison — costs a lookup instead of a second
-/// modulo search.
+/// The block pricer: trip-weighted cycles one kernel activation spends
+/// in a block or a program, over one target.
+///
+/// It owns the target's memoized op prices (a [`CycleCache`]) and a memo
+/// of block prices, so a block priced again — the same block in another
+/// lowering, another leg's program or a later comparison — costs a
+/// lookup instead of a second modulo search. Create one per pricing
+/// scope (a flow call, a report) and price every block of that scope
+/// through it.
 ///
 /// Only [`SchedKind::Modulo`] prices are memoized: a list schedule costs
 /// about as much as building the key, so list pricing passes straight
@@ -431,55 +414,43 @@ impl BlockKey {
 /// block (the scheduler kind with its budget, `trip`, `in_loop`, each
 /// op's query and predecessors, and the [`loop_carried_deps`]) and the
 /// whole key is compared on a hit, so a hash collision can never change
-/// a price; every price equals the unmemoized one bit for bit.
+/// a price; every price equals a fresh [`schedule_block`]'s bit for bit.
 #[derive(Debug)]
 pub struct BlockPrices<'t> {
-    target: &'t TargetModel,
+    costs: CycleCache<'t>,
     prices: HashMap<BlockKey, u64>,
 }
 
 impl<'t> BlockPrices<'t> {
-    /// An empty memo for blocks scheduled against `target`.
+    /// An empty pricer for blocks scheduled against `target`.
     pub fn new(target: &'t TargetModel) -> Self {
         BlockPrices {
-            target,
+            costs: CycleCache::new(target),
             prices: HashMap::new(),
         }
     }
 
-    /// [`block_activation_cycles_cached`], memoized under
-    /// [`SchedKind::Modulo`]. `costs` must price `target`'s ops.
-    pub fn block_cycles(
-        &mut self,
-        costs: &CycleCache<'_>,
-        block: &MachineBlock,
-        kind: SchedKind,
-    ) -> u64 {
-        debug_assert!(
-            std::ptr::eq(costs.target(), self.target),
-            "a block-price memo serves one target"
-        );
+    /// Trip-weighted cycles one kernel activation spends in `block`
+    /// under `kind`: the price of [`schedule_block`]'s schedule, by the
+    /// formula of the module docs.
+    pub fn block_cycles(&mut self, block: &MachineBlock, kind: SchedKind) -> u64 {
         if kind == SchedKind::List {
-            return block_activation_cycles_cached(costs, block, kind);
+            return block_price(&self.costs, block, kind);
         }
+        let costs = &self.costs;
         *self
             .prices
             .entry(BlockKey::of(block, kind))
-            .or_insert_with(|| block_activation_cycles_cached(costs, block, kind))
+            .or_insert_with(|| block_price(costs, block, kind))
     }
 
-    /// [`cycles_per_activation_cached`], memoized block by block under
-    /// [`SchedKind::Modulo`].
-    pub fn program_cycles(
-        &mut self,
-        costs: &CycleCache<'_>,
-        program: &MachineProgram,
-        kind: SchedKind,
-    ) -> u64 {
+    /// Cycles for one kernel activation of `program` under `kind`: the
+    /// sum of its [`block_cycles`](Self::block_cycles).
+    pub fn program_cycles(&mut self, program: &MachineProgram, kind: SchedKind) -> u64 {
         program
             .blocks
             .iter()
-            .map(|b| self.block_cycles(costs, b, kind))
+            .map(|b| self.block_cycles(b, kind))
             .sum()
     }
 }
@@ -607,7 +578,7 @@ fn pipelinable(costs: &CycleCache<'_>, block: &MachineBlock) -> bool {
 ///   positive-cycle detection. Monotone because intra-iteration edges
 ///   point strictly forward, so every cycle crosses at least one
 ///   distance-1 edge.
-pub fn modulo_bounds_cached(costs: &CycleCache<'_>, block: &MachineBlock) -> Option<(u64, u64)> {
+pub fn modulo_bounds(costs: &CycleCache<'_>, block: &MachineBlock) -> Option<(u64, u64)> {
     if !pipelinable(costs, block) {
         return None;
     }
@@ -794,6 +765,8 @@ impl ModuloSearch<'_> {
 /// strictly beats the list schedule's — ties and everything else keep
 /// the list schedule, so the scheduler and the pricer can never disagree
 /// about which schedule a block runs.
+///
+/// The `_cached` suffix stays while `perfbench` imports this name.
 pub fn modulo_attempt_cached(
     costs: &CycleCache<'_>,
     block: &MachineBlock,
@@ -805,7 +778,7 @@ pub fn modulo_attempt_cached(
     }
     #[cfg(test)]
     searches::count();
-    let list = list_schedule_cached(costs, block);
+    let list = list_schedule(costs, block);
     let list_total = activation_cycles(target, block, &list);
     let op_costs: Vec<OpCost> = block.ops.iter().map(|op| costs.cost(op.query)).collect();
     let carried = loop_carried_deps(block);
@@ -932,7 +905,7 @@ mod tests {
     fn single_issue_serializes() {
         let target = vex(1);
         let ops: Vec<Mop> = (0..6).map(|_| op(OpQuery::Add(32), vec![])).collect();
-        let s = schedule_block_cached(
+        let s = schedule_block(
             &CycleCache::new(&target),
             &block(ops, false),
             SchedKind::List,
@@ -945,7 +918,7 @@ mod tests {
     fn wide_issue_parallelizes() {
         let target = xentium(); // 4 ALUs
         let ops: Vec<Mop> = (0..8).map(|_| op(OpQuery::Add(32), vec![])).collect();
-        let s = schedule_block_cached(
+        let s = schedule_block(
             &CycleCache::new(&target),
             &block(ops, false),
             SchedKind::List,
@@ -958,7 +931,7 @@ mod tests {
     fn memory_ports_limit_loads() {
         let target = xentium(); // 2 mem ports, load latency 2
         let ops: Vec<Mop> = (0..8).map(|_| op(OpQuery::Load(32), vec![])).collect();
-        let s = schedule_block_cached(
+        let s = schedule_block(
             &CycleCache::new(&target),
             &block(ops, false),
             SchedKind::List,
@@ -974,7 +947,7 @@ mod tests {
         for i in 1..10 {
             ops.push(op(OpQuery::Add(32), vec![i - 1]));
         }
-        let s = schedule_block_cached(
+        let s = schedule_block(
             &CycleCache::new(&target),
             &block(ops, false),
             SchedKind::List,
@@ -990,12 +963,12 @@ mod tests {
         let target = xentium();
         let narrow: Vec<Mop> = (0..4).map(|_| op(OpQuery::Mul(16), vec![])).collect();
         let wide: Vec<Mop> = (0..4).map(|_| op(OpQuery::Mul(32), vec![])).collect();
-        let sn = schedule_block_cached(
+        let sn = schedule_block(
             &CycleCache::new(&target),
             &block(narrow, false),
             SchedKind::List,
         );
-        let sw = schedule_block_cached(
+        let sw = schedule_block(
             &CycleCache::new(&target),
             &block(wide, false),
             SchedKind::List,
@@ -1015,7 +988,7 @@ mod tests {
             op(OpQuery::FAdd, vec![]),
             op(OpQuery::Add(32), vec![]), // independent, but machine is blocked
         ];
-        let s = schedule_block_cached(
+        let s = schedule_block(
             &CycleCache::new(&target),
             &block(ops, false),
             SchedKind::List,
@@ -1031,7 +1004,7 @@ mod tests {
     fn hw_float_pipelines_on_st240() {
         let target = st240();
         let ops = vec![op(OpQuery::FAdd, vec![]), op(OpQuery::Add(32), vec![])];
-        let s = schedule_block_cached(
+        let s = schedule_block(
             &CycleCache::new(&target),
             &block(ops, false),
             SchedKind::List,
@@ -1042,11 +1015,11 @@ mod tests {
     #[test]
     fn loop_overhead_added_per_iteration() {
         let target = vex(1);
-        let costs = CycleCache::new(&target);
+        let mut prices = BlockPrices::new(&target);
         let ops = vec![op(OpQuery::Add(32), vec![])];
         let list = SchedKind::List;
-        let inside = block_activation_cycles_cached(&costs, &block_t(ops.clone(), 1, true), list);
-        let outside = block_activation_cycles_cached(&costs, &block_t(ops, 1, false), list);
+        let inside = prices.block_cycles(&block_t(ops.clone(), 1, true), list);
+        let outside = prices.block_cycles(&block_t(ops, 1, false), list);
         assert!(inside > outside);
     }
 
@@ -1060,13 +1033,13 @@ mod tests {
             blocks: vec![b1],
             storage: crate::lower::ProgramStorage::default(),
         };
-        let per_act = cycles_per_activation_cached(&costs, &prog, SchedKind::List);
+        let mut prices = BlockPrices::new(&target);
+        let per_act = prices.program_cycles(&prog, SchedKind::List);
         assert_eq!(
             total_cycles_cached(&costs, &prog, 10, SchedKind::List),
             per_act * 10
         );
-        let single = block_activation_cycles_cached(
-            &costs,
+        let single = prices.block_cycles(
             &block_t(vec![op(OpQuery::Add(32), vec![])], 1, true),
             SchedKind::List,
         );
@@ -1077,7 +1050,7 @@ mod tests {
     fn pack_macro_op_consumes_multiple_slots() {
         let target = vex(1); // 1 ALU per cycle
         let ops = vec![op(OpQuery::Pack(4), vec![])];
-        let s = schedule_block_cached(
+        let s = schedule_block(
             &CycleCache::new(&target),
             &block(ops, false),
             SchedKind::List,
@@ -1096,9 +1069,9 @@ mod tests {
         let costs = CycleCache::new(&target);
         let ops: Vec<Mop> = (0..8).map(|_| op(OpQuery::Load(32), vec![])).collect();
         let b = block_t(ops, 16, true);
-        let (res, rec) = modulo_bounds_cached(&costs, &b).unwrap();
+        let (res, rec) = modulo_bounds(&costs, &b).unwrap();
         assert_eq!((res, rec), (4, 1));
-        let s = schedule_block_cached(&costs, &b, SchedKind::modulo());
+        let s = schedule_block(&costs, &b, SchedKind::modulo());
         let m = s.modulo.expect("loads must pipeline");
         assert_eq!(m.ii, 4, "achieved II must match max(ResMII, RecMII)");
         assert_eq!(m.prologue + m.epilogue, s.makespan);
@@ -1113,15 +1086,16 @@ mod tests {
         let costs = CycleCache::new(&target);
         let ops: Vec<Mop> = (0..4).map(|_| op(OpQuery::Add(32), vec![])).collect();
         let b = block_t(ops, 8, true);
-        let list = block_activation_cycles_cached(&costs, &b, SchedKind::List);
-        let modulo = block_activation_cycles_cached(&costs, &b, SchedKind::modulo());
+        let mut prices = BlockPrices::new(&target);
+        let list = prices.block_cycles(&b, SchedKind::List);
+        let modulo = prices.block_cycles(&b, SchedKind::modulo());
         assert!(
             modulo < list,
             "pipelining must beat sequential issue ({modulo} vs {list})"
         );
-        let s = schedule_block_cached(&costs, &b, SchedKind::modulo());
+        let s = schedule_block(&costs, &b, SchedKind::modulo());
         let m = s.modulo.unwrap();
-        let (res, rec) = modulo_bounds_cached(&costs, &b).unwrap();
+        let (res, rec) = modulo_bounds(&costs, &b).unwrap();
         assert_eq!(m.ii, res.max(rec));
     }
 
@@ -1153,9 +1127,9 @@ mod tests {
         let mut b = block_t(ops, 16, true);
         b.var_defs.push((v, Operand::Op(3)));
         assert_eq!(loop_carried_deps(&b), vec![(3, 0)]);
-        let (_, rec) = modulo_bounds_cached(&costs, &b).unwrap();
+        let (_, rec) = modulo_bounds(&costs, &b).unwrap();
         assert_eq!(rec, 4, "a 4-cycle recurrence forces II >= 4");
-        if let Some(m) = schedule_block_cached(&costs, &b, SchedKind::modulo()).modulo {
+        if let Some(m) = schedule_block(&costs, &b, SchedKind::modulo()).modulo {
             assert!(m.ii >= 4);
         }
     }
@@ -1170,15 +1144,16 @@ mod tests {
             modulo_attempt_cached(&costs, &b, 1),
             ModuloAttempt::BudgetExhausted
         ));
-        let starved = schedule_block_cached(&costs, &b, SchedKind::Modulo { budget: 1 });
-        let list = schedule_block_cached(&costs, &b, SchedKind::List);
+        let starved = schedule_block(&costs, &b, SchedKind::Modulo { budget: 1 });
+        let list = schedule_block(&costs, &b, SchedKind::List);
         assert!(starved.modulo.is_none());
         assert_eq!(starved.start, list.start);
         assert_eq!(starved.finish, list.finish);
         assert_eq!(starved.issues, list.issues);
+        let mut prices = BlockPrices::new(&target);
         assert_eq!(
-            block_activation_cycles_cached(&costs, &b, SchedKind::Modulo { budget: 1 }),
-            block_activation_cycles_cached(&costs, &b, SchedKind::List),
+            prices.block_cycles(&b, SchedKind::Modulo { budget: 1 }),
+            prices.block_cycles(&b, SchedKind::List),
         );
     }
 
@@ -1192,7 +1167,7 @@ mod tests {
             block_t(ops.clone(), 1, true), // single trip
             block_t(Vec::new(), 16, true), // empty
         ] {
-            assert!(modulo_bounds_cached(&costs, &b).is_none());
+            assert!(modulo_bounds(&costs, &b).is_none());
             assert!(matches!(
                 modulo_attempt_cached(&costs, &b, u32::MAX),
                 ModuloAttempt::Ineligible
@@ -1201,7 +1176,7 @@ mod tests {
         // Serializing soft-float ops block the whole machine and cannot
         // overlap with anything.
         let soft = block_t(vec![op(OpQuery::FAdd, vec![])], 16, true);
-        assert!(modulo_bounds_cached(&costs, &soft).is_none());
+        assert!(modulo_bounds(&costs, &soft).is_none());
     }
 
     #[test]
@@ -1222,7 +1197,7 @@ mod tests {
             })
             .collect();
         let b = block_t(ops, 16, true);
-        let s = schedule_block_cached(&costs, &b, SchedKind::modulo());
+        let s = schedule_block(&costs, &b, SchedKind::modulo());
         let m = s.modulo.expect("mixed loads/muls must pipeline");
         let mut per_residue: std::collections::HashMap<(u64, OpClass), u32> =
             std::collections::HashMap::new();
@@ -1247,7 +1222,6 @@ mod tests {
         use slpwlo_ir::types::{ArrayId, VarId};
         use slpwlo_ir::{BinOp, IndexExpr};
         let target = vex(1);
-        let costs = CycleCache::new(&target);
         let fmt = QFormat::new(1, 14);
         let v = VarId(0);
         // `v = (v + a[ix]) + imm`, with `v` committed from op `def`.
@@ -1284,8 +1258,8 @@ mod tests {
         let modulo = SchedKind::modulo();
         let mut prices = BlockPrices::new(&target);
         let mut price = |b: &MachineBlock, kind| {
-            let memo = prices.block_cycles(&costs, b, kind);
-            let fresh = block_activation_cycles_cached(&CycleCache::new(&target), b, kind);
+            let memo = prices.block_cycles(b, kind);
+            let fresh = block_price(&CycleCache::new(&target), b, kind);
             assert_eq!(memo, fresh);
             prices.prices.len()
         };

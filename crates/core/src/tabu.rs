@@ -45,7 +45,8 @@ pub struct TabuOptions {}
 /// Computed as the integer weight `Σ execs·wl` divided once by `max_wl`,
 /// so the Tabu search can maintain the weight move by move and still
 /// agree with this full walk bitwise.
-pub fn menard_cost(kernel: &Kernel, spec: &FixedPointSpec, execs: &[u64]) -> f64 {
+#[cfg(test)]
+fn menard_cost(kernel: &Kernel, spec: &FixedPointSpec, execs: &[u64]) -> f64 {
     weight_cost(menard_weight(kernel, spec, execs), spec.max_wl())
 }
 

@@ -24,7 +24,7 @@ use slpwlo_ir::blocks::{blocks_by_priority, Block};
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_ir::Kernel;
 use slpwlo_slp::{extract_rounds, BenefitKind, PassCtx, SelectStats, SimdGroup};
-use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
+use slpwlo_targets::{SchedKind, TargetModel};
 
 /// Per-block outcome of the joint optimization.
 #[derive(Debug)]
@@ -94,7 +94,7 @@ pub fn wlo_slp_sched(
     benefit: BenefitKind,
     sched: SchedKind,
 ) -> WloSlpResult {
-    let mut ctx = PassCtx::new(CycleCache::new(target), benefit, sched, true);
+    let mut ctx = PassCtx::new(target, benefit, sched, true);
     wlo_slp(&mut ctx, kernel, eval, constraint_db, ranges)
 }
 

@@ -1,10 +1,10 @@
 //! The workspace-wide structured error type.
 //!
 //! Every fallible user-input path of the tool-chain — kernel parsing and
-//! validation, input-range sanity, builder configuration, constraint
-//! feasibility, artifact export — surfaces as one [`Error`] variant
-//! instead of a panic, so drivers (CLIs, benches, services) can match on
-//! the failure class and react.
+//! validation, builder configuration, constraint feasibility, artifact
+//! export — surfaces as one [`Error`] variant instead of a panic, so
+//! drivers (CLIs, benches, services) can match on the failure class and
+//! react.
 
 use slpwlo_ir::IrError;
 use std::fmt;
@@ -14,21 +14,13 @@ use std::path::PathBuf;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
-    /// The kernel DSL source failed to lex or parse.
+    /// The kernel DSL source failed to lex or parse, or the kernel it
+    /// describes failed validation (an unusable input range, an
+    /// over-long table, an unset output, ...). Every `Kernel` is
+    /// validated when it is built, so a kernel handed to
+    /// [`Optimizer::for_kernel`](crate::Optimizer::for_kernel) cannot
+    /// fail here.
     Parse(IrError),
-    /// The kernel parsed (or was built programmatically) but failed
-    /// structural validation.
-    InvalidKernel(IrError),
-    /// An input's declared value range is unusable for range analysis
-    /// (non-finite bound, or `lo > hi`).
-    Range {
-        /// Name of the offending input.
-        input: String,
-        /// Declared lower bound.
-        lo: f64,
-        /// Declared upper bound.
-        hi: f64,
-    },
     /// The builder was configured inconsistently.
     Config {
         /// The builder field at fault (e.g. `"constraint_db"`).
@@ -68,10 +60,6 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::Parse(e) => write!(f, "kernel parse error: {e}"),
-            Error::InvalidKernel(e) => write!(f, "invalid kernel: {e}"),
-            Error::Range { input, lo, hi } => {
-                write!(f, "unusable range [{lo}, {hi}] on input `{input}`")
-            }
             Error::Config { field, message } => {
                 write!(f, "invalid optimizer configuration ({field}): {message}")
             }
@@ -97,7 +85,7 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Error::Parse(e) | Error::InvalidKernel(e) => Some(e),
+            Error::Parse(e) => Some(e),
             Error::Export { source, .. } => Some(source),
             Error::Codegen(e) => Some(e),
             Error::Verify(e) => Some(e),
@@ -145,13 +133,6 @@ mod tests {
             message: "must be finite".into(),
         };
         assert!(e.to_string().contains("constraint_db"));
-
-        let e = Error::Range {
-            input: "x".into(),
-            lo: 1.0,
-            hi: -1.0,
-        };
-        assert!(e.to_string().contains("`x`"));
     }
 
     #[test]

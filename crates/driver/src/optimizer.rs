@@ -8,7 +8,7 @@ use slpwlo_core::{prepare, BenefitKind, BlockPrices, Prepared, TabuOptions};
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::parser::parse_kernel;
 use slpwlo_ir::Kernel;
-use slpwlo_targets::{xentium, CycleCache, SchedKind, TargetModel};
+use slpwlo_targets::{xentium, SchedKind, TargetModel};
 use slpwlo_verify::VerifyLevel;
 
 /// Default activations for cycle reporting (the paper's FIR/IIR workload
@@ -76,23 +76,11 @@ impl Optimizer {
         Self::for_kernel(kernel)
     }
 
-    /// Validates and prepares an already-built kernel.
+    /// Prepares an already-built kernel. Every [`Kernel`] was validated
+    /// when it was built (by [`slpwlo_ir::KernelBuilder`], the parser or
+    /// [`slpwlo_ir::unroll::unroll`]), so this cannot fail; it returns a
+    /// `Result` for symmetry with [`Optimizer::for_source`].
     pub fn for_kernel(kernel: Kernel) -> Result<Self, Error> {
-        // `Kernel::validate` holds the single copy of the range-validity
-        // predicate; its range failure is lifted to the richer
-        // `Error::Range` here.
-        if let Err(e) = kernel.validate() {
-            if let slpwlo_ir::IrError::InvalidRange { ref input, .. } = e {
-                if let Some(i) = kernel.inputs().iter().find(|i| &i.name == input) {
-                    return Err(Error::Range {
-                        input: input.clone(),
-                        lo: i.lo,
-                        hi: i.hi,
-                    });
-                }
-            }
-            return Err(Error::InvalidKernel(e));
-        }
         Ok(Optimizer {
             prep: prepare(kernel),
             target: xentium(),
@@ -260,16 +248,13 @@ impl Optimizer {
             verify: self.verify,
         };
         let out = flow.run(&ctx)?;
-        // One shared price cache and block memo for all four cycle
-        // counts: under modulo scheduling, a block repeated within a
-        // program or shared by the SIMD and scalar programs runs one II
-        // search. The list counts ride along so pipelined reports can
+        // One block pricer for all four cycle counts: under modulo
+        // scheduling, a block repeated within a program or shared by the
+        // SIMD and scalar programs runs one II search. The list counts ride along so pipelined reports can
         // show what software pipelining bought without a second run
         // (under list scheduling they are the same two counts).
-        let costs = CycleCache::new(&self.target);
         let mut prices = BlockPrices::new(&self.target);
-        let mut cycles =
-            |program, sched| prices.program_cycles(&costs, program, sched) * self.activations;
+        let mut cycles = |program, sched| prices.program_cycles(program, sched) * self.activations;
         let cycles_simd = cycles(&out.program, self.sched);
         let cycles_scalar = cycles(&out.scalar, self.sched);
         let (cycles_simd_list, cycles_scalar_list) = match self.sched {

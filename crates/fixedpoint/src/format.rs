@@ -23,7 +23,6 @@ use std::fmt;
 /// assert_eq!(q15.wl(), 16);
 /// assert_eq!(q15.step(), 2f64.powi(-15));
 /// assert_eq!(q15.max_value(), 1.0 - 2f64.powi(-15));
-/// assert_eq!(q15.min_value(), -1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QFormat {
@@ -55,7 +54,8 @@ impl QFormat {
     }
 
     /// Smallest representable value, `-2^(IWL-1)`.
-    pub fn min_value(self) -> f64 {
+    #[cfg(test)]
+    fn min_value(self) -> f64 {
         -pow2(self.iwl - 1)
     }
 

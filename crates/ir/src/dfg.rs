@@ -65,7 +65,7 @@ impl NodeKind {
     /// Arithmetic, loads and stores are groupable; wiring nodes (`VarUse`,
     /// `LiveIn`), constants, input reads, delay-line pushes and outputs are
     /// not.
-    pub fn is_groupable(&self) -> bool {
+    fn is_groupable(&self) -> bool {
         matches!(
             self,
             NodeKind::Bin(_)

@@ -28,20 +28,25 @@ struct Subst {
 /// * Otherwise the loop becomes `count / factor` iterations of `factor`
 ///   copies, followed by `count % factor` straight-line remainder copies.
 ///
+/// The unrolled kernel is validated before it replaces `kernel`, so on
+/// any error `kernel` is left as it was.
+///
 /// # Errors
 ///
-/// Returns [`IrError::InvalidUnroll`] if the loop id does not exist.
+/// Returns [`IrError::InvalidUnroll`] if the loop id does not exist, or
+/// the validation error of an unrolled kernel that fails
+/// [`Kernel::validate`].
 pub fn unroll(kernel: &mut Kernel, target: LoopId, factor: u32) -> Result<(), IrError> {
+    let mut unrolled = kernel.clone();
     // Detach the body to appease the borrow checker, operate, re-attach.
-    let mut body = std::mem::take(&mut kernel.body);
-    let found = unroll_in(kernel, &mut body, target, factor);
-    kernel.body = body;
-    if found {
-        kernel.validate()?;
-        Ok(())
-    } else {
-        Err(IrError::InvalidUnroll(format!("loop {target} not found")))
+    let mut body = std::mem::take(&mut unrolled.body);
+    if !unroll_in(&mut unrolled, &mut body, target, factor) {
+        return Err(IrError::InvalidUnroll(format!("loop {target} not found")));
     }
+    unrolled.body = body;
+    unrolled.validate()?;
+    *kernel = unrolled;
+    Ok(())
 }
 
 fn unroll_in(kernel: &mut Kernel, stmts: &mut Vec<Stmt>, target: LoopId, factor: u32) -> bool {

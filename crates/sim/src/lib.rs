@@ -7,8 +7,8 @@
 //! scheduling onto the target's issue slots and functional units) lives
 //! in `slpwlo-core`'s `sched` module, where the compilation flows can
 //! consult schedules when pruning unprofitable packs — use
-//! `slpwlo_core::{schedule_block_cached, total_cycles_cached, ...}`
-//! directly.
+//! `slpwlo_core::schedule_block` for a block's schedule and
+//! `slpwlo_core::BlockPrices` for block and program cycle counts.
 
 pub mod exec;
 

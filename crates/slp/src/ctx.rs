@@ -17,9 +17,9 @@ use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
 pub struct PassCtx<'t> {
     /// The target the leg compiles for.
     pub target: &'t TargetModel,
-    /// Memoized op prices of `target`, shared by every round, block and
-    /// scheduler-guard comparison of the leg. The cache is a pure memo,
-    /// so sharing it cannot move a decision.
+    /// Memoized op prices of `target`, shared by every round and block
+    /// of the leg's selection. The cache is a pure memo, so sharing it
+    /// cannot move a decision.
     pub costs: CycleCache<'t>,
     /// The candidate-pricing strategy.
     pub benefit: BenefitKind,
@@ -40,17 +40,17 @@ pub struct PassCtx<'t> {
 }
 
 impl<'t> PassCtx<'t> {
-    /// A fresh context pricing through `costs` (whose target it
-    /// compiles for), with zeroed statistics.
+    /// A fresh context compiling for `target`, with an empty price
+    /// cache and zeroed statistics.
     pub fn new(
-        costs: CycleCache<'t>,
+        target: &'t TargetModel,
         benefit: BenefitKind,
         sched: SchedKind,
         equalize: bool,
     ) -> Self {
         PassCtx {
-            target: costs.target(),
-            costs,
+            target,
+            costs: CycleCache::new(target),
             benefit,
             sched,
             equalize,
@@ -63,6 +63,6 @@ impl<'t> PassCtx<'t> {
 impl<'t> PassCtx<'t> {
     /// A list-scheduled, equalization-free context over `target`.
     pub(crate) fn plain(target: &'t TargetModel, benefit: BenefitKind) -> Self {
-        PassCtx::new(CycleCache::new(target), benefit, SchedKind::List, false)
+        PassCtx::new(target, benefit, SchedKind::List, false)
     }
 }

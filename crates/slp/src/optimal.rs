@@ -608,7 +608,7 @@ mod tests {
     use crate::BenefitKind;
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::parser::parse_kernel;
-    use slpwlo_targets::{st240, vex, xentium, CycleCache, SchedKind};
+    use slpwlo_targets::{st240, vex, xentium, SchedKind};
 
     fn fir_dfg() -> Dfg {
         let src = r#"
@@ -709,12 +709,7 @@ kernel f {
             let max = target.max_wl();
             // Mismatched per-lane formats with equalization on, so the
             // backed bits also move the scaling prices.
-            let ctx = PassCtx::new(
-                CycleCache::new(target),
-                BenefitKind::Cycles,
-                SchedKind::List,
-                true,
-            );
+            let ctx = PassCtx::new(target, BenefitKind::Cycles, SchedKind::List, true);
             let model = BenefitModel::new(
                 dfg,
                 &round,

@@ -431,7 +431,7 @@ impl TargetModel {
     }
 
     /// Widest multiply executed natively in one multiplier slot.
-    pub fn native_mul_wl(&self) -> i32 {
+    fn native_mul_wl(&self) -> i32 {
         if self.wide_mul_slots > 1 {
             16
         } else {

@@ -44,7 +44,7 @@
 
 use crate::{Invariant, Pass, VerifyError};
 use slpwlo_core::{
-    broadcast_lane, ix_bounds, operand_fmts, result_fmt, schedule_block_cached, Loc, MachineBlock,
+    broadcast_lane, ix_bounds, operand_fmts, result_fmt, schedule_block, Loc, MachineBlock,
     MachineProgram, ModuloSchedule, MopKind, Operand, Schedule,
 };
 use slpwlo_fixedpoint::QFormat;
@@ -140,7 +140,7 @@ pub fn verify_program_sched(
     for (bi, block) in program.blocks.iter().enumerate() {
         let ctx = Ctx { program, block: bi };
         verify_block_structure(&ctx, block, target)?;
-        let sched = schedule_block_cached(&costs, block, kind);
+        let sched = schedule_block(&costs, block, kind);
         audit_schedule(&ctx, block, target, &sched)?;
     }
     Ok(())

@@ -27,7 +27,7 @@ use slpwlo_slp::{
     exhaustive_best, set_value, BenefitKind, BenefitModel, PassCtx, Round, SimdGroup,
     EXHAUSTIVE_LIMIT,
 };
-use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
+use slpwlo_targets::{SchedKind, TargetModel};
 use std::collections::HashSet;
 
 fn err(
@@ -238,12 +238,7 @@ pub fn verify_optimal_selection(
             }
         }
     }
-    let pricing = PassCtx::new(
-        CycleCache::new(target),
-        BenefitKind::Cycles,
-        SchedKind::List,
-        false,
-    );
+    let pricing = PassCtx::new(target, BenefitKind::Cycles, SchedKind::List, false);
     let model = BenefitModel::new(dfg, &round, &pricing, wl, |_| None);
     let v = set_value(&model, &round, prior, &chosen_idx);
     let (best_set, best_v) = exhaustive_best(dfg, &model, &round, prior, &alive);
@@ -433,12 +428,7 @@ kernel g {
         let target = slpwlo_targets::st240();
         let wl = |_: NodeId| 16;
         let round = Round::new(&dfg, &target, &[]);
-        let mut ctx = PassCtx::new(
-            CycleCache::new(&target),
-            BenefitKind::optimal(),
-            SchedKind::List,
-            false,
-        );
+        let mut ctx = PassCtx::new(&target, BenefitKind::optimal(), SchedKind::List, false);
         let mut hooks = FrozenWls {
             target: &target,
             wl: &wl,

@@ -13,21 +13,21 @@
 //!     folding over it.
 
 use slpwlo::core::nodes::value_wl;
-use slpwlo::core::{cycles_per_activation_cached, extract_on_spec, lower_fixed, lower_scalar};
+use slpwlo::core::{extract_on_spec, lower_fixed, lower_scalar, BlockPrices};
 use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::Dfg;
 use slpwlo::kernels::all_benchmarks;
 use slpwlo::slp::{extract_rounds, BenefitKind, FrozenWls, PassCtx};
-use slpwlo::targets::{vex, CycleCache, FuSet, OpQuery, SchedKind, SimdConfig, TargetModel};
+use slpwlo::targets::{vex, FuSet, OpQuery, SchedKind, SimdConfig, TargetModel};
 
 /// (a) VEX-1: whatever the cycle-priced model admits must never schedule
 /// slower than the scalar program under the same specification.
 #[test]
 fn cycles_model_never_loses_to_scalar_on_vex1() {
     let target = vex(1);
-    let costs = CycleCache::new(&target);
+    let mut prices = BlockPrices::new(&target);
     for bench in all_benchmarks() {
         let ranges = determine_ranges(&bench.kernel);
         for wl in [12, 16, 24, 32] {
@@ -35,18 +35,13 @@ fn cycles_model_never_loses_to_scalar_on_vex1() {
             let blocks = extract_on_spec(
                 &bench.kernel,
                 &spec,
-                &mut PassCtx::new(
-                    CycleCache::new(&target),
-                    BenefitKind::Cycles,
-                    SchedKind::List,
-                    false,
-                ),
+                &mut PassCtx::new(&target, BenefitKind::Cycles, SchedKind::List, false),
             );
             let groups: usize = blocks.iter().map(|(_, _, g)| g.len()).sum();
             let simd = lower_fixed(&bench.kernel, &spec, &target, &blocks);
             let scalar = lower_scalar(&bench.kernel, &spec, &target);
-            let vc = cycles_per_activation_cached(&costs, &simd, SchedKind::List);
-            let sc = cycles_per_activation_cached(&costs, &scalar, SchedKind::List);
+            let vc = prices.program_cycles(&simd, SchedKind::List);
+            let sc = prices.program_cycles(&scalar, SchedKind::List);
             assert!(
                 vc <= sc,
                 "{} at wl {wl} on VEX-1: {groups} admitted groups cost {vc} cycles \
@@ -120,8 +115,7 @@ fn slots_and_cycles_agree_on_a_unit_cost_machine() {
                 .map(|b| {
                     let dfg = Dfg::from_block(&bench.kernel, &b);
                     let groups = {
-                        let mut ctx =
-                            PassCtx::new(CycleCache::new(&target), kind, SchedKind::List, false);
+                        let mut ctx = PassCtx::new(&target, kind, SchedKind::List, false);
                         let mut hooks = FrozenWls {
                             target: &target,
                             wl: &|n| value_wl(&spec, &dfg, n),
@@ -144,8 +138,7 @@ fn slots_and_cycles_agree_on_a_unit_cost_machine() {
                 })
                 .collect();
             let simd = lower_fixed(&bench.kernel, &spec, &target, &blocks);
-            let cycles =
-                cycles_per_activation_cached(&CycleCache::new(&target), &simd, SchedKind::List);
+            let cycles = BlockPrices::new(&target).program_cycles(&simd, SchedKind::List);
             per_kind.push((shapes, cycles));
         }
         if per_kind[0].0 == per_kind[1].0 {

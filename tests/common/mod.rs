@@ -9,7 +9,7 @@ use slpwlo::core::{extract_on_spec, lower_fixed, BenefitKind, MachineProgram, Pa
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::Kernel;
 use slpwlo::kernels::Workload;
-use slpwlo::targets::{CycleCache, SchedKind, TargetModel};
+use slpwlo::targets::{SchedKind, TargetModel};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -29,8 +29,7 @@ pub fn simd_program(
 /// The `WLO-First` back half's selection context: default greedy
 /// pricing under list scheduling, no scaling equalization.
 pub fn plain_ctx(target: &TargetModel) -> PassCtx<'_> {
-    let costs = CycleCache::new(target);
-    PassCtx::new(costs, BenefitKind::default(), SchedKind::List, false)
+    PassCtx::new(target, BenefitKind::default(), SchedKind::List, false)
 }
 
 /// Is a C compiler available? With `SLPWLO_REQUIRE_CC=1` a missing

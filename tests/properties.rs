@@ -129,9 +129,8 @@ fn extraction_respects_structure() {
             let target = slpwlo::targets::vex(4);
             for b in &blocks {
                 let dfg = slpwlo::ir::Dfg::from_block(&k, b);
-                let costs = slpwlo::targets::CycleCache::new(&target);
                 let kind = BenefitKind::default();
-                let mut ctx = PassCtx::new(costs, kind, slpwlo::targets::SchedKind::List, false);
+                let mut ctx = PassCtx::new(&target, kind, slpwlo::targets::SchedKind::List, false);
                 let mut hooks = slpwlo::slp::FrozenWls {
                     target: &target,
                     wl: &|_| wl,

@@ -21,8 +21,13 @@
 //! 5. **memo transparency** — over the suite × {ST240, VEX-1, VEX-4,
 //!    XENTIUM}, every block a modulo-scheduled exact flow's scheduler
 //!    guards and portfolio comparison price gets the same price from one
-//!    shared `BlockPrices` memo as from a fresh cache;
-//! 6. **schedules pinned across commits** — an FNV-1a digest over every
+//!    shared `BlockPrices` memo as from a fresh pricer;
+//! 6. **one price, three doors** — over the suite × {ST240, VEX-1,
+//!    VEX-4, XENTIUM} × both `SchedKind`s, the `total_cycles_cached`
+//!    shim, `BlockPrices::program_cycles × activations` and the sum of
+//!    fresh `schedule_block` schedules priced by the documented formula
+//!    agree exactly;
+//! 7. **schedules pinned across commits** — an FNV-1a digest over every
 //!    block schedule of the float, scalar and SIMD programs of the suite
 //!    on {ST240, VEX-1, VEX-4, XENTIUM} under both `SchedKind`s must
 //!    equal a recorded constant, so a scheduler refactor is checked
@@ -32,10 +37,9 @@ mod common;
 
 use common::simd_program;
 use slpwlo::core::{
-    block_activation_cycles_cached, loop_carried_deps, lower_float, lower_scalar,
-    modulo_bounds_cached, prepare, schedule_block_cached, wlo_first_flow_checked,
-    wlo_slp_flow_checked, BenefitKind, BlockPrices, MachineProgram, PassArtifact, ProgramRole,
-    SchedKind, TabuOptions,
+    loop_carried_deps, lower_float, lower_scalar, modulo_bounds, prepare, schedule_block,
+    total_cycles_cached, wlo_first_flow_checked, wlo_slp_flow_checked, BenefitKind, BlockPrices,
+    MachineBlock, MachineProgram, PassArtifact, ProgramRole, SchedKind, Schedule, TabuOptions,
 };
 use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
@@ -105,9 +109,9 @@ fn list_schedules_are_bit_identical_and_deterministic() {
     for_all_lowerings(|tag, target, program| {
         let costs = CycleCache::new(target);
         for (b, block) in program.blocks.iter().enumerate() {
-            let fresh = schedule_block_cached(&CycleCache::new(target), block, SchedKind::List);
-            let cached = schedule_block_cached(&costs, block, SchedKind::List);
-            let again = schedule_block_cached(&costs, block, SchedKind::List);
+            let fresh = schedule_block(&CycleCache::new(target), block, SchedKind::List);
+            let cached = schedule_block(&costs, block, SchedKind::List);
+            let again = schedule_block(&costs, block, SchedKind::List);
             for s in [&cached, &again] {
                 assert_eq!(fresh.start, s.start, "{tag} blk{b}: start drifted");
                 assert_eq!(fresh.finish, s.finish, "{tag} blk{b}: finish drifted");
@@ -131,10 +135,10 @@ fn achieved_ii_respects_and_reaches_the_mii_bound() {
     for_all_lowerings(|tag, target, program| {
         let costs = CycleCache::new(target);
         for (b, block) in program.blocks.iter().enumerate() {
-            let sched = schedule_block_cached(&costs, block, SchedKind::modulo());
+            let sched = schedule_block(&costs, block, SchedKind::modulo());
             let Some(m) = sched.modulo else { continue };
             pipelined += 1;
-            let (res, rec) = modulo_bounds_cached(&costs, block)
+            let (res, rec) = modulo_bounds(&costs, block)
                 .unwrap_or_else(|| panic!("{tag} blk{b}: pipelined but not eligible"));
             let mii = res.max(rec);
             assert!(
@@ -192,10 +196,10 @@ kernel lastval {
                 "{} blk{b}: overwrite-only loop grew a carried dependence",
                 target.name
             );
-            let sched = schedule_block_cached(&costs, block, SchedKind::modulo());
+            let sched = schedule_block(&costs, block, SchedKind::modulo());
             let Some(m) = sched.modulo else { continue };
             pipelined += 1;
-            let (res, rec) = modulo_bounds_cached(&costs, block).expect("eligible");
+            let (res, rec) = modulo_bounds(&costs, block).expect("eligible");
             assert_eq!(
                 m.ii,
                 res.max(rec),
@@ -230,7 +234,7 @@ fn verifier_rejects_a_hand_shifted_steady_state() {
     for_all_lowerings(|tag, target, program| {
         let costs = CycleCache::new(target);
         for (b, block) in program.blocks.iter().enumerate() {
-            let sched = schedule_block_cached(&costs, block, SchedKind::modulo());
+            let sched = schedule_block(&costs, block, SchedKind::modulo());
             if sched.modulo.is_none() {
                 continue;
             }
@@ -255,7 +259,7 @@ fn verifier_rejects_a_hand_shifted_steady_state() {
 /// The flows' block memo is transparent: replaying, in flow order, every
 /// program the scheduler guards compare (`Candidate`) and the portfolio
 /// comparison prices (`Simd`) through one shared memo gives each block
-/// exactly its fresh-cache price, and later programs do hit the memo.
+/// exactly its fresh-pricer price, and later programs do hit the memo.
 #[test]
 fn memoized_block_prices_equal_fresh_prices() {
     let sched = SchedKind::modulo();
@@ -281,14 +285,12 @@ fn memoized_block_prices_equal_fresh_prices() {
                     let (t, b) = (&target, benefit);
                     wlo_first_flow_checked(&prep, t, -40.0, &tabu, b, sched, record).unwrap();
                 }
-                let costs = CycleCache::new(&target);
                 let mut prices = BlockPrices::new(&target);
                 let mut seen = std::collections::HashSet::new();
                 for program in &priced {
                     for (b, block) in program.blocks.iter().enumerate() {
-                        let memo = prices.block_cycles(&costs, block, sched);
-                        let fresh =
-                            block_activation_cycles_cached(&CycleCache::new(&target), block, sched);
+                        let memo = prices.block_cycles(block, sched);
+                        let fresh = BlockPrices::new(&target).block_cycles(block, sched);
                         assert_eq!(
                             memo, fresh,
                             "{} on {} (joint: {joint}) blk{b}: memoized price drifted",
@@ -304,6 +306,60 @@ fn memoized_block_prices_equal_fresh_prices() {
         }
     }
     assert!(hits > 0, "no block was ever priced twice");
+}
+
+/// Trip-weighted cycles of one activation of `block` scheduled as
+/// `sched`, written out from the documented formula: a list schedule
+/// pays `(makespan + overhead)·trip` (overhead only inside loops), a
+/// pipelined one `overhead + prologue + ii·(trip−1) + epilogue`.
+fn formula_price(target: &TargetModel, block: &MachineBlock, sched: &Schedule) -> u64 {
+    let overhead = target.loop_overhead_ops.div_ceil(target.issue_width) as u64 + 1;
+    match sched.modulo {
+        Some(m) => overhead + m.prologue + m.ii * (block.trip - 1) + m.epilogue,
+        None if block.in_loop => (sched.makespan + overhead) * block.trip,
+        None => sched.makespan * block.trip,
+    }
+}
+
+/// The three ways to price a program give one count: the
+/// `total_cycles_cached` shim (kept for the benchmark harness), the
+/// `BlockPrices` pricer, and fresh `schedule_block` schedules priced by
+/// the formula above.
+#[test]
+fn shim_pricer_and_fresh_schedules_agree() {
+    let mut pipelined = 0usize;
+    for target in [st240(), vex(1), vex(4), xentium()] {
+        let costs = CycleCache::new(&target);
+        for bench in all_benchmarks() {
+            for program in &lowerings(&bench.kernel, 16, &target) {
+                for sched in [SchedKind::List, SchedKind::modulo()] {
+                    let n = bench.activations;
+                    let shim = total_cycles_cached(&costs, program, n, sched);
+                    let pricer = BlockPrices::new(&target).program_cycles(program, sched) * n;
+                    let fresh: u64 = program
+                        .blocks
+                        .iter()
+                        .map(|block| {
+                            let s = schedule_block(&CycleCache::new(&target), block, sched);
+                            pipelined += usize::from(s.modulo.is_some());
+                            formula_price(&target, block, &s)
+                        })
+                        .sum();
+                    let tag = format!("{} on {} under {sched}", bench.name, target.name);
+                    assert_eq!(shim, pricer, "{tag}: shim and pricer disagree");
+                    assert_eq!(
+                        pricer,
+                        fresh * n,
+                        "{tag}: pricer and fresh schedules disagree"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        pipelined > 0,
+        "no block pipelined: the modulo leg priced nothing"
+    );
 }
 
 /// 64-bit FNV-1a with the standard offset basis and prime.
@@ -346,7 +402,7 @@ fn block_schedules_match_their_recorded_digests() {
             for program in [&lower_float(&bench.kernel), &scalar, &simd] {
                 for block in &program.blocks {
                     for kind in [SchedKind::List, SchedKind::modulo()] {
-                        let s = schedule_block_cached(&costs, block, kind);
+                        let s = schedule_block(&costs, block, kind);
                         s.start.iter().chain(&s.finish).for_each(|&c| h.u64(c));
                         h.u64(s.makespan);
                         for &(op, cycle, slots) in &s.issues {

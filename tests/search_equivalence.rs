@@ -7,11 +7,11 @@
 //! [`IncrementalEvaluator`] the flows now use.
 
 use slpwlo::accuracy::{AccuracyEvaluator, IncrementalEvaluator};
-use slpwlo::core::{prepare, tabu_wlo, total_cycles_cached, wlo_slp_sched, TabuOptions};
+use slpwlo::core::{prepare, tabu_wlo, wlo_slp_sched, BlockPrices, TabuOptions};
 use slpwlo::core::{BenefitKind, SchedKind};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::kernels::{biquad_cascade4, complex_fir32, conv3x3, fir64, iir10, matvec16x16};
-use slpwlo::targets::{xentium, CycleCache};
+use slpwlo::targets::xentium;
 
 fn assert_specs_identical(
     kernel: &slpwlo::ir::Kernel,
@@ -132,7 +132,7 @@ fn wlo_slp_is_identical_with_and_without_incremental_evaluation() {
                 .map(|b| (b.block.clone(), b.dfg.clone(), b.groups.clone()))
                 .collect();
             let prog = slpwlo::core::lower_fixed(&prep.kernel, &res.spec, &target, &blocks);
-            total_cycles_cached(&CycleCache::new(&target), &prog, 2048, SchedKind::List)
+            BlockPrices::new(&target).program_cycles(&prog, SchedKind::List) * 2048
         };
         assert_eq!(
             lower(&res_full),

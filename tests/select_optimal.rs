@@ -186,7 +186,6 @@ fn committed_rounds_agree_with_exhaustive_enumeration() {
     use slpwlo::ir::blocks::collect_blocks;
     use slpwlo::ir::dfg::{Dfg, NodeId};
     use slpwlo::slp::{absorb_selected, run_selection, FrozenWls, PassCtx, Round, SimdGroup};
-    use slpwlo::targets::CycleCache;
     use slpwlo::verify::verify_optimal_selection;
 
     let wl = |_: NodeId| 16;
@@ -196,9 +195,8 @@ fn committed_rounds_agree_with_exhaustive_enumeration() {
             for block in collect_blocks(&bench.kernel) {
                 let dfg = Dfg::from_block(&bench.kernel, &block);
                 let mut groups: Vec<SimdGroup> = Vec::new();
-                let costs = CycleCache::new(&target);
                 let exact = BenefitKind::optimal();
-                let mut ctx = PassCtx::new(costs, exact, SchedKind::List, false);
+                let mut ctx = PassCtx::new(&target, exact, SchedKind::List, false);
                 loop {
                     let round = Round::new(&dfg, &target, &groups);
                     let live = (0..round.candidates.len())

@@ -24,14 +24,14 @@
 mod common;
 
 use common::plain_ctx;
-use slpwlo::core::{extract_on_spec, lower_fixed, lower_scalar, total_cycles_cached, PassCtx};
+use slpwlo::core::{extract_on_spec, lower_fixed, lower_scalar, BlockPrices, PassCtx};
 use slpwlo::fixedpoint::range::determine_ranges;
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::gen::KernelGen;
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::Dfg;
 use slpwlo::slp::BenefitKind;
-use slpwlo::targets::{vex, xentium, CycleCache, SchedKind};
+use slpwlo::targets::{vex, xentium, SchedKind};
 use slpwlo::verify::verify_groups;
 
 const SEEDS: u64 = 48;
@@ -76,7 +76,7 @@ fn every_candidate_benefit_is_finite_and_rankable() {
                 let dfg = Dfg::from_block(&kernel, &block);
                 let round = Round::new(&dfg, &target, &[]);
                 for kind in [BenefitKind::Slots, BenefitKind::Cycles] {
-                    let ctx = PassCtx::new(CycleCache::new(&target), kind, SchedKind::List, false);
+                    let ctx = PassCtx::new(&target, kind, SchedKind::List, false);
                     let model = BenefitModel::new(&dfg, &round, &ctx, |_| 16, |_| None);
                     let alive = vec![true; round.candidates.len()];
                     for idx in 0..round.candidates.len() {
@@ -131,9 +131,9 @@ fn vectorization_benefit_holds_against_the_scalar_baseline() {
             let n_groups: usize = blocks.iter().map(|(_, _, g)| g.len()).sum();
             let simd = lower_fixed(&kernel, &spec, &target, &blocks);
             let scalar = lower_scalar(&kernel, &spec, &target);
-            let costs = CycleCache::new(&target);
-            let vc = total_cycles_cached(&costs, &simd, 64, SchedKind::List);
-            let sc = total_cycles_cached(&costs, &scalar, 64, SchedKind::List);
+            let mut prices = BlockPrices::new(&target);
+            let vc = prices.program_cycles(&simd, SchedKind::List) * 64;
+            let sc = prices.program_cycles(&scalar, SchedKind::List) * 64;
             total_simd += vc;
             total_scalar += sc;
             // Per-kernel: losses happen (the op-count heuristic cannot

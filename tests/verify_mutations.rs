@@ -514,7 +514,7 @@ fn machine_mutations_kill_the_machine_checker() {
 /// per-cycle audit, which is exactly why the overlay exists.
 #[test]
 fn modulo_schedule_mutations_kill_the_machine_checker() {
-    use slpwlo::core::{loop_carried_deps, schedule_block_cached, SchedKind};
+    use slpwlo::core::{loop_carried_deps, schedule_block, SchedKind};
     use slpwlo::targets::CycleCache;
     use slpwlo::verify::audit_block_schedule;
 
@@ -527,7 +527,7 @@ fn modulo_schedule_mutations_kill_the_machine_checker() {
             let (simd, scalar) = lowerings(&bench, &target);
             for program in [&simd, &scalar] {
                 for (b, block) in program.blocks.iter().enumerate() {
-                    let sched = schedule_block_cached(&costs, block, SchedKind::modulo());
+                    let sched = schedule_block(&costs, block, SchedKind::modulo());
                     let Some(ms) = sched.modulo else { continue };
                     audit_block_schedule(program, b, &target, &sched).unwrap_or_else(|e| {
                         panic!("{}: clean pipelined schedule rejected: {e}", bench.name)
