@@ -70,8 +70,11 @@ impl WloSlpResult {
 /// [`slpwlo_accuracy::IncrementalEvaluator`] makes each query O(touched
 /// keys) instead of O(kernel); a plain evaluator falls back to full
 /// recomputes with identical results. Validation and conflict answers
-/// are memoized across the rounds and blocks of the search until the spec
-/// next changes, so a repeated question never reaches the evaluator.
+/// are memoized against the spec a round opens on, and the memo is kept
+/// across rounds and blocks while no round commits a write and no
+/// equalization moves the spec, so a repeated question never reaches the
+/// evaluator. Conflict questions are asked only for the pairs the
+/// selectors read.
 ///
 /// `benefit` is the candidate-pricing strategy. Under
 /// [`BenefitKind::Cycles`] the selection loop re-prices live candidates
@@ -252,7 +255,7 @@ kernel fir8 {
     #[test]
     fn memoized_answers_equal_fresh_trials() {
         use crate::flow::prepare;
-        use crate::hooks::audit::{self, CountingEvaluator};
+        use crate::hooks::audit::{self, CountingEvaluator, Event};
         use slpwlo_kernels::all_benchmarks;
         use slpwlo_targets::st240;
         use std::cell::Cell;
@@ -267,9 +270,21 @@ kernel fir8 {
                 let observer = {
                     let (prep, hits) = (Rc::clone(&prep), Rc::clone(&hits));
                     let ctx = format!("{} on {}", bench.name, target.name);
-                    move |spec: &FixedPointSpec, ok: bool| {
-                        hits.set(hits.get() + 1);
-                        assert_eq!(prep.eval.meets(spec, DB), ok, "{ctx}: stale memo answer");
+                    move |e: Event<'_>| {
+                        if let Event::Answer {
+                            spec,
+                            meets,
+                            hit: true,
+                            ..
+                        } = e
+                        {
+                            hits.set(hits.get() + 1);
+                            assert_eq!(
+                                prep.eval.meets(spec, DB),
+                                meets,
+                                "{ctx}: stale memo answer"
+                            );
+                        }
                     }
                 };
                 let eval = CountingEvaluator::new(&prep.eval);
@@ -296,8 +311,9 @@ kernel fir8 {
                 }
             }
         }
-        // Without the memo this search makes 2 835 trials.
-        assert_eq!(conv_xentium_trials, Some(233));
+        // Without the memo this search makes 2 835 trials; with the memo
+        // and every pair asked eagerly, 233.
+        assert_eq!(conv_xentium_trials, Some(105));
     }
 
     #[test]

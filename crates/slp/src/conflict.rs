@@ -16,8 +16,12 @@
 //!
 //! The paper adds a third, *accuracy* conflict on top of these; that check
 //! lives in `slpwlo-core` and is injected through the selection hooks.
+//! The crate-private `RoundConflicts` holds a round's whole relation:
+//! structural conflicts up front, accuracy conflicts asked of the hooks
+//! the first time a selector reads the pair.
 
 use crate::candidate::Round;
+use crate::select::SelectHooks;
 
 /// Tests whether candidates `i` and `j` structurally conflict.
 pub fn conflicts(round: &Round, i: usize, j: usize) -> bool {
@@ -34,6 +38,97 @@ pub fn conflicts(round: &Round, i: usize, j: usize) -> bool {
     // `Round::new` takes any prior set), or a cyclic dependency: both
     // groups reach each other.
     meets(ma, mb) || (meets(round.reach_bits(i), mb) && meets(round.reach_bits(j), ma))
+}
+
+/// The conflict relation over one round's validated candidates (fig. 1c
+/// lines 13–25), answered on demand.
+///
+/// Structural conflicts are cheap bitset tests and are computed for
+/// every validated pair up front. A structurally compatible pair's
+/// accuracy conflict is asked of the hooks the first time a selector
+/// reads it and remembered for the rest of the round, so no pair is
+/// asked twice. Only pairs of validated candidates may be read.
+pub(crate) struct RoundConflicts {
+    /// Words per row.
+    words: usize,
+    /// Row `i`, bit `j`: the pair's answer is known (a structural
+    /// conflict, or asked).
+    known: Vec<u64>,
+    /// Row `i`, bit `j`: the pair is a known conflict, structural or
+    /// accuracy. Symmetric.
+    conflict: Vec<u64>,
+}
+
+impl RoundConflicts {
+    /// The structural relation over the candidates `alive` marks; every
+    /// compatible pair's accuracy answer is still unknown.
+    pub(crate) fn new(round: &Round, alive: &[bool]) -> Self {
+        let n = round.candidates.len();
+        let words = n.div_ceil(64);
+        let mut c = RoundConflicts {
+            words,
+            known: vec![0; n * words],
+            conflict: vec![0; n * words],
+        };
+        let live: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
+        for (k, &i) in live.iter().enumerate() {
+            for &j in &live[k + 1..] {
+                if conflicts(round, i, j) {
+                    c.record(i, j, true);
+                }
+            }
+        }
+        c
+    }
+
+    /// Whether the pair's answer is known: a structural conflict, or
+    /// already asked of the hooks.
+    pub(crate) fn is_known(&self, i: usize, j: usize) -> bool {
+        self.known[i * self.words + j / 64] & (1 << (j % 64)) != 0
+    }
+
+    /// Records the pair's answer, both ways round.
+    fn record(&mut self, i: usize, j: usize, conflict: bool) {
+        for (a, b) in [(i, j), (j, i)] {
+            let (word, bit) = (a * self.words + b / 64, 1 << (b % 64));
+            self.known[word] |= bit;
+            if conflict {
+                self.conflict[word] |= bit;
+            }
+        }
+    }
+
+    /// Whether candidates `i` and `j` (distinct, both validated)
+    /// conflict, asking the hooks on the pair's first read.
+    pub(crate) fn pair(&mut self, hooks: &mut dyn SelectHooks, i: usize, j: usize) -> bool {
+        let (word, bit) = (i * self.words + j / 64, 1 << (j % 64));
+        if self.known[word] & bit != 0 {
+            return self.conflict[word] & bit != 0;
+        }
+        let c = hooks.accuracy_conflict(i.min(j), i.max(j));
+        self.record(i, j, c);
+        c
+    }
+
+    /// Asks every unknown pair among `members`, so [`Self::rows`] is
+    /// exact on them.
+    pub(crate) fn resolve_among(&mut self, hooks: &mut dyn SelectHooks, members: &[usize]) {
+        for (k, &i) in members.iter().enumerate() {
+            for &j in &members[k + 1..] {
+                self.pair(hooks, i, j);
+            }
+        }
+    }
+
+    /// The known conflicts as row-major candidate bitsets, one
+    /// `candidates.div_ceil(64)`-word row per candidate: bit `j` of row
+    /// `i` is set iff the pair is a known conflict. Exact only on pairs
+    /// whose answer [is known](Self::is_known), such as those among the
+    /// members of a [`resolve_among`](Self::resolve_among) call; an
+    /// unasked pair reads as compatible.
+    pub(crate) fn rows(&self) -> &[u64] {
+        &self.conflict
+    }
 }
 
 /// The walk [`conflicts`] replaced: shared items, then lane-by-lane

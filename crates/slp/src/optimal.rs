@@ -48,7 +48,7 @@ use crate::candidate::Round;
 use crate::conflict::conflicts;
 use crate::ctx::PassCtx;
 use crate::group::{closes_cycle, SimdGroup};
-use crate::select::{accept, greedy_loop, hook_model, Screened, SelectHooks};
+use crate::select::{accept, greedy_loop, hook_model, Screened, SelectHooks, WlSnapshot};
 use slpwlo_ir::dfg::Dfg;
 
 /// Value-comparison slack: two selections within this are considered
@@ -168,7 +168,7 @@ pub fn exhaustive_best(
 /// most `budget` include-steps.
 pub(crate) fn run_selection_optimal(
     ctx: &mut PassCtx<'_>,
-    screened: &Screened<'_>,
+    screened: &mut Screened<'_>,
     hooks: &mut dyn SelectHooks,
     budget: u32,
 ) -> Vec<SimdGroup> {
@@ -176,6 +176,17 @@ pub(crate) fn run_selection_optimal(
         return Vec::new();
     }
     ctx.stats.rounds += 1;
+
+    // One model prices the round at its entry word lengths, read before
+    // the probe: the search runs after `restore` has returned the hooks
+    // to exactly that state.
+    let entry = WlSnapshot::new(screened.dfg, &*hooks);
+    let model = hook_model(ctx, screened, &entry);
+    let pool = Pool::new(&model, screened);
+    // The search reads the conflicts among pool members only. Asked now,
+    // at round entry, they are plain trials, and the probe below finds
+    // them answered.
+    screened.conflicts.resolve_among(hooks, &pool.members);
 
     // Greedy probe: run the full greedy loop speculatively to learn its
     // chosen set (the incumbent), then roll every hook side effect back
@@ -185,12 +196,8 @@ pub(crate) fn run_selection_optimal(
     let probe = greedy_loop(ctx, screened, hooks);
     hooks.restore();
 
-    let (best_set, exhausted, steps) = search(
-        &hook_model(ctx, screened, &*hooks),
-        screened,
-        budget,
-        &probe.chosen,
-    );
+    let (best_set, exhausted, steps) = search(&model, screened, pool, budget, &probe.chosen);
+    drop(model);
     ctx.stats.include_steps += u64::from(steps);
     if exhausted {
         ctx.stats.budget_fallbacks += 1;
@@ -224,14 +231,60 @@ pub(crate) fn run_selection_optimal(
     }
 }
 
-/// Branch-and-bound over the round's candidates. Returns the best set
-/// strictly better than the greedy incumbent (`None` when greedy is
-/// already optimal among what was searched), whether the budget ran
-/// out (in which case the best set is meaningless and discarded), and
-/// the include-steps spent.
+/// The candidates the search may choose, with their optimistic bounds.
+struct Pool {
+    /// Per-candidate optimistic bound against every validated candidate:
+    /// the shallow assessment treats every speculative flow as certain
+    /// reuse, which upper-bounds the candidate's in-set net over any
+    /// chosen set. `-inf` off the validated set.
+    opt: Vec<f64>,
+    /// The pool, ascending.
+    members: Vec<usize>,
+}
+
+impl Pool {
+    /// The validated candidates reachable from a positive-bound seed over
+    /// reuse edges: pricing interactions between candidates travel
+    /// exclusively along operand/result superword matches, so a connected
+    /// component whose members all bound non-positive cannot contribute
+    /// positive value to any set and is dropped whole.
+    fn new(model: &BenefitModel<'_>, screened: &Screened<'_>) -> Self {
+        let (alive, prior) = (&screened.alive, screened.prior);
+        let margin = model.admission_margin();
+        let n = alive.len();
+        let mut opt = vec![f64::NEG_INFINITY; n];
+        for (i, &a) in alive.iter().enumerate() {
+            if a {
+                opt[i] = model.assess_optimistic(i, alive, prior).net() - margin;
+            }
+        }
+        let mut in_pool = vec![false; n];
+        let mut queue: Vec<usize> = (0..n).filter(|&i| alive[i] && opt[i] > 0.0).collect();
+        for &i in &queue {
+            in_pool[i] = true;
+        }
+        while let Some(i) = queue.pop() {
+            for p in model.reuse_partners(i, alive) {
+                if !in_pool[p] {
+                    in_pool[p] = true;
+                    queue.push(p);
+                }
+            }
+        }
+        let members = (0..n).filter(|&i| in_pool[i]).collect();
+        Pool { opt, members }
+    }
+}
+
+/// Branch-and-bound over the round's pool, whose conflicts must all be
+/// known. Returns the best set strictly better than the greedy incumbent
+/// (`None` when greedy is already optimal among what was searched),
+/// whether the budget ran out (in which case the best set is meaningless
+/// and discarded), and the include-steps spent.
 fn search(
     model: &BenefitModel<'_>,
     screened: &Screened<'_>,
+    pool: Pool,
     budget: u32,
     incumbent: &[usize],
 ) -> (Option<Vec<usize>>, bool, u32) {
@@ -239,41 +292,21 @@ fn search(
         dfg,
         round,
         prior,
-        alive,
-        conf,
+        conflicts,
         ..
     } = screened;
-    // Per-candidate optimistic bound: the shallow assessment treats
-    // every speculative flow as certain reuse, which upper-bounds the
-    // candidate's in-set net over any chosen set.
-    let margin = model.admission_margin();
+    let Pool {
+        mut opt,
+        members: mut order,
+    } = pool;
+    debug_assert!(
+        order
+            .iter()
+            .enumerate()
+            .all(|(k, &i)| order[k + 1..].iter().all(|&j| conflicts.is_known(i, j))),
+        "a pool pair's conflict is unanswered"
+    );
     let n = round.candidates.len();
-    let mut opt = vec![f64::NEG_INFINITY; n];
-    for (i, &a) in alive.iter().enumerate() {
-        if a {
-            opt[i] = model.assess_optimistic(i, alive, prior).net() - margin;
-        }
-    }
-
-    // Restrict the search to candidates reachable from a positive-bound
-    // seed over reuse edges: pricing interactions between candidates
-    // travel exclusively along operand/result superword matches, so a
-    // connected component whose members all bound non-positive cannot
-    // contribute positive value to any set and is dropped whole.
-    let mut in_pool = vec![false; n];
-    let mut queue: Vec<usize> = (0..n).filter(|&i| alive[i] && opt[i] > 0.0).collect();
-    for &i in &queue {
-        in_pool[i] = true;
-    }
-    while let Some(i) = queue.pop() {
-        for p in model.reuse_partners(i, alive) {
-            if !in_pool[p] {
-                in_pool[p] = true;
-                queue.push(p);
-            }
-        }
-    }
-    let mut order: Vec<usize> = (0..n).filter(|&i| in_pool[i]).collect();
     let words = n.div_ceil(64);
     let mut avail = vec![0u64; words];
     for &i in &order {
@@ -283,7 +316,7 @@ fn search(
     let mut memo = PriceMemo::new(model, round, prior, &order);
     // Re-tighten the static bounds against the pool itself: partners
     // outside the pool can never be chosen, so optimism extended to
-    // them (the full `alive` set above — needed first, to make the
+    // them (the full validated set — needed first, to make the
     // reachability closure sound) only loosens every cap derived from
     // `opt` below. Priced through the memo, which this also warms: the
     // search's root node asks exactly these questions.
@@ -295,18 +328,16 @@ fn search(
     order.sort_unstable_by(|&a, &b| opt[b].total_cmp(&opt[a]).then(a.cmp(&b)));
 
     // Conflict adjacency as bitsets over candidate indices, so an
-    // include bans everything structurally incompatible with it in one
-    // masked AND — and, crucially, so the suffix bound can skip banned
-    // candidates instead of crediting them with value they can never
-    // contribute. Dense rounds (CONV's fully-unrolled taps reach 80+
-    // mutually overlapping candidates) are intractable under the
-    // conflict-blind bound and close in a few thousand steps under this
-    // one.
-    let mut conf_mask = vec![0u64; n * words];
-    for &(a, b) in conf {
-        conf_mask[a * words + b / 64] |= 1 << (b % 64);
-        conf_mask[b * words + a / 64] |= 1 << (a % 64);
-    }
+    // include bans everything incompatible with it in one masked AND —
+    // and, crucially, so the suffix bound can skip banned candidates
+    // instead of crediting them with value they can never contribute.
+    // Dense rounds (CONV's fully-unrolled taps reach 80+ mutually
+    // overlapping candidates) are intractable under the conflict-blind
+    // bound and close in a few thousand steps under this one. Only bits
+    // of pool members are ever read: `avail` never leaves the pool, and
+    // the clique cover below tests rows against pool members only. So
+    // only pool pairs need an answer.
+    let conf_mask = conflicts.rows();
 
     // Greedy clique cover of the pool under the conflict relation, in
     // best-bound-first order: each candidate joins the first clique it
@@ -337,7 +368,7 @@ fn search(
         round,
         order: &order,
         opt: &opt,
-        conf_mask: &conf_mask,
+        conf_mask,
         words,
         cliques: &clique_members,
         memo,
@@ -456,7 +487,9 @@ struct Search<'a, 'm> {
     order: &'a [usize],
     opt: &'a [f64],
     /// Row-major `order`-independent adjacency: bit `j` of row `i` is
-    /// set iff candidates `i` and `j` structurally conflict.
+    /// set iff candidates `i` and `j` are a known conflict, structural
+    /// or accuracy. Exact only for pairs of pool members, which
+    /// `search` requires to be answered; other bits may be partial.
     conf_mask: &'a [u64],
     words: usize,
     /// Clique cover of the pool; members of each clique in descending
@@ -603,7 +636,6 @@ fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::CandidateView;
     use crate::select::{extract_rounds, run_selection, NoHooks};
     use crate::BenefitKind;
     use slpwlo_ir::blocks::collect_blocks;
@@ -799,26 +831,8 @@ kernel f {
             loop {
                 let round = Round::new(&dfg, &target, &groups);
                 // Value greedy's per-round choice before running exact.
-                let n = round.candidates.len();
-                let views: Vec<CandidateView> = (0..n).map(|i| round.view(&target, i)).collect();
-                let alive = vec![true; n];
-                let mut conf: Vec<(usize, usize)> = Vec::new();
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        if conflicts(&round, i, j) {
-                            conf.push((i, j));
-                        }
-                    }
-                }
-                let screened = Screened {
-                    dfg: &dfg,
-                    round: &round,
-                    prior: &groups,
-                    views,
-                    alive,
-                    conf,
-                };
-                let probe = greedy_loop(&cycles, &screened, &mut NoHooks);
+                let mut screened = Screened::new(&cycles, &dfg, &round, &groups, &mut NoHooks);
+                let probe = greedy_loop(&cycles, &mut screened, &mut NoHooks);
                 let max = target.max_wl();
                 let model = BenefitModel::new(&dfg, &round, &cycles, |_| max, |_| None);
                 let greedy_v = set_value(&model, &round, &groups, &probe.chosen);

@@ -14,7 +14,8 @@
 //!   candidate's view;
 //! * [`SelectHooks::accuracy_conflict`] — the additional conflicts of
 //!   lines 16–22 (two candidates that cannot *coexist* within the noise
-//!   budget), asked by candidate index;
+//!   budget), asked by candidate index, only for the pairs a selector
+//!   reads, and at most once per pair and round;
 //! * [`SelectHooks::on_select`] — `SETMAXWL` on the chosen group, with the
 //!   option to veto a selection whose cumulative effect would break the
 //!   constraint (a strict guard the paper implies through its conflict
@@ -27,7 +28,7 @@
 
 use crate::benefit::{BenefitKind, BenefitModel, CostedBenefit};
 use crate::candidate::{CandidateView, Round};
-use crate::conflict::conflicts;
+use crate::conflict::RoundConflicts;
 use crate::ctx::PassCtx;
 use crate::group::{closes_cycle, SimdGroup};
 use crate::optimal::run_selection_optimal;
@@ -47,11 +48,15 @@ use slpwlo_targets::TargetModel;
 /// incremental trial/commit/rollback protocol.
 ///
 /// **Screening contract.** Every round opens with one
-/// [`screen`](Self::screen) over the round's views. The
+/// [`screen`](Self::screen) over the round's views; the hooks' state at
+/// that call is the *round-entry* state. The
 /// [`accuracy_conflict`](Self::accuracy_conflict) calls that follow
-/// address candidates by their index in that slice and all come before
-/// the round's first [`on_select`](Self::on_select), so whatever
-/// `screen` derives from the hooks' state holds for all of them.
+/// address candidates by their index in that slice. Selectors ask them
+/// lazily, so they may come after the round's
+/// [`on_select`](Self::on_select) commits, and each must answer against
+/// the round-entry state, as if no selection of the round had been made:
+/// fig. 1c defines conflicts before selection starts. No pair is asked
+/// twice in a round.
 pub trait SelectHooks {
     /// Candidate validation, called once per round with every
     /// candidate's view before any other call of the round: `false` at
@@ -61,7 +66,8 @@ pub trait SelectHooks {
     }
 
     /// Extra (non-structural) conflict between candidates `i` and `j` of
-    /// the last [`screen`](Self::screen). Called only for validated,
+    /// the last [`screen`](Self::screen), against the round-entry state
+    /// (see the screening contract). Called only for validated,
     /// structurally compatible pairs, with `i < j`.
     fn accuracy_conflict(&mut self, i: usize, j: usize) -> bool {
         let _ = (i, j);
@@ -95,18 +101,22 @@ pub trait SelectHooks {
         None
     }
 
-    /// Snapshot the hook's mutable state (the spec under accuracy-aware
-    /// selection). The exact selector ([`BenefitKind::Optimal`]) probes a
-    /// whole greedy round speculatively — `checkpoint`, run greedy
-    /// through `on_select` commits, [`restore`](Self::restore) — before
-    /// replaying the winning set's side effects in chosen order. Hooks
-    /// whose `on_select` mutates state **must** implement both to be
-    /// sound under `Optimal`; the default no-ops are correct for
-    /// stateless hooks.
+    /// Marks the round-entry state (the spec under accuracy-aware
+    /// selection) as the one [`restore`](Self::restore) returns to. The
+    /// exact selector ([`BenefitKind::Optimal`]) probes a whole greedy
+    /// round speculatively — `checkpoint`, run greedy through
+    /// `on_select` commits, `restore` — before replaying the winning
+    /// set's side effects in chosen order. It calls `checkpoint` only at
+    /// round entry: after [`screen`](Self::screen), with no selection of
+    /// the round committed (or all of them restored). Hooks whose
+    /// `on_select` mutates state **must** implement both to be sound
+    /// under `Optimal`; the default no-ops are correct for stateless
+    /// hooks.
     fn checkpoint(&mut self) {}
 
-    /// Roll the hook's mutable state back to the last
-    /// [`checkpoint`](Self::checkpoint). See there.
+    /// Rolls the hook's mutable state back to round entry, undoing every
+    /// `on_select` commit since the [`checkpoint`](Self::checkpoint).
+    /// See there.
     fn restore(&mut self) {}
 }
 
@@ -150,8 +160,9 @@ impl SelectHooks for FrozenWls<'_> {
     }
 }
 
-/// One round after candidate validation (fig. 1c lines 4–12) and
-/// conflict detection (lines 13–25): what both selectors start from.
+/// One round after candidate validation (fig. 1c lines 4–12), with its
+/// conflict relation (lines 13–25) to be read on demand: what both
+/// selectors start from.
 pub(crate) struct Screened<'r> {
     pub dfg: &'r Dfg,
     pub round: &'r Round,
@@ -160,8 +171,34 @@ pub(crate) struct Screened<'r> {
     pub views: Vec<CandidateView>,
     /// Which candidates passed validation.
     pub alive: Vec<bool>,
-    /// Conflicting pairs of live candidates, structural or accuracy.
-    pub conf: Vec<(usize, usize)>,
+    /// Conflicts between validated candidates, structural or accuracy.
+    pub conflicts: RoundConflicts,
+}
+
+impl<'r> Screened<'r> {
+    /// Opens a round: the hooks validate every candidate (fig. 1c lines
+    /// 4–12), and the structural conflicts between the survivors are
+    /// found. Accuracy conflicts are left for the selectors to ask.
+    pub(crate) fn new(
+        ctx: &PassCtx<'_>,
+        dfg: &'r Dfg,
+        round: &'r Round,
+        prior: &'r [SimdGroup],
+        hooks: &mut dyn SelectHooks,
+    ) -> Self {
+        let n = round.candidates.len();
+        let views: Vec<CandidateView> = (0..n).map(|i| round.view(ctx.target, i)).collect();
+        let alive = hooks.screen(&views);
+        let conflicts = RoundConflicts::new(round, &alive);
+        Screened {
+            dfg,
+            round,
+            prior,
+            views,
+            alive,
+            conflicts,
+        }
+    }
 }
 
 /// Runs one selection pass over a round (one `SLP()` invocation of the
@@ -181,34 +218,19 @@ pub fn run_selection(
     selected_so_far: &[SimdGroup],
     hooks: &mut dyn SelectHooks,
 ) -> Vec<SimdGroup> {
-    let n = round.candidates.len();
-    let views: Vec<CandidateView> = (0..n).map(|i| round.view(ctx.target, i)).collect();
+    let mut screened = Screened::new(ctx, dfg, round, selected_so_far, hooks);
+    select(ctx, &mut screened, hooks)
+}
 
-    // Candidate validation (fig. 1c lines 4-12).
-    let alive = hooks.screen(&views);
-
-    // Conflict detection (fig. 1c lines 13-25).
-    let live: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
-    let mut conf: Vec<(usize, usize)> = Vec::new();
-    for (k, &i) in live.iter().enumerate() {
-        for &j in &live[k + 1..] {
-            if conflicts(round, i, j) || hooks.accuracy_conflict(i, j) {
-                conf.push((i, j));
-            }
-        }
-    }
-
-    let screened = Screened {
-        dfg,
-        round,
-        prior: selected_so_far,
-        views,
-        alive,
-        conf,
-    };
+/// Selects from a screened round with the selector `ctx.benefit` names.
+fn select(
+    ctx: &mut PassCtx<'_>,
+    screened: &mut Screened<'_>,
+    hooks: &mut dyn SelectHooks,
+) -> Vec<SimdGroup> {
     match ctx.benefit {
-        BenefitKind::Optimal { budget } => run_selection_optimal(ctx, &screened, hooks, budget),
-        _ => greedy_loop(ctx, &screened, hooks).groups,
+        BenefitKind::Optimal { budget } => run_selection_optimal(ctx, screened, hooks, budget),
+        _ => greedy_loop(ctx, screened, hooks).groups,
     }
 }
 
@@ -220,11 +242,12 @@ pub(crate) struct GreedyOutcome {
     pub chosen: Vec<usize>,
 }
 
-/// The benefit model of one word-length snapshot: the hooks' current
-/// word lengths, with unanswered nodes at the target's maximum.
+/// The benefit model over the oracle's current word lengths, with
+/// unanswered nodes at the target's maximum. Reads are lazy: the model
+/// asks only for the nodes it prices, and only while it lives.
 pub(crate) fn hook_model<'a>(
     ctx: &'a PassCtx<'a>,
-    screened: &'a Screened<'a>,
+    screened: &Screened<'a>,
     oracle: &'a dyn SelectHooks,
 ) -> BenefitModel<'a> {
     let max_wl = ctx.target.max_wl();
@@ -237,23 +260,60 @@ pub(crate) fn hook_model<'a>(
     )
 }
 
+/// The hooks' word lengths read once per node: an oracle for a
+/// [`hook_model`] that must outlive later calls on the hooks. Accurate
+/// for as long as those calls leave the word lengths as they are.
+pub(crate) struct WlSnapshot {
+    wl: Vec<Option<i32>>,
+    fwl: Vec<Option<i32>>,
+}
+
+impl WlSnapshot {
+    pub(crate) fn new(dfg: &Dfg, hooks: &dyn SelectHooks) -> Self {
+        WlSnapshot {
+            wl: dfg.iter().map(|(n, _)| hooks.current_wl(n)).collect(),
+            fwl: dfg.iter().map(|(n, _)| hooks.current_fwl(n)).collect(),
+        }
+    }
+}
+
+impl SelectHooks for WlSnapshot {
+    fn current_wl(&self, node: NodeId) -> Option<i32> {
+        self.wl[node.index()]
+    }
+
+    fn current_fwl(&self, node: NodeId) -> Option<i32> {
+        self.fwl[node.index()]
+    }
+}
+
 /// The paper's greedy-with-guards loop over a screened round. Under
 /// [`BenefitKind::Optimal`] it prices as [`BenefitKind::Cycles`] (the
 /// exact selector's incumbent probe).
+///
+/// Each iteration picks the most beneficial live candidate and, if it is
+/// accepted, eliminates every live candidate in conflict with it. The
+/// paper splits the loop in two: while conflicts remain among live
+/// candidates, and a conflict-free tail that selects the rest in benefit
+/// order. One rule serves both, because in the tail the chosen candidate
+/// conflicts with no live one and eliminates nothing. That is why the
+/// loop never asks whether any live conflict remains, and reads only the
+/// pairs between each accepted candidate and the candidates still live.
+/// Eliminating structural conflicts also covers overlaps with this
+/// round's groups. A candidate overlapping a `selected_so_far` group
+/// contains it wholly as one of its two items (prior-round nodes only
+/// enter candidates through their group's item), which is a legal
+/// widening that `absorb_selected` resolves — see
+/// `overlap_with_prior_groups_implies_containment`.
 pub(crate) fn greedy_loop(
     ctx: &PassCtx<'_>,
-    screened: &Screened<'_>,
+    screened: &mut Screened<'_>,
     hooks: &mut dyn SelectHooks,
 ) -> GreedyOutcome {
-    let (round, conf) = (screened.round, &screened.conf);
     let mut alive = screened.alive.clone();
     let mut selected: Vec<SimdGroup> = screened.prior.to_vec();
     let mut chosen: Vec<usize> = Vec::new();
-
-    // Main loop: while conflicts remain among live candidates, pick the
-    // most beneficial candidate and eliminate everything conflicting.
     loop {
-        let live_conflicts = conf.iter().any(|&(i, j)| alive[i] && alive[j]);
         // The model is rebuilt each iteration over a fresh word-length
         // oracle: selections mutate the spec through the hooks, and the
         // cycle-priced strategy must see those shrinks.
@@ -262,29 +322,13 @@ pub(crate) fn greedy_loop(
             break;
         };
         alive[best] = false;
-        let accepted = accept(screened, best, &mut selected, hooks);
-        if accepted {
-            chosen.push(best);
+        if !accept(screened, best, &mut selected, hooks) {
+            continue;
         }
-        if !live_conflicts {
-            // Conflict-free tail (paper: loop ends when conflicts are
-            // resolved; remaining compatible candidates are selected in
-            // benefit order, still subject to the selection hook).
-            // Killing against this round's groups alone suffices: a
-            // candidate overlapping a `selected_so_far` group necessarily
-            // contains it wholly as one of its two items (prior-round
-            // nodes only enter candidates through their group's item),
-            // which is a legal widening that `absorb_selected` resolves —
-            // see `overlap_with_prior_groups_implies_containment`.
-            kill_overlapping(round, &mut alive, &selected[screened.prior.len()..]);
-        } else if accepted {
-            // Eliminate candidates in conflict with the selection.
-            for &(i, j) in conf {
-                if i == best && alive[j] {
-                    alive[j] = false;
-                } else if j == best && alive[i] {
-                    alive[i] = false;
-                }
+        chosen.push(best);
+        for (j, live) in alive.iter_mut().enumerate() {
+            if *live && screened.conflicts.pair(hooks, best, j) {
+                *live = false;
             }
         }
     }
@@ -313,21 +357,6 @@ pub(crate) fn accept(
     }
     selected.push(view.group.clone());
     true
-}
-
-/// Kills candidates overlapping any already-formed group (used in the
-/// conflict-free tail, where shared-item conflicts are gone but overlaps
-/// with fresh selections must still be respected).
-fn kill_overlapping(round: &Round, alive: &mut [bool], new_groups: &[SimdGroup]) {
-    for (ci, a) in alive.iter_mut().enumerate() {
-        if !*a {
-            continue;
-        }
-        let g = round.merged(ci);
-        if new_groups.iter().any(|s| s.overlaps(g)) {
-            *a = false;
-        }
-    }
 }
 
 fn argmax_benefit(
@@ -628,6 +657,175 @@ kernel f {
                 }
             }
         }
+    }
+
+    /// Seeded policy with a fixed pseudo-random accuracy-conflict
+    /// relation over candidate groups (and a few candidates rejected at
+    /// validation), counting the pair questions of each round.
+    struct RandomConflicts {
+        seed: u64,
+        /// Conflict probability in eighths.
+        density: u64,
+        groups: Vec<Vec<NodeId>>,
+        asked: std::collections::HashSet<(usize, usize)>,
+        questions: usize,
+        repeats: usize,
+    }
+
+    impl RandomConflicts {
+        fn new(seed: u64, density: u64) -> Self {
+            RandomConflicts {
+                seed,
+                density,
+                groups: Vec::new(),
+                asked: Default::default(),
+                questions: 0,
+                repeats: 0,
+            }
+        }
+
+        fn draw(&self, parts: &[&[NodeId]]) -> u64 {
+            let mut h = self.seed;
+            for n in parts.iter().flat_map(|p| p.iter()) {
+                h = (h ^ u64::from(n.0)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                h ^= h >> 29;
+            }
+            h % 8
+        }
+    }
+
+    impl SelectHooks for RandomConflicts {
+        fn screen(&mut self, views: &[CandidateView]) -> Vec<bool> {
+            self.groups = views.iter().map(|v| v.group.elems.clone()).collect();
+            self.asked.clear();
+            self.groups.iter().map(|g| self.draw(&[g]) != 0).collect()
+        }
+
+        fn accuracy_conflict(&mut self, i: usize, j: usize) -> bool {
+            assert!(i < j, "pair ({i}, {j}) asked out of order");
+            self.questions += 1;
+            if !self.asked.insert((i, j)) {
+                self.repeats += 1;
+            }
+            self.draw(&[&self.groups[i], &self.groups[j]]) < self.density
+        }
+    }
+
+    /// The greedy loop as it read with every pair screened up front: the
+    /// conflict list, the "any live conflict" test and the conflict-free
+    /// tail's overlap kill. The reference of the lazy loop.
+    fn eager_greedy(
+        ctx: &PassCtx<'_>,
+        screened: &Screened<'_>,
+        hooks: &mut dyn SelectHooks,
+    ) -> Vec<SimdGroup> {
+        let round = screened.round;
+        let live: Vec<usize> = (0..screened.alive.len())
+            .filter(|&i| screened.alive[i])
+            .collect();
+        let mut conf: Vec<(usize, usize)> = Vec::new();
+        for (k, &i) in live.iter().enumerate() {
+            for &j in &live[k + 1..] {
+                if crate::conflict::conflicts(round, i, j) || hooks.accuracy_conflict(i, j) {
+                    conf.push((i, j));
+                }
+            }
+        }
+        let mut alive = screened.alive.clone();
+        let mut selected: Vec<SimdGroup> = screened.prior.to_vec();
+        loop {
+            let live_conflicts = conf.iter().any(|&(i, j)| alive[i] && alive[j]);
+            let best = argmax_benefit(&hook_model(ctx, screened, &*hooks), &alive, &selected);
+            let Some(best) = best else {
+                break;
+            };
+            alive[best] = false;
+            let accepted = accept(screened, best, &mut selected, hooks);
+            if !live_conflicts {
+                let new_groups = &selected[screened.prior.len()..];
+                for (ci, a) in alive.iter_mut().enumerate() {
+                    if *a && new_groups.iter().any(|s| s.overlaps(round.merged(ci))) {
+                        *a = false;
+                    }
+                }
+            } else if accepted {
+                for &(i, j) in &conf {
+                    if i == best {
+                        alive[j] = false;
+                    } else if j == best {
+                        alive[i] = false;
+                    }
+                }
+            }
+        }
+        selected.split_off(screened.prior.len())
+    }
+
+    /// Lazy conflict reads select exactly what eager screening selects:
+    /// over blocks of every suite kernel on three targets, under a seeded
+    /// pseudo-random accuracy-conflict relation at three densities, the
+    /// greedy selector matches the eager loop and the exact selector
+    /// matches itself over a table asked in full before selection, round
+    /// by round to fixpoint. No pair is asked twice in a round, and the
+    /// lazy selectors ask fewer questions than eager screening.
+    #[test]
+    fn lazy_conflicts_select_as_eager_screening() {
+        use slpwlo_ir::blocks::blocks_by_priority;
+        use slpwlo_kernels::all_benchmarks;
+
+        let (mut lazy_asked, mut eager_asked) = (0usize, 0usize);
+        for bench in all_benchmarks() {
+            let block = &blocks_by_priority(&bench.kernel)[0];
+            let dfg = Dfg::from_block(&bench.kernel, block);
+            for target in [xentium(), st240(), vex(4)] {
+                for (seed, density) in [(1u64, 1u64), (2, 3), (3, 6)] {
+                    for kind in [BenefitKind::Cycles, BenefitKind::optimal()] {
+                        let case = format!(
+                            "{} on {} ({seed}, {density}, {kind:?})",
+                            bench.name, target.name
+                        );
+                        let mut lazy = RandomConflicts::new(seed, density);
+                        let mut ctx = PassCtx::plain(&target, kind);
+                        let got = extract_rounds(&mut ctx, &dfg, &mut lazy);
+                        assert_eq!(lazy.repeats, 0, "{case}: a pair was asked twice");
+
+                        let mut eager = RandomConflicts::new(seed, density);
+                        let mut eager_ctx = PassCtx::plain(&target, kind);
+                        let mut want: Vec<SimdGroup> = Vec::new();
+                        loop {
+                            let round = Round::new(&dfg, &target, &want);
+                            let mut screened =
+                                Screened::new(&eager_ctx, &dfg, &round, &want, &mut eager);
+                            let selected = if kind == BenefitKind::Cycles {
+                                eager_greedy(&eager_ctx, &screened, &mut eager)
+                            } else {
+                                let live: Vec<usize> = (0..screened.alive.len())
+                                    .filter(|&i| screened.alive[i])
+                                    .collect();
+                                screened.conflicts.resolve_among(&mut eager, &live);
+                                select(&mut eager_ctx, &mut screened, &mut eager)
+                            };
+                            if selected.is_empty() {
+                                break;
+                            }
+                            absorb_selected(&mut want, selected);
+                        }
+                        assert_eq!(got, want, "{case}: selections differ");
+                        assert_eq!(
+                            ctx.stats, eager_ctx.stats,
+                            "{case}: search statistics differ"
+                        );
+                        assert!(lazy.questions <= eager.questions, "{case}");
+                        lazy_asked += lazy.questions;
+                        eager_asked += eager.questions;
+                    }
+                }
+            }
+        }
+        assert!(
+            lazy_asked < eager_asked,
+            "{lazy_asked} lazy vs {eager_asked} eager questions"
+        );
     }
 
     #[test]
