@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the individual algorithm stages: accuracy
 //! evaluation (`EVALACC`), noise-gain analysis, the whole front end
-//! (ranges + gains), SLP candidate rounds,
+//! (ranges + gains), SLP candidate rounds, greedy selection over a
+//! 128-lane unrolled block,
 //! Tabu WLO, the joint WLO-SLP search (greedy on CFIR and BIQUAD, and
 //! exact with modulo scheduling on CFIR), the VLIW list scheduler, one
 //! modulo-scheduling attempt on MATVEC, and whole kernel-to-report runs
@@ -20,6 +21,7 @@ use slpwlo_driver::Optimizer;
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
+use slpwlo_ir::parser::parse_kernel;
 use slpwlo_kernels::{biquad_cascade4, complex_fir32, conv3x3, fir64, iir10, matvec16x16};
 use slpwlo_slp::{extract_rounds, BenefitKind, FrozenWls, PassCtx, Round};
 use slpwlo_targets::{st240, vex, xentium, CycleCache, SchedKind};
@@ -71,6 +73,28 @@ fn main() {
             fwl: Some(&fwl),
         };
         extract_rounds(&mut ctx, &dfg, &mut hooks)
+    });
+
+    // One greedy selection to fixpoint over a 128-lane unrolled
+    // accumulation at 16 bits: 24 384 candidates per round, where
+    // answering every pair's conflict up front (rather than as greedy
+    // reads it) took seconds.
+    let acc128 = parse_kernel(
+        "kernel acc128 { input x range [-1, 1]; output y; \
+         param c[4] = { 0.25, -0.5, 0.125, 0.0625 }; array dl[4]; var acc; \
+         shiftin dl <- x; acc = 0.0; \
+         for i in 0..128 unroll 128 { acc = acc + c[i] * dl[i]; } y = acc; }",
+    )
+    .expect("valid kernel");
+    let acc128_dfg = Dfg::from_block(&acc128, &blocks_by_priority(&acc128)[0]);
+    m.bench("slp_round_unrolled128", || {
+        let mut ctx = PassCtx::new(&target, BenefitKind::Cycles, SchedKind::List, false);
+        let mut hooks = FrozenWls {
+            target: &target,
+            wl: &|_| 16,
+            fwl: None,
+        };
+        extract_rounds(&mut ctx, &acc128_dfg, &mut hooks)
     });
 
     m.bench("tabu_wlo_fir64", || {

@@ -77,11 +77,14 @@ pub struct Round {
     consumers: HashMap<Vec<NodeId>, Vec<usize>>,
     /// Words per node bitset (`dfg.len().div_ceil(64)`).
     words: usize,
-    /// Per candidate, the bitset of its merged group's nodes (`words`
-    /// words at `idx * words`).
+    /// Per item, the bitset of its nodes (`words` words at
+    /// `idx * words`). Kept per item, not per candidate: items grow with
+    /// the block, candidates with its square. A candidate's nodes are
+    /// the OR of its two items' rows, formed where a conflict test reads
+    /// them.
     members: Vec<u64>,
-    /// Per candidate, the union of its lanes' [`Dfg::reach_row`]s: every
-    /// node the merged group reaches.
+    /// Per item, the union of its lanes' [`Dfg::reach_row`]s: every node
+    /// the item reaches.
     reach: Vec<u64>,
 }
 
@@ -141,12 +144,12 @@ impl Round {
             }
         }
         let words = dfg.len().div_ceil(64);
-        let mut members = vec![0u64; merged.len() * words];
-        let mut reach = vec![0u64; merged.len() * words];
-        for (ci, m) in merged.iter().enumerate() {
-            let span = ci * words..(ci + 1) * words;
+        let mut members = vec![0u64; items.len() * words];
+        let mut reach = vec![0u64; items.len() * words];
+        for (it, g) in items.iter().enumerate() {
+            let span = it * words..(it + 1) * words;
             let (mem, rch) = (&mut members[span.clone()], &mut reach[span]);
-            for &e in &m.elems {
+            for &e in &g.elems {
                 mem[e.index() / 64] |= 1 << (e.index() % 64);
                 for (r, row) in rch.iter_mut().zip(dfg.reach_row(e)) {
                     *r |= row;
@@ -198,12 +201,12 @@ impl Round {
         &self.merged[idx]
     }
 
-    /// The node bitset of candidate `idx`'s merged group.
+    /// The node bitset of item `idx`.
     pub(crate) fn member_bits(&self, idx: usize) -> &[u64] {
         &self.members[idx * self.words..(idx + 1) * self.words]
     }
 
-    /// The bitset of every node candidate `idx`'s merged group reaches.
+    /// The bitset of every node item `idx` reaches.
     pub(crate) fn reach_bits(&self, idx: usize) -> &[u64] {
         &self.reach[idx * self.words..(idx + 1) * self.words]
     }

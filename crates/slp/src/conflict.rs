@@ -1,134 +1,150 @@
-//! Structural conflict detection between candidates.
+//! Conflicts between merge candidates (fig. 1c lines 13–25 of the
+//! paper).
 //!
 //! Two candidates conflict when they cannot both be realised:
 //!
 //! * they **share an item** or, through different items, a node (an
-//!   operation can live in only one SIMD group), or
+//!   operation can live in only one SIMD group);
 //! * they have a **cyclic dependency**: realising both would create a
 //!   cycle between the two SIMD instructions (each group reaches the
-//!   other).
+//!   other);
+//! * they are an **accuracy conflict**: they cannot coexist within the
+//!   noise budget. That check lives in `slpwlo-core` and is asked of the
+//!   selection hooks.
 //!
-//! Selection asks this of every pair of live candidates in a round, so
-//! [`conflicts`] answers from two bitsets per candidate that [`Round`]
-//! builds once: the merged group's nodes, and the union of their DFG
-//! reachability rows. A pair then costs a few word-wise ANDs instead of a
-//! lanes × lanes walk of `Dfg::reaches` in each direction.
+//! The relation is answered when a selector reads a pair, by one rule
+//! (the crate-private `RoundConflicts::pair`): the structural tests of
+//! [`conflicts`] first, then the hooks' accuracy question. [`conflicts`]
+//! reads two bitsets per item that [`Round`] builds once, the item's
+//! nodes and the union of their DFG reachability rows, and ORs a
+//! candidate's two items word by word. A pair costs a few word-wise
+//! operations instead of a lanes × lanes walk of `Dfg::reaches` in each
+//! direction.
 //!
-//! The paper adds a third, *accuracy* conflict on top of these; that check
-//! lives in `slpwlo-core` and is injected through the selection hooks.
-//! The crate-private `RoundConflicts` holds a round's whole relation:
-//! structural conflicts up front, accuracy conflicts asked of the hooks
-//! the first time a selector reads the pair.
+//! Greedy selection stores no answers. Every pair it reads includes the
+//! candidate it has just accepted, and that candidate is dead from then
+//! on, so it never reads a pair twice. The exact selector asks every pair
+//! of its pool at round entry and keeps the answers as pool × pool rows:
+//! its clique cover and search read them, and so does its greedy probe.
 
-use crate::candidate::Round;
+use crate::candidate::{Candidate, Round};
 use crate::select::SelectHooks;
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`conflicts`] on this thread: the structural work the
+    /// tests pin.
+    pub(crate) static STRUCTURAL_TESTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Tests whether candidates `i` and `j` structurally conflict.
 pub fn conflicts(round: &Round, i: usize, j: usize) -> bool {
+    #[cfg(test)]
+    STRUCTURAL_TESTS.with(|c| c.set(c.get() + 1));
     let a = round.candidates[i];
     let b = round.candidates[j];
     // Shared item.
     if a.left == b.left || a.left == b.right || a.right == b.left || a.right == b.right {
         return true;
     }
-    let meets = |x: &[u64], y: &[u64]| x.iter().zip(y).any(|(x, y)| x & y != 0);
-    let (ma, mb) = (round.member_bits(i), round.member_bits(j));
+    // Whether the union of rows `x` meets the union of rows `y`: a
+    // candidate's rows are the OR of its two items' rows.
+    let meets = |x: [&[u64]; 2], y: [&[u64]; 2]| {
+        (0..x[0].len()).any(|w| (x[0][w] | x[1][w]) & (y[0][w] | y[1][w]) != 0)
+    };
+    let members = |c: Candidate| [round.member_bits(c.left), round.member_bits(c.right)];
+    let reach = |c: Candidate| [round.reach_bits(c.left), round.reach_bits(c.right)];
+    let (ma, mb) = (members(a), members(b));
     // Overlapping elements through different items (impossible while the
     // prior groups are disjoint, as `extract_rounds` keeps them, but
     // `Round::new` takes any prior set), or a cyclic dependency: both
     // groups reach each other.
-    meets(ma, mb) || (meets(round.reach_bits(i), mb) && meets(round.reach_bits(j), ma))
+    meets(ma, mb) || (meets(reach(a), mb) && meets(reach(b), ma))
 }
 
-/// The conflict relation over one round's validated candidates (fig. 1c
-/// lines 13–25), answered on demand.
-///
-/// Structural conflicts are cheap bitset tests and are computed for
-/// every validated pair up front. A structurally compatible pair's
-/// accuracy conflict is asked of the hooks the first time a selector
-/// reads it and remembered for the rest of the round, so no pair is
-/// asked twice. Only pairs of validated candidates may be read.
+/// The conflict answers one round stores: every pair among a pool of
+/// validated candidates, asked once at construction. Empty under greedy
+/// selection, which reads each pair at most once and stores nothing.
+#[derive(Default)]
 pub(crate) struct RoundConflicts {
-    /// Words per row.
-    words: usize,
-    /// Row `i`, bit `j`: the pair's answer is known (a structural
-    /// conflict, or asked).
-    known: Vec<u64>,
-    /// Row `i`, bit `j`: the pair is a known conflict, structural or
-    /// accuracy. Symmetric.
-    conflict: Vec<u64>,
+    /// The pool, ascending.
+    members: Vec<usize>,
+    /// Row `p`, bit `q`: the pool members at positions `p` and `q` of
+    /// `members` conflict, structurally or by accuracy. Symmetric.
+    rows: Vec<u64>,
 }
 
 impl RoundConflicts {
-    /// The structural relation over the candidates `alive` marks; every
-    /// compatible pair's accuracy answer is still unknown.
-    pub(crate) fn new(round: &Round, alive: &[bool]) -> Self {
-        let n = round.candidates.len();
-        let words = n.div_ceil(64);
-        let mut c = RoundConflicts {
-            words,
-            known: vec![0; n * words],
-            conflict: vec![0; n * words],
-        };
-        let live: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
-        for (k, &i) in live.iter().enumerate() {
-            for &j in &live[k + 1..] {
-                if conflicts(round, i, j) {
-                    c.record(i, j, true);
+    /// Asks every pair among `members` (validated, ascending) in order,
+    /// by [`ask`], and stores the answers.
+    pub(crate) fn among(round: &Round, hooks: &mut dyn SelectHooks, members: Vec<usize>) -> Self {
+        let words = members.len().div_ceil(64);
+        let mut rows = vec![0; members.len() * words];
+        for (p, &i) in members.iter().enumerate() {
+            for (q, &j) in members.iter().enumerate().skip(p + 1) {
+                if ask(round, hooks, i, j) {
+                    rows[p * words + q / 64] |= 1 << (q % 64);
+                    rows[q * words + p / 64] |= 1 << (p % 64);
                 }
             }
         }
-        c
+        RoundConflicts { members, rows }
     }
 
-    /// Whether the pair's answer is known: a structural conflict, or
-    /// already asked of the hooks.
-    pub(crate) fn is_known(&self, i: usize, j: usize) -> bool {
-        self.known[i * self.words + j / 64] & (1 << (j % 64)) != 0
-    }
-
-    /// Records the pair's answer, both ways round.
-    fn record(&mut self, i: usize, j: usize, conflict: bool) {
-        for (a, b) in [(i, j), (j, i)] {
-            let (word, bit) = (a * self.words + b / 64, 1 << (b % 64));
-            self.known[word] |= bit;
-            if conflict {
-                self.conflict[word] |= bit;
-            }
-        }
+    /// The pool, ascending.
+    pub(crate) fn members(&self) -> &[usize] {
+        &self.members
     }
 
     /// Whether candidates `i` and `j` (distinct, both validated)
-    /// conflict, asking the hooks on the pair's first read.
-    pub(crate) fn pair(&mut self, hooks: &mut dyn SelectHooks, i: usize, j: usize) -> bool {
-        let (word, bit) = (i * self.words + j / 64, 1 << (j % 64));
-        if self.known[word] & bit != 0 {
-            return self.conflict[word] & bit != 0;
-        }
-        let c = hooks.accuracy_conflict(i.min(j), i.max(j));
-        self.record(i, j, c);
-        c
-    }
-
-    /// Asks every unknown pair among `members`, so [`Self::rows`] is
-    /// exact on them.
-    pub(crate) fn resolve_among(&mut self, hooks: &mut dyn SelectHooks, members: &[usize]) {
-        for (k, &i) in members.iter().enumerate() {
-            for &j in &members[k + 1..] {
-                self.pair(hooks, i, j);
-            }
+    /// conflict: the stored answer of a pool pair, else asked now.
+    pub(crate) fn pair(
+        &self,
+        round: &Round,
+        hooks: &mut dyn SelectHooks,
+        i: usize,
+        j: usize,
+    ) -> bool {
+        match (self.position(i), self.position(j)) {
+            (Some(p), Some(q)) => self.row(p)[q / 64] & (1 << (q % 64)) != 0,
+            _ => ask(round, hooks, i, j),
         }
     }
 
-    /// The known conflicts as row-major candidate bitsets, one
-    /// `candidates.div_ceil(64)`-word row per candidate: bit `j` of row
-    /// `i` is set iff the pair is a known conflict. Exact only on pairs
-    /// whose answer [is known](Self::is_known), such as those among the
-    /// members of a [`resolve_among`](Self::resolve_among) call; an
-    /// unasked pair reads as compatible.
-    pub(crate) fn rows(&self) -> &[u64] {
-        &self.conflict
+    /// The pool members that conflict with pool member `i`, ascending.
+    pub(crate) fn conflicting(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let row = self.row(self.position(i).expect("a pool member"));
+        (0..row.len()).flat_map(move |w| {
+            let mut bits = row[w];
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let q = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(self.members[q])
+            })
+        })
     }
+
+    /// Candidate `i`'s position in [`members`](Self::members), if it is
+    /// a pool member.
+    pub(crate) fn position(&self, i: usize) -> Option<usize> {
+        self.members.binary_search(&i).ok()
+    }
+
+    /// The row of the pool member at position `p`: bit `q` is set iff it
+    /// conflicts with the member at position `q`.
+    pub(crate) fn row(&self, p: usize) -> &[u64] {
+        let words = self.members.len().div_ceil(64);
+        &self.rows[p * words..(p + 1) * words]
+    }
+}
+
+/// The one conflict rule: the structural tests, then, for a structurally
+/// compatible pair, the hooks' accuracy question.
+fn ask(round: &Round, hooks: &mut dyn SelectHooks, i: usize, j: usize) -> bool {
+    conflicts(round, i, j) || hooks.accuracy_conflict(i.min(j), i.max(j))
 }
 
 /// The walk [`conflicts`] replaced: shared items, then lane-by-lane
@@ -156,7 +172,7 @@ mod tests {
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::dfg::Dfg;
     use slpwlo_ir::parser::parse_kernel;
-    use slpwlo_targets::xentium;
+    use slpwlo_targets::{vex, xentium};
 
     /// A block crafted so that two candidate groups have a cyclic
     /// dependency:
@@ -289,7 +305,7 @@ kernel sh {
         use crate::select::{absorb_selected, run_selection};
         use crate::{BenefitKind, NoHooks, PassCtx, SimdGroup};
         use slpwlo_ir::Kernel;
-        use slpwlo_targets::{all_targets, vex, TargetModel};
+        use slpwlo_targets::{all_targets, TargetModel};
 
         let mut cases: Vec<(Kernel, TargetModel)> = Vec::new();
         for bench in slpwlo_kernels::all_benchmarks() {
@@ -347,5 +363,113 @@ kernel sh {
         assert!(pairs > shared + cyclic, "no compatible pair drawn");
         assert!(shared > 0, "no shared-item pair drawn");
         assert!(cyclic > 0, "no cyclic pair drawn");
+
+        // Prior groups that overlap through different items, which
+        // `extract_rounds` never builds but `Round::new` accepts: on VEX-4,
+        // mul pairs {m0, m1} and {m1, m2} share m1, so a 4-lane candidate
+        // extending one and a candidate extending the other overlap
+        // without sharing an item.
+        let src = r#"
+kernel ov {
+    input x range [-1, 1];
+    output y;
+    param c[8] = { 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8 };
+    array dl[8];
+    var acc;
+    shiftin dl <- x;
+    acc = 0.0;
+    for i in 0..8 unroll 8 {
+        acc = acc + c[i] * dl[i];
+    }
+    y = acc;
+}
+"#;
+        let k = parse_kernel(src).unwrap();
+        let dfg = Dfg::from_block(&k, &slpwlo_ir::blocks::blocks_by_priority(&k)[0]);
+        let m: Vec<_> = dfg
+            .iter()
+            .filter(|(_, n)| matches!(n.kind, slpwlo_ir::NodeKind::Bin(slpwlo_ir::BinOp::Mul)))
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(m.len(), 8);
+        let pair = |a: usize, b: usize| SimdGroup {
+            elems: vec![m[a], m[b]],
+        };
+        let prior = [pair(0, 1), pair(1, 2), pair(4, 5), pair(6, 7)];
+        let round = Round::new(&dfg, &vex(4), &prior);
+        let n = round.candidates.len();
+        let mut overlapping = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let want = conflicts_walk(&dfg, &round, i, j);
+                assert_eq!(
+                    conflicts(&round, i, j),
+                    want,
+                    "{} vs {}",
+                    round.merged(i),
+                    round.merged(j)
+                );
+                let (a, b) = (round.candidates[i], round.candidates[j]);
+                let shares = [a.left, a.right]
+                    .iter()
+                    .any(|x| [b.left, b.right].contains(x));
+                if !shares && round.merged(i).overlaps(round.merged(j)) {
+                    assert!(want, "an overlap is a conflict");
+                    overlapping += 1;
+                }
+            }
+        }
+        assert!(overlapping > 0, "no pair overlaps through different items");
+    }
+
+    /// Greedy selection tests a pair structurally only when it reads it:
+    /// the pairs of each accepted candidate with the candidates still
+    /// live, so a round tests at most accepted × live pairs, where
+    /// screening every pair up front tested all live pairs. Pinned on a
+    /// 32-lane unrolled accumulation under `Cycles` on XENTIUM.
+    #[test]
+    fn greedy_tests_only_the_pairs_it_reads() {
+        use crate::select::{absorb_selected, run_selection};
+        use crate::{BenefitKind, NoHooks, PassCtx, SimdGroup};
+
+        let src = r#"
+kernel acc32 {
+    input x range [-1, 1];
+    output y;
+    param c[4] = { 0.25, -0.5, 0.125, 0.0625 };
+    array dl[4];
+    var acc;
+    shiftin dl <- x;
+    acc = 0.0;
+    for i in 0..32 unroll 32 {
+        acc = acc + c[i] * dl[i];
+    }
+    y = acc;
+}
+"#;
+        let k = parse_kernel(src).unwrap();
+        let dfg = Dfg::from_block(&k, &slpwlo_ir::blocks::blocks_by_priority(&k)[0]);
+        let target = xentium();
+        let mut ctx = PassCtx::plain(&target, BenefitKind::Cycles);
+        let tested = || STRUCTURAL_TESTS.with(std::cell::Cell::get);
+        let mut groups: Vec<SimdGroup> = Vec::new();
+        let (mut tests, mut live_pairs, mut rounds) = (0u64, 0u64, 0);
+        loop {
+            let round = Round::new(&dfg, &target, &groups);
+            let live = round.candidates.len() as u64;
+            let before = tested();
+            let selected = run_selection(&mut ctx, &dfg, &round, &groups, &mut NoHooks);
+            let round_tests = tested() - before;
+            assert!(round_tests <= selected.len() as u64 * live);
+            tests += round_tests;
+            live_pairs += live * live.saturating_sub(1) / 2;
+            rounds += 1;
+            if selected.is_empty() {
+                break;
+            }
+            absorb_selected(&mut groups, selected);
+        }
+        // Screening every live pair up front tested all 1 106 328.
+        assert_eq!((rounds, tests, live_pairs), (2, 29_608, 1_106_328));
     }
 }

@@ -45,7 +45,7 @@
 
 use crate::benefit::{BenefitModel, ReuseShape};
 use crate::candidate::Round;
-use crate::conflict::conflicts;
+use crate::conflict::{conflicts, RoundConflicts};
 use crate::ctx::PassCtx;
 use crate::group::{closes_cycle, SimdGroup};
 use crate::select::{accept, greedy_loop, hook_model, Screened, SelectHooks, WlSnapshot};
@@ -182,11 +182,11 @@ pub(crate) fn run_selection_optimal(
     // to exactly that state.
     let entry = WlSnapshot::new(screened.dfg, &*hooks);
     let model = hook_model(ctx, screened, &entry);
-    let pool = Pool::new(&model, screened);
+    let (opt, members) = pool(&model, screened);
     // The search reads the conflicts among pool members only. Asked now,
     // at round entry, they are plain trials, and the probe below finds
     // them answered.
-    screened.conflicts.resolve_among(hooks, &pool.members);
+    screened.conflicts = RoundConflicts::among(screened.round, hooks, members);
 
     // Greedy probe: run the full greedy loop speculatively to learn its
     // chosen set (the incumbent), then roll every hook side effect back
@@ -196,7 +196,7 @@ pub(crate) fn run_selection_optimal(
     let probe = greedy_loop(ctx, screened, hooks);
     hooks.restore();
 
-    let (best_set, exhausted, steps) = search(&model, screened, pool, budget, &probe.chosen);
+    let (best_set, exhausted, steps) = search(&model, screened, opt, budget, &probe.chosen);
     drop(model);
     ctx.stats.include_steps += u64::from(steps);
     if exhausted {
@@ -231,60 +231,54 @@ pub(crate) fn run_selection_optimal(
     }
 }
 
-/// The candidates the search may choose, with their optimistic bounds.
-struct Pool {
-    /// Per-candidate optimistic bound against every validated candidate:
-    /// the shallow assessment treats every speculative flow as certain
-    /// reuse, which upper-bounds the candidate's in-set net over any
-    /// chosen set. `-inf` off the validated set.
-    opt: Vec<f64>,
-    /// The pool, ascending.
-    members: Vec<usize>,
-}
-
-impl Pool {
-    /// The validated candidates reachable from a positive-bound seed over
-    /// reuse edges: pricing interactions between candidates travel
-    /// exclusively along operand/result superword matches, so a connected
-    /// component whose members all bound non-positive cannot contribute
-    /// positive value to any set and is dropped whole.
-    fn new(model: &BenefitModel<'_>, screened: &Screened<'_>) -> Self {
-        let (alive, prior) = (&screened.alive, screened.prior);
-        let margin = model.admission_margin();
-        let n = alive.len();
-        let mut opt = vec![f64::NEG_INFINITY; n];
-        for (i, &a) in alive.iter().enumerate() {
-            if a {
-                opt[i] = model.assess_optimistic(i, alive, prior).net() - margin;
-            }
+/// The pool, the candidates the search may choose (ascending), with
+/// each candidate's optimistic bound.
+///
+/// The bound is taken against every validated candidate: the shallow
+/// assessment treats every speculative flow as certain reuse, which
+/// upper-bounds the candidate's in-set net over any chosen set. It is
+/// `-inf` off the validated set. The pool is the validated candidates
+/// reachable from a positive-bound seed over reuse edges: pricing
+/// interactions between candidates travel exclusively along
+/// operand/result superword matches, so a connected component whose
+/// members all bound non-positive cannot contribute positive value to any
+/// set and is dropped whole.
+fn pool(model: &BenefitModel<'_>, screened: &Screened<'_>) -> (Vec<f64>, Vec<usize>) {
+    let (alive, prior) = (&screened.alive, screened.prior);
+    let margin = model.admission_margin();
+    let n = alive.len();
+    let mut opt = vec![f64::NEG_INFINITY; n];
+    for (i, &a) in alive.iter().enumerate() {
+        if a {
+            opt[i] = model.assess_optimistic(i, alive, prior).net() - margin;
         }
-        let mut in_pool = vec![false; n];
-        let mut queue: Vec<usize> = (0..n).filter(|&i| alive[i] && opt[i] > 0.0).collect();
-        for &i in &queue {
-            in_pool[i] = true;
-        }
-        while let Some(i) = queue.pop() {
-            for p in model.reuse_partners(i, alive) {
-                if !in_pool[p] {
-                    in_pool[p] = true;
-                    queue.push(p);
-                }
-            }
-        }
-        let members = (0..n).filter(|&i| in_pool[i]).collect();
-        Pool { opt, members }
     }
+    let mut in_pool = vec![false; n];
+    let mut queue: Vec<usize> = (0..n).filter(|&i| alive[i] && opt[i] > 0.0).collect();
+    for &i in &queue {
+        in_pool[i] = true;
+    }
+    while let Some(i) = queue.pop() {
+        for p in model.reuse_partners(i, alive) {
+            if !in_pool[p] {
+                in_pool[p] = true;
+                queue.push(p);
+            }
+        }
+    }
+    (opt, (0..n).filter(|&i| in_pool[i]).collect())
 }
 
-/// Branch-and-bound over the round's pool, whose conflicts must all be
-/// known. Returns the best set strictly better than the greedy incumbent
+/// Branch-and-bound over the round's pool, the candidates whose
+/// conflicts `screened.conflicts` stores, with their optimistic bounds
+/// `opt`. Returns the best set strictly better than the greedy incumbent
 /// (`None` when greedy is already optimal among what was searched),
 /// whether the budget ran out (in which case the best set is meaningless
 /// and discarded), and the include-steps spent.
 fn search(
     model: &BenefitModel<'_>,
     screened: &Screened<'_>,
-    pool: Pool,
+    mut opt: Vec<f64>,
     budget: u32,
     incumbent: &[usize],
 ) -> (Option<Vec<usize>>, bool, u32) {
@@ -295,17 +289,7 @@ fn search(
         conflicts,
         ..
     } = screened;
-    let Pool {
-        mut opt,
-        members: mut order,
-    } = pool;
-    debug_assert!(
-        order
-            .iter()
-            .enumerate()
-            .all(|(k, &i)| order[k + 1..].iter().all(|&j| conflicts.is_known(i, j))),
-        "a pool pair's conflict is unanswered"
-    );
+    let mut order = conflicts.members().to_vec();
     let n = round.candidates.len();
     let words = n.div_ceil(64);
     let mut avail = vec![0u64; words];
@@ -327,18 +311,14 @@ fn search(
     // total_cmp plus the index tie-break keeps it deterministic.
     order.sort_unstable_by(|&a, &b| opt[b].total_cmp(&opt[a]).then(a.cmp(&b)));
 
-    // Conflict adjacency as bitsets over candidate indices, so an
-    // include bans everything incompatible with it in one masked AND —
-    // and, crucially, so the suffix bound can skip banned candidates
-    // instead of crediting them with value they can never contribute.
-    // Dense rounds (CONV's fully-unrolled taps reach 80+ mutually
-    // overlapping candidates) are intractable under the conflict-blind
-    // bound and close in a few thousand steps under this one. Only bits
-    // of pool members are ever read: `avail` never leaves the pool, and
-    // the clique cover below tests rows against pool members only. So
-    // only pool pairs need an answer.
-    let conf_mask = conflicts.rows();
-
+    // Conflict adjacency as the stored pool rows, so an include bans
+    // everything incompatible with it in one pass over its row — and,
+    // crucially, so the suffix bound can skip banned candidates instead
+    // of crediting them with value they can never contribute. Dense
+    // rounds (CONV's fully-unrolled taps reach 80+ mutually overlapping
+    // candidates) are intractable under the conflict-blind bound and
+    // close in a few thousand steps under this one.
+    //
     // Greedy clique cover of the pool under the conflict relation, in
     // best-bound-first order: each candidate joins the first clique it
     // conflicts with *entirely*, else opens its own. At most one member
@@ -347,19 +327,21 @@ fn search(
     // tighter than summing every positive candidate on rounds built
     // from shared items (CFIR's first round has 148 positive candidates
     // in item-sharing cliques; the per-candidate sum never prunes
-    // there, the cover bound closes the search).
+    // there, the cover bound closes the search). Clique member sets are
+    // bitsets over pool positions, like the rows.
     let mut cliques: Vec<(Vec<usize>, Vec<u64>)> = Vec::new();
     for &i in &order {
-        let row = &conf_mask[i * words..(i + 1) * words];
+        let p = conflicts.position(i).expect("a pool member");
+        let row = conflicts.row(p);
         let home = cliques
             .iter()
             .position(|(_, members)| members.iter().zip(row).all(|(m, r)| m & !r == 0));
         let c = home.unwrap_or_else(|| {
-            cliques.push((Vec::new(), vec![0u64; words]));
+            cliques.push((Vec::new(), vec![0u64; row.len()]));
             cliques.len() - 1
         });
         cliques[c].0.push(i);
-        cliques[c].1[i / 64] |= 1 << (i % 64);
+        cliques[c].1[p / 64] |= 1 << (p % 64);
     }
     let clique_members: Vec<Vec<usize>> = cliques.into_iter().map(|(m, _)| m).collect();
 
@@ -368,8 +350,7 @@ fn search(
         round,
         order: &order,
         opt: &opt,
-        conf_mask,
-        words,
+        conflicts,
         cliques: &clique_members,
         memo,
         budget,
@@ -486,12 +467,8 @@ struct Search<'a, 'm> {
     round: &'a Round,
     order: &'a [usize],
     opt: &'a [f64],
-    /// Row-major `order`-independent adjacency: bit `j` of row `i` is
-    /// set iff candidates `i` and `j` are a known conflict, structural
-    /// or accuracy. Exact only for pairs of pool members, which
-    /// `search` requires to be answered; other bits may be partial.
-    conf_mask: &'a [u64],
-    words: usize,
+    /// The pool's conflicts, structural or accuracy.
+    conflicts: &'a RoundConflicts,
     /// Clique cover of the pool; members of each clique in descending
     /// optimistic-bound order, mutually conflicting.
     cliques: &'a [Vec<usize>],
@@ -589,10 +566,8 @@ impl Search<'_, '_> {
                 self.best_set = Some(self.chosen.clone());
             }
             let mut narrowed = avail.to_vec();
-            narrowed[i / 64] &= !(1 << (i % 64));
-            let row = &self.conf_mask[i * self.words..(i + 1) * self.words];
-            for (w, c) in narrowed.iter_mut().zip(row) {
-                *w &= !c;
+            for j in std::iter::once(i).chain(self.conflicts.conflicting(i)) {
+                narrowed[j / 64] &= !(1 << (j % 64));
             }
             self.dfs(pos + 1, &narrowed);
             self.chosen.pop();
@@ -831,8 +806,8 @@ kernel f {
             loop {
                 let round = Round::new(&dfg, &target, &groups);
                 // Value greedy's per-round choice before running exact.
-                let mut screened = Screened::new(&cycles, &dfg, &round, &groups, &mut NoHooks);
-                let probe = greedy_loop(&cycles, &mut screened, &mut NoHooks);
+                let screened = Screened::new(&cycles, &dfg, &round, &groups, &mut NoHooks);
+                let probe = greedy_loop(&cycles, &screened, &mut NoHooks);
                 let max = target.max_wl();
                 let model = BenefitModel::new(&dfg, &round, &cycles, |_| max, |_| None);
                 let greedy_v = set_value(&model, &round, &groups, &probe.chosen);

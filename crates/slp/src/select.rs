@@ -51,12 +51,17 @@ use slpwlo_targets::TargetModel;
 /// [`screen`](Self::screen) over the round's views; the hooks' state at
 /// that call is the *round-entry* state. The
 /// [`accuracy_conflict`](Self::accuracy_conflict) calls that follow
-/// address candidates by their index in that slice. Selectors ask them
-/// lazily, so they may come after the round's
-/// [`on_select`](Self::on_select) commits, and each must answer against
-/// the round-entry state, as if no selection of the round had been made:
-/// fig. 1c defines conflicts before selection starts. No pair is asked
-/// twice in a round.
+/// address candidates by their index in that slice. The conflict
+/// relation is answered when a selector reads a pair: the structural
+/// tests first, then this question for a compatible pair. So the calls
+/// may come after the round's [`on_select`](Self::on_select) commits,
+/// and each must answer against the round-entry state, as if no
+/// selection of the round had been made: fig. 1c defines conflicts
+/// before selection starts. No pair is asked twice in a round. Greedy
+/// needs no store for that: it reads only the pairs of the candidate it
+/// has just accepted, and that candidate is dead from then on. The
+/// exact selector asks its pool's pairs at round entry and keeps those
+/// answers for its search and its greedy probe.
 pub trait SelectHooks {
     /// Candidate validation, called once per round with every
     /// candidate's view before any other call of the round: `false` at
@@ -161,8 +166,8 @@ impl SelectHooks for FrozenWls<'_> {
 }
 
 /// One round after candidate validation (fig. 1c lines 4–12), with its
-/// conflict relation (lines 13–25) to be read on demand: what both
-/// selectors start from.
+/// conflict relation (lines 13–25) answered as the selectors read it:
+/// what both selectors start from.
 pub(crate) struct Screened<'r> {
     pub dfg: &'r Dfg,
     pub round: &'r Round,
@@ -171,14 +176,15 @@ pub(crate) struct Screened<'r> {
     pub views: Vec<CandidateView>,
     /// Which candidates passed validation.
     pub alive: Vec<bool>,
-    /// Conflicts between validated candidates, structural or accuracy.
+    /// The conflict answers the round stores: none under greedy, the
+    /// pool's under the exact selector.
     pub conflicts: RoundConflicts,
 }
 
 impl<'r> Screened<'r> {
     /// Opens a round: the hooks validate every candidate (fig. 1c lines
-    /// 4–12), and the structural conflicts between the survivors are
-    /// found. Accuracy conflicts are left for the selectors to ask.
+    /// 4–12). No conflict is answered yet, structural or accuracy: each
+    /// pair is answered when a selector reads it.
     pub(crate) fn new(
         ctx: &PassCtx<'_>,
         dfg: &'r Dfg,
@@ -189,14 +195,13 @@ impl<'r> Screened<'r> {
         let n = round.candidates.len();
         let views: Vec<CandidateView> = (0..n).map(|i| round.view(ctx.target, i)).collect();
         let alive = hooks.screen(&views);
-        let conflicts = RoundConflicts::new(round, &alive);
         Screened {
             dfg,
             round,
             prior,
             views,
             alive,
-            conflicts,
+            conflicts: RoundConflicts::default(),
         }
     }
 }
@@ -307,7 +312,7 @@ impl SelectHooks for WlSnapshot {
 /// `overlap_with_prior_groups_implies_containment`.
 pub(crate) fn greedy_loop(
     ctx: &PassCtx<'_>,
-    screened: &mut Screened<'_>,
+    screened: &Screened<'_>,
     hooks: &mut dyn SelectHooks,
 ) -> GreedyOutcome {
     let mut alive = screened.alive.clone();
@@ -327,7 +332,7 @@ pub(crate) fn greedy_loop(
         }
         chosen.push(best);
         for (j, live) in alive.iter_mut().enumerate() {
-            if *live && screened.conflicts.pair(hooks, best, j) {
+            if *live && screened.conflicts.pair(screened.round, hooks, best, j) {
                 *live = false;
             }
         }
@@ -761,6 +766,37 @@ kernel f {
         selected.split_off(screened.prior.len())
     }
 
+    /// Hooks that answer every live pair up front, at screening: the
+    /// structural test, then `inner`'s accuracy question for a
+    /// compatible pair. Later accuracy questions read that table, so a
+    /// selector run over these hooks selects over a relation asked in
+    /// full before selection.
+    struct AskedUpFront<'h, 'r> {
+        inner: &'h mut RandomConflicts,
+        round: &'r Round,
+        answers: std::collections::HashMap<(usize, usize), bool>,
+    }
+
+    impl SelectHooks for AskedUpFront<'_, '_> {
+        fn screen(&mut self, views: &[CandidateView]) -> Vec<bool> {
+            let alive = self.inner.screen(views);
+            let live: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
+            for (k, &i) in live.iter().enumerate() {
+                for &j in &live[k + 1..] {
+                    if !crate::conflict::conflicts(self.round, i, j) {
+                        let c = self.inner.accuracy_conflict(i, j);
+                        self.answers.insert((i, j), c);
+                    }
+                }
+            }
+            alive
+        }
+
+        fn accuracy_conflict(&mut self, i: usize, j: usize) -> bool {
+            self.answers[&(i, j)]
+        }
+    }
+
     /// Lazy conflict reads select exactly what eager screening selects:
     /// over blocks of every suite kernel on three targets, under a seeded
     /// pseudo-random accuracy-conflict relation at three densities, the
@@ -794,16 +830,19 @@ kernel f {
                         let mut want: Vec<SimdGroup> = Vec::new();
                         loop {
                             let round = Round::new(&dfg, &target, &want);
-                            let mut screened =
-                                Screened::new(&eager_ctx, &dfg, &round, &want, &mut eager);
                             let selected = if kind == BenefitKind::Cycles {
+                                let screened =
+                                    Screened::new(&eager_ctx, &dfg, &round, &want, &mut eager);
                                 eager_greedy(&eager_ctx, &screened, &mut eager)
                             } else {
-                                let live: Vec<usize> = (0..screened.alive.len())
-                                    .filter(|&i| screened.alive[i])
-                                    .collect();
-                                screened.conflicts.resolve_among(&mut eager, &live);
-                                select(&mut eager_ctx, &mut screened, &mut eager)
+                                let mut table = AskedUpFront {
+                                    inner: &mut eager,
+                                    round: &round,
+                                    answers: Default::default(),
+                                };
+                                let mut screened =
+                                    Screened::new(&eager_ctx, &dfg, &round, &want, &mut table);
+                                select(&mut eager_ctx, &mut screened, &mut table)
                             };
                             if selected.is_empty() {
                                 break;

@@ -447,3 +447,41 @@ fn benchmark_range_methods() {
         }
     }
 }
+
+/// A 128-lane unrolled accumulation: every round offers 24 384
+/// candidates, and screening all their pairs up front took seconds and
+/// two dense candidates × candidates bit tables (at 512 lanes, a 19 GB
+/// allocation). Conflicts answered as the selectors read them keep the
+/// report bit for bit: two groups, the same cycles and the same noise.
+#[test]
+fn unrolled_128_lane_accumulation_selects_as_before() {
+    let src = r#"
+kernel acc128 {
+    input x range [-1, 1];
+    output y;
+    param c[4] = { 0.25, -0.5, 0.125, 0.0625 };
+    array dl[4];
+    var acc;
+    shiftin dl <- x;
+    acc = 0.0;
+    for i in 0..128 unroll 128 {
+        acc = acc + c[i] * dl[i];
+    }
+    y = acc;
+}
+"#;
+    let report = slpwlo::Optimizer::for_source(src)
+        .unwrap()
+        .target(slpwlo::targets::st240())
+        .constraint_db(-40.0)
+        .run()
+        .expect("the 128-lane accumulation compiles");
+    assert_eq!(report.group_count, 2);
+    assert_eq!(report.cycles_simd, 544_768);
+    let noise = report.noise_db.expect("a fixed-point flow predicts noise");
+    assert_eq!(
+        noise.to_bits(),
+        (-75.51586582438647f64).to_bits(),
+        "{noise}"
+    );
+}
