@@ -6,7 +6,7 @@
 //! exact with modulo scheduling on CFIR), the VLIW list scheduler, one
 //! modulo-scheduling attempt on MATVEC, and whole kernel-to-report runs
 //! (greedy with list scheduling on FIR and CONV, exact with modulo
-//! scheduling on MATVEC).
+//! scheduling on MATVEC and CFIR).
 //!
 //! Run with: `cargo bench -p slpwlo-bench --bench algorithms`
 
@@ -217,6 +217,19 @@ fn main() {
         Optimizer::for_kernel(matvec16x16())
             .expect("valid kernel")
             .target(vex(1))
+            .constraint_db(-40.0)
+            .benefit_kind(BenefitKind::optimal())
+            .sched_kind(SchedKind::modulo())
+            .run()
+            .expect("e2e optimize")
+    });
+    // The same compile on CFIR for ST240, whose exact leg improves no
+    // round: the point where asking pool conflicts on read and skipping
+    // the greedy leg both pay.
+    m.bench("optimize_e2e_cfir_exact_modulo", || {
+        Optimizer::for_kernel(complex_fir32())
+            .expect("valid kernel")
+            .target(st240())
             .constraint_db(-40.0)
             .benefit_kind(BenefitKind::optimal())
             .sched_kind(SchedKind::modulo())

@@ -264,9 +264,9 @@ type Check<'a, E> = dyn FnMut(PassArtifact<'_>) -> Result<(), E> + 'a;
 type Search<'a, E> = dyn FnMut(&mut PassCtx<'_>, &mut Check<'_, E>) -> Result<Searched, E> + 'a;
 type Searched = (FixedPointSpec, Vec<BlockGroups>);
 
-/// Runs a flow: one leg, or under [`BenefitKind::Optimal`] two legs with
-/// portfolio arbitration. Per-round model-value optimality does not by
-/// itself bound the *final* scheduled cycle count (rounds interact
+/// Runs a flow: one leg, or under [`BenefitKind::Optimal`] up to two legs
+/// with portfolio arbitration. Per-round model-value optimality does not
+/// by itself bound the *final* scheduled cycle count (rounds interact
 /// through `SETMAXWL`, and the scheduler guard re-prices whole blocks),
 /// so the flow also runs the greedy cycle-priced leg end to end and
 /// returns whichever program schedules faster — ties go to the exact
@@ -274,6 +274,13 @@ type Searched = (FixedPointSpec, Vec<BlockGroups>);
 /// bumps `select.portfolio_fallbacks`; the exact leg's search statistics
 /// are carried either way. `ctx` is the first leg's context; the greedy
 /// leg gets a fresh one differing only in its benefit kind.
+///
+/// The greedy leg runs only when the exact leg improved a round. A round
+/// that improves nothing commits its greedy probe's selection: the
+/// search found nothing better, its budget ran out, or the hooks vetoed
+/// its set. Each of those replays greedy from the same state, so an exact
+/// leg with no improved round *is* the greedy leg, and running that leg
+/// again would return the same result bit for bit.
 ///
 /// One block pricer serves both legs' scheduler guards and the
 /// comparison, so under modulo scheduling each distinct block is
@@ -287,7 +294,7 @@ fn run_legs<E>(
 ) -> Result<FlowResult, E> {
     let mut prices = BlockPrices::new(ctx.target);
     let exact = run_leg(prep, &mut ctx, &mut prices, check, search)?;
-    if !matches!(ctx.benefit, BenefitKind::Optimal { .. }) {
+    if !matches!(ctx.benefit, BenefitKind::Optimal { .. }) || exact.select.improved == 0 {
         return Ok(exact);
     }
     let mut greedy_ctx = PassCtx::new(ctx.target, BenefitKind::Cycles, ctx.sched, ctx.equalize);
@@ -380,10 +387,11 @@ fn check_groups<E>(
 /// surfaces unchanged; instantiate `E` as [`std::convert::Infallible`]
 /// for a free no-op.
 ///
-/// Under [`BenefitKind::Optimal`] the flow runs twice — the exact leg
-/// and the greedy cycle-priced leg — and the faster-scheduling program
-/// wins (ties to the exact leg), so the exact kind never returns a
-/// program slower than greedy's; `check` sees both legs' artifacts.
+/// Under [`BenefitKind::Optimal`] the flow runs the exact leg and, when
+/// that leg improved on greedy in some round, the greedy cycle-priced
+/// leg too; the faster-scheduling program wins (ties to the exact leg),
+/// so the exact kind never returns a program slower than greedy's.
+/// `check` sees the artifacts of every leg that runs.
 pub fn wlo_slp_flow_checked<E>(
     prep: &Prepared,
     target: &TargetModel,
@@ -593,10 +601,119 @@ kernel fir8 {
         assert_eq!(count, 6);
     }
 
+    /// An exact leg that improved no round committed greedy's selection
+    /// in every round, so the flow returns it without a greedy leg, and
+    /// it is the greedy flow's result: over the 8 suite kernels × ST240,
+    /// VEX-1, VEX-4 and XENTIUM × −20…−60 dB × both flows × list and
+    /// modulo scheduling, every `Optimal` result with no improved round
+    /// has the `Cycles` result's spec, SIMD and scalar programs, noise
+    /// bits and group count.
+    #[test]
+    fn exact_results_that_improved_nothing_are_greedy_results() {
+        use slpwlo_targets::{st240, vex};
+        let tabu = TabuOptions::default();
+        let ok = &mut |_: PassArtifact<'_>| Ok::<(), Infallible>(());
+        let (mut unimproved, mut improved) = (0, 0);
+        for bench in slpwlo_kernels::all_benchmarks() {
+            let prep = prepare(bench.kernel);
+            for target in [st240(), vex(1), vex(4), xentium()] {
+                for db in [-20.0, -30.0, -40.0, -50.0, -60.0] {
+                    for sched in [SchedKind::List, SchedKind::modulo()] {
+                        for joint in [true, false] {
+                            let mut run = |benefit| {
+                                if joint {
+                                    wlo_slp_flow_checked(&prep, &target, db, benefit, sched, ok)
+                                } else {
+                                    wlo_first_flow_checked(
+                                        &prep, &target, db, &tabu, benefit, sched, ok,
+                                    )
+                                }
+                                .unwrap()
+                            };
+                            let exact = run(BenefitKind::optimal());
+                            if exact.select.improved > 0 {
+                                improved += 1;
+                                continue;
+                            }
+                            unimproved += 1;
+                            let greedy = run(BenefitKind::Cycles);
+                            let case = format!(
+                                "{} on {} at {db} dB, {sched:?}, joint {joint}",
+                                bench.name, target.name
+                            );
+                            assert_eq!(exact.select.portfolio_fallbacks, 0, "{case}");
+                            assert_eq!(
+                                format!("{:?}", exact.spec),
+                                format!("{:?}", greedy.spec),
+                                "{case}: spec"
+                            );
+                            assert_eq!(
+                                format!("{:?}", exact.simd),
+                                format!("{:?}", greedy.simd),
+                                "{case}: SIMD program"
+                            );
+                            assert_eq!(
+                                format!("{:?}", exact.scalar),
+                                format!("{:?}", greedy.scalar),
+                                "{case}: scalar program"
+                            );
+                            assert_eq!(
+                                exact.noise_db.to_bits(),
+                                greedy.noise_db.to_bits(),
+                                "{case}: noise"
+                            );
+                            assert_eq!(exact.group_count, greedy.group_count, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!((unimproved, improved), (327, 313));
+    }
+
+    /// Work counters, not results: the evaluator trials of CFIR's exact,
+    /// modulo-scheduled compile on ST240 at -40 dB, for one joint search
+    /// and for the whole flow. The exact selector asks a pool pair's
+    /// accuracy question only when its probe or search reads the pair,
+    /// and the flow runs no greedy leg, as the exact leg improves no
+    /// round. Asking every pool pair at round entry and running both
+    /// legs took 5 244 and 6 216.
+    #[test]
+    fn exact_cfir_trial_counts_are_pinned() {
+        use crate::hooks::audit::trials_during;
+        use crate::wlo_slp::wlo_slp_sched;
+        let prep = prepare(slpwlo_kernels::complex_fir32());
+        let target = slpwlo_targets::st240();
+        let (benefit, sched) = (BenefitKind::optimal(), SchedKind::modulo());
+        let ok = &mut |_: PassArtifact<'_>| Ok::<(), Infallible>(());
+        let (res, search) = trials_during(|| {
+            let eval = IncrementalEvaluator::new(&prep.eval);
+            wlo_slp_sched(
+                &prep.kernel,
+                &target,
+                &eval,
+                -40.0,
+                &prep.ranges,
+                benefit,
+                sched,
+            )
+        });
+        assert_eq!(res.select.improved, 0);
+        let (_, flow) = trials_during(|| {
+            wlo_slp_flow_checked(&prep, &target, -40.0, benefit, sched, ok).unwrap()
+        });
+        assert_eq!((search, flow), (1_507, 1_507));
+    }
+
     /// The pass-artifact order, one token per artifact: the variant,
     /// then `is_final` for specs and groups or the role for programs.
     /// Span attribution in the benchmark depends on this order.
     fn artifact_order(joint: bool, benefit: BenefitKind) -> Vec<String> {
+        artifact_order_at(joint, benefit, -40.0)
+    }
+
+    /// [`artifact_order`] at constraint `db`.
+    fn artifact_order_at(joint: bool, benefit: BenefitKind, db: f64) -> Vec<String> {
         let prep = prepare(parse_kernel(FIR8).unwrap());
         let target = slpwlo_targets::st240();
         let tabu = TabuOptions::default();
@@ -612,9 +729,9 @@ kernel fir8 {
         };
         let sched = SchedKind::List;
         if joint {
-            wlo_slp_flow_checked(&prep, &target, -40.0, benefit, sched, record).unwrap();
+            wlo_slp_flow_checked(&prep, &target, db, benefit, sched, record).unwrap();
         } else {
-            wlo_first_flow_checked(&prep, &target, -40.0, &tabu, benefit, sched, record).unwrap();
+            wlo_first_flow_checked(&prep, &target, db, &tabu, benefit, sched, record).unwrap();
         }
         seq
     }
@@ -676,5 +793,10 @@ kernel fir8 {
             artifact_order(false, exact),
             [&FIRST_EXACT[..], &FIRST_GREEDY[..]].concat()
         );
+        // At -20 dB WLO-First's exact leg improves no round: like the
+        // greedy leg, it selects nothing and the guard lowers once. The
+        // flow runs it alone, so its artifacts are one greedy leg's.
+        assert_eq!(artifact_order_at(false, greedy, -20.0), FIRST_GREEDY);
+        assert_eq!(artifact_order_at(false, exact, -20.0), FIRST_GREEDY);
     }
 }

@@ -314,6 +314,8 @@ impl<'a> AccuracyHooks<'a> {
     /// One `SETMAXWL` trial: evaluates the spec with the writes since
     /// `mark` open, via the evaluator's incremental trial path.
     fn trial_meets(&self, mark: usize) -> bool {
+        #[cfg(test)]
+        audit::count_trial();
         self.eval.trial_meets(self.spec, mark, self.constraint_db)
     }
 
@@ -528,6 +530,23 @@ pub(crate) mod audit {
         let out = f();
         OBSERVER.with(|o| *o.borrow_mut() = None);
         out
+    }
+
+    thread_local! {
+        static TRIALS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts one evaluator trial of the joint search: a selection-hook
+    /// or scaling-optimization trial on this thread.
+    pub(crate) fn count_trial() {
+        TRIALS.with(|t| t.set(t.get() + 1));
+    }
+
+    /// The joint search's evaluator trials run on this thread by `f`.
+    pub(crate) fn trials_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = TRIALS.with(Cell::get);
+        let out = f();
+        (out, TRIALS.with(Cell::get) - before)
     }
 
     pub(super) fn event(e: Event<'_>) {

@@ -205,6 +205,8 @@ pub fn scaling_optimize(
             spec.rollback(mark);
             continue;
         }
+        #[cfg(test)]
+        crate::hooks::audit::count_trial();
         if eval.trial_meets(spec, mark, constraint_db) {
             spec.commit(mark);
             eval.commit_trial();

@@ -23,9 +23,15 @@
 //!
 //! Greedy selection stores no answers. Every pair it reads includes the
 //! candidate it has just accepted, and that candidate is dead from then
-//! on, so it never reads a pair twice. The exact selector asks every pair
-//! of its pool at round entry and keeps the answers as pool × pool rows:
-//! its clique cover and search read them, and so does its greedy probe.
+//! on, so it never reads a pair twice. The exact selector keeps one
+//! table of pool × pool rows per round: the structural conflicts of
+//! every pool pair from round entry, and each accuracy answer from the
+//! first read of its pair on, whether the greedy probe or the search
+//! reads it. The search's include narrowing bans the conflicts known so
+//! far, and an include asks the candidate's still-open pairs with the
+//! chosen set. Its clique cover asks a candidate's open pairs with a
+//! clique only until one is compatible, so the cover is the one the
+//! fully asked table gives.
 
 use crate::candidate::{Candidate, Round};
 use crate::select::SelectHooks;
@@ -62,33 +68,47 @@ pub fn conflicts(round: &Round, i: usize, j: usize) -> bool {
     meets(ma, mb) || (meets(reach(a), mb) && meets(reach(b), ma))
 }
 
-/// The conflict answers one round stores: every pair among a pool of
-/// validated candidates, asked once at construction. Empty under greedy
-/// selection, which reads each pair at most once and stores nothing.
+/// The conflict answers one round stores for a pool of validated
+/// candidates: the structural conflicts of every pool pair, tested at
+/// construction, and each accuracy answer from the first read of its
+/// pair on. Empty under greedy selection, which reads each pair at most
+/// once and stores nothing.
 #[derive(Default)]
 pub(crate) struct RoundConflicts {
     /// The pool, ascending.
     members: Vec<usize>,
     /// Row `p`, bit `q`: the pool members at positions `p` and `q` of
-    /// `members` conflict, structurally or by accuracy. Symmetric.
+    /// `members` are known to conflict, structurally or by accuracy.
+    /// Symmetric.
     rows: Vec<u64>,
+    /// Row `p`, bit `q`: the pair is structurally compatible and its
+    /// accuracy question is not asked yet. Symmetric.
+    open: Vec<u64>,
 }
 
 impl RoundConflicts {
-    /// Asks every pair among `members` (validated, ascending) in order,
-    /// by [`ask`], and stores the answers.
-    pub(crate) fn among(round: &Round, hooks: &mut dyn SelectHooks, members: Vec<usize>) -> Self {
+    /// Tests every pair among `members` (validated, ascending)
+    /// structurally; no accuracy question is asked yet.
+    pub(crate) fn among(round: &Round, members: Vec<usize>) -> Self {
         let words = members.len().div_ceil(64);
         let mut rows = vec![0; members.len() * words];
+        let mut open = vec![0; members.len() * words];
         for (p, &i) in members.iter().enumerate() {
             for (q, &j) in members.iter().enumerate().skip(p + 1) {
-                if ask(round, hooks, i, j) {
-                    rows[p * words + q / 64] |= 1 << (q % 64);
-                    rows[q * words + p / 64] |= 1 << (p % 64);
-                }
+                let bits = if conflicts(round, i, j) {
+                    &mut rows
+                } else {
+                    &mut open
+                };
+                bits[p * words + q / 64] |= 1 << (q % 64);
+                bits[q * words + p / 64] |= 1 << (p % 64);
             }
         }
-        RoundConflicts { members, rows }
+        RoundConflicts {
+            members,
+            rows,
+            open,
+        }
     }
 
     /// The pool, ascending.
@@ -97,34 +117,99 @@ impl RoundConflicts {
     }
 
     /// Whether candidates `i` and `j` (distinct, both validated)
-    /// conflict: the stored answer of a pool pair, else asked now.
+    /// conflict. A pool pair's accuracy question is asked on its first
+    /// read and its answer stored; a pair with a candidate outside the
+    /// pool is asked now.
     pub(crate) fn pair(
-        &self,
+        &mut self,
         round: &Round,
         hooks: &mut dyn SelectHooks,
         i: usize,
         j: usize,
     ) -> bool {
         match (self.position(i), self.position(j)) {
-            (Some(p), Some(q)) => self.row(p)[q / 64] & (1 << (q % 64)) != 0,
+            (Some(p), Some(q)) => self.pool_pair(hooks, p, q),
             _ => ask(round, hooks, i, j),
         }
     }
 
-    /// The pool members that conflict with pool member `i`, ascending.
-    pub(crate) fn conflicting(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let row = self.row(self.position(i).expect("a pool member"));
-        (0..row.len()).flat_map(move |w| {
-            let mut bits = row[w];
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
+    /// Whether the pool members at positions `p` and `q` conflict,
+    /// asking the pair's accuracy question if it is still open.
+    fn pool_pair(&mut self, hooks: &mut dyn SelectHooks, p: usize, q: usize) -> bool {
+        let words = self.members.len().div_ceil(64);
+        let (pq, qp) = (p * words + q / 64, q * words + p / 64);
+        let (bit_q, bit_p) = (1u64 << (q % 64), 1u64 << (p % 64));
+        if self.open[pq] & bit_q != 0 {
+            self.open[pq] &= !bit_q;
+            self.open[qp] &= !bit_p;
+            let (i, j) = (self.members[p], self.members[q]);
+            if hooks.accuracy_conflict(i.min(j), i.max(j)) {
+                self.rows[pq] |= bit_q;
+                self.rows[qp] |= bit_p;
+            }
+        }
+        self.rows[pq] & bit_q != 0
+    }
+
+    /// Whether the pool member at position `p` conflicts with every pool
+    /// member in `set` (bits over pool positions). A pair known to be
+    /// compatible settles it unasked; otherwise the open pairs are asked
+    /// in position order up to the first compatible one.
+    pub(crate) fn conflicts_with_all(
+        &mut self,
+        hooks: &mut dyn SelectHooks,
+        p: usize,
+        set: &[u64],
+    ) -> bool {
+        let row = p * set.len();
+        let known_compatible = |w: usize| set[w] & !self.rows[row + w] & !self.open[row + w] != 0;
+        !(0..set.len()).any(known_compatible) && !self.ask_until(hooks, p, set, false)
+    }
+
+    /// Whether the pool member at position `p` conflicts with some pool
+    /// member in `set` (bits over pool positions). A pair known to
+    /// conflict settles it unasked; otherwise the open pairs are asked in
+    /// position order up to the first conflict.
+    pub(crate) fn conflicts_with_any(
+        &mut self,
+        hooks: &mut dyn SelectHooks,
+        p: usize,
+        set: &[u64],
+    ) -> bool {
+        let row = p * set.len();
+        (0..set.len()).any(|w| set[w] & self.rows[row + w] != 0)
+            || self.ask_until(hooks, p, set, true)
+    }
+
+    /// Asks the open pairs of position `p` with `set` in position order
+    /// until one answers `stop`: whether one did.
+    fn ask_until(
+        &mut self,
+        hooks: &mut dyn SelectHooks,
+        p: usize,
+        set: &[u64],
+        stop: bool,
+    ) -> bool {
+        let row = p * set.len();
+        for (w, &bits) in set.iter().enumerate() {
+            for b in ones(bits & self.open[row + w]) {
+                if self.pool_pair(hooks, p, w * 64 + b) == stop {
+                    return true;
                 }
-                let q = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(self.members[q])
-            })
-        })
+            }
+        }
+        false
+    }
+
+    /// The pool members known to conflict with the pool member at
+    /// position `p`, ascending.
+    pub(crate) fn conflicting(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        let words = self.members.len().div_ceil(64);
+        let row = &self.rows[p * words..(p + 1) * words];
+        let members = &self.members;
+        row.iter()
+            .enumerate()
+            .flat_map(move |(w, &word)| ones(word).map(move |b| members[w * 64 + b]))
     }
 
     /// Candidate `i`'s position in [`members`](Self::members), if it is
@@ -133,12 +218,29 @@ impl RoundConflicts {
         self.members.binary_search(&i).ok()
     }
 
-    /// The row of the pool member at position `p`: bit `q` is set iff it
-    /// conflicts with the member at position `q`.
-    pub(crate) fn row(&self, p: usize) -> &[u64] {
-        let words = self.members.len().div_ceil(64);
-        &self.rows[p * words..(p + 1) * words]
+    /// Asks every open pair, in pool order: the table as it stood when
+    /// the exact selector asked its whole pool at round entry, the
+    /// reference of the tests.
+    #[cfg(test)]
+    pub(crate) fn ask_all(&mut self, hooks: &mut dyn SelectHooks) {
+        let n = self.members.len();
+        for p in 0..n {
+            for q in p + 1..n {
+                self.pool_pair(hooks, p, q);
+            }
+        }
     }
+}
+
+/// The positions of the set bits of `word`, ascending.
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// The one conflict rule: the structural tests, then, for a structurally

@@ -79,7 +79,9 @@ pub struct SelectStats {
     pub include_steps: u64,
     /// Flow-level arbitrations that preferred the greedy leg's schedule
     /// over the exact leg's (the exact selector optimizes the benefit
-    /// model, the flow's contract is real scheduled cycles).
+    /// model, the flow's contract is real scheduled cycles). Zero when no
+    /// round improved: the flow then runs no greedy leg, as the exact leg
+    /// committed greedy's selection in every round.
     pub portfolio_fallbacks: u64,
 }
 
@@ -164,6 +166,14 @@ pub fn exhaustive_best(
     best
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Whether the exact selector asks every pool pair at round entry,
+    /// as it did before it asked on read: the reference the lazy tests
+    /// compare against.
+    pub(crate) static ASK_POOL_AT_ENTRY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// One exact selection pass over a screened round, searching with at
 /// most `budget` include-steps.
 pub(crate) fn run_selection_optimal(
@@ -183,10 +193,14 @@ pub(crate) fn run_selection_optimal(
     let entry = WlSnapshot::new(screened.dfg, &*hooks);
     let model = hook_model(ctx, screened, &entry);
     let (opt, members) = pool(&model, screened);
-    // The search reads the conflicts among pool members only. Asked now,
-    // at round entry, they are plain trials, and the probe below finds
-    // them answered.
-    screened.conflicts = RoundConflicts::among(screened.round, hooks, members);
+    // The search reads the conflicts among pool members only. Their
+    // structural half is known now; an accuracy answer is stored when the
+    // probe or the search first reads its pair.
+    screened.conflicts = RoundConflicts::among(screened.round, members);
+    #[cfg(test)]
+    if ASK_POOL_AT_ENTRY.with(std::cell::Cell::get) {
+        screened.conflicts.ask_all(hooks);
+    }
 
     // Greedy probe: run the full greedy loop speculatively to learn its
     // chosen set (the incumbent), then roll every hook side effect back
@@ -196,7 +210,7 @@ pub(crate) fn run_selection_optimal(
     let probe = greedy_loop(ctx, screened, hooks);
     hooks.restore();
 
-    let (best_set, exhausted, steps) = search(&model, screened, opt, budget, &probe.chosen);
+    let (best_set, exhausted, steps) = search(&model, screened, hooks, opt, budget, &probe.chosen);
     drop(model);
     ctx.stats.include_steps += u64::from(steps);
     if exhausted {
@@ -275,20 +289,24 @@ fn pool(model: &BenefitModel<'_>, screened: &Screened<'_>) -> (Vec<f64>, Vec<usi
 /// (`None` when greedy is already optimal among what was searched),
 /// whether the budget ran out (in which case the best set is meaningless
 /// and discarded), and the include-steps spent.
+///
+/// The search asks `hooks` a pool pair's accuracy question only when the
+/// clique cover or an include reads it. Until then the pair counts as
+/// compatible, which only loosens the bound through the narrowing; every
+/// set the search adopts is still pairwise conflict-free. So an
+/// exhaustive search meets the same strictly improving sets, in the same
+/// order, as over the whole pool's answers, in possibly more
+/// include-steps.
 fn search(
     model: &BenefitModel<'_>,
-    screened: &Screened<'_>,
+    screened: &mut Screened<'_>,
+    hooks: &mut dyn SelectHooks,
     mut opt: Vec<f64>,
     budget: u32,
     incumbent: &[usize],
 ) -> (Option<Vec<usize>>, bool, u32) {
-    let Screened {
-        dfg,
-        round,
-        prior,
-        conflicts,
-        ..
-    } = screened;
+    let (dfg, round, prior) = (screened.dfg, screened.round, screened.prior);
+    let conflicts = &mut screened.conflicts;
     let mut order = conflicts.members().to_vec();
     let n = round.candidates.len();
     let words = n.div_ceil(64);
@@ -310,9 +328,14 @@ fn search(
     // Best-bound-first ordering tightens the suffix bound fastest;
     // total_cmp plus the index tie-break keeps it deterministic.
     order.sort_unstable_by(|&a, &b| opt[b].total_cmp(&opt[a]).then(a.cmp(&b)));
+    let positions: Vec<usize> = order
+        .iter()
+        .map(|&i| conflicts.position(i).expect("a pool member"))
+        .collect();
 
-    // Conflict adjacency as the stored pool rows, so an include bans
-    // everything incompatible with it in one pass over its row — and,
+    // Conflict adjacency as the stored pool rows (the conflicts known
+    // so far), so an include bans everything known incompatible with it
+    // in one pass over its row — and,
     // crucially, so the suffix bound can skip banned candidates instead
     // of crediting them with value they can never contribute. Dense
     // rounds (CONV's fully-unrolled taps reach 80+ mutually overlapping
@@ -328,16 +351,19 @@ fn search(
     // from shared items (CFIR's first round has 148 positive candidates
     // in item-sharing cliques; the per-candidate sum never prunes
     // there, the cover bound closes the search). Clique member sets are
-    // bitsets over pool positions, like the rows.
+    // bitsets over pool positions, like the rows. The cover is the one
+    // the whole pool's answers give: whether a candidate conflicts with
+    // a clique entirely is settled by a pair known to be compatible,
+    // else by asking its open pairs with the clique up to the first
+    // compatible one.
+    let words = order.len().div_ceil(64);
     let mut cliques: Vec<(Vec<usize>, Vec<u64>)> = Vec::new();
-    for &i in &order {
-        let p = conflicts.position(i).expect("a pool member");
-        let row = conflicts.row(p);
+    for (&i, &p) in order.iter().zip(&positions) {
         let home = cliques
             .iter()
-            .position(|(_, members)| members.iter().zip(row).all(|(m, r)| m & !r == 0));
+            .position(|(_, members)| conflicts.conflicts_with_all(hooks, p, members));
         let c = home.unwrap_or_else(|| {
-            cliques.push((Vec::new(), vec![0u64; row.len()]));
+            cliques.push((Vec::new(), vec![0u64; words]));
             cliques.len() - 1
         });
         cliques[c].0.push(i);
@@ -349,14 +375,17 @@ fn search(
         dfg,
         round,
         order: &order,
+        positions: &positions,
         opt: &opt,
         conflicts,
+        hooks,
         cliques: &clique_members,
         memo,
         budget,
         exhausted: false,
         chosen: Vec::new(),
         chosen_mask: nothing_chosen,
+        chosen_pool: vec![0; words],
         sel: prior.to_vec(),
         prior_len: prior.len(),
         best_value: set_value(model, round, prior, incumbent),
@@ -466,9 +495,13 @@ struct Search<'a, 'm> {
     dfg: &'a Dfg,
     round: &'a Round,
     order: &'a [usize],
+    /// The pool position of each `order` entry.
+    positions: &'a [usize],
     opt: &'a [f64],
-    /// The pool's conflicts, structural or accuracy.
-    conflicts: &'a RoundConflicts,
+    /// The pool's conflicts, structural or accuracy, as known so far.
+    conflicts: &'a mut RoundConflicts,
+    /// Asked a pool pair's accuracy question on its first read.
+    hooks: &'a mut dyn SelectHooks,
     /// Clique cover of the pool; members of each clique in descending
     /// optimistic-bound order, mutually conflicting.
     cliques: &'a [Vec<usize>],
@@ -479,6 +512,8 @@ struct Search<'a, 'm> {
     chosen: Vec<usize>,
     /// `chosen` as a bitset over candidate indices.
     chosen_mask: Vec<u64>,
+    /// `chosen` as a bitset over pool positions.
+    chosen_pool: Vec<u64>,
     /// Prior groups plus the chosen groups (the pricing context).
     sel: Vec<SimdGroup>,
     prior_len: usize,
@@ -487,9 +522,17 @@ struct Search<'a, 'm> {
 }
 
 impl Search<'_, '_> {
+    /// Whether the pool member at position `p` conflicts with no chosen
+    /// member, asking its open pairs with them up to the first conflict.
+    fn fits_chosen(&mut self, p: usize) -> bool {
+        !self
+            .conflicts
+            .conflicts_with_any(&mut *self.hooks, p, &self.chosen_pool)
+    }
+
     /// `avail` holds the candidates still reachable on this path: the
     /// pool minus everything already decided (included, excluded, or
-    /// conflicting with a chosen member). Every bound term is
+    /// known, when a member was chosen, to conflict with it). Every bound term is
     /// *path-dependent*: a member's contribution to any completion is
     /// capped by its optimistic assessment against the partners still
     /// in `avail` (chosen partners resolve through `sel` regardless),
@@ -545,9 +588,11 @@ impl Search<'_, '_> {
         if bound <= self.best_value + EPS {
             return;
         }
-        // Structural conflicts with the chosen set are pre-banned in
-        // `avail`; only the (set-dependent) cycle test remains.
-        if !closes_cycle(self.dfg, &self.sel, self.round.merged(i)) {
+        // Conflicts known when a member was chosen are pre-banned in
+        // `avail`. The (set-dependent) cycle test remains, and the pairs
+        // with the chosen set whose accuracy answer is still unknown.
+        let p = self.positions[pos];
+        if !closes_cycle(self.dfg, &self.sel, self.round.merged(i)) && self.fits_chosen(p) {
             if self.budget == 0 {
                 self.exhausted = true;
                 return;
@@ -555,6 +600,7 @@ impl Search<'_, '_> {
             self.budget -= 1;
             self.chosen.push(i);
             self.chosen_mask[i / 64] |= 1 << (i % 64);
+            self.chosen_pool[p / 64] |= 1 << (p % 64);
             self.sel.push(self.round.merged(i).clone());
             let v: f64 = self
                 .chosen
@@ -566,12 +612,13 @@ impl Search<'_, '_> {
                 self.best_set = Some(self.chosen.clone());
             }
             let mut narrowed = avail.to_vec();
-            for j in std::iter::once(i).chain(self.conflicts.conflicting(i)) {
+            for j in std::iter::once(i).chain(self.conflicts.conflicting(p)) {
                 narrowed[j / 64] &= !(1 << (j % 64));
             }
             self.dfs(pos + 1, &narrowed);
             self.chosen.pop();
             self.chosen_mask[i / 64] &= !(1 << (i % 64));
+            self.chosen_pool[p / 64] &= !(1 << (p % 64));
             self.sel.truncate(self.prior_len + self.chosen.len());
             if self.exhausted {
                 return;
@@ -806,8 +853,8 @@ kernel f {
             loop {
                 let round = Round::new(&dfg, &target, &groups);
                 // Value greedy's per-round choice before running exact.
-                let screened = Screened::new(&cycles, &dfg, &round, &groups, &mut NoHooks);
-                let probe = greedy_loop(&cycles, &screened, &mut NoHooks);
+                let mut screened = Screened::new(&cycles, &dfg, &round, &groups, &mut NoHooks);
+                let probe = greedy_loop(&cycles, &mut screened, &mut NoHooks);
                 let max = target.max_wl();
                 let model = BenefitModel::new(&dfg, &round, &cycles, |_| max, |_| None);
                 let greedy_v = set_value(&model, &round, &groups, &probe.chosen);

@@ -4,9 +4,9 @@
 //! 1. **never slower** — on the benchmark suite × {XENTIUM, VEX-1} ×
 //!    constraint grid, the exact kind's final cycle count never exceeds
 //!    greedy's (the portfolio arbitration makes this an end-to-end
-//!    contract, not just a per-round model statement), both legs run
-//!    under full paranoid pass-boundary verification, and the default
-//!    search budget never trips;
+//!    contract, not just a per-round model statement), every leg the
+//!    flow runs is under full paranoid pass-boundary verification, and
+//!    the default search budget never trips;
 //! 2. **corpus slice** — the same inequality over a seeded generated
 //!    corpus (`SLPWLO_FUZZ_SEEDS`, default 64);
 //! 3. **budget-0 determinism** — `Optimal { budget: 0 }` degrades to a
